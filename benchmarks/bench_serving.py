@@ -11,15 +11,17 @@ Four measurement families, matching the serving engine's design levers:
    accumulation against the transposed-LUT contiguous-gather kernel
    (``ProductQuantizer.scan_codes``), both inside the same blockwise
    top-k scan; bit-identical ids *and* distances are asserted.
-3. **Shard scaling** — :class:`ShardedIndex` over 1/2/4/8 flat shards for
-   each executor (``thread`` and, on multi-core hosts, ``process``),
-   reported as speedup against the full-materialisation baseline (the
-   paper-style single-shard scan) plus per-shard wall seconds from
+3. **Shard scaling** — :class:`ShardedIndex` over 1/2/4/8 flat shards on
+   both executors (``inline`` and ``process``), reported as speedup
+   against the full-materialisation baseline (the paper-style
+   single-shard scan) plus per-shard wall seconds from
    ``health_stats``.  Result equality with the unsharded scan is
    asserted, not assumed.  Shard scaling is executor- and core-count
    dependent, which is why every row records ``cpu_count`` and the
    executor it ran on: on a 1-CPU host neither executor can beat the
    single-shard scan, and the process pool additionally pays IPC.
+   (The checked-in ``BENCH_serving.json`` predates the removal of the
+   ``thread`` executor and still carries its rows.)
 4. **Cache hit curves** — LRU hit rate of :class:`QueryCache` under a
    Zipf-skewed query stream, across cache capacities.
 
@@ -35,7 +37,7 @@ import sys
 import time
 from pathlib import Path
 
-# Pin BLAS pools before numpy loads: shard fan-out supplies the thread
+# Pin BLAS pools before numpy loads: shard fan-out supplies the
 # parallelism here, and nested BLAS threading only adds contention.
 for _var in (
     "OPENBLAS_NUM_THREADS",
@@ -200,17 +202,19 @@ def bench_shards(
     for executor in executors:
         rows = {}
         for num_shards in shard_counts:
-            index = ShardedIndex(
+            with ShardedIndex(
                 data.shape[1], num_shards, executor=executor
-            )
-            index.add(data)
-            index.search(queries[:4], k)  # spin up the worker pool
-            baseline = index.health_stats()
-            sec, result = timed(lambda: index.search(queries, k), repeats)
+            ) as index:
+                index.add(data)
+                index.search(queries[:4], k)  # spin up the worker pool
+                baseline = index.health_stats()
+                sec, result = timed(
+                    lambda: index.search(queries, k), repeats
+                )
+                health = index.health_stats()
             assert np.array_equal(result.ids, ref_ids), (
                 f"{num_shards}-shard {executor} scan diverged from flat"
             )
-            health = index.health_stats()
             shard_seconds = [
                 round(
                     (after["seconds"] - before["seconds"]) / repeats, 6
@@ -225,7 +229,6 @@ def bench_shards(
                 "speedup_vs_full_scan": full_s / sec,
                 "mean_shard_seconds_per_search": shard_seconds,
             }
-            index.close()
         out[executor] = rows
     return out
 
@@ -283,9 +286,7 @@ def main(argv=None) -> int:
     queries = rng.normal(size=(nq, dim)).astype(np.float32)
 
     cpu_count = os.cpu_count() or 1
-    executors = ["thread"]
-    if cpu_count > 1:
-        executors.append("process")
+    executors = ["inline", "process"]
     print(
         f"workload: {n} vectors x {dim}d, {nq} queries, k={k} "
         f"(cpu_count={cpu_count}, executors={executors})"

@@ -15,7 +15,8 @@ Implements the index families the paper relies on:
 - :class:`PCATransform` — the dimensionality-reduction alternative the
   paper compares against PQ in Figure 5.
 - :class:`ShardedIndex` — serving-scale fan-out wrapper striping any of
-  the families above across N thread-parallel shards.
+  the families above across N shards (scanned inline or by worker
+  processes).
 - :class:`TypePartitionedIndex` — one sub-index per string partition key
   (per entity type in serving), so type-constrained lookups scan only
   the selected partitions' rows.

@@ -8,37 +8,28 @@ into a running top-k, so peak memory is O(n_queries x block) instead of the
 full O(n_queries x ntotal) matrix, and storage grows through an amortized
 doubling buffer instead of a per-``add`` ``np.concatenate``.
 
-Since the online-mutation PR the index is also *mutable under live
-traffic*: :meth:`FlatIndex.remove` and :meth:`FlatIndex.update` tombstone
-rows through the copy-on-write snapshot protocol of
-:mod:`repro.index.mutation`, searches pin one published
-:class:`~repro.index.mutation.IndexSnapshot` for their whole scan, and
-:meth:`FlatIndex.compact` rebuilds the store without the dead rows.  Row
-ids are stable until a compaction, which returns an old-to-new id remap.
+The index is *mutable under live traffic*: it is a
+:class:`~repro.index.mutation.RowStore`, which owns ``add`` / ``remove`` /
+``update`` / ``compact`` / ``search`` and publishes one immutable
+:class:`~repro.index.mutation.IndexSnapshot` per mutation; a search scans
+the snapshot it pinned.  Row ids are stable until a compaction, which
+returns an old-to-new id remap.
 """
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.index.base import SearchResult, VectorIndex
-from repro.index.buffer import GrowBuffer
 from repro.index.kmeans import _squared_distances
-from repro.index.mutation import (
-    IndexSnapshot,
-    bury,
-    check_row_ids,
-    extend_tombstones,
-)
-from repro.index.topk import auto_block_size, blockwise_topk
+from repro.index.mutation import IndexSnapshot, RowStore
 from repro.utils.contracts import array_contract
 
 __all__ = ["FlatIndex"]
 
 
-class FlatIndex(VectorIndex):
+class FlatIndex(RowStore):
     """Stores vectors verbatim; search is an exact blockwise distance scan.
 
     Parameters
@@ -54,11 +45,6 @@ class FlatIndex(VectorIndex):
         from the batch size via :func:`repro.index.topk.auto_block_size`
         so one-query probes and 256-query benches each get a
         cache-friendly tile.
-
-    Concurrency: mutators (:meth:`add` / :meth:`remove` / :meth:`update` /
-    :meth:`compact`) serialize on one write lock and publish immutable
-    snapshots; searches are lock-free readers pinned on one snapshot (see
-    :mod:`repro.index.mutation` for the protocol and its invariant).
     """
 
     def __init__(self, dim: int, metric: str = "l2", block_size: int | None = None):
@@ -66,180 +52,48 @@ class FlatIndex(VectorIndex):
             raise ValueError(f"dim must be positive, got {dim}")
         if metric not in ("l2", "ip"):
             raise ValueError(f"metric must be 'l2' or 'ip', got {metric!r}")
+        super().__init__(dim, np.float32)
         self.dim = dim
         self.metric = metric
         self.block_size = block_size
-        self._store = GrowBuffer(dim, np.float32)
-        self._write_lock = threading.Lock()
-        self._snap = IndexSnapshot(0, None, 0)
-
-    @property
-    def ntotal(self) -> int:
-        """Stored rows, including tombstoned ones (the row-id space)."""
-        return self._snap.rows
-
-    @property
-    def nlive(self) -> int:
-        """Rows visible to a search (stored minus tombstoned)."""
-        return self._snap.nlive
-
-    @property
-    def tombstone_count(self) -> int:
-        """Removed rows awaiting :meth:`compact`."""
-        return self._snap.tombstone_count
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Published mutation count; changes iff the visible set changed."""
-        return self._snap.epoch
 
     @property
     def vectors(self) -> np.ndarray:
         """The stored matrix (read-only view; re-fetch after ``add``)."""
-        return self._store.view
+        return self._snap.data
 
-    def snapshot(self) -> IndexSnapshot:
-        """The currently published visibility snapshot (atomic read)."""
-        return self._snap
+    def to_shared(self, share: Callable) -> dict:
+        """Constructor arguments plus the stored matrix passed through
+        ``share`` — what a shard worker needs to serve this index
+        zero-copy (see :mod:`repro.index.pool`)."""
+        return {
+            "dim": self.dim,
+            "metric": self.metric,
+            "block_size": self.block_size,
+            "vectors": share(self.vectors),
+        }
 
-    def _publish(self, tombstones: np.ndarray | None) -> None:
-        """Publish a new snapshot; caller must hold ``_write_lock``."""
-        self._snap = IndexSnapshot(
-            len(self._store), tombstones, self._snap.epoch + 1
+    @classmethod
+    def from_shared(cls, state: dict, attach: Callable) -> "FlatIndex":
+        """Rebuild over the matrix ``attach`` maps (inverse of
+        :meth:`to_shared`)."""
+        index = cls(
+            state["dim"], metric=state["metric"], block_size=state["block_size"]
         )
+        index._wrap(attach(state["vectors"]))
+        return index
 
-    def _capture(
-        self, snapshot: IndexSnapshot | None
-    ) -> tuple[IndexSnapshot, np.ndarray]:
-        """Pin a consistent ``(snapshot, store view)`` pair for one scan.
-
-        The optimistic path re-reads ``_snap`` after fetching the view: a
-        compaction swapping the store in between strictly shrinks it (a
-        no-shrink compaction is a no-op), so either the identity check or
-        the length check detects the swap and the read retries.  Appends
-        never invalidate the pair — the view is prefix-stable.
-        """
-        if snapshot is not None:
-            return snapshot, self._store.view
-        for _ in range(3):
-            snap = self._snap
-            view = self._store.view
-            if self._snap is snap and len(view) >= snap.rows:
-                return snap, view
-        with self._write_lock:
-            return self._snap, self._store.view
-
-    @array_contract("vectors: (..., d) num::any -> None")
-    def add(self, vectors: np.ndarray) -> None:
-        """Append rows (new row ids are ``[ntotal, ntotal + n)``)."""
-        vectors = self._check_vectors(vectors, "vectors")
-        with self._write_lock:
-            self._store.append(vectors)
-            self._publish(
-                extend_tombstones(self._snap.tombstones, len(vectors))
-            )
-
-    @array_contract("ids: any -> None")
-    def remove(self, ids) -> None:
-        """Tombstone the given row ids (all-or-nothing; ids stay stable).
-
-        Raises ``ValueError`` on out-of-range, duplicate, or
-        already-removed ids — before any visibility change is published.
-        """
-        with self._write_lock:
-            row_ids = check_row_ids(ids, len(self._store))
-            self._publish(bury(self._snap.tombstones, len(self._store), row_ids))
-
-    @array_contract("ids: any, vectors: (..., d) num::any -> (_,) i64")
-    def update(self, ids, vectors: np.ndarray) -> np.ndarray:
-        """Atomically replace rows: tombstone ``ids``, append ``vectors``.
-
-        One snapshot publish covers both halves, so a concurrent search
-        sees either the old rows or the new ones — never neither, never
-        both.  Returns the new rows' ids (the id and vector counts may
-        differ; an entity may gain or lose surface forms).
-        """
-        vectors = self._check_vectors(vectors, "vectors")
-        with self._write_lock:
-            row_ids = check_row_ids(ids, len(self._store))
-            base = len(self._store)
-            self._store.append(vectors)
-            tombstones = bury(
-                extend_tombstones(self._snap.tombstones, len(vectors)),
-                len(self._store),
-                row_ids,
-            )
-            self._publish(tombstones)
-            return base + np.arange(len(vectors), dtype=np.int64)
-
-    @array_contract("-> any")
-    def compact(self) -> np.ndarray | None:
-        """Rebuild the store without tombstoned rows; reset the bitmap.
-
-        Returns the ``(old_rows,)`` int64 remap — new id per old row,
-        ``-1`` for removed rows — or ``None`` when there was nothing to
-        reclaim (no swap happened).  Atomic: searches pinned on the old
-        snapshot keep scanning the old store object untouched.
-        """
-        with self._write_lock:
-            snap = self._snap
-            if snap.tombstones is None or not snap.tombstones.any():
-                return None
-            alive = ~snap.tombstones
-            remap = np.where(
-                alive, np.cumsum(alive) - 1, np.int64(-1)
-            ).astype(np.int64)
-            new_store = GrowBuffer(self.dim, np.float32)
-            live_rows = self._store.view[: snap.rows][alive]
-            if len(live_rows):
-                new_store.append(live_rows)
-            self._store = new_store
-            self._publish(None)
-            return remap
-
-    def _score_block(
-        self, queries: np.ndarray, store: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """Distances of all queries against stored rows ``[start, stop)``."""
-        block = store[start:stop]
+    def _scorer(
+        self, queries: np.ndarray, snap: IndexSnapshot
+    ) -> Callable[[np.ndarray], np.ndarray]:
         if self.metric == "l2":
-            return _squared_distances(queries, block)
+            return lambda block: _squared_distances(queries, block)
         # Inner products accumulate over dim float32 terms; float64
         # accumulation keeps ties stable (storage stays float32).
-        return -(queries.astype(np.float64) @ block.astype(np.float64).T)  # repro: noqa[REP102]
-
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
-    def search(
-        self,
-        queries: np.ndarray,
-        k: int,
-        block_size: int | None = None,
-        snapshot: IndexSnapshot | None = None,
-    ) -> SearchResult:
-        queries = self._check_vectors(queries, "queries")
-        self._check_k(k)
-        block = block_size if block_size is not None else self.block_size
-        if block is None:
-            block = auto_block_size(len(queries))
-        snap, store = self._capture(snapshot)
-        ids, distances = blockwise_topk(
-            lambda start, stop: self._score_block(queries, store, start, stop),
-            snap.rows,
-            k,
-            num_queries=len(queries),
-            block_size=block,
-            exclude=snap.tombstones,
-        )
-        return SearchResult(ids=ids, distances=distances)
+        q64 = queries.astype(np.float64)  # repro: noqa[REP102]
+        return lambda block: -(q64 @ block.astype(np.float64).T)  # repro: noqa[REP102]
 
     @array_contract("idx: int -> (d,) f32")
     def reconstruct(self, idx: int) -> np.ndarray:
         """Return the stored vector for row ``idx``."""
-        return self._store.view[idx].copy()
-
-    def memory_bytes(self) -> int:
-        snap = self._snap
-        tomb_bytes = (
-            snap.tombstones.nbytes if snap.tombstones is not None else 0
-        )
-        return self._store.nbytes() + tomb_bytes
+        return self.vectors[idx].copy()

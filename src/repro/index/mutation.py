@@ -1,58 +1,67 @@
-"""Snapshot and tombstone primitives for online index mutation.
+"""Snapshots, tombstones and the row store behind online index mutation.
 
-The index family supports ``add`` / ``remove`` / ``update`` under live
-search traffic.  The mechanism that makes a concurrent search safe is
-*snapshot publication*:
+The index family supports ``add`` / ``remove`` / ``update`` / ``compact``
+under live search traffic.  One mechanism makes a concurrent search safe,
+at every level of the stack: **a snapshot is one immutable object that
+holds everything its reader needs, published by one attribute swap**.
 
-- every mutable index keeps its current visibility state in a single
-  :class:`IndexSnapshot` attribute (``rows`` visible, a tombstone bitmap
-  over them, a monotonically increasing ``epoch``);
-- mutators serialize on the index's write lock, build a **new** snapshot
-  (tombstone arrays are copy-on-write — never mutated in place) and
-  publish it with one attribute assignment, which is atomic under the
-  GIL;
-- a search reads the attribute **once** and scans against that pinned
-  snapshot.  Because the row stores (:class:`~repro.index.buffer.
-  GrowBuffer`) are prefix-stable — appends only write beyond the
-  published length, and reallocation copies the prefix verbatim — the
-  pinned ``(rows, tombstones)`` pair always describes a complete,
-  internally consistent entity set.
+:class:`RowStore` owns that protocol for the scanning indexes.  Mutators
+serialize on its write lock, build a **new** :class:`IndexSnapshot`
+(tombstone bitmaps are copy-on-write, appends only write beyond the
+published length of a :class:`~repro.index.buffer.GrowBuffer`, a
+compaction builds a new buffer) and publish it with one attribute
+assignment, atomic under the GIL.  A search reads the attribute **once**
+and scans what the snapshot holds; nothing a later mutation does — not
+even a compaction that replaces the buffer and re-trains the codec — can
+reach into a published snapshot, so a reader never re-reads, never
+retries and never takes a lock.
 
-The result is the *old-or-new* invariant the property suite in
-``tests/property/test_mutation.py`` enforces: a lookup concurrent with a
-mutation equals the brute-force oracle over either the pre-mutation or
-the post-mutation entity set, never a torn mixture.
+The result is the *old-or-new* invariant ``tests/property/
+test_mutation.py`` enforces: a lookup concurrent with a mutation equals
+the brute-force oracle over either the pre- or the post-mutation entity
+set, never a torn mixture.  The fan-out indexes (:mod:`repro.index.
+sharded`, :mod:`repro.index.partitioned`) and the serving engine publish
+their own snapshots the same way, each holding those of the level below.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.index.base import SearchResult, VectorIndex
+from repro.index.buffer import GrowBuffer
+from repro.index.topk import auto_block_size, blockwise_topk
 from repro.utils.contracts import array_contract
 
 __all__ = [
     "IndexSnapshot",
+    "RowStore",
     "bury",
     "check_row_ids",
     "extend_tombstones",
+    "snapshot_of",
     "validate_removable",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSnapshot:
-    """One immutable visibility state of a mutable index.
+    """One immutable state of a mutable scanning index.
 
-    ``rows`` is the number of stored rows visible to a search pinned on
-    this snapshot; ``tombstones`` is a read-only boolean bitmap over
-    those rows (``None`` means every row is live); ``epoch`` increases
-    by one per published mutation, so equality of epochs identifies a
-    state and callers (compaction, the serving engine's retry guard)
-    can detect that the index moved underneath them.
+    ``data`` is the ``(rows, cols)`` stored matrix as of the publish, a
+    view nothing writes to again; ``codec`` is what decodes it (``None``
+    for verbatim float32 vectors, otherwise the quantizer whose codes
+    ``data`` holds).  ``tombstones`` is a read-only boolean bitmap over
+    the rows (``None``: every row is live); ``epoch`` increases by one
+    per publish, so equal epochs identify a state.
     """
 
+    data: np.ndarray
+    codec: object | None
     rows: int
     tombstones: np.ndarray | None
     epoch: int
@@ -68,6 +77,24 @@ class IndexSnapshot:
     def nlive(self) -> int:
         """Rows visible to a search pinned on this snapshot."""
         return self.rows - self.tombstone_count
+
+    @array_contract("-> any")
+    def live(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(row ids, float32 vectors)`` of the live rows; coded rows
+        come back decoded (what a compaction re-trains from)."""
+        if self.tombstones is None:
+            ids = np.arange(self.rows, dtype=np.int64)
+        else:
+            ids = np.flatnonzero(~self.tombstones).astype(np.int64)
+        rows = self.data[ids]
+        return ids, rows if self.codec is None else self.codec.decode(rows)
+
+
+def snapshot_of(index: VectorIndex) -> object | None:
+    """``index``'s published snapshot; ``None`` for a family without
+    snapshots (no ``compact``, so its row ids are never renumbered)."""
+    snapshot = getattr(index, "snapshot", None)
+    return snapshot() if callable(snapshot) else None
 
 
 @array_contract("ids: any, rows: int -> (_,) i64")
@@ -136,3 +163,201 @@ def bury(
         )
     out[ids] = True
     return out
+
+
+class RowStore(VectorIndex):
+    """A scanning index: append-only rows + tombstones behind one
+    published snapshot.  The base of :class:`~repro.index.flat.FlatIndex`
+    and :class:`~repro.index.pq.PQIndex`, which add only what differs.
+
+    Holds a :class:`~repro.index.buffer.GrowBuffer`, the write lock
+    mutators serialize on, and the current :class:`IndexSnapshot`.
+    ``codec`` (``None`` or an object with ``encode`` / ``decode``) turns
+    the float32 vectors callers hand in into the stored rows; encoding
+    runs under the write lock, so always with the codec the rows are
+    published with.  Subclasses set ``dim`` / ``block_size``, implement
+    :meth:`_scorer`, and may set ``_rebuild`` (see :meth:`compact`).
+    """
+
+    block_size: int | None = None
+    #: Working-set bytes per (query, row) score, for the block heuristic.
+    _bytes_per_score = 8
+    _rebuild: Callable | None = None
+
+    def __init__(
+        self, cols: int, dtype: np.dtype | type, codec: object | None = None
+    ) -> None:
+        self._buf = GrowBuffer(cols, dtype)
+        self._write_lock = threading.Lock()
+        self._snap = IndexSnapshot(self._buf.view, codec, 0, None, 0)
+
+    @array_contract("rows: (n, cols) any::any -> None")
+    def _wrap(self, rows: np.ndarray) -> None:
+        """Serve an existing (possibly read-only, shared-memory) matrix
+        zero-copy; see :meth:`GrowBuffer.wrap`.  Shard-worker set-up,
+        before the index is shared with any reader."""
+        self._buf = GrowBuffer.wrap(rows)
+        self._snap = IndexSnapshot(
+            self._buf.view, self._snap.codec, len(rows), None, 0
+        )
+
+    def snapshot(self) -> IndexSnapshot:
+        """The currently published snapshot (one atomic attribute read)."""
+        return self._snap
+
+    @property
+    def ntotal(self) -> int:
+        """Stored rows, including tombstoned ones (the row-id space)."""
+        return self._snap.rows
+
+    @property
+    def nlive(self) -> int:
+        """Rows visible to a search (stored minus tombstoned)."""
+        return self._snap.nlive
+
+    @property
+    def tombstone_count(self) -> int:
+        """Removed rows awaiting :meth:`compact`."""
+        return self._snap.tombstone_count
+
+    @property
+    def mutation_epoch(self) -> int:
+        """Published mutation count; changes iff the visible set changed."""
+        return self._snap.epoch
+
+    def memory_bytes(self) -> int:
+        """Logical payload bytes plus the tombstone bitmap."""
+        tombstones = self._snap.tombstones
+        return self._buf.nbytes() + (
+            tombstones.nbytes if tombstones is not None else 0
+        )
+
+    def _publish(
+        self, tombstones: np.ndarray | None, codec: object | None
+    ) -> None:
+        """Swap in the next snapshot; caller holds ``_write_lock``."""
+        self._snap = IndexSnapshot(
+            self._buf.view,
+            codec,
+            len(self._buf),
+            tombstones,
+            self._snap.epoch + 1,
+        )
+
+    def _append(self, vectors: np.ndarray, what: str) -> np.ndarray:
+        """Validate, encode and buffer ``vectors`` (not yet published)."""
+        if not self.is_trained:
+            raise RuntimeError(
+                f"{type(self).__name__}.{what} called before train()"
+            )
+        vectors = self._check_vectors(vectors, "vectors")
+        codec = self._snap.codec
+        self._buf.append(vectors if codec is None else codec.encode(vectors))
+        return vectors
+
+    @array_contract("vectors: (..., d) num::any -> None")
+    def add(self, vectors: np.ndarray) -> None:
+        """Append rows (new row ids are ``[ntotal, ntotal + n)``)."""
+        with self._write_lock:
+            snap = self._snap
+            vectors = self._append(vectors, "add")
+            self._publish(
+                extend_tombstones(snap.tombstones, len(vectors)), snap.codec
+            )
+
+    @array_contract("ids: any -> None")
+    def remove(self, ids) -> None:
+        """Tombstone the given row ids (all-or-nothing; ids stay stable).
+
+        Raises ``ValueError`` on out-of-range, duplicate, or
+        already-removed ids — before any visibility change is published.
+        """
+        with self._write_lock:
+            snap = self._snap
+            row_ids = check_row_ids(ids, snap.rows)
+            self._publish(bury(snap.tombstones, snap.rows, row_ids), snap.codec)
+
+    @array_contract("ids: any, vectors: (..., d) num::any -> (_,) i64")
+    def update(self, ids, vectors: np.ndarray) -> np.ndarray:
+        """Atomically replace rows: tombstone ``ids``, append ``vectors``.
+
+        One snapshot publish covers both halves, so a concurrent search
+        sees either the old rows or the new ones — never neither, never
+        both.  Returns the new rows' ids (the id and vector counts may
+        differ; an entity may gain or lose surface forms).
+        """
+        with self._write_lock:
+            snap = self._snap
+            row_ids = check_row_ids(ids, snap.rows)
+            vectors = self._append(vectors, "update")
+            tombstones = bury(
+                extend_tombstones(snap.tombstones, len(vectors)),
+                len(self._buf),
+                row_ids,
+            )
+            self._publish(tombstones, snap.codec)
+            return snap.rows + np.arange(len(vectors), dtype=np.int64)
+
+    @array_contract("-> any")
+    def compact(self) -> np.ndarray | None:
+        """Rebuild the buffer without tombstoned rows; reset the bitmap.
+
+        A coded subclass sets ``_rebuild(live_rows, codec) -> (rows,
+        codec)`` to re-train its codec on what survives; it runs under
+        the write lock (blocking other *mutators* — searches keep
+        scanning the snapshot they pinned).  Returns the ``(old_rows,)``
+        int64 remap — new id per old row, ``-1`` for removed rows — or
+        ``None`` when there was nothing to reclaim (nothing published).
+        """
+        with self._write_lock:
+            snap = self._snap
+            if snap.tombstones is None or not snap.tombstones.any():
+                return None
+            alive = ~snap.tombstones
+            remap = np.where(
+                alive, np.cumsum(alive) - 1, np.int64(-1)
+            ).astype(np.int64)
+            rows, codec = snap.data[alive], snap.codec
+            if self._rebuild is not None and len(rows):
+                rows, codec = self._rebuild(rows, codec)
+            self._buf = GrowBuffer(snap.data.shape[1], snap.data.dtype)
+            if len(rows):
+                self._buf.append(rows)
+            self._publish(None, codec)
+            return remap
+
+    def _scorer(
+        self, queries: np.ndarray, snap: IndexSnapshot
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """``score(block) -> (nq, len(block))`` distances of ``queries``
+        against a block of ``snap.data`` (per-batch set-up goes here)."""
+        raise NotImplementedError
+
+    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
+    def search(
+        self,
+        queries: np.ndarray,
+        k: int,
+        block_size: int | None = None,
+        snapshot: IndexSnapshot | None = None,
+    ) -> SearchResult:
+        """Blockwise top-``k`` over ``snapshot`` (default: the current
+        one), excluding its tombstones."""
+        queries = self._check_vectors(queries, "queries")
+        self._check_k(k)
+        block = block_size if block_size is not None else self.block_size
+        if block is None:
+            block = auto_block_size(
+                len(queries), bytes_per_score=self._bytes_per_score
+            )
+        snap = snapshot if snapshot is not None else self._snap
+        score, data = self._scorer(queries, snap), snap.data
+        ids, distances = blockwise_topk(
+            lambda start, stop: score(data[start:stop]),
+            snap.rows,
+            k,
+            num_queries=len(queries),
+            block_size=block,
+            exclude=snap.tombstones,
+        )
+        return SearchResult(ids=ids, distances=distances)

@@ -28,11 +28,16 @@ building a :class:`~repro.index.sharded.ShardedIndex` to combine per-type
 partitioning with multi-core shard execution (shm export and worker
 pools come along for free; ``close`` forwards to every partition).
 
-Online mutation: :meth:`TypePartitionedIndex.remove` tombstones *global*
-row ids by locating each id in its partition's id column and forwarding
-the local ids to the sub-index's snapshot-protocol ``remove`` (see
-:mod:`repro.index.mutation`).  Updates go through the serving engine as
-remove + add — an updated entity may change primary type, i.e. change
+Online mutation: the searchable state is one published
+:class:`PartitionSnapshot` — per key, the sub-index, its global-id column
+and the sub-index's own snapshot, captured together — swapped in by one
+attribute assignment at the end of every ``add`` / ``remove`` (the
+protocol of :mod:`repro.index.mutation`, one level up).  A search reads
+it once, so it can never see a partition's new rows without their ids.
+:meth:`TypePartitionedIndex.remove` tombstones *global* row ids by
+locating each id in its partition's id column and forwarding the local
+ids to the sub-index's ``remove``.  Updates go through the serving engine
+as remove + add — an updated entity may change primary type, i.e. change
 partition, which an in-place update cannot express.
 """
 
@@ -40,21 +45,70 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.buffer import GrowBuffer
 from repro.index.flat import FlatIndex
-from repro.index.mutation import check_row_ids, validate_removable
+from repro.index.mutation import check_row_ids, snapshot_of, validate_removable
 from repro.index.topk import merge_topk
 from repro.utils.contracts import array_contract
 
-__all__ = ["DEFAULT_PARTITION", "TypePartitionedIndex"]
+__all__ = ["DEFAULT_PARTITION", "PartitionSnapshot", "TypePartitionedIndex"]
 
 #: Partition key used by callers for rows with no partition attribute
 #: (e.g. untyped entities).  Ordinary string key, no special casing here.
 DEFAULT_PARTITION = "__untyped__"
+
+
+class _Partition(NamedTuple):
+    """One key's pinned state: sub-index, id column, sub-index snapshot."""
+
+    index: VectorIndex
+    ids: np.ndarray  # (n_local,) int64 global ids; never written again
+    snap: object | None  # None for sub-index families without snapshots
+
+
+@dataclass(frozen=True, eq=False)
+class PartitionSnapshot:
+    """One immutable state of a :class:`TypePartitionedIndex`.
+
+    ``parts`` maps each key (first-seen order) to its pinned state and is
+    never mutated after the publish; ``rows`` is the global row-id space.
+    """
+
+    parts: dict[str, _Partition]
+    rows: int
+
+    def select(self, partitions: Sequence[str] | None) -> list[str]:
+        """Known keys among ``partitions``, deduplicated (all when None)."""
+        if partitions is None:
+            return list(self.parts)
+        return list(
+            dict.fromkeys(
+                key for key in map(str, partitions) if key in self.parts
+            )
+        )
+
+    def rows_in(self, partitions: Sequence[str] | None = None) -> int:
+        """Rows a search over ``partitions`` scans (all keys when None).
+
+        Unknown keys count zero rows — a filter naming a type nobody has
+        is an empty scan, not an error (mirrors the search).
+        """
+        if partitions is None:
+            return self.rows
+        return sum(len(self.parts[key].ids) for key in self.select(partitions))
+
+    @array_contract("key: str -> (n,) i64::any")
+    def global_ids(self, key: str) -> np.ndarray:
+        """Global row ids stored in partition ``key`` (read-only view)."""
+        if key not in self.parts:
+            raise KeyError(f"unknown partition key {key!r}")
+        return self.parts[key].ids
 
 
 class TypePartitionedIndex(VectorIndex):
@@ -79,67 +133,82 @@ class TypePartitionedIndex(VectorIndex):
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
         self._factory = factory if factory is not None else FlatIndex
-        # Insertion-ordered: search folds partitions in first-seen order,
-        # which (with the (distance, id) ranking) does not affect results
-        # but keeps scan order deterministic for timing.
-        self._partitions: dict[str, VectorIndex] = {}
-        # Per-partition global-id column, (n_local, 1) int64.
+        # Per-partition global-id column, (n_local, 1) int64 (writer side;
+        # readers use the views pinned in the published snapshot).
         self._ids: dict[str, GrowBuffer] = {}
-        self._ntotal = 0
-        # Serialises add/remove; searches stay lock-free on the
-        # sub-indexes' own published snapshots.
+        # Serialises add/remove; searches are lock-free readers of the
+        # published snapshot.
         self._write_lock = threading.Lock()
+        # Insertion-ordered parts: search folds partitions in first-seen
+        # order, which (with the (distance, id) ranking) does not affect
+        # results but keeps scan order deterministic for timing.
+        self._snap = PartitionSnapshot({}, 0)
 
     # -- construction ----------------------------------------------------------
 
     @property
     def ntotal(self) -> int:
-        return self._ntotal
+        return self._snap.rows
 
     @property
     def nlive(self) -> int:
         """Rows visible to a search (stored minus tombstoned)."""
-        return sum(
-            getattr(p, "nlive", p.ntotal) for p in self._partitions.values()
-        )
+        return self._snap.rows - self.tombstone_count
 
     @property
     def tombstone_count(self) -> int:
         """Removed rows awaiting compaction, across all partitions."""
         return sum(
-            getattr(p, "tombstone_count", 0)
-            for p in self._partitions.values()
+            part.snap.tombstone_count
+            for part in self._snap.parts.values()
+            if part.snap is not None
         )
 
     @property
     def is_trained(self) -> bool:
-        return all(p.is_trained for p in self._partitions.values())
+        return all(p.index.is_trained for p in self._snap.parts.values())
+
+    def snapshot(self) -> PartitionSnapshot:
+        """The currently published snapshot (atomic read)."""
+        return self._snap
 
     def partition_keys(self) -> tuple[str, ...]:
         """Every key seen by :meth:`add`, in first-seen order."""
-        return tuple(self._partitions)
+        return tuple(self._snap.parts)
 
     def partition_sizes(self) -> dict[str, int]:
         """Rows stored per partition key."""
-        return {key: p.ntotal for key, p in self._partitions.items()}
+        return {key: len(p.ids) for key, p in self._snap.parts.items()}
 
-    @array_contract("key: str -> (n,) i64")
+    @array_contract("key: str -> (n,) i64::any")
     def partition_global_ids(self, key: str) -> np.ndarray:
         """Global row ids stored in partition ``key`` (read-only view)."""
-        if key not in self._ids:
-            raise KeyError(f"unknown partition key {key!r}")
-        return self._ids[key].view[:, 0]
+        return self._snap.global_ids(key)
 
     def rows_in(self, partitions: Sequence[str] | None = None) -> int:
-        """Rows a search over ``partitions`` scans (all keys when None).
+        """Rows a search over ``partitions`` scans (all keys when None)."""
+        return self._snap.rows_in(partitions)
 
-        Unknown keys count zero rows — a filter naming a type nobody has
-        is an empty scan, not an error (mirrors :meth:`search`).
+    def _publish(
+        self, rows: int, indexes: dict[str, VectorIndex] | None = None
+    ) -> None:
+        """Swap in the next snapshot (over the current sub-indexes unless
+        ``indexes`` adds some); caller holds ``_write_lock``.
+
+        Each partition's id column and sub-index snapshot are read here,
+        after both were written, so the published pair always agrees.
         """
-        if partitions is None:
-            return self._ntotal
-        selected = self._select(partitions)
-        return sum(self._partitions[key].ntotal for key in selected)
+        if indexes is None:
+            indexes = {key: p.index for key, p in self._snap.parts.items()}
+        self._snap = PartitionSnapshot(
+            {
+                key: _Partition(
+                    index, self._ids[key].view[:, 0], snapshot_of(index)
+                )
+                for key, index in indexes.items()
+            },
+            rows,
+        )
 
     @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
@@ -151,8 +220,8 @@ class TypePartitionedIndex(VectorIndex):
         before calling ``train``.
         """
         vectors = self._check_vectors(vectors, "training vectors")
-        for partition in self._partitions.values():
-            partition.train(vectors)
+        for part in self._snap.parts.values():
+            part.index.train(vectors)
 
     @array_contract("vectors: (..., d) num::any, partitions: any -> None")
     def add(self, vectors: np.ndarray, partitions: Sequence[str]) -> None:
@@ -168,20 +237,19 @@ class TypePartitionedIndex(VectorIndex):
                 f"got {len(vectors)} vectors but {len(keys)} partition keys"
             )
         with self._write_lock:
-            base = self._ntotal
+            snap = self._snap
+            indexes = {key: part.index for key, part in snap.parts.items()}
             order: dict[str, list[int]] = {}
             for row, key in enumerate(keys):
                 order.setdefault(str(key), []).append(row)
             for key, rows in order.items():
-                partition = self._partitions.get(key)
-                if partition is None:
-                    partition = self._factory(self.dim)
-                    self._partitions[key] = partition
+                if key not in indexes:
+                    indexes[key] = self._factory(self.dim)
                     self._ids[key] = GrowBuffer(1, np.int64)
-                partition.add(vectors[rows])
-                global_ids = np.asarray(rows, dtype=np.int64) + base
+                indexes[key].add(vectors[rows])
+                global_ids = np.asarray(rows, dtype=np.int64) + snap.rows
                 self._ids[key].append(global_ids[:, None])
-            self._ntotal = base + len(vectors)
+            self._publish(snap.rows + len(vectors), indexes)
 
     @array_contract("ids: any -> None")
     def remove(self, ids) -> None:
@@ -193,45 +261,34 @@ class TypePartitionedIndex(VectorIndex):
         partition cannot leave another half-mutated.
         """
         with self._write_lock:
-            row_ids = check_row_ids(ids, self._ntotal)
+            snap = self._snap
+            row_ids = check_row_ids(ids, snap.rows)
             if len(row_ids) == 0:
                 return
             plan: list[tuple[VectorIndex, np.ndarray]] = []
             found = 0
-            for key, partition in self._partitions.items():
-                col = self._ids[key].view[:, 0]
-                local = np.nonzero(np.isin(col, row_ids))[0]
+            for part in snap.parts.values():
+                local = np.nonzero(np.isin(part.ids, row_ids))[0]
                 if len(local) == 0:
                     continue
-                if not hasattr(partition, "remove"):
+                if not hasattr(part.snap, "tombstones"):
                     raise NotImplementedError(
-                        f"partition family {type(partition).__name__} "
+                        f"partition family {type(part.index).__name__} "
                         "does not support remove()"
                     )
-                validate_removable(partition.snapshot().tombstones, local)
-                plan.append((partition, local))
+                validate_removable(part.snap.tombstones, local)
+                plan.append((part.index, local))
                 found += len(local)
             if found != len(row_ids):  # pragma: no cover - id column invariant
                 raise ValueError(
                     f"only {found} of {len(row_ids)} row ids found in "
                     "partition id columns"
                 )
-            for partition, local in plan:
-                partition.remove(local)
+            for index, local in plan:
+                index.remove(local)
+            self._publish(snap.rows)
 
     # -- search ----------------------------------------------------------------
-
-    def _select(self, partitions: Sequence[str] | None) -> list[str]:
-        if partitions is None:
-            return list(self._partitions)
-        seen: set[str] = set()
-        selected: list[str] = []
-        for key in partitions:
-            key = str(key)
-            if key in self._partitions and key not in seen:
-                seen.add(key)
-                selected.append(key)
-        return selected
 
     @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(
@@ -239,27 +296,32 @@ class TypePartitionedIndex(VectorIndex):
         queries: np.ndarray,
         k: int,
         partitions: Sequence[str] | None = None,
+        snapshot: PartitionSnapshot | None = None,
     ) -> SearchResult:
         """Top-``k`` over the union of ``partitions`` (all keys when None).
 
-        Each selected partition is searched for ``k`` winners, local ids
-        are remapped through the partition's global-id column, and the
-        per-partition results fold through :func:`merge_topk` — the same
-        reduction the sharded fan-in uses, so multi-type unions rank
-        identically to an equivalent single index (up to the per-family
-        tie caveats documented in :mod:`repro.index.topk`).  An empty
-        selection (no partitions, or only unknown keys) returns all-pad
-        rows rather than raising.
+        Each selected partition is searched for ``k`` winners under the
+        sub-index snapshot pinned with its id column, local ids are
+        remapped through that column, and the per-partition results fold
+        through :func:`merge_topk` — the same reduction the sharded
+        fan-in uses, so multi-type unions rank identically to an
+        equivalent single index (up to the per-family tie caveats
+        documented in :mod:`repro.index.topk`).  An empty selection (no
+        partitions, or only unknown keys) returns all-pad rows rather
+        than raising.
         """
         queries = self._check_vectors(queries, "queries")
         self._check_k(k)
-        selected = self._select(partitions)
+        snap = snapshot if snapshot is not None else self._snap
         run_ids: np.ndarray | None = None
         run_d: np.ndarray | None = None
-        for key in selected:
-            partition = self._partitions[key]
-            local = partition.search(queries, k)
-            ids = self._remap(local.ids, self._ids[key].view[:, 0])
+        for key in snap.select(partitions):
+            part = snap.parts[key]
+            if part.snap is None:
+                local = part.index.search(queries, k)
+            else:
+                local = part.index.search(queries, k, snapshot=part.snap)
+            ids = self._remap(local.ids, part.ids)
             if run_ids is None or run_d is None:
                 run_ids, run_d = ids, local.distances
             else:
@@ -295,13 +357,15 @@ class TypePartitionedIndex(VectorIndex):
     # -- maintenance -----------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        payload = sum(p.memory_bytes() for p in self._partitions.values())
+        payload = sum(
+            p.index.memory_bytes() for p in self._snap.parts.values()
+        )
         ids = sum(buf.nbytes() for buf in self._ids.values())
         return payload + ids
 
     def close(self) -> None:
         """Release partition resources (worker pools of sharded partitions)."""
-        for partition in self._partitions.values():
-            close = getattr(partition, "close", None)
+        for part in self._snap.parts.values():
+            close = getattr(part.index, "close", None)
             if callable(close):
                 close()

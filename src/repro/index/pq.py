@@ -10,20 +10,12 @@ into table lookups.
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.index.base import SearchResult, VectorIndex
-from repro.index.buffer import GrowBuffer
 from repro.index.kmeans import KMeans
-from repro.index.mutation import (
-    IndexSnapshot,
-    bury,
-    check_row_ids,
-    extend_tombstones,
-)
-from repro.index.topk import auto_block_size, blockwise_topk
+from repro.index.mutation import IndexSnapshot, RowStore
 from repro.utils.contracts import array_contract
 from repro.utils.rng import as_rng
 
@@ -201,33 +193,25 @@ class ProductQuantizer:
             out += gathered
         return out.T
 
-    @staticmethod
-    @array_contract(
-        "tables: (nq, m, ksub) f64::any, codes: (n, m) int::any -> (nq, n) f64::any"
-    )
-    def lookup_distances(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Sum per-sub-space table entries for each code row.
-
-        Compatibility wrapper over :meth:`scan_codes` for callers holding
-        the ``(nq, m, ksub)`` :meth:`distance_tables` layout; batch scans
-        should build :meth:`scan_tables` once and call ``scan_codes``
-        per block instead of re-transposing here every call.
-        """
-        # ADC tables are float64 by contract (precision of the m-sum).
-        return ProductQuantizer.scan_codes(
-            np.ascontiguousarray(
-                tables.transpose(1, 2, 0),
-                dtype=np.float64,  # repro: noqa[REP102]
-            ),
-            codes,
-        )
-
     def _require_trained(self) -> None:
         if self.codebooks is None:
             raise RuntimeError("ProductQuantizer used before train()")
 
 
-class PQIndex(VectorIndex):
+def _retrain(
+    codes: np.ndarray, pq: ProductQuantizer
+) -> tuple[np.ndarray, ProductQuantizer]:
+    """Compaction hook: fit a fresh quantizer on the decoded live
+    ``codes`` and re-encode with it."""
+    vectors = pq.decode(codes)
+    fresh = ProductQuantizer(
+        pq.dim, m=pq.m, nbits=pq.nbits, seed=pq.rng, kmeans_iters=pq.kmeans_iters
+    )
+    fresh.train(vectors)
+    return fresh.encode(vectors), fresh
+
+
+class PQIndex(RowStore):
     """Flat index over PQ codes with blockwise ADC search.
 
     The compressed storage is ``m`` bytes/vector versus ``4 * dim`` for
@@ -236,13 +220,19 @@ class PQIndex(VectorIndex):
     stream over the code store one block at a time with a running top-k,
     never materialising the full ``(n_queries, ntotal)`` distance matrix.
 
-    Mutation follows the snapshot protocol of :mod:`repro.index.mutation`
-    (see :class:`~repro.index.flat.FlatIndex` for the lock discipline);
-    :meth:`compact` additionally *re-trains* the codebooks on the decoded
-    live set, building a fresh :class:`ProductQuantizer` and swapping it
-    with the code store in one publish so a pinned search never mixes old
-    codes with new codebooks.
+    Mutation is the :class:`~repro.index.mutation.RowStore` protocol with
+    the quantizer as the store's codec: every published snapshot holds
+    the codes *and* the quantizer that encoded them.  :meth:`compact`
+    additionally *re-trains* the codebooks on the decoded live set (the
+    k-means runs while other *mutators* wait) and publishes fresh codes
+    with the fresh quantizer in the same snapshot, so a search can never
+    mix old codes with new codebooks.
     """
+
+    # The ADC fold keeps an output tile plus a same-shape gathered LUT
+    # tile alive per block: 16 working-set bytes per score.
+    _bytes_per_score = 16
+    _rebuild = staticmethod(_retrain)
 
     def __init__(
         self,
@@ -253,205 +243,82 @@ class PQIndex(VectorIndex):
         kmeans_iters: int = 25,
         block_size: int | None = None,
     ):
-        self.dim = dim
-        self.pq = ProductQuantizer(
-            dim, m=m, nbits=nbits, seed=seed, kmeans_iters=kmeans_iters
+        super().__init__(
+            m,
+            np.uint8,
+            ProductQuantizer(
+                dim, m=m, nbits=nbits, seed=seed, kmeans_iters=kmeans_iters
+            ),
         )
+        self.dim = dim
         self.block_size = block_size
-        self._store = GrowBuffer(m, np.uint8)
-        self._write_lock = threading.Lock()
-        self._snap = IndexSnapshot(0, None, 0)
+
+    @property
+    def pq(self) -> ProductQuantizer:
+        """The quantizer the currently published codes were encoded with."""
+        return self._snap.codec
 
     @property
     def is_trained(self) -> bool:
         return self.pq.is_trained
 
     @property
-    def ntotal(self) -> int:
-        return self._snap.rows
-
-    @property
-    def nlive(self) -> int:
-        """Rows visible to a search (stored minus tombstoned)."""
-        return self._snap.nlive
-
-    @property
-    def tombstone_count(self) -> int:
-        """Removed rows awaiting :meth:`compact`."""
-        return self._snap.tombstone_count
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Published mutation count; changes iff the visible set changed."""
-        return self._snap.epoch
-
-    @property
     def codes(self) -> np.ndarray:
         """The stored code matrix (read-only view; re-fetch after ``add``)."""
-        return self._store.view
-
-    def snapshot(self) -> IndexSnapshot:
-        """The currently published visibility snapshot (atomic read)."""
-        return self._snap
-
-    def _publish(self, tombstones: np.ndarray | None) -> None:
-        """Publish a new snapshot; caller must hold ``_write_lock``."""
-        self._snap = IndexSnapshot(
-            len(self._store), tombstones, self._snap.epoch + 1
-        )
-
-    def _capture(
-        self, snapshot: IndexSnapshot | None
-    ) -> tuple[IndexSnapshot, ProductQuantizer, np.ndarray]:
-        """Pin a consistent ``(snapshot, quantizer, codes)`` triple.
-
-        :meth:`compact` swaps store then quantizer then snapshot (all
-        under the write lock), and this reads them in the *opposite*
-        order, so observing the new quantizer implies the view is also
-        new — which the length check then flags against the old snapshot
-        (a compaction strictly shrinks the store).  Appends never
-        invalidate the triple — the view is prefix-stable.
-        """
-        if snapshot is not None:
-            return snapshot, self.pq, self._store.view
-        for _ in range(3):
-            snap = self._snap
-            pq = self.pq
-            view = self._store.view
-            if self._snap is snap and len(view) >= snap.rows:
-                return snap, pq, view
-        with self._write_lock:
-            return self._snap, self.pq, self._store.view
+        return self._snap.data
 
     @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
         self.pq.train(self._check_vectors(vectors, "training vectors"))
 
-    @array_contract("vectors: (..., d) num::any -> None")
-    def add(self, vectors: np.ndarray) -> None:
+    def to_shared(self, share: Callable) -> dict:
+        """Constructor arguments plus codes and codebooks passed through
+        ``share`` (see :meth:`FlatIndex.to_shared`)."""
         if not self.is_trained:
-            raise RuntimeError("PQIndex.add called before train()")
-        vectors = self._check_vectors(vectors, "vectors")
-        with self._write_lock:
-            self._store.append(self.pq.encode(vectors))
-            self._publish(
-                extend_tombstones(self._snap.tombstones, len(vectors))
-            )
+            raise RuntimeError("cannot export an untrained PQ shard")
+        snap = self._snap
+        return {
+            "dim": self.dim,
+            "m": snap.codec.m,
+            "nbits": snap.codec.nbits,
+            "block_size": self.block_size,
+            "codes": share(snap.data),
+            "codebooks": share(snap.codec.codebooks),
+        }
 
-    @array_contract("ids: any -> None")
-    def remove(self, ids) -> None:
-        """Tombstone the given row ids (all-or-nothing; ids stay stable)."""
-        with self._write_lock:
-            row_ids = check_row_ids(ids, len(self._store))
-            self._publish(bury(self._snap.tombstones, len(self._store), row_ids))
-
-    @array_contract("ids: any, vectors: (..., d) num::any -> (_,) i64")
-    def update(self, ids, vectors: np.ndarray) -> np.ndarray:
-        """Atomically replace rows: tombstone ``ids``, append ``vectors``.
-
-        One snapshot publish covers both halves (old-or-new, never a
-        mixture).  Returns the new rows' ids.
-        """
-        if not self.is_trained:
-            raise RuntimeError("PQIndex.update called before train()")
-        vectors = self._check_vectors(vectors, "vectors")
-        with self._write_lock:
-            row_ids = check_row_ids(ids, len(self._store))
-            base = len(self._store)
-            self._store.append(self.pq.encode(vectors))
-            tombstones = bury(
-                extend_tombstones(self._snap.tombstones, len(vectors)),
-                len(self._store),
-                row_ids,
-            )
-            self._publish(tombstones)
-            return base + np.arange(len(vectors), dtype=np.int64)
-
-    @array_contract("-> any")
-    def compact(self) -> np.ndarray | None:
-        """Drop tombstoned codes and re-train the codebooks on the rest.
-
-        Decodes the live codes with the current quantizer, fits a fresh
-        :class:`ProductQuantizer` on them (the k-means runs while the
-        write lock is held, blocking other *mutators* — searches stay
-        lock-free on the old pinned state), re-encodes, and swaps store
-        + quantizer + snapshot atomically.  Returns the old-to-new id
-        remap (``-1`` for removed rows) or ``None`` when there was
-        nothing to reclaim.
-        """
-        with self._write_lock:
-            snap = self._snap
-            if snap.tombstones is None or not snap.tombstones.any():
-                return None
-            alive = ~snap.tombstones
-            remap = np.where(
-                alive, np.cumsum(alive) - 1, np.int64(-1)
-            ).astype(np.int64)
-            new_store = GrowBuffer(self.pq.m, np.uint8)
-            live_codes = self._store.view[: snap.rows][alive]
-            if len(live_codes):
-                vectors = self.pq.decode(live_codes)
-                new_pq = ProductQuantizer(
-                    self.dim,
-                    m=self.pq.m,
-                    nbits=self.pq.nbits,
-                    seed=self.pq.rng,
-                    kmeans_iters=self.pq.kmeans_iters,
-                )
-                new_pq.train(vectors)
-                new_store.append(new_pq.encode(vectors))
-            else:
-                new_pq = self.pq  # nothing left to train on; keep codebooks
-            # Swap order matters: store, then quantizer, then snapshot —
-            # the mirror of the read order in _capture.
-            self._store = new_store
-            self.pq = new_pq
-            self._publish(None)
-            return remap
-
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
-    def search(
-        self,
-        queries: np.ndarray,
-        k: int,
-        block_size: int | None = None,
-        snapshot: IndexSnapshot | None = None,
-    ) -> SearchResult:
-        queries = self._check_vectors(queries, "queries")
-        self._check_k(k)
-        block = block_size if block_size is not None else self.block_size
-        if block is None:
-            # The ADC fold keeps an output tile plus a same-shape gathered
-            # LUT tile alive per block: 16 working-set bytes per score.
-            block = auto_block_size(len(queries), bytes_per_score=16)
-        snap, pq, codes = self._capture(snapshot)
-        tables_t = (
-            pq.scan_tables(queries) if snap.rows else None
-        )  # (m, ksub, nq), built once per batch
-        ids, distances = blockwise_topk(
-            lambda start, stop: pq.scan_codes(tables_t, codes[start:stop]),
-            snap.rows,
-            k,
-            num_queries=len(queries),
-            block_size=block,
-            exclude=snap.tombstones,
+    @classmethod
+    def from_shared(cls, state: dict, attach: Callable) -> "PQIndex":
+        """Rebuild over the arrays ``attach`` maps (inverse of
+        :meth:`to_shared`)."""
+        index = cls(
+            state["dim"],
+            m=state["m"],
+            nbits=state["nbits"],
+            block_size=state["block_size"],
         )
-        return SearchResult(ids=ids, distances=distances)
+        index.pq.codebooks = attach(state["codebooks"])
+        index._wrap(attach(state["codes"]))
+        return index
+
+    def _scorer(
+        self, queries: np.ndarray, snap: IndexSnapshot
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        pq = snap.codec
+        # (m, ksub, nq), built once per batch.
+        tables_t = pq.scan_tables(queries) if snap.rows else None
+        return lambda codes: pq.scan_codes(tables_t, codes)
 
     @array_contract("idx: int -> (d,) f32")
     def reconstruct(self, idx: int) -> np.ndarray:
         """Approximate stored vector for row ``idx`` (decoded from codes)."""
-        return self.pq.decode(self._store.view[idx : idx + 1])[0]
+        snap = self._snap
+        return snap.codec.decode(snap.data[idx : idx + 1])[0]
 
     def memory_bytes(self) -> int:
-        codebook_bytes = (
-            self.pq.codebooks.nbytes if self.pq.codebooks is not None else 0
+        codebooks = self.pq.codebooks
+        return super().memory_bytes() + (
+            codebooks.nbytes if codebooks is not None else 0
         )
-        snap = self._snap
-        tomb_bytes = (
-            snap.tombstones.nbytes if snap.tombstones is not None else 0
-        )
-        return self._store.nbytes() + codebook_bytes + tomb_bytes
 
 
 def _nearest_codes(sub_vectors: np.ndarray, codebook: np.ndarray) -> np.ndarray:

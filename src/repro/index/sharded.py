@@ -2,107 +2,83 @@
 
 Production entity retrievers (Gillick et al.'s dense retrieval stack,
 FAISS's ``IndexShards``) split the vector store into shards and fan each
-query batch out over workers so shard scans overlap on multi-core serving
-hosts, and each shard's working set is a fraction of the full store.
+query batch out so shard scans overlap on multi-core hosts and each
+shard's working set is a fraction of the store.
 
 Vectors are striped round-robin by arrival order — the ``g``-th added
 vector lands in shard ``g % num_shards`` — so the global id of a shard's
-``local``-th row is simply ``local * num_shards + shard`` and per-shard
-results remap to the global id space arithmetically.  Fan-in uses
-:func:`repro.index.topk.merge_topk`, which ranks by ``(distance, id)``;
-together with the blockwise scans inside each shard this makes a sharded
-search return *identical* results to the equivalent unsharded index.
+``local``-th row is ``local * num_shards + shard`` and per-shard results
+remap arithmetically.  Fan-in uses :func:`repro.index.topk.merge_topk`,
+which ranks by ``(distance, id)``; together with the blockwise scans
+inside each shard this makes a sharded search return *identical* results
+to the equivalent unsharded index, on either executor:
 
-Execution model (``executor=``): the fan-out runs on one of three
-interchangeable executors, all returning bit-identical results:
-
-- ``"process"`` — a persistent pool of worker *processes*, one lazy
-  spawn per pool.  Shard payloads (flat vectors, PQ codes, PQ codebooks)
-  are exported once into ``multiprocessing.shared_memory`` segments (see
-  :mod:`repro.index.shm`) that every worker maps read-only, so only query
-  batches in and ``(distance, id)`` top-k tuples out ever cross a pipe.
-  This is the executor that actually scales with cores: CPython's GIL
-  serialises the *gather/top-k* half of a scan even though the distance
-  matmuls release it, which is why the PR 4 thread fan-out measured
-  slower than one shard on a busy host.  A worker that crashes (or whose
-  request times out) is killed and respawned, counted in
-  :meth:`ShardedIndex.health_stats`; index families without a
-  shared-memory exporter fall back to pickling the shard into the worker
-  at spawn.
-- ``"thread"`` — the PR 4 thread pool (numpy matmuls release the GIL).
-  Still the right choice on 1-CPU hosts, where worker processes would
-  add IPC overhead with no parallelism to win.
-- ``"inline"`` — no pool at all: shards scan serially on the calling
-  thread.  Deterministic and dependency-free, for tests and debugging;
-  ``shard_timeout`` is emulated by comparing each shard's own elapsed
-  wall time against the budget after it finishes (a serial scan cannot
-  be pre-empted).
-- ``"auto"`` (default) — ``"process"`` when the host has more than one
-  CPU and every shard is exportable, else ``"thread"``.
+- ``"inline"`` (default) — shards scan serially on the calling thread.
+  Owns no process and no shared memory; the fastest choice for single
+  queries and on one core (DESIGN.md §9 has the measurements).  A serial
+  scan cannot be pre-empted, so ``shard_timeout`` is applied per shard
+  after it finishes.
+- ``"process"`` — a persistent pool of worker processes
+  (:mod:`repro.index.pool`) over shared-memory shard payloads, spawned
+  lazily by the first search; the executor that scales with cores for
+  batched scans.  A worker that crashes or times out is killed and
+  respawned (counted in :meth:`ShardedIndex.health_stats`).  The index
+  owns the pool: ``close()`` it, or use ``with``.
 
 Failure semantics (identical across executors): a shard that raises is
 retried (``max_retries``); a shard that still fails, or whose result
 does not arrive within ``shard_timeout`` seconds, is *dropped* from the
-fan-in and the search returns the merged top-k of the surviving shards
-with ``partial=True`` and the dead shards listed in ``failed_shards`` —
-one slow or crashing shard degrades recall instead of failing the whole
-lookup.  Timeouts are not retried (the hung scan cannot be cancelled; on
-the process executor the stuck *worker* is killed and respawned so the
-next search starts clean).  Per-shard counters (searches / failures /
-timeouts / retries / seconds) are kept in
-:meth:`ShardedIndex.health_stats` so a serving layer can alert on a
-persistently sick shard.  Pass ``fail_fast=True`` to restore strict
-all-or-nothing behaviour.
+fan-in and the search returns the merged top-k of the survivors with
+``partial=True`` and the dead shards in ``failed_shards`` — one slow or
+crashing shard degrades recall instead of failing the lookup.  Timeouts
+are not retried (the hung scan cannot be cancelled).  ``fail_fast=True``
+restores strict all-or-nothing behaviour.
 
-Online mutation: :meth:`ShardedIndex.remove` / :meth:`ShardedIndex.update`
-follow the snapshot protocol of :mod:`repro.index.mutation`, lifted to the
-fan-out level.  The cross-shard visibility state is one published
-``_IndexView`` — an immutable ``(token, shards, snaps)`` triple — so a
-search pins *all* shards' snapshots with a single attribute read and can
-never observe shard 0 post-mutation but shard 1 pre-mutation.  On the
-process executor each request ships its pinned ``(rows, tombstones)``
-pair to the worker (removes need no re-export; appends re-export via the
-existing pool invalidation).  :meth:`ShardedIndex.compact` rebuilds the
-shard set off-lock — re-training PQ codebooks on the decoded live rows —
-and swaps it in all-or-nothing: the swap is abandoned if any mutation
-landed during the rebuild, and a search that raced the swap falls back to
-an inline scan over its pinned (old) shard objects, which the swap never
-mutates.
+Online mutation is the protocol of :mod:`repro.index.mutation` one level
+up: the cross-shard state is one published ``_IndexView`` holding every
+shard's own snapshot, swapped in at the end of every mutation, so a
+search (which reads it once, or is handed it as ``snapshot=``) can never
+observe shard 0 post-mutation but shard 1 pre-mutation.  On the process
+executor each request ships its pinned ``(rows, tombstones)`` pair to
+the worker: removes need no re-export; appends close the pool and the
+next search re-exports.  :meth:`ShardedIndex.compact` rebuilds the shard
+set off-lock and swaps it in all-or-nothing.
 
 Fault injection: tests (see :mod:`repro.testing.faults`) pass a
-``fault_hook`` — any object with optional methods
-``before(shard: int) -> None`` (called on the shard's coordinator
-thread before its search; may raise or sleep),
-``transform(shard: int, ids, distances) -> (ids, distances)`` (applied
-to the shard's result before fan-in),
-``should_kill(shard: int) -> bool`` (process executor only: when true
-the shard's worker process is killed before the request, exercising the
-crash-detection → respawn → retry path), and
-``on_compaction(phase: str) -> None`` (called with ``"build"`` when a
-compaction starts rebuilding and ``"swap"`` immediately before the
-atomic swap; raising at ``"swap"`` aborts the compaction with the old
-shard set untouched).  Production code leaves it ``None``; the index
-never imports the testing layer.
+``fault_hook`` — any object with optional methods ``before(shard)``
+(called on the shard's coordinator before its search; may raise or
+sleep), ``transform(shard, ids, distances) -> (ids, distances)`` (applied
+to the shard's result before fan-in), ``should_kill(shard) -> bool``
+(process executor: kill the shard's worker before the request, to
+exercise crash detection → respawn → retry) and ``on_compaction(phase)``
+(``"build"`` when a compaction starts rebuilding, ``"swap"`` immediately
+before the swap; raising aborts it with the old shard set untouched).
+Production code leaves it ``None``; the index never imports the testing
+layer.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
+import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from multiprocessing.connection import wait as _mp_wait
 from time import monotonic
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.index.base import SearchResult, VectorIndex
-from repro.index.mutation import IndexSnapshot, check_row_ids, validate_removable
-from repro.index.shm import AttachedSegments, ShmRegistry
-from repro.index.topk import mask_tombstoned, merge_topk
+from repro.index.flat import FlatIndex
+from repro.index.mutation import check_row_ids, snapshot_of, validate_removable
+from repro.index.pool import (
+    ProcessShardPool,
+    ShardTimeoutError,
+    WorkerCrashedError,
+)
+from repro.index.topk import merge_topk
 from repro.utils.contracts import array_contract
 
 __all__ = [
@@ -112,476 +88,49 @@ __all__ = [
     "WorkerCrashedError",
 ]
 
-_EXECUTORS = ("auto", "thread", "process", "inline")
+_EXECUTORS = ("inline", "process")
 
 
 class AllShardsFailedError(RuntimeError):
     """Every shard of a sharded search failed or timed out."""
 
 
-class ShardTimeoutError(TimeoutError):
-    """A shard's scan missed its ``shard_timeout`` budget."""
-
-
-class WorkerCrashedError(RuntimeError):
-    """A shard's worker process died mid-request (before responding)."""
-
-
 class _IndexView(NamedTuple):
-    """One immutable cross-shard visibility state, published atomically.
+    """One immutable cross-shard state, published by one attribute swap.
 
-    ``token`` identifies the shard *set* (a fresh object per compaction
-    swap — the process pool records the token it exported, so a search
-    pinned on an older token detects the mismatch and scans inline on
-    its pinned shard objects instead).  ``snaps`` holds one
-    :class:`~repro.index.mutation.IndexSnapshot` per shard (``None`` for
-    shard families without snapshot support), captured under the write
-    lock in the same publish, so a single read pins a consistent
-    cross-shard state.
+    ``shards`` is the shard *set* — one list object per compaction swap,
+    never mutated in place, so its identity tells a search whether the
+    process pool's shm export describes the shards it pinned.  ``snaps``
+    holds each shard's own snapshot (``None`` for families without
+    snapshot support), captured under the write lock in the same
+    publish.  ``rows`` is the global row-id space, ``epoch`` the publish
+    count.
     """
 
-    token: object
-    shards: tuple[VectorIndex, ...]
-    snaps: tuple[IndexSnapshot | None, ...]
+    shards: list[VectorIndex]
+    snaps: tuple
+    rows: int
+    epoch: int
+
+    @property
+    def tombstone_count(self) -> int:
+        return sum(s.tombstone_count for s in self.snaps if s is not None)
+
+    @property
+    def nlive(self) -> int:
+        return self.rows - self.tombstone_count
 
 
+@dataclass(slots=True)
 class _ShardHealth:
     """Per-shard serving counters (mutated under the index's stats lock)."""
 
-    __slots__ = ("searches", "failures", "timeouts", "retries", "respawns", "seconds")
-
-    def __init__(self) -> None:
-        self.searches = 0
-        self.failures = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.respawns = 0
-        self.seconds = 0.0
-
-    def as_dict(self) -> dict[str, int | float]:
-        return {
-            "searches": self.searches,
-            "failures": self.failures,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "respawns": self.respawns,
-            "seconds": self.seconds,
-        }
-
-
-# --------------------------------------------------------------------------
-# Worker-process side of the "process" executor.
-# --------------------------------------------------------------------------
-
-
-def _export_shard(shard: VectorIndex, registry: ShmRegistry) -> dict:
-    """Describe one shard as a picklable payload, bulk arrays in shm.
-
-    Flat and PQ shards — the two families the serving path builds — ship
-    their stores through shared memory; any other family falls back to
-    pickling the whole shard object into the worker (functional, but the
-    payload crosses the pipe once at spawn instead of being mapped).
-    """
-    from repro.index.flat import FlatIndex
-    from repro.index.pq import PQIndex
-
-    if type(shard) is FlatIndex:
-        return {
-            "kind": "flat",
-            "dim": shard.dim,
-            "metric": shard.metric,
-            "block_size": shard.block_size,
-            "vectors": registry.share(shard.vectors),
-        }
-    if type(shard) is PQIndex:
-        if not shard.is_trained:
-            raise RuntimeError("cannot export an untrained PQ shard")
-        return {
-            "kind": "pq",
-            "dim": shard.dim,
-            "m": shard.pq.m,
-            "nbits": shard.pq.nbits,
-            "block_size": shard.block_size,
-            "codes": registry.share(shard.codes),
-            "codebooks": registry.share(shard.pq.codebooks),
-        }
-    return {"kind": "pickle", "index": shard}
-
-
-def _build_shard(payload: dict, segments: AttachedSegments) -> VectorIndex:
-    """Rebuild a worker-local shard over the parent's shm segments."""
-    from repro.index.buffer import GrowBuffer
-    from repro.index.flat import FlatIndex
-    from repro.index.pq import PQIndex
-
-    kind = payload["kind"]
-    if kind == "flat":
-        index = FlatIndex(
-            payload["dim"],
-            metric=payload["metric"],
-            block_size=payload["block_size"],
-        )
-        index._store = GrowBuffer.wrap(segments.attach(payload["vectors"]))
-        # The ctor published an empty snapshot; re-publish over the
-        # attached store so ntotal/search see the exported rows.
-        index._snap = IndexSnapshot(len(index._store), None, 0)
-        return index
-    if kind == "pq":
-        index = PQIndex(
-            payload["dim"],
-            m=payload["m"],
-            nbits=payload["nbits"],
-            block_size=payload["block_size"],
-        )
-        index.pq.codebooks = segments.attach(payload["codebooks"])
-        index._store = GrowBuffer.wrap(segments.attach(payload["codes"]))
-        index._snap = IndexSnapshot(len(index._store), None, 0)
-        return index
-    if kind == "pickle":
-        return payload["index"]
-    raise ValueError(f"unknown shard payload kind {kind!r}")
-
-
-def _shard_worker_main(conn, payloads: dict[int, dict]) -> None:
-    """Worker loop: build shards from payloads, serve search requests.
-
-    Protocol (one in-flight request per worker, enforced parent-side):
-
-    - recv ``("search", req_id, shard, queries, k, rows, tombstones)`` →
-      send ``("ok", req_id, ids, distances, seconds)`` or
-      ``("err", req_id, repr(exc))``.  ``(rows, tombstones)`` is the
-      parent's pinned visibility snapshot for the shard (``rows=None``
-      means "search everything" — pickle-family shards without snapshot
-      support).  A snapshot wider than the worker's exported store means
-      the export predates an append the parent already published; the
-      worker reports it as an error rather than silently serving the
-      stale prefix, and the parent's retry lands on a re-exported pool.
-    - recv ``("stop",)`` → detach segments and exit.
-    """
-    segments = AttachedSegments()
-    try:
-        shards = {
-            s: _build_shard(payload, segments)
-            for s, payload in payloads.items()
-        }
-        while True:
-            try:
-                # The worker has nothing else to do between requests;
-                # blocking forever is the mainloop's contract, and the
-                # parent kills the process on shutdown/timeout.
-                msg = conn.recv()  # repro: noqa[REP706] worker mainloop blocks by design
-            except (EOFError, OSError):
-                break
-            if msg[0] == "stop":
-                break
-            _, req_id, s, queries, k, rows, tombstones = msg
-            try:
-                shard = shards[s]
-                start = monotonic()
-                if rows is None:
-                    result = shard.search(queries, k)
-                else:
-                    if shard.ntotal < rows:
-                        raise RuntimeError(
-                            f"stale shm export: shard {s} has "
-                            f"{shard.ntotal} rows, snapshot wants {rows}"
-                        )
-                    result = shard.search(
-                        queries,
-                        k,
-                        snapshot=IndexSnapshot(rows, tombstones, 0),
-                    )
-                elapsed = monotonic() - start
-                conn.send(
-                    ("ok", req_id, result.ids, result.distances, elapsed)
-                )
-            except Exception as exc:  # serve the next request regardless
-                try:
-                    conn.send(("err", req_id, repr(exc)))
-                except (BrokenPipeError, OSError):
-                    break
-    finally:
-        segments.close()
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class _ShardWorker:
-    """Parent-side handle of one worker process (pipe + request lock)."""
-
-    __slots__ = (
-        "shard_ids",
-        "process",
-        "conn",
-        "lock",
-        "req_counter",
-        "injected_kill",
-    )
-
-    def __init__(self, shard_ids: tuple[int, ...]):
-        self.shard_ids = shard_ids
-        self.process = None
-        self.conn = None
-        self.lock = threading.Lock()
-        self.req_counter = 0
-        # Set by kill_shard_worker so the next request skips the liveness
-        # pre-heal and exercises the mid-request crash-detection path.
-        self.injected_kill = False
-
-
-class _ProcessShardPool:
-    """Persistent worker-process pool behind the ``"process"`` executor.
-
-    ``start()`` exports every shard payload into one :class:`ShmRegistry`
-    and spawns ``num_workers`` processes, shards assigned round-robin.
-    ``request()`` runs one shard search on its worker with an optional
-    deadline; a dead worker is respawned transparently (counted through
-    ``on_respawn``) and the caller retries per the index's budget.
-    ``close()`` stops the workers and unlinks every segment (idempotent).
-    """
-
-    def __init__(
-        self,
-        shards: list[VectorIndex],
-        num_workers: int,
-        mp_context: str | None = None,
-        on_respawn: Callable[[int], None] | None = None,
-        view_token: object | None = None,
-    ):
-        if mp_context is None:
-            # fork reuses the parent's loaded interpreter (fast spawn);
-            # spawn is the portable fallback.
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
-        self.mp_context = mp_context
-        self._shards = shards
-        # The shard-set token this pool's shm payload was exported for;
-        # a search pinned on a different token must not use this pool.
-        self.view_token = view_token
-        self.num_workers = max(1, min(num_workers, len(shards)))
-        self._on_respawn = on_respawn
-        self._registry: ShmRegistry | None = None
-        self._payloads: dict[int, dict] = {}
-        self._workers: list[_ShardWorker] = []
-        self._worker_of: dict[int, _ShardWorker] = {}
-        self._respawns = 0
-        self._stats_lock = threading.Lock()
-        self._started = False
-
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
-    def respawns(self) -> int:
-        with self._stats_lock:
-            return self._respawns
-
-    def shared_bytes(self) -> int:
-        """Bytes of shard payload exported to shared memory."""
-        return self._registry.total_bytes() if self._registry else 0
-
-    def worker_pids(self) -> list[int | None]:
-        """Live worker pids, in worker order (None before spawn)."""
-        return [
-            w.process.pid if w.process is not None else None
-            for w in self._workers
-        ]
-
-    def start(self) -> None:
-        """Export payloads to shm and spawn the workers (idempotent)."""
-        if self._started:
-            return
-        self._registry = ShmRegistry()
-        try:
-            self._payloads = {
-                s: _export_shard(shard, self._registry)
-                for s, shard in enumerate(self._shards)
-            }
-        except BaseException:
-            self._registry.close()
-            self._registry = None
-            raise
-        self._workers = [
-            _ShardWorker(tuple(range(w, len(self._shards), self.num_workers)))
-            for w in range(self.num_workers)
-        ]
-        for worker in self._workers:
-            for s in worker.shard_ids:
-                self._worker_of[s] = worker
-            self._spawn(worker)
-        self._started = True
-
-    def _spawn(self, worker: _ShardWorker) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        payloads = {s: self._payloads[s] for s in worker.shard_ids}
-        process = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, payloads),
-            daemon=True,
-            name=f"shard-worker-{worker.shard_ids[0]}",
-        )
-        process.start()
-        child_conn.close()
-        worker.process = process
-        worker.conn = parent_conn
-
-    def _respawn(self, worker: _ShardWorker, shard: int) -> None:
-        """Replace a dead/stuck worker with a fresh process."""
-        if worker.process is not None:
-            try:
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
-            except Exception:  # pragma: no cover - platform specific
-                pass
-        if worker.conn is not None:
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._spawn(worker)
-        with self._stats_lock:
-            self._respawns += 1
-        if self._on_respawn is not None:
-            self._on_respawn(shard)
-
-    def kill_shard_worker(self, shard: int) -> None:
-        """Kill the worker currently serving ``shard`` (fault injection).
-
-        The worker is marked ``injected_kill`` so the next request sends
-        into the dead pipe instead of pre-healing: the pipe's sentinel
-        fires mid-wait and the request surfaces as a
-        :class:`WorkerCrashedError` after the respawn — the exact path a
-        worker OOM-killed mid-scan takes in production.
-        """
-        worker = self._worker_of[shard]
-        with worker.lock:
-            if worker.process is not None:
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
-                worker.injected_kill = True
-
-    def request(
-        self,
-        shard: int,
-        queries: np.ndarray,
-        k: int,
-        deadline: float | None,
-        snap: IndexSnapshot | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """One shard search on its worker; ``(ids, distances, seconds)``.
-
-        ``snap`` is the caller's pinned visibility snapshot for the
-        shard; its ``(rows, tombstones)`` pair rides the request so
-        removes are visible without re-exporting shared memory.
-
-        Raises :class:`WorkerCrashedError` when the worker died before
-        responding (after respawning it so the next attempt is clean),
-        :class:`ShardTimeoutError` when ``deadline`` passes first (the
-        stuck worker is killed and respawned — its scan cannot be
-        cancelled, but the *pool* must not stay wedged), and
-        ``RuntimeError`` when the worker reports a search error.
-        """
-        rows = snap.rows if snap is not None else None
-        tombstones = snap.tombstones if snap is not None else None
-        worker = self._worker_of[shard]
-        with worker.lock:
-            if worker.injected_kill:
-                # Leave the corpse in place for this one request so the
-                # send-into-dead-pipe detection below actually runs.
-                worker.injected_kill = False
-            elif worker.process is None or not worker.process.is_alive():
-                self._respawn(worker, shard)
-            worker.req_counter += 1
-            req_id = worker.req_counter
-            try:
-                worker.conn.send(
-                    ("search", req_id, shard, queries, k, rows, tombstones)
-                )
-            except (BrokenPipeError, OSError):
-                self._respawn(worker, shard)
-                raise WorkerCrashedError(
-                    f"worker for shard {shard} died before accepting request"
-                ) from None
-            while True:
-                timeout = None
-                if deadline is not None:
-                    timeout = max(0.0, deadline - monotonic())
-                ready = _mp_wait(
-                    [worker.conn, worker.process.sentinel], timeout=timeout
-                )
-                if worker.conn in ready:
-                    try:
-                        # _mp_wait above proved the pipe is readable, so
-                        # this recv returns without blocking.
-                        msg = worker.conn.recv()  # repro: noqa[REP706] readiness-checked via _mp_wait
-                    except (EOFError, OSError):
-                        self._respawn(worker, shard)
-                        raise WorkerCrashedError(
-                            f"worker for shard {shard} died mid-response"
-                        ) from None
-                    if msg[1] != req_id:  # stale reply from an old cycle
-                        continue
-                    if msg[0] == "ok":
-                        return msg[2], msg[3], msg[4]
-                    raise RuntimeError(
-                        f"shard {shard} worker error: {msg[2]}"
-                    )
-                if not ready:  # deadline expired before data or death
-                    self._respawn(worker, shard)
-                    raise ShardTimeoutError(
-                        f"shard {shard} worker missed its deadline"
-                    )
-                # Sentinel fired: the process died without responding.
-                self._respawn(worker, shard)
-                raise WorkerCrashedError(
-                    f"worker for shard {shard} crashed mid-request"
-                )
-
-    def close(self) -> None:
-        """Stop workers, close pipes, unlink shm segments (idempotent)."""
-        workers, self._workers = self._workers, []
-        self._worker_of = {}
-        for worker in workers:
-            with worker.lock:
-                if worker.conn is not None:
-                    try:
-                        worker.conn.send(("stop",))
-                    except (BrokenPipeError, OSError):
-                        pass
-        for worker in workers:
-            with worker.lock:
-                if worker.process is not None:
-                    worker.process.join(timeout=5.0)
-                    if worker.process.is_alive():  # pragma: no cover
-                        worker.process.kill()
-                        worker.process.join(timeout=5.0)
-                    worker.process = None
-                if worker.conn is not None:
-                    try:
-                        worker.conn.close()
-                    except OSError:  # pragma: no cover
-                        pass
-                    worker.conn = None
-        if self._registry is not None:
-            self._registry.close()
-            self._registry = None
-        self._payloads = {}
-        self._started = False
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-# --------------------------------------------------------------------------
-# The sharded index itself.
-# --------------------------------------------------------------------------
+    searches: int = 0
+    failures: int = 0
+    timeouts: int = 0
+    retries: int = 0
+    respawns: int = 0
+    seconds: float = 0.0
 
 
 class ShardedIndex(VectorIndex):
@@ -599,27 +148,19 @@ class ShardedIndex(VectorIndex):
         identically-seeded indexes so all shards learn the same quantizer
         (``train`` feeds every shard the full training matrix).
     executor:
-        ``"auto"`` | ``"thread"`` | ``"process"`` | ``"inline"`` — the
-        fan-out execution model (module docstring).  ``"auto"`` picks
-        ``"process"`` on multi-core hosts and ``"thread"`` otherwise.
+        ``"inline"`` (default) | ``"process"`` — the fan-out execution
+        model (module docstring).
     num_workers:
-        Fan-out width: worker processes for the process executor (shards
-        are assigned round-robin when fewer workers than shards), thread
-        count otherwise.  Defaults to ``num_shards``.
-    mp_context:
-        Multiprocessing start method for the process executor
-        (``"fork"`` where available, else ``"spawn"``).
+        Worker processes for the process executor (shards are assigned
+        round-robin when fewer workers than shards).  Defaults to
+        ``num_shards``; unused by the inline executor.
     shard_timeout:
-        Seconds one search waits for its shard fan-out (a single deadline
-        shared by the concurrently-running shards, not a per-shard serial
-        budget; the inline executor necessarily budgets per shard).
-        ``None`` waits forever.
+        Seconds one search waits for its shard fan-out (one deadline
+        shared by the concurrently-running shards; the inline executor
+        necessarily budgets per shard).  ``None`` waits forever.
     max_retries:
-        Bounded retries after a shard search raises (the retry runs
-        immediately on the same coordinator; timeouts are not retried —
-        the hung scan cannot be cancelled, so a retry would double the
-        stall).  On the process executor a crashed worker is respawned
-        before the retry.
+        Bounded retries after a shard search raises (immediately, on the
+        same coordinator; a crashed worker is respawned first).
     fail_fast:
         When ``True``, re-raise the first shard failure instead of
         degrading to a partial result.
@@ -633,10 +174,8 @@ class ShardedIndex(VectorIndex):
         dim: int,
         num_shards: int,
         factory: Callable[[int], VectorIndex] | None = None,
-        executor: str = "auto",
+        executor: str = "inline",
         num_workers: int | None = None,
-        mp_context: str | None = None,
-        max_workers: int | None = None,
         shard_timeout: float | None = None,
         max_retries: int = 1,
         fail_fast: bool = False,
@@ -656,33 +195,21 @@ class ShardedIndex(VectorIndex):
             )
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if factory is None:
-            from repro.index.flat import FlatIndex
-
-            factory = FlatIndex
         self.dim = dim
         self.num_shards = num_shards
-        self._factory = factory
-        self._shards: list[VectorIndex] = [
-            factory(dim) for _ in range(num_shards)
-        ]
-        for shard in self._shards:
+        self._factory = factory if factory is not None else FlatIndex
+        shards = [self._factory(dim) for _ in range(num_shards)]
+        for shard in shards:
             if shard.dim != dim:
                 raise ValueError(
                     f"factory built a dim-{shard.dim} shard, expected {dim}"
                 )
-        self._ntotal = 0
         self._write_lock = threading.Lock()
-        self._epoch = 0
-        self._view = _IndexView(object(), (), ())
-        self._publish_view(self._view.token)
+        self._view = _IndexView(shards, tuple(map(snapshot_of, shards)), 0, 0)
         self.executor = executor
-        # max_workers is the PR 4 name for the same knob; num_workers wins.
-        self._num_workers = num_workers or max_workers or num_shards
-        self._mp_context = mp_context
+        self._num_workers = num_workers or num_shards
         self._executor: ThreadPoolExecutor | None = None
-        self._process_pool: _ProcessShardPool | None = None
-        self._resolved: str | None = None
+        self._process_pool: ProcessShardPool | None = None
         self.shard_timeout = shard_timeout
         self.max_retries = max_retries
         self.fail_fast = fail_fast
@@ -695,60 +222,79 @@ class ShardedIndex(VectorIndex):
     @property
     def shards(self) -> list[VectorIndex]:
         """The child indexes (read-only; mutate only through this class)."""
-        return list(self._shards)
+        return list(self._view.shards)
 
     @property
     def is_trained(self) -> bool:
-        return all(shard.is_trained for shard in self._shards)
+        return all(shard.is_trained for shard in self._view.shards)
 
     @property
     def ntotal(self) -> int:
-        return self._ntotal
+        return self._view.rows
 
     @property
     def nlive(self) -> int:
         """Rows visible to a search (stored minus tombstoned)."""
-        view = self._view
-        return sum(
-            snap.nlive if snap is not None else shard.ntotal
-            for shard, snap in zip(view.shards, view.snaps)
-        )
+        return self._view.nlive
 
     @property
     def tombstone_count(self) -> int:
         """Removed rows awaiting :meth:`compact`, across all shards."""
-        return sum(
-            snap.tombstone_count
-            for snap in self._view.snaps
-            if snap is not None
-        )
+        return self._view.tombstone_count
 
     @property
     def mutation_epoch(self) -> int:
         """Published mutation count; changes iff the visible set changed."""
-        return self._epoch
+        return self._view.epoch
 
-    def _publish_view(self, token: object | None = None) -> None:
-        """Publish a new cross-shard view; caller holds ``_write_lock``
-        (the ctor publishes before the index is visible to anyone)."""
-        shards = tuple(self._shards)
-        snaps = tuple(
-            shard.snapshot() if hasattr(shard, "snapshot") else None
-            for shard in shards
-        )
+    def snapshot(self) -> _IndexView:
+        """The currently published cross-shard view (atomic read)."""
+        return self._view
+
+    def _publish(
+        self, rows: int, shards: list[VectorIndex] | None = None
+    ) -> None:
+        """Swap in the next view; caller holds ``_write_lock``."""
+        if shards is None:
+            shards = self._view.shards
         self._view = _IndexView(
-            token if token is not None else self._view.token, shards, snaps
+            shards, tuple(map(snapshot_of, shards)), rows, self._view.epoch + 1
         )
 
-    def _locals_by_shard(self, ids: np.ndarray) -> dict[int, np.ndarray]:
-        """Split validated global row ids into per-shard local row ids."""
-        out: dict[int, np.ndarray] = {}
-        lanes = ids % self.num_shards
-        for s in range(self.num_shards):
-            local = ids[lanes == s] // self.num_shards
-            if len(local):
-                out[s] = local
-        return out
+    def _stripe(
+        self, shards: list[VectorIndex], vectors: np.ndarray, base: int
+    ) -> None:
+        """Add ``vectors`` round-robin, the first landing in lane
+        ``base % num_shards`` (``base`` = rows stored before them)."""
+        lanes = (base + np.arange(len(vectors), dtype=np.int64)) % self.num_shards
+        for s, shard in enumerate(shards):
+            rows = vectors[lanes == s]
+            if len(rows):
+                shard.add(rows)
+
+    def _removal_plan(self, ids) -> dict[int, np.ndarray]:
+        """Validated per-shard local row ids for a remove of global ``ids``.
+
+        Every shard's batch is checked against its published tombstone
+        bitmap before *any* shard is touched, so a bad id in one shard
+        cannot leave another half-mutated.  Caller holds ``_write_lock``.
+        """
+        view = self._view
+        row_ids = check_row_ids(ids, view.rows)
+        lanes = row_ids % self.num_shards
+        plan: dict[int, np.ndarray] = {}
+        for s, snap in enumerate(view.snaps):
+            local = row_ids[lanes == s] // self.num_shards
+            if len(local) == 0:
+                continue
+            if snap is None:
+                raise NotImplementedError(
+                    f"shard family {type(view.shards[s]).__name__} does "
+                    "not support remove()"
+                )
+            validate_removable(snap.tombstones, local)
+            plan[s] = local
+        return plan
 
     @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
@@ -756,10 +302,9 @@ class ShardedIndex(VectorIndex):
         vectors = self._check_vectors(vectors, "training vectors")
         with self._write_lock:
             self._invalidate_workers()
-            for shard in self._shards:
+            for shard in self._view.shards:
                 shard.train(vectors)
-            self._epoch += 1
-            self._publish_view()
+            self._publish(self._view.rows)
 
     @array_contract("vectors: (..., d) num::any -> None")
     def add(self, vectors: np.ndarray) -> None:
@@ -768,41 +313,23 @@ class ShardedIndex(VectorIndex):
         if len(vectors) == 0:
             return
         with self._write_lock:
+            view = self._view
             self._invalidate_workers()
-            arrival = self._ntotal + np.arange(len(vectors), dtype=np.int64)
-            lanes = arrival % self.num_shards
-            for s, shard in enumerate(self._shards):
-                rows = vectors[lanes == s]
-                if len(rows):
-                    shard.add(rows)
-            self._ntotal += len(vectors)
-            self._epoch += 1
-            self._publish_view()
+            self._stripe(view.shards, vectors, view.rows)
+            self._publish(view.rows + len(vectors))
 
     @array_contract("ids: any -> None")
     def remove(self, ids) -> None:
         """Tombstone global row ids across shards (all-or-nothing).
 
-        Every shard's batch is pre-validated against its pinned
-        tombstone bitmap before *any* shard is touched, so a bad id in
-        one shard cannot leave another shard half-mutated.  No shm
-        re-export happens: the tombstones ride each search request.
+        No shm re-export happens: the tombstones ride each search
+        request.
         """
         with self._write_lock:
-            row_ids = check_row_ids(ids, self._ntotal)
-            by_shard = self._locals_by_shard(row_ids)
-            for s, local in by_shard.items():
-                shard = self._shards[s]
-                if not hasattr(shard, "remove"):
-                    raise NotImplementedError(
-                        f"shard family {type(shard).__name__} does not "
-                        "support remove()"
-                    )
-                validate_removable(shard.snapshot().tombstones, local)
-            for s, local in by_shard.items():
-                self._shards[s].remove(local)
-            self._epoch += 1
-            self._publish_view()
+            view = self._view
+            for s, local in self._removal_plan(ids).items():
+                view.shards[s].remove(local)
+            self._publish(view.rows)
 
     @array_contract("ids: any, vectors: (..., d) num::any -> (_,) i64")
     def update(self, ids, vectors: np.ndarray) -> np.ndarray:
@@ -814,67 +341,39 @@ class ShardedIndex(VectorIndex):
         """
         vectors = self._check_vectors(vectors, "vectors")
         with self._write_lock:
-            row_ids = check_row_ids(ids, self._ntotal)
-            by_shard = self._locals_by_shard(row_ids)
-            for s, local in by_shard.items():
-                validate_removable(self._shards[s].snapshot().tombstones, local)
+            view = self._view
+            plan = self._removal_plan(ids)
             self._invalidate_workers()
-            for s, local in by_shard.items():
-                self._shards[s].remove(local)
-            base = self._ntotal
-            new_ids = base + np.arange(len(vectors), dtype=np.int64)
-            lanes = new_ids % self.num_shards
-            for s, shard in enumerate(self._shards):
-                rows = vectors[lanes == s]
-                if len(rows):
-                    shard.add(rows)
-            self._ntotal += len(vectors)
-            self._epoch += 1
-            self._publish_view()
-            return new_ids
+            for s, local in plan.items():
+                view.shards[s].remove(local)
+            self._stripe(view.shards, vectors, view.rows)
+            self._publish(view.rows + len(vectors))
+            return view.rows + np.arange(len(vectors), dtype=np.int64)
 
-    def _gather_live(
-        self, view: _IndexView
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Live rows of a pinned view, in global-id order.
+    def _gather_live(self, view: _IndexView) -> tuple[np.ndarray, np.ndarray]:
+        """``(global ids, float32 vectors)`` of a pinned view's live rows,
+        in global-id order.
 
-        Returns ``(global_ids, vectors)``; PQ shards decode their live
-        codes (compaction re-encodes against freshly trained codebooks).
-        Raises ``NotImplementedError`` for shard families without a
-        vector representation to rebuild from.
+        Each shard's snapshot hands over its own live rows (coded shards
+        decode them — compaction re-encodes against freshly trained
+        codebooks).  Raises ``NotImplementedError`` for shard families
+        without a snapshot to rebuild from.
         """
-        from repro.index.flat import FlatIndex
-        from repro.index.pq import PQIndex
-
         all_ids: list[np.ndarray] = []
         all_vecs: list[np.ndarray] = []
-        for s, (shard, snap) in enumerate(zip(view.shards, view.snaps)):
-            if snap is None or type(shard) not in (FlatIndex, PQIndex):
+        for s, snap in enumerate(view.snaps):
+            live = getattr(snap, "live", None)
+            if live is None:
                 raise NotImplementedError(
                     f"compact() unsupported for shard family "
-                    f"{type(shard).__name__}"
+                    f"{type(view.shards[s]).__name__}"
                 )
-            local = np.arange(snap.rows, dtype=np.int64)
-            if snap.tombstones is not None:
-                local = local[~snap.tombstones]
-            if type(shard) is FlatIndex:
-                vecs = shard.vectors[: snap.rows][local]
-            else:
-                vecs = shard.pq.decode(shard.codes[: snap.rows][local])
+            local, vecs = live()
             all_ids.append(local * self.num_shards + s)
-            all_vecs.append(np.asarray(vecs, dtype=np.float32))
-        ids = (
-            np.concatenate(all_ids)
-            if all_ids
-            else np.empty(0, dtype=np.int64)
-        )
-        vecs = (
-            np.concatenate(all_vecs)
-            if all_vecs
-            else np.empty((0, self.dim), dtype=np.float32)
-        )
+            all_vecs.append(vecs)
+        ids = np.concatenate(all_ids)
         order = np.argsort(ids, kind="stable")
-        return ids[order], vecs[order]
+        return ids[order], np.concatenate(all_vecs)[order]
 
     @array_contract("-> any")
     def compact(self) -> np.ndarray | None:
@@ -883,28 +382,19 @@ class ShardedIndex(VectorIndex):
         The expensive rebuild — gathering live vectors, re-training PQ
         codebooks on them, re-striping — runs *off-lock* against a pinned
         view, so serving traffic (and other mutators) proceed meanwhile.
-        The swap itself is all-or-nothing: it is abandoned (returning
-        ``None``) when any mutation was published during the rebuild, and
-        in-flight searches pinned on the old view keep scanning the old
-        shard objects, which the swap never mutates.  On success returns
-        the old-to-new global-id remap (``-1`` for removed rows); live
-        rows are re-striped round-robin in old-global-id order.
-
-        The ``fault_hook.on_compaction`` phases fire at ``"build"`` (after
-        pinning, before the rebuild) and ``"swap"`` (immediately before
-        the atomic swap); an exception at either point aborts with the
-        old shard set fully intact.
+        The swap is all-or-nothing: it is abandoned (returning ``None``)
+        when any mutation was published during the rebuild, and searches
+        pinned on the old view keep scanning the old shard objects, which
+        the swap never mutates.  On success returns the old-to-new
+        global-id remap (``-1`` for removed rows); live rows are
+        re-striped round-robin in old-global-id order.  An exception from
+        ``fault_hook.on_compaction`` (module docstring) aborts with the
+        old shard set intact.
         """
-        hook = self.fault_hook
-        on_compaction = (
-            getattr(hook, "on_compaction", None) if hook is not None else None
-        )
+        on_compaction = getattr(self.fault_hook, "on_compaction", None)
         with self._write_lock:
             view = self._view
-            epoch0 = self._epoch
-        if not any(
-            snap is not None and snap.tombstone_count for snap in view.snaps
-        ):
+        if not view.tombstone_count:
             return None
         if on_compaction is not None:
             on_compaction("build")
@@ -913,67 +403,38 @@ class ShardedIndex(VectorIndex):
         if any(not shard.is_trained for shard in new_shards) and len(live_vecs):
             for shard in new_shards:
                 shard.train(live_vecs)
-        arrival = np.arange(len(live_vecs), dtype=np.int64)
-        lanes = arrival % self.num_shards
-        for s, shard in enumerate(new_shards):
-            rows = live_vecs[lanes == s]
-            if len(rows):
-                shard.add(rows)
+        self._stripe(new_shards, live_vecs, 0)
         if on_compaction is not None:
             on_compaction("swap")
         with self._write_lock:
-            if self._epoch != epoch0:
+            if self._view.epoch != view.epoch:
                 # A mutation landed during the rebuild: the gathered set
                 # is stale.  All-or-nothing — leave the old shards
                 # serving and let the caller retry.
                 return None
-            old_total = self._ntotal
             self._invalidate_workers()
-            self._shards = new_shards
-            self._ntotal = len(live_vecs)
-            self._epoch += 1
-            self._publish_view(object())
-            remap = np.full(old_total, -1, dtype=np.int64)
-            remap[live_ids] = arrival
+            self._publish(len(live_vecs), new_shards)
+            remap = np.full(view.rows, -1, dtype=np.int64)
+            remap[live_ids] = np.arange(len(live_ids), dtype=np.int64)
             return remap
 
     # -- executors -------------------------------------------------------------
 
     def resolved_executor(self) -> str:
-        """The concrete executor ``search`` will use (resolves ``auto``)."""
-        if self._resolved is None:
-            self._resolved = self._resolve_executor()
-        return self._resolved
-
-    def _resolve_executor(self) -> str:
-        if self.executor != "auto":
-            return self.executor
-        if (os.cpu_count() or 1) > 1 and self._shards_exportable():
-            return "process"
-        return "thread"
-
-    def _shards_exportable(self) -> bool:
-        """Whether every shard has a zero-copy shared-memory exporter."""
-        from repro.index.flat import FlatIndex
-        from repro.index.pq import PQIndex
-
-        return all(type(s) in (FlatIndex, PQIndex) for s in self._shards)
+        """The executor ``search`` uses (kept for callers that log it)."""
+        return self.executor
 
     def _pool(self) -> ThreadPoolExecutor:
-        """Coordinator thread pool (thread executor scans run on it too)."""
+        """Coordinator threads of the process executor: one per shard,
+        each blocked on its worker's pipe while the worker scans."""
         if self._executor is None:
-            width = (
-                self.num_shards
-                if self.resolved_executor() == "process"
-                else min(self._num_workers, self.num_shards)
-            )
             self._executor = ThreadPoolExecutor(
-                max_workers=width,
+                max_workers=self.num_shards,
                 thread_name_prefix="shard-search",
             )
         return self._executor
 
-    def _worker_pool(self) -> _ProcessShardPool:
+    def _worker_pool(self) -> ProcessShardPool:
         """The live process pool, (re)created under the write lock.
 
         Serialising creation with mutators guarantees the shm export is
@@ -984,12 +445,10 @@ class ShardedIndex(VectorIndex):
         """
         with self._write_lock:
             if self._process_pool is None:
-                self._process_pool = _ProcessShardPool(
-                    self._shards,
+                self._process_pool = ProcessShardPool(
+                    self._view.shards,
                     num_workers=self._num_workers,
-                    mp_context=self._mp_context,
                     on_respawn=self._count_respawn,
-                    view_token=self._view.token,
                 )
             self._process_pool.start()
             return self._process_pool
@@ -1012,27 +471,21 @@ class ShardedIndex(VectorIndex):
         queries: np.ndarray,
         k: int,
         deadline: float | None,
-        mode: str,
         view: _IndexView,
     ) -> SearchResult:
         """One shard's search on its coordinator, with bounded retries.
 
-        ``view`` is the cross-shard state the whole fan-out pinned; the
-        shard object and its snapshot come from it, never from ``self``,
-        so a compaction swapping ``self._shards`` mid-search cannot tear
-        this search.  On the process executor a pool whose shm export
-        belongs to a *different* shard set (token mismatch after a
-        compaction swap) is bypassed with an inline scan over the pinned
-        old shard objects — the swap leaves them intact.
+        The shard object and its snapshot come from the pinned ``view``,
+        never from ``self``, so a compaction swapping the shard set
+        mid-search cannot tear this search.  A pool whose shm export
+        belongs to a *different* shard set (the list changed identity in
+        a compaction swap) is bypassed with an inline scan over the
+        pinned old shard objects — the swap leaves them intact.
         """
         hook = self.fault_hook
-        before = getattr(hook, "before", None) if hook is not None else None
-        transform = (
-            getattr(hook, "transform", None) if hook is not None else None
-        )
-        should_kill = (
-            getattr(hook, "should_kill", None) if hook is not None else None
-        )
+        before = getattr(hook, "before", None)
+        transform = getattr(hook, "transform", None)
+        should_kill = getattr(hook, "should_kill", None)
         shard = view.shards[s]
         snap = view.snaps[s]
         attempts = self.max_retries + 1
@@ -1042,21 +495,22 @@ class ShardedIndex(VectorIndex):
                 try:
                     if before is not None:
                         before(s)
-                    if mode == "process":
-                        pool = self._worker_pool()
-                        if pool.view_token is not view.token:
-                            result = self._pinned_scan(shard, snap, queries, k)
-                        else:
-                            if should_kill is not None and should_kill(s):
-                                pool.kill_shard_worker(s)
-                            ids, distances, _ = pool.request(
-                                s, queries, k, deadline, snap
-                            )
-                            result = SearchResult(
-                                ids=ids, distances=distances
-                            )
+                    pool = (
+                        self._worker_pool()
+                        if self.executor == "process"
+                        else None
+                    )
+                    if pool is not None and pool.shards is view.shards:
+                        if should_kill is not None and should_kill(s):
+                            pool.kill_shard_worker(s)
+                        ids, distances, _ = pool.request(
+                            s, queries, k, deadline, snap
+                        )
+                        result = SearchResult(ids=ids, distances=distances)
+                    elif snap is None:
+                        result = shard.search(queries, k)
                     else:
-                        result = self._pinned_scan(shard, snap, queries, k)
+                        result = shard.search(queries, k, snapshot=snap)
                     if transform is not None:
                         ids, distances = transform(
                             s, result.ids, result.distances
@@ -1076,36 +530,21 @@ class ShardedIndex(VectorIndex):
             with self._stats_lock:
                 self._health[s].seconds += elapsed
 
-    @staticmethod
-    def _pinned_scan(
-        shard: VectorIndex,
-        snap: IndexSnapshot | None,
-        queries: np.ndarray,
-        k: int,
-    ) -> SearchResult:
-        """Inline scan of one pinned shard under its pinned snapshot."""
-        if snap is None:
-            return shard.search(queries, k)
-        return shard.search(queries, k, snapshot=snap)
-
     def _inline_outcomes(
         self, queries: np.ndarray, k: int, view: _IndexView
     ) -> list[tuple[SearchResult | None, bool, BaseException | None]]:
         """Serial fan-out: per-shard ``(result, timed_out, error)`` rows.
 
         Each shard gets its own ``shard_timeout`` budget, checked after
-        the scan (serial execution cannot be pre-empted): a shard whose
-        own wall time blew the budget is dropped exactly like a timed-out
-        concurrent shard, which keeps fault-injection delay tests
-        deterministic on any host.
+        the scan: a shard whose own wall time blew it is dropped exactly
+        like a timed-out concurrent shard, which keeps fault-injection
+        delay tests deterministic on any host.
         """
         outcomes: list = []
         for s in range(self.num_shards):
             started = monotonic()
             try:
-                result = self._search_shard(
-                    s, queries, k, None, "inline", view
-                )
+                result = self._search_shard(s, queries, k, None, view)
             except Exception as exc:
                 outcomes.append((None, False, exc))
                 continue
@@ -1120,49 +559,41 @@ class ShardedIndex(VectorIndex):
         return outcomes
 
     @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
-    def search(self, queries: np.ndarray, k: int) -> SearchResult:
+    def search(
+        self,
+        queries: np.ndarray,
+        k: int,
+        snapshot: _IndexView | None = None,
+    ) -> SearchResult:
         queries = self._check_vectors(queries, "queries")
         self._check_k(k)
-        mode = self.resolved_executor()
-        # Pin the cross-shard visibility state once: every shard scan and
-        # the fan-in below read this view, never self._shards/_view again.
-        view = self._view
-        deadline = (
-            monotonic() + self.shard_timeout
-            if self.shard_timeout is not None
-            else None
-        )
-        if mode == "process":
-            # Spawn (or re-export) the worker pool on the calling thread
-            # before fanning out: pool start is not coordinator-safe.
-            self._worker_pool()
-        if mode == "inline":
+        # Pin the cross-shard state once: every shard scan and the fan-in
+        # below read this view, never self._view again.
+        view = snapshot if snapshot is not None else self._view
+        if self.executor == "inline":
             outcomes = self._inline_outcomes(queries, k, view)
         else:
+            # Spawn (or re-export) the worker pool on the calling thread
+            # before fanning out: pool start is not coordinator-safe,
+            # and shard_timeout budgets the fan-out, not the spawn.
+            self._worker_pool()
+            deadline = (
+                monotonic() + self.shard_timeout
+                if self.shard_timeout is not None
+                else None
+            )
             futures = [
                 self._pool().submit(
-                    self._search_shard, s, queries, k, deadline, mode, view
+                    self._search_shard, s, queries, k, deadline, view
                 )
                 for s in range(self.num_shards)
             ]
             outcomes = []
             for future in futures:
+                # shard_timeout=None explicitly selects wait-forever.
+                left = None if deadline is None else max(0.0, deadline - monotonic())
                 try:
-                    if deadline is None:
-                        # shard_timeout=None explicitly selects
-                        # wait-forever semantics; bounded waits take the
-                        # timeout branch below.
-                        outcomes.append((future.result(), False, None))  # repro: noqa[REP706] deadline=None means wait forever
-                    else:
-                        outcomes.append(
-                            (
-                                future.result(
-                                    timeout=max(0.0, deadline - monotonic())
-                                ),
-                                False,
-                                None,
-                            )
-                        )
+                    outcomes.append((future.result(timeout=left), False, None))
                 except (FutureTimeoutError, ShardTimeoutError):
                     outcomes.append((None, True, None))
                 except Exception as exc:
@@ -1200,23 +631,16 @@ class ShardedIndex(VectorIndex):
                     )
                 failed.append(s)
                 continue
-            local = result.ids
-            distances = result.distances
-            snap = view.snaps[s]
-            if snap is not None and snap.tombstones is not None:
-                # Defense-in-depth: the shard scan already excluded its
-                # tombstones, but a result computed without the pinned
-                # snapshot (pickle-family worker, fault-injected
-                # transform) must still never leak a removed row.
-                local, distances = mask_tombstoned(
-                    local, distances, snap.tombstones
-                )
             # local row r of shard s holds global id r * num_shards + s.
+            # (Every shard scanned under the snapshot this view pinned,
+            # so its tombstones are already excluded.)
             remapped = np.where(
-                local >= 0, local * self.num_shards + s, np.int64(-1)
+                result.ids >= 0,
+                result.ids * self.num_shards + s,
+                np.int64(-1),
             )
             run_ids, run_d = merge_topk(
-                run_ids, run_d, remapped, distances, k
+                run_ids, run_d, remapped, result.distances, k
             )
         with self._stats_lock:
             self._total_searches += 1
@@ -1238,33 +662,30 @@ class ShardedIndex(VectorIndex):
     def health_stats(self) -> dict:
         """Serving-health snapshot: per-shard counters plus search totals.
 
-        ``searches``/``failures``/``timeouts``/``retries``/``respawns``/
-        ``seconds`` per shard; ``partial_searches`` counts degraded
-        (survivor-only) results; ``executor`` is the resolved execution
-        model and ``worker_respawns`` the pool-wide respawn total.
-
-        The snapshot is atomic: every per-shard dict and both totals are
-        copied under one ``_stats_lock`` hold, so concurrent searches
-        cannot produce a report whose totals disagree with its rows.
-        The pool respawn counter is read *before* taking the index lock
-        (it takes the pool's own lock internally — never nest the two).
+        ``partial_searches`` counts degraded (survivor-only) results;
+        ``worker_respawns`` is the pool-wide respawn total.  Atomic:
+        every per-shard dict and both totals are copied under one
+        ``_stats_lock`` hold.  The pool respawn counter is read *before*
+        taking the index lock (it takes the pool's own lock internally —
+        never nest the two).
         """
         pool = self._process_pool
         worker_respawns = pool.respawns if pool is not None else 0
         with self._stats_lock:
             return {
-                "shards": [h.as_dict() for h in self._health],
+                "shards": [asdict(h) for h in self._health],
                 "total_searches": self._total_searches,
                 "partial_searches": self._partial_searches,
-                "executor": self._resolved or self.executor,
+                "executor": self.executor,
                 "worker_respawns": worker_respawns,
             }
 
     def memory_bytes(self) -> int:
-        return sum(shard.memory_bytes() for shard in self._shards)
+        return sum(shard.memory_bytes() for shard in self._view.shards)
 
     def close(self) -> None:
-        """Shut down pools and unlink shared memory (idempotent)."""
+        """Stop the worker processes and coordinator threads and unlink
+        shared memory (idempotent; the next search re-creates them)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -1278,8 +699,15 @@ class ShardedIndex(VectorIndex):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
+    def __del__(self) -> None:
+        if getattr(self, "_process_pool", None) or getattr(
+            self, "_executor", None
+        ):
+            warnings.warn(
+                f"unclosed ShardedIndex (executor={self.executor!r}) still "
+                "owns worker processes; call close() or use it as a context "
+                "manager",
+                ResourceWarning,
+                source=self,
+            )
             self.close()
-        except Exception:
-            pass

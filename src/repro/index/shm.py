@@ -17,8 +17,11 @@ segments:
   (attaching never takes ownership; a worker exit cannot unlink data
   other workers still map).
 - :meth:`ShmRegistry.close` detaches and **unlinks** every owned segment
-  (idempotent; also wired to ``__del__`` and context-manager exit), so a
-  closed registry leaves nothing behind in ``/dev/shm``.
+  (idempotent; also the context-manager exit), so a closed registry
+  leaves nothing behind in ``/dev/shm``.  Release is the owner's job,
+  never the garbage collector's: a registry or holder collected while it
+  still maps segments emits a ``ResourceWarning`` naming itself (and
+  only then releases, as an unclosed stdlib file object does).
 
 Segment names carry the owning pid plus random suffix
 (``repro-shm-<pid>-<n>-<hex>``), which keeps concurrent registries from
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import os
 import secrets
+import warnings
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -87,10 +91,6 @@ class ShmRegistry:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def segment_names(self) -> tuple[str, ...]:
-        """Names of the segments this registry currently owns."""
-        return tuple(self._segments)
 
     def total_bytes(self) -> int:
         """Payload bytes across all owned segments."""
@@ -149,11 +149,8 @@ class ShmRegistry:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+    def __del__(self) -> None:
+        _warn_unclosed(self, "owns")
 
 
 class AttachedSegments:
@@ -197,11 +194,8 @@ class AttachedSegments:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+    def __del__(self) -> None:
+        _warn_unclosed(self, "maps")
 
 
 @array_contract("spec: any -> any")
@@ -227,6 +221,19 @@ def owned_segment_names() -> list[str]:
     return sorted(
         name for name in os.listdir(root) if name.startswith(SEGMENT_PREFIX)
     )
+
+
+def _warn_unclosed(holder: ShmRegistry | AttachedSegments, verb: str) -> None:
+    """``__del__`` body: an unclosed holder warns, then releases."""
+    segments = getattr(holder, "_segments", None)
+    if segments:
+        warnings.warn(
+            f"unclosed {type(holder).__name__} still {verb} {len(segments)} "
+            "shared-memory segment(s); its owner must call close()",
+            ResourceWarning,
+            source=holder,
+        )
+        holder.close()
 
 
 def _as_array(

@@ -57,7 +57,6 @@ __all__ = [
     "auto_block_size",
     "block_topk",
     "blockwise_topk",
-    "mask_tombstoned",
     "merge_topk",
 ]
 
@@ -262,38 +261,6 @@ def merge_topk(
     ids = np.concatenate([ids_a, ids_b], axis=1)
     distances = np.concatenate([d_a, d_b], axis=1)
     return _rank_topk(ids, distances, k)
-
-
-@array_contract(
-    "ids: (nq, k) i64::any, distances: (nq, k) num::any, tombstones: any"
-    " -> (nq, k) i64, (nq, k) num"
-)
-def mask_tombstoned(
-    ids: np.ndarray,
-    distances: np.ndarray,
-    tombstones: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop tombstoned candidates from a ranked top-k result.
-
-    ``tombstones`` is a boolean bitmap over the id space of ``ids``
-    (``None`` = nothing tombstoned).  Hit candidates are converted to the
-    ``-1`` / ``inf`` padding convention and the rows re-ranked, so the
-    result stays a valid :class:`~repro.index.base.SearchResult` payload.
-    This is the fan-in's defense-in-depth filter: shard scans already
-    exclude tombstones against their pinned snapshot, so this pass only
-    fires on results produced against an older visibility state.
-    """
-    if tombstones is None:
-        return ids, distances
-    in_range = (ids >= 0) & (ids < len(tombstones))
-    hit = np.zeros(ids.shape, dtype=bool)
-    hit[in_range] = tombstones[ids[in_range]]
-    if not hit.any():
-        return ids, distances
-    out_ids = np.where(hit, np.int64(-1), ids)
-    out_d = distances.copy()
-    out_d[hit] = np.inf
-    return _rank_topk(out_ids, out_d, ids.shape[1])
 
 
 @array_contract(

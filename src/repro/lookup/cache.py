@@ -103,11 +103,15 @@ class QueryCache:
     - the optional **result store** maps ``(query, k)`` to the final
       candidate list, short-circuiting the index scan as well.  Result
       keys carry a *generation* counter: :meth:`bump_generation` (called
-      by the serving engine after every index mutation) makes every
-      previously stored result unreachable in O(1), so a cached hit can
-      never resurrect a removed entity; stale-generation entries age out
-      of the LRU naturally.  The embedding store survives mutations — an
-      embedding depends only on the model, not on the entity set.
+      by the serving engine at the end of every index mutation) makes
+      every previously stored result unreachable in O(1), so a cached
+      hit can never resurrect a removed entity; stale-generation entries
+      age out of the LRU naturally.  A caller that pinned a generation
+      before computing an answer passes it back as ``generation=`` so
+      the answer is filed under the state it was computed from, not
+      under whatever is current by the time it is stored.  The embedding
+      store survives mutations — an embedding depends only on the model,
+      not on the entity set.
 
     All methods are thread-safe; the serving engine calls into one cache
     from its micro-batch flush path while shard searches run on the pool.
@@ -145,15 +149,17 @@ class QueryCache:
         with self._lock:
             return self._generation
 
-    def bump_generation(self) -> None:
+    def bump_generation(self) -> int:
         """Invalidate every cached *result* (not embeddings) in O(1).
 
         Result keys embed the generation, so bumping it strands all
         entries written under older generations; the LRU evicts them as
-        fresh traffic arrives.  Call after any index mutation.
+        fresh traffic arrives.  Call after any index mutation.  Returns
+        the new generation.
         """
         with self._lock:
             self._generation += 1
+            return self._generation
 
     # -- embedding store --------------------------------------------------------
 
@@ -202,37 +208,60 @@ class QueryCache:
     # -- result store -----------------------------------------------------------
 
     def get_result(
-        self, query: str, k: int, scope: str | None = None
+        self,
+        query: str,
+        k: int,
+        scope: str | None = None,
+        generation: int | None = None,
     ) -> list | None:
         """Cached candidate list for ``(query, k, scope)`` or ``None``.
 
         ``scope`` isolates result namespaces that answer differently for
         the same query — the serving engine passes the active
         ``type_filter`` so a type-constrained answer can never be served
-        to (or poisoned by) an unconstrained lookup.
+        to (or poisoned by) an unconstrained lookup.  ``generation``
+        (default: the current one) is the generation the caller pinned.
         """
         if self._results is None:
             return None
         with self._lock:
+            if generation is None:
+                generation = self._generation
             cached = self._results.get(
-                (self._normalize(query), k, scope, self._generation)
+                (self._normalize(query), k, scope, generation)
             )
             return list(cached) if cached is not None else None
 
     def put_result(
-        self, query: str, k: int, candidates: list, scope: str | None = None
+        self,
+        query: str,
+        k: int,
+        candidates: list,
+        scope: str | None = None,
+        generation: int | None = None,
     ) -> None:
-        """Store a candidate list for ``(query, k, scope)`` (no-op when disabled)."""
+        """Store a candidate list for ``(query, k, scope)`` (no-op when disabled).
+
+        Pass the ``generation`` pinned *before* the answer was computed:
+        stored under an older generation it is simply unreachable, stored
+        under the current one it would outlive the mutation it missed.
+        """
         if self._results is None:
             return
         with self._lock:
+            if generation is None:
+                generation = self._generation
             self._results.put(
-                (self._normalize(query), k, scope, self._generation),
+                (self._normalize(query), k, scope, generation),
                 list(candidates),
             )
 
     def get_results(
-        self, normalized: list[str], k: int, scope: str | None = None
+        self,
+        normalized: list[str],
+        k: int,
+        scope: str | None = None,
+        generation: int | None = None,
     ) -> list[list | None]:
         """Batch :meth:`get_result`: one slot per query, ``None`` on miss.
 
@@ -241,7 +270,7 @@ class QueryCache:
         """
         if self._results is None:
             return [None] * len(normalized)
-        return [self.get_result(q, k, scope) for q in normalized]
+        return [self.get_result(q, k, scope, generation) for q in normalized]
 
     def put_results(
         self,
@@ -249,13 +278,14 @@ class QueryCache:
         k: int,
         rows: list[list | None],
         scope: str | None = None,
+        generation: int | None = None,
     ) -> None:
         """Batch :meth:`put_result`; ``None`` rows (failed queries) are skipped."""
         if self._results is None:
             return
         for query, row in zip(normalized, rows):
             if row is not None:
-                self.put_result(query, k, row, scope)
+                self.put_result(query, k, row, scope, generation)
 
     # -- maintenance ------------------------------------------------------------
 

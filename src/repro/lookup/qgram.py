@@ -63,18 +63,24 @@ class QGramLookup(LookupService):
         for gram in query_grams:
             for row in self._postings.get(gram, ()):
                 overlap[row] += 1
+        # Heap entries are (score, -row): the root is the current worst
+        # under the final (score desc, row asc) order, so which rows
+        # survive a tie at the k-th score does not depend on the order
+        # ``overlap`` was filled in (set iteration, i.e. str hashing).
         heap: list[tuple[float, int]] = []
         for row, shared in overlap.items():
             union = len(query_grams) + len(self._gram_sets[row]) - shared
             score = shared / union if union else 1.0
             if len(heap) < k:
-                heapq.heappush(heap, (score, row))
-            elif score > heap[0][0]:
-                heapq.heapreplace(heap, (score, row))
-        ranked = sorted(heap, key=lambda item: (-item[0], item[1]))
+                heapq.heappush(heap, (score, -row))
+            elif score >= heap[0][0] and (
+                score > heap[0][0] or row < -heap[0][1]
+            ):
+                heapq.heapreplace(heap, (score, -row))
         out: list[Candidate] = []
         seen: set[str] = set()
-        for score, row in ranked:
+        for score, neg_row in sorted(heap, reverse=True):
+            row = -neg_row
             entity_id = self._entity_ids[row]
             if entity_id in seen:
                 continue

@@ -13,6 +13,7 @@ gradients "un-broadcast" back to the operand shapes.
 from __future__ import annotations
 
 import contextlib
+import threading
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
@@ -25,19 +26,31 @@ __all__ = ["DEFAULT_DTYPE", "Tensor", "concatenate", "no_grad", "stack"]
 #: explicit opt-in (numerical gradient checking passes float64 arrays in).
 DEFAULT_DTYPE = np.float32
 
-_grad_enabled: bool = True
+class _GradMode(threading.local):
+    """Per-thread graph-recording switch.
+
+    Thread-local because ``no_grad`` saves and restores it: with one
+    process-wide flag, two serving threads embedding queries at once
+    could interleave their save/restore and leave recording off for
+    whoever trains next (or on inside someone's inference block).
+    """
+
+    enabled = True
+
+
+_grad = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
-    """Context manager disabling graph recording (inference mode)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Context manager disabling graph recording (inference mode) on the
+    calling thread."""
+    previous = _grad.enabled
+    _grad.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -89,7 +102,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = _parents if _grad_enabled else ()
+        self._parents: tuple[Tensor, ...] = _parents if _grad.enabled else ()
         self.name = name
 
     # -- basic introspection ----------------------------------------------------
@@ -137,7 +150,7 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        requires = _grad.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, _parents=parents if requires else ())
         if requires:
             out._backward = backward
@@ -491,7 +504,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             slices.append(grad[tuple(idx)])
         return tuple(slices)
 
-    requires = _grad_enabled and any(t.requires_grad for t in tensors)
+    requires = _grad.enabled and any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
     if requires:
         out._backward = backward
@@ -508,7 +521,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         pieces = np.split(grad, len(tensors), axis=axis)
         return tuple(np.squeeze(p, axis=axis) for p in pieces)
 
-    requires = _grad_enabled and any(t.requires_grad for t in tensors)
+    requires = _grad.enabled and any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
     if requires:
         out._backward = backward

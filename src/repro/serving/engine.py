@@ -33,15 +33,21 @@ Online mutation -- :meth:`LookupEngine.apply_mutation` applies one
 change-feed record (add/remove/update of a whole entity, see
 :mod:`repro.serving.ingest`) while ``submit()`` traffic keeps flowing.
 Mutations serialize on the engine's mutation lock and propagate to every
-structure that answers queries: the vector index (snapshot-protocol
-``add``/``remove``/``update``), the row->entity map, the router's
-:class:`~repro.lookup.router.LabelHashTable` and
-:class:`~repro.lookup.router.TypeFilterMap`, and the result cache (whose
-generation is bumped so a cached hit can never resurrect a removed
-entity).  :meth:`LookupEngine.compact` reclaims tombstoned rows; the
-row-id remap it returns re-keys the row->entity map under a seqlock that
-in-flight searches check, so a search racing the swap retries instead of
-resolving new row ids through the old map.
+structure that answers queries: the vector index, the row->entity map,
+the router's :class:`~repro.lookup.router.LabelHashTable` and
+:class:`~repro.lookup.router.TypeFilterMap`, and the result cache.
+:meth:`LookupEngine.compact` reclaims tombstoned rows and re-keys the
+row->entity map through the remap the index returns.
+
+Consistency is the index family's mechanism one level up (see
+:mod:`repro.index.mutation`): everything a lookup's ANN path reads is
+held by one immutable :class:`EngineSnapshot`, published by one attribute
+swap at the end of every mutation and compaction.  A lookup reads it
+once: it probes and fills the cache under that generation, scans the
+index under that index snapshot and resolves row ids through that list,
+so it never retries and can neither resolve post-compaction row ids
+through the old map nor file a pre-mutation answer under the
+post-mutation cache generation.
 """
 
 from __future__ import annotations
@@ -49,12 +55,14 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.pipeline import EmbLookup
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.flat import FlatIndex
+from repro.index.mutation import snapshot_of
 from repro.index.partitioned import DEFAULT_PARTITION, TypePartitionedIndex
 from repro.index.sharded import ShardedIndex
 from repro.lookup.base import Candidate, LookupService
@@ -64,7 +72,12 @@ from repro.lookup.router import LookupRouter, TypeFilterMap
 from repro.utils.contracts import array_contract
 from repro.utils.timing import Stopwatch
 
-__all__ = ["LookupDeadlineExceeded", "LookupEngine", "PendingLookup"]
+__all__ = [
+    "EngineSnapshot",
+    "LookupDeadlineExceeded",
+    "LookupEngine",
+    "PendingLookup",
+]
 
 #: Stage names, in pipeline order, that the engine times per flush.
 #: ``route`` is the router's exact/fuzzy short-circuit pass (0 when no
@@ -75,6 +88,28 @@ _STAGES = ("cache", "route", "embed", "search", "rank")
 
 class LookupDeadlineExceeded(TimeoutError):
     """A micro-batch blew its ``batch_deadline`` before finishing."""
+
+
+@dataclass(frozen=True, eq=False)
+class EngineSnapshot:
+    """Everything one lookup's ANN path reads, pinned together.
+
+    ``index`` is the vector index's own snapshot (``None`` for families
+    without snapshots: they cannot compact, so their row ids are never
+    renumbered and the live index is safe to scan).  ``rows`` maps row
+    id -> entity id; between compactions it is one list that only grows,
+    so every row id ``index`` can return is already in it.
+    ``impure_rows`` memoizes, per type filter, how many scanned rows
+    resolve to inadmissible entities; readers fill it (racing duplicates
+    store the same value) and it is dropped with the snapshot, which
+    keeps it current.  ``generation`` keys the result cache.
+    """
+
+    index: object | None
+    rows: list[str]
+    has_alias_rows: bool
+    impure_rows: dict[str, int]
+    generation: int
 
 
 class PendingLookup:
@@ -200,17 +235,7 @@ class LookupEngine(LookupService):
             raise ValueError("batch_deadline must be positive or None")
         self.pipeline = pipeline
         self._index = index
-        self._row_to_entity = list(row_to_entity)
-        # Live rows per entity id, maintained by apply_mutation/compact.
-        self._entity_rows: dict[str, list[int]] = {}
-        for row, eid in enumerate(self._row_to_entity):
-            self._entity_rows.setdefault(eid, []).append(row)
-        # Alias rows make several index rows resolve to one entity, so the
-        # search must over-fetch before dedup (same policy as the core
-        # pipeline's lookup_batch).
-        self._has_alias_rows = len(set(self._row_to_entity)) < len(
-            self._row_to_entity
-        )
+        self._adopt_rows(list(row_to_entity))
         self.cache = cache
         self.max_batch_size = max_batch_size
         self.max_batch_age = max_batch_age
@@ -232,14 +257,14 @@ class LookupEngine(LookupService):
         # each get their own budget instead of racing on a shared one.
         self._deadline = threading.local()
         self._stats_lock = threading.Lock()
-        # Serializes apply_mutation/compact against each other.  Lock
-        # order: _mutation_lock -> {index write lock, cache lock,
-        # _stats_lock}, never reversed.
+        # Serializes apply_mutation/compact against each other; each ends
+        # by publishing the next EngineSnapshot.  Lock order:
+        # _mutation_lock -> {index write lock, cache lock, _stats_lock},
+        # never reversed.
         self._mutation_lock = threading.Lock()
-        # Seqlock guarding the row->entity map across compaction row-id
-        # remaps: odd while a compaction is in flight, bumped to even on
-        # publish/abort.  _serve_ann retries when it observes a change.
-        self._compact_seq = 0
+        self._snap = self._freeze(
+            cache.generation if cache is not None else 0
+        )
         self._mutations_applied = 0
         self._compactions = 0
         self._partial_results = 0
@@ -247,10 +272,6 @@ class LookupEngine(LookupService):
         self._deadline_hits = 0
         self._isolation_retries = 0
         self._type_rows_scanned = 0
-        # type_filter -> count of rows in its scanned row set whose entity
-        # is NOT admissible (the exact over-fetch needed for bit-identical
-        # filtered results).  Memoized; guarded by _stats_lock.
-        self._impure_rows: dict[str, int] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -261,7 +282,7 @@ class LookupEngine(LookupService):
         num_shards: int = 1,
         cache_size: int | None = None,
         block_size: int | None = None,
-        executor: str = "auto",
+        executor: str = "inline",
         num_workers: int | None = None,
         shard_timeout: float | None = None,
         partition_by_type: bool = False,
@@ -279,8 +300,9 @@ class LookupEngine(LookupService):
         ``num_workers`` / ``shard_timeout`` select the sharded execution
         model — ``executor="process"`` with ``num_workers`` worker
         processes over shared-memory shards is the multi-core serving
-        configuration, ``"auto"`` picks it only when the host has cores
-        to use (see :mod:`repro.index.sharded`).
+        configuration for batched traffic; the default ``"inline"``
+        scans the shards on the calling thread (see
+        :mod:`repro.index.sharded`).
 
         ``partition_by_type=True`` builds a
         :class:`~repro.index.partitioned.TypePartitionedIndex` keyed by
@@ -437,11 +459,12 @@ class LookupEngine(LookupService):
         :class:`repro.serving.ingest.IndexMutation`), so this layer never
         imports the ingest module.  Mutations serialize on the engine's
         mutation lock while ``submit()`` traffic keeps flowing; a
-        concurrent lookup observes either the pre- or the post-mutation
-        entity set, never a mixture (adds extend the row map *before*
-        the index publish makes the rows reachable; removes/updates are
-        one snapshot publish at the index; the result cache's generation
-        bump makes stale cached answers unreachable).
+        concurrent lookup's ANN path observes either the pre- or the
+        post-mutation entity set, never a mixture: it keeps reading the
+        :class:`EngineSnapshot` it pinned until this call's last step
+        publishes the next one (new index snapshot, bumped cache
+        generation), and an answer it computed meanwhile is cached under
+        the generation it pinned, where no later lookup can reach it.
 
         Raises :class:`ValueError` for semantically invalid records —
         adding an entity that already exists, removing or updating one
@@ -453,37 +476,72 @@ class LookupEngine(LookupService):
         mentions = list(mutation.mentions)
         types = tuple(mutation.types)
         with self._mutation_lock:
-            if kind == "add":
-                if entity_id in self._entity_rows:
-                    raise ValueError(f"entity {entity_id!r} already indexed")
-                self._mutate_add(entity_id, mentions, types)
-            elif kind == "remove":
+            if kind == "remove":
                 self._mutate_remove(entity_id)
-            elif kind == "update":
-                self._mutate_update(entity_id, mentions, types)
+            elif kind in ("add", "update"):
+                if kind == "add" and entity_id in self._entity_rows:
+                    raise ValueError(f"entity {entity_id!r} already indexed")
+                self._mutate_add(entity_id, mentions, types, kind == "update")
             else:
                 raise ValueError(f"unknown mutation kind {kind!r}")
-            if self.cache is not None:
-                self.cache.bump_generation()
+            self._publish()
             with self._stats_lock:
-                self._impure_rows.clear()
                 self._mutations_applied += 1
 
-    def _mutate_add(
-        self, entity_id: str, mentions: list[str], types: tuple[str, ...]
-    ) -> None:
-        """Embed and index a new entity's mentions; register router entries.
+    def _adopt_rows(self, rows: list[str]) -> None:
+        """Make ``rows`` the writer-side row->entity list and derive the
+        live rows per entity and the alias flag from it."""
+        self._row_to_entity = rows
+        self._entity_rows: dict[str, list[int]] = {}
+        for row, eid in enumerate(rows):
+            self._entity_rows.setdefault(eid, []).append(row)
+        # Alias rows make several index rows resolve to one entity, so the
+        # search must over-fetch before dedup (same policy as the core
+        # pipeline's lookup_batch).
+        self._has_alias_rows = len(self._entity_rows) < len(rows)
 
-        Caller holds ``_mutation_lock`` and has verified the entity is
-        new.  The row map is extended *before* ``index.add`` — rows
-        beyond ``ntotal`` are unreachable until the index publishes, so
-        readers never resolve a row id the map cannot answer.
+    def _freeze(self, generation: int) -> EngineSnapshot:
+        """The writer-side state as one snapshot under ``generation``."""
+        return EngineSnapshot(
+            snapshot_of(self._index),
+            self._row_to_entity,
+            self._has_alias_rows,
+            {},
+            generation,
+        )
+
+    def _publish(self) -> None:
+        """Swap in the next snapshot; caller holds ``_mutation_lock`` and
+        has finished every write the snapshot describes."""
+        self._snap = self._freeze(
+            self.cache.bump_generation() if self.cache is not None else 0
+        )
+
+    def _mutate_add(
+        self,
+        entity_id: str,
+        mentions: list[str],
+        types: tuple[str, ...],
+        replace: bool,
+    ) -> None:
+        """Embed and index an entity's mentions; register router entries.
+
+        ``replace`` first removes the entity's current rows (an update).
+        Lookups keep reading the snapshot they pinned until
+        :meth:`apply_mutation` publishes the next one, so they see the
+        old rows or the new ones, never neither — and the entity may
+        change partition (primary type) on a
+        :class:`TypePartitionedIndex`.  Caller holds ``_mutation_lock``.
+        The row map is extended in place: the published snapshot shares
+        the list, but its index snapshot cannot return the new row ids.
         """
         if not mentions:
             raise ValueError(f"entity {entity_id!r} has no mentions")
+        # Embed before touching anything: a model failure changes nothing.
         vectors = self.pipeline.embed_queries(mentions)
+        if replace:
+            self._mutate_remove(entity_id)
         base = self._index.ntotal
-        rows = list(range(base, base + len(mentions)))
         self._row_to_entity.extend([entity_id] * len(mentions))
         if len(mentions) > 1:
             self._has_alias_rows = True
@@ -492,20 +550,19 @@ class LookupEngine(LookupService):
             self._index.add(vectors, [primary] * len(mentions))
         else:
             self._index.add(vectors)
-        self._entity_rows[entity_id] = rows
+        self._entity_rows[entity_id] = list(range(base, base + len(mentions)))
         if self.router is not None:
             for mention in mentions:
                 self.router.label_table.add(mention, entity_id)
         if self._type_map is not None and types:
-            primary = types[0] if types else None
-            self._type_map.add_entity(entity_id, types, primary)
+            self._type_map.add_entity(entity_id, types, types[0])
 
     def _mutate_remove(self, entity_id: str) -> None:
         """Tombstone an entity's rows and retract its router entries.
 
         Caller holds ``_mutation_lock``.  Router/type-map entries drop
         first (an exact hit on a half-removed entity would resurrect
-        it); the index tombstone publish is last and atomic.
+        it); the index tombstone publish is last.
         """
         rows = self._entity_rows.pop(entity_id, None)
         if rows is None:
@@ -516,57 +573,14 @@ class LookupEngine(LookupService):
             self._type_map.remove_entity(entity_id)
         self._index.remove(np.asarray(rows, dtype=np.int64))
 
-    def _mutate_update(
-        self, entity_id: str, mentions: list[str], types: tuple[str, ...]
-    ) -> None:
-        """Replace an entity's rows (and surface forms) in place.
-
-        Uses the index family's atomic ``update`` (one snapshot publish
-        covers tombstone + append, so readers see old rows or new rows,
-        never neither) when available; a
-        :class:`TypePartitionedIndex` — whose partition key may change
-        with the entity's primary type — falls back to remove + add.
-        """
-        if not mentions:
-            raise ValueError(f"entity {entity_id!r} has no mentions")
-        old_rows = self._entity_rows.get(entity_id)
-        if old_rows is None:
-            raise ValueError(f"entity {entity_id!r} is not indexed")
-        update = getattr(self._index, "update", None)
-        if callable(update) and not isinstance(
-            self._index, TypePartitionedIndex
-        ):
-            vectors = self.pipeline.embed_queries(mentions)
-            self._row_to_entity.extend([entity_id] * len(mentions))
-            if len(mentions) > 1:
-                self._has_alias_rows = True
-            new_ids = update(
-                np.asarray(old_rows, dtype=np.int64), vectors
-            )
-            self._entity_rows[entity_id] = [int(r) for r in new_ids]
-            if self.router is not None:
-                self.router.label_table.drop_entity(entity_id)
-                for mention in mentions:
-                    self.router.label_table.add(mention, entity_id)
-            if self._type_map is not None:
-                self._type_map.remove_entity(entity_id)
-                if types:
-                    self._type_map.add_entity(entity_id, types, types[0])
-        else:
-            self._mutate_remove(entity_id)
-            self._mutate_add(entity_id, mentions, types)
-
     def compact(self) -> bool:
-        """Reclaim tombstoned rows; re-key the row map under a seqlock.
+        """Reclaim tombstoned rows and re-key the row map to match.
 
-        Compaction renumbers row ids, so the row->entity map must swap
-        together with the index's shard snapshot.  The index swap itself
-        is atomic to its readers; the *pairing* of (index rows, row map)
-        is protected by ``_compact_seq``: odd while the swap is in
-        flight, bumped back to even on publish or abort.
-        :meth:`_serve_ann` pins the sequence and the map object before
-        searching and retries when either moved, so a search racing the
-        swap can never resolve new row ids through the old map.
+        Compaction renumbers row ids, so the row->entity map must change
+        together with the index.  Both go into the next
+        :class:`EngineSnapshot`: a lookup that pinned the old one keeps
+        scanning the old index snapshot (the index never mutates what a
+        published snapshot holds) and resolving through the old list.
 
         Returns ``True`` when a swap happened, ``False`` when there was
         nothing to reclaim (or the index family has no ``compact``).
@@ -575,49 +589,19 @@ class LookupEngine(LookupService):
         if not callable(compact):
             return False
         with self._mutation_lock:
+            remap = compact()
+            if remap is None:
+                return False
+            old_map = self._row_to_entity
+            new_map: list[str | None] = [None] * int((remap >= 0).sum())
+            for old_row, new_row in enumerate(remap):
+                if new_row >= 0:
+                    new_map[int(new_row)] = old_map[old_row]
+            self._adopt_rows(new_map)
+            self._publish()
             with self._stats_lock:
-                self._compact_seq += 1  # odd: swap in flight
-            try:
-                remap = compact()
-                if remap is None:
-                    return False
-                old_map = self._row_to_entity
-                new_len = int((remap >= 0).sum())
-                new_map: list[str | None] = [None] * new_len
-                for old_row, new_row in enumerate(remap):
-                    if new_row >= 0:
-                        new_map[int(new_row)] = old_map[old_row]
-                entity_rows: dict[str, list[int]] = {}
-                for row, eid in enumerate(new_map):
-                    entity_rows.setdefault(eid, []).append(row)
-                # Publish the NEW list object; in-flight searches still
-                # hold (and can safely finish resolving through) the old
-                # one, then fail the seqlock check and retry.
-                self._row_to_entity = new_map
-                self._entity_rows = entity_rows
-                self._has_alias_rows = len(entity_rows) < len(new_map)
-                if self.cache is not None:
-                    self.cache.bump_generation()
-                with self._stats_lock:
-                    self._impure_rows.clear()
-                    self._compactions += 1
-                return True
-            finally:
-                with self._stats_lock:
-                    self._compact_seq += 1  # even: published or aborted
-
-    def _pin_rows(self) -> tuple[int, list[str]]:
-        """Capture a (sequence, row map) pair that is not mid-compaction."""
-        while True:
-            with self._stats_lock:
-                seq = self._compact_seq
-            rows_map = self._row_to_entity
-            if seq % 2 == 0:
-                return seq, rows_map
-            # A compaction swap is in flight; it holds _mutation_lock, so
-            # waiting on it is both brief and convoy-free.
-            with self._mutation_lock:
-                pass
+                self._compactions += 1
+            return True
 
     # -- the serving pipeline --------------------------------------------------
 
@@ -640,31 +624,25 @@ class LookupEngine(LookupService):
     ) -> list[list[Candidate]]:
         deadline_owner = self._start_deadline()
         try:
+            # The one read of engine state: everything below — cache
+            # probe and fill, index scan, row resolution — uses this.
+            snap = self._snap
+            # type_filter scopes the result keys: a filtered answer must
+            # never serve an unfiltered lookup.
+            key = {"scope": type_filter, "generation": snap.generation}
             normalized = [normalize(q) for q in queries]
             out: list[list[Candidate] | None] = [None] * len(queries)
             with self.stage_times["cache"]:
                 if self.cache is not None:
-                    # type_filter scopes the result keys: a filtered
-                    # answer must never serve an unfiltered lookup.
-                    cached = self.cache.get_results(
-                        normalized, k, scope=type_filter
-                    )
-                    for qi, row in enumerate(cached):
-                        out[qi] = row
+                    out = self.cache.get_results(normalized, k, **key)
             miss_positions = [qi for qi, row in enumerate(out) if row is None]
             if miss_positions:
-                fresh = self._serve(
-                    [normalized[qi] for qi in miss_positions], k, type_filter
-                )
+                misses = [normalized[qi] for qi in miss_positions]
+                fresh = self._serve(misses, k, type_filter, snap)
                 for qi, row in zip(miss_positions, fresh):
                     out[qi] = row
                 if self.cache is not None:
-                    self.cache.put_results(
-                        [normalized[qi] for qi in miss_positions],
-                        k,
-                        fresh,
-                        scope=type_filter,
-                    )
+                    self.cache.put_results(misses, k, fresh, **key)
             return [row if row is not None else [] for row in out]
         finally:
             if deadline_owner:
@@ -690,7 +668,11 @@ class LookupEngine(LookupService):
             )
 
     def _serve(
-        self, normalized: list[str], k: int, type_filter: str | None = None
+        self,
+        normalized: list[str],
+        k: int,
+        type_filter: str | None,
+        snap: EngineSnapshot,
     ) -> list[list[Candidate]]:
         """Route -> embed -> search -> rank for result-cache misses.
 
@@ -707,87 +689,50 @@ class LookupEngine(LookupService):
         ann_positions = [qi for qi, row in enumerate(out) if row is None]
         if ann_positions:
             rows = self._serve_ann(
-                [normalized[qi] for qi in ann_positions], k, type_filter
+                [normalized[qi] for qi in ann_positions], k, type_filter, snap
             )
             for qi, row in zip(ann_positions, rows):
                 out[qi] = row
         return [row if row is not None else [] for row in out]
 
     def _serve_ann(
-        self, normalized: list[str], k: int, type_filter: str | None
+        self,
+        normalized: list[str],
+        k: int,
+        type_filter: str | None,
+        snap: EngineSnapshot,
     ) -> list[list[Candidate]]:
-        """The embedding path: model forward pass + index scan + dedup.
-
-        The scan-and-rank pair runs under the compaction seqlock: the
-        row->entity map is pinned together with an even ``_compact_seq``
-        before the scan, and the result is accepted only if the sequence
-        has not moved — otherwise the row ids in hand may belong to the
-        post-compaction numbering while the pinned map still holds the
-        old one (or vice versa), so the search retries on the fresh
-        pair.  Non-compaction mutations never renumber rows (adds
-        append, removes tombstone in place), so they need no retry.
-        """
+        """The embedding path: model forward pass + index scan + dedup,
+        all against the caller's pinned snapshot."""
         self._check_deadline("embed")
         with self.stage_times["embed"]:
             vectors = self._embed(normalized)
         self._check_deadline("search")
-        retries = 0
-        while True:
-            seq, rows_map = self._pin_rows()
-            result, allowed = self._search_once(
-                vectors, k, type_filter, rows_map
-            )
-            with self._stats_lock:
-                settled = self._compact_seq == seq
-            if settled:
-                break
-            retries += 1
-            if retries >= 3:
-                # Pathological compaction churn: serialize with the
-                # mutators instead of spinning (no compaction can swap
-                # while this thread holds the mutation lock).
-                with self._mutation_lock:
-                    rows_map = self._row_to_entity
-                    result, allowed = self._search_once(
-                        vectors, k, type_filter, rows_map
-                    )
-                break
+        allowed = (
+            self._type_map.allowed(type_filter)
+            if type_filter is not None
+            else None
+        )
+        with self.stage_times["search"]:
+            result = self._search(vectors, k, type_filter, allowed, snap)
         if getattr(result, "partial", False):
             with self._stats_lock:
                 self._partial_results += 1
         with self.stage_times["rank"]:
             return self._rank(
-                result.ids, result.distances, k, allowed, rows_map
+                result.ids, result.distances, k, allowed, snap.rows
             )
 
-    def _search_once(
+    def _search(
         self,
         vectors: np.ndarray,
         k: int,
         type_filter: str | None,
-        rows_map: list[str],
-    ) -> tuple[SearchResult, frozenset[str] | None]:
-        """One pinned index scan — the seqlock-retried body of ``_serve_ann``."""
-        with self.stage_times["search"]:
-            if type_filter is None:
-                fetch = k * 3 if self._has_alias_rows else k
-                fetch = min(fetch, self._index.ntotal) or k
-                return self._index.search(vectors, fetch), None
-            allowed = self._type_map.allowed(type_filter)
-            return (
-                self._search_typed(vectors, k, type_filter, allowed, rows_map),
-                allowed,
-            )
-
-    def _search_typed(
-        self,
-        vectors: np.ndarray,
-        k: int,
-        type_filter: str,
-        allowed: frozenset[str],
-        rows_map: list[str],
+        allowed: frozenset[str] | None,
+        snap: EngineSnapshot,
     ) -> SearchResult:
-        """Type-constrained scan, exact by construction.
+        """One index scan under ``snap``; type-constrained scans are
+        exact by construction.
 
         Over-fetching by the scanned set's *impure row count* (rows whose
         entity is not admissible) guarantees the top-``fetch`` winners
@@ -797,64 +742,50 @@ class LookupEngine(LookupService):
         admissible entities are scanned; any other index scans everything
         and only the rank filter applies.
         """
-        base = k * 3 if self._has_alias_rows else k
         index = self._index
-        if isinstance(index, TypePartitionedIndex):
-            partitions = self._type_map.partitions_for(type_filter)
-            scanned = index.rows_in(partitions)
+        pinned = {} if snap.index is None else {"snapshot": snap.index}
+        fetch = k * 3 if snap.has_alias_rows else k
+        scanned = index.ntotal if snap.index is None else snap.index.rows
+        if type_filter is not None:
+            partitions = None
+            if isinstance(index, TypePartitionedIndex):
+                partitions = self._type_map.partitions_for(type_filter)
+                pinned["partitions"] = partitions
+                scanned = snap.index.rows_in(partitions)
             with self._stats_lock:
                 self._type_rows_scanned += scanned
-            if scanned == 0:
-                nq = len(vectors)
-                return SearchResult(
-                    ids=np.full((nq, k), -1, dtype=np.int64),
-                    distances=np.full((nq, k), np.inf, dtype=np.float64),  # repro: noqa[REP102]
-                )
-            fetch = min(
-                base + self._impure_row_count(type_filter, rows_map), scanned
+            fetch += self._impure_row_count(
+                type_filter, allowed, partitions, scanned, snap
             )
-            return index.search(vectors, fetch, partitions=partitions)
-        scanned = index.ntotal
-        with self._stats_lock:
-            self._type_rows_scanned += scanned
-        fetch = (
-            min(base + self._impure_row_count(type_filter, rows_map), scanned)
-            or k
-        )
-        return index.search(vectors, fetch)
+        # (An empty scan — no rows, or a filter no partition can hold —
+        # still searches for k: the index pads instead of raising.)
+        return index.search(vectors, min(fetch, scanned) or k, **pinned)
 
-    def _impure_row_count(self, type_filter: str, rows_map: list[str]) -> int:
+    def _impure_row_count(
+        self,
+        type_filter: str,
+        allowed: frozenset[str],
+        partitions: tuple[str, ...] | None,
+        scanned: int,
+        snap: EngineSnapshot,
+    ) -> int:
         """Rows in ``type_filter``'s scanned set resolving to other types.
 
-        Memoized per filter; the memo is cleared on every mutation and
-        compaction, so it always reflects the current entity set.  The
-        count is computed outside the stats lock — a racing duplicate
-        computation is harmless — and published under it.  ``rows_map``
-        is the caller's pinned row->entity map; a count computed against
-        a map the seqlock is about to retire only ever feeds a search
-        attempt the seqlock discards.
+        Memoized per filter in the snapshot itself, so the memo is
+        exactly as old as the entity set it was computed from.
         """
-        with self._stats_lock:
-            cached = self._impure_rows.get(type_filter)
-        if cached is not None:
-            return cached
-        allowed = self._type_map.allowed(type_filter)
-        index = self._index
-        if isinstance(index, TypePartitionedIndex):
-            rows: list[int] = []
-            for key in self._type_map.partitions_for(type_filter):
-                rows.extend(
-                    int(r) for r in index.partition_global_ids(key)
+        count = snap.impure_rows.get(type_filter)
+        if count is None:
+            if partitions is None:
+                rows = range(scanned)
+            else:
+                rows = (
+                    int(row)
+                    for key in partitions
+                    for row in snap.index.global_ids(key)
                 )
-        else:
-            rows = range(len(rows_map))
-        count = sum(
-            1
-            for row in rows
-            if row < len(rows_map) and rows_map[row] not in allowed
-        )
-        with self._stats_lock:
-            self._impure_rows[type_filter] = count
+            count = sum(1 for row in rows if snap.rows[row] not in allowed)
+            snap.impure_rows[type_filter] = count
         return count
 
     @array_contract("normalized: any -> (n, d) f32::any")
@@ -874,19 +805,16 @@ class LookupEngine(LookupService):
         ids: np.ndarray,
         distances: np.ndarray,
         k: int,
-        allowed: frozenset[str] | None = None,
-        rows_map: list[str] | None = None,
+        allowed: frozenset[str] | None,
+        rows_map: list[str],
     ) -> list[list[Candidate]]:
         """Dedup alias rows to entities (closest wins) and score candidates.
 
         ``allowed`` drops entities outside a type filter's admissible set
         (partitions may mix types when entities declare several).
-        ``rows_map`` is the row->entity map pinned together with the
-        search's row ids (see ``_serve_ann``'s seqlock); ``None`` falls
-        back to the live map for direct callers.
+        ``rows_map`` is the row->entity list pinned in the same snapshot
+        as the scan that produced ``ids``.
         """
-        if rows_map is None:
-            rows_map = self._row_to_entity
         out: list[list[Candidate]] = []
         for row_ids, row_d in zip(ids, distances):
             seen: set[str] = set()

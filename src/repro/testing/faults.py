@@ -34,8 +34,8 @@ Kinds:
 - ``kill``    — process executor only: terminate the worker *process*
   serving the matching shard just before the request is sent, so the
   index's crash detection sees a dead pipe and must respawn the worker
-  (the :meth:`FaultPlan.should_kill` hook).  Under the thread or inline
-  executors there is no process to kill and the clause is inert.
+  (the :meth:`FaultPlan.should_kill` hook).  Under the inline executor
+  there is no process to kill and the clause is inert.
 - ``compact`` — crash the matching *compaction attempt* at its swap
   point (the :meth:`FaultPlan.on_compaction` hook): the rebuild runs to
   completion, then :class:`FaultInjected` fires just before the atomic

@@ -3,12 +3,16 @@
 Expensive artefacts (generated KGs, the trained EmbLookup pipeline) are
 session-scoped: built once, shared read-only by every test that needs them.
 
+On every run, each test is checked for resource leaks: a shared-memory
+segment this process created (``repro-shm-<pid>-*``) or a child process
+that appeared during the test and is still there when it ends fails that
+test — the owner was not closed.  (Fixtures of wider scope are set up
+before the check starts, so what they own is not charged to a test.)
+
 When ``REPRO_SANITIZER=1`` the runtime lock-order sanitizer
 (:mod:`repro.testing.sanitizer`) is installed for the whole session:
-every ``threading.Lock`` created in repro or test code is tracked, each
-test fails if it introduced a lock-order inversion, and teardown checks
-that no shared-memory segment created by this process is still
-registered.
+every ``threading.Lock`` created in repro or test code is tracked and
+each test fails if it introduced a lock-order inversion.
 
 When ``REPRO_ARRAYCHECK=1`` the runtime array-contract validator
 (:mod:`repro.utils.contracts`) is installed the same way: every
@@ -19,11 +23,13 @@ recorded a new REP80x violation.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
 
 from repro.core import EmbLookup, EmbLookupConfig
+from repro.index.shm import SEGMENT_PREFIX, owned_segment_names
 from repro.kg import KnowledgeGraph, SyntheticKGConfig, generate_kg
 from repro.tables import BenchmarkConfig, TabularDataset, generate_benchmark
 
@@ -75,19 +81,26 @@ def _array_contract_validator():
     )
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Under the sanitizer, leaked shm segments fail the run at teardown."""
-    if not SANITIZE:
-        return
-    from repro.index.shm import owned_segment_names
+def _owned_resources() -> tuple[set[str], set[int]]:
+    """This process's live shm segments and child-process pids."""
+    mine = f"{SEGMENT_PREFIX}-{os.getpid()}-"
+    segments = {n for n in owned_segment_names() if n.startswith(mine)}
+    children = {p.pid for p in multiprocessing.active_children()}
+    return segments, children
 
-    leaked = owned_segment_names()
-    if leaked:
-        session.exitstatus = 1
-        raise pytest.UsageError(
-            f"shared-memory segments still registered at session teardown: "
-            f"{sorted(leaked)}"
-        )
+
+@pytest.fixture(autouse=True)
+def _no_leaked_workers_or_segments():
+    """Fail a test that leaves behind a segment or a child it created."""
+    segments_before, children_before = _owned_resources()
+    yield
+    segments, children = _owned_resources()
+    leaked = sorted(segments - segments_before)
+    orphans = sorted(children - children_before)
+    assert not leaked and not orphans, (
+        f"test leaked shared-memory segments {leaked} and child processes "
+        f"{orphans}: close() the index/engine/registry that owns them"
+    )
 
 
 @pytest.fixture(scope="session")

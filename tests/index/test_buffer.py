@@ -85,10 +85,10 @@ class TestManySmallAdds:
         """1000 single-row adds must not reallocate per add."""
         index = FlatIndex(4)
         grows = 0
-        last_cap = index._store.capacity
+        last_cap = index._buf.capacity
         for _ in range(1000):
             index.add(np.zeros((1, 4), dtype=np.float32))
-            if index._store.capacity != last_cap:
+            if index._buf.capacity != last_cap:
                 grows += 1
-                last_cap = index._store.capacity
+                last_cap = index._buf.capacity
         assert grows <= 10

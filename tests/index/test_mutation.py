@@ -134,6 +134,26 @@ class TestFlatMutation:
         replay = index.search(queries, 10, snapshot=pinned)
         assert_topk_equal(replay, before, context="pinned snapshot drifted")
 
+    @pytest.mark.parametrize("family", ["flat", "pq"])
+    def test_pinned_snapshot_survives_compaction(self, family):
+        """A snapshot holds its rows (and codec), not just a row count:
+        replaying it after ``compact()`` swapped the store — and, for
+        PQ, re-trained the codebooks — is bit-identical."""
+        vectors, queries = make_store(14)
+        if family == "flat":
+            index = FlatIndex(DIM)
+        else:
+            index = PQIndex(DIM, m=4, nbits=4, seed=0)
+            index.train(vectors)
+        index.add(vectors)
+        index.remove(np.arange(0, 50, dtype=np.int64))
+        pinned = index.snapshot()
+        before = index.search(queries, 10, snapshot=pinned)
+        assert index.compact() is not None
+        assert index.ntotal == len(vectors) - 50
+        replay = index.search(queries, 10, snapshot=pinned)
+        assert_topk_equal(replay, before, context="pinned across compact")
+
     def test_compact_remaps_and_resets(self):
         vectors, queries = make_store(5)
         index = FlatIndex(DIM)
@@ -247,7 +267,7 @@ class TestShardedMutation:
 
     def test_compact_remap_is_consistent(self):
         vectors, queries = make_store(12)
-        index = self.make_pair(vectors, executor="thread")
+        index = self.make_pair(vectors, executor="inline")
         removed = list(range(0, 30)) + [111]
         index.remove(np.asarray(removed))
         before = index.search(queries, 10)

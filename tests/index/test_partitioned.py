@@ -159,3 +159,30 @@ class TestSearch:
         index.add(vectors, [DEFAULT_PARTITION] * 6)
         assert index.partition_keys() == (DEFAULT_PARTITION,)
         assert index.rows_in([DEFAULT_PARTITION]) == 6
+
+    @pytest.mark.parametrize("key", ["t0", "brand-new"])
+    def test_search_inside_an_add_sees_old_or_new(self, key):
+        """A search that lands between a partition's own publish and the
+        partitioned index's (re-entered here from the shard's ``add``,
+        the deterministic stand-in for a racing reader) must answer from
+        the old state or the new one — never index an id column that
+        does not cover the partition yet."""
+        vectors, queries, keys = make_store()
+        seen = []
+
+        class ReentrantFlat(FlatIndex):
+            def add(self, rows):
+                super().add(rows)
+                if armed:
+                    seen.append(index.search(queries, 7))
+
+        armed = False
+        index = TypePartitionedIndex(DIM, factory=ReentrantFlat)
+        index.add(vectors, keys)
+        old = index.search(queries, 7)
+        armed = True
+        extra = np.full((4, DIM), 0.125, dtype=np.float32)
+        index.add(extra, [key] * 4)
+        new = index.search(queries, 7)
+        assert len(seen) == 1
+        assert seen[0].ids.tobytes() in (old.ids.tobytes(), new.ids.tobytes())

@@ -1,10 +1,11 @@
 """Tests for repro.index.sharded (fan-out equivalence and id remapping).
 
-The executor matrix (inline / thread / process) must be behaviourally
-interchangeable: every executor returns bit-identical results over the
-same store, and the process executor's worker-pool lifecycle (lazy
-spawn, worker reuse, invalidate-on-add, clean close with no shared
-memory left behind) is covered explicitly.
+The two executors (inline / process) must be behaviourally
+interchangeable: both return bit-identical results over the same store,
+and the process executor's worker-pool lifecycle (lazy spawn, worker
+reuse, invalidate-on-add, clean close with no shared memory left behind)
+is covered explicitly.  Every index built here is closed by the test
+that built it; the conftest leak check enforces it.
 """
 
 import os
@@ -17,7 +18,7 @@ from repro.index.flat import FlatIndex
 from repro.index.pq import PQIndex
 from repro.index.sharded import ShardedIndex
 
-EXECUTORS = ["inline", "thread", "process"]
+EXECUTORS = ["inline", "process"]
 
 
 def make_data(n=200, d=16, seed=0):
@@ -36,51 +37,54 @@ class TestBasics:
 
     def test_round_robin_striping(self):
         data, _ = make_data(n=10, d=4)
-        index = ShardedIndex(4, 3)
-        index.add(data[:4])
-        index.add(data[4:])
-        assert index.ntotal == 10
-        sizes = [s.ntotal for s in index.shards]
-        assert sizes == [4, 3, 3]
+        with ShardedIndex(4, 3) as index:
+            index.add(data[:4])
+            index.add(data[4:])
+            assert index.ntotal == 10
+            sizes = [s.ntotal for s in index.shards]
+            assert sizes == [4, 3, 3]
 
     def test_global_id_remap(self):
         """Searching for a stored vector returns its global arrival id."""
         data, _ = make_data(n=30, d=8, seed=5)
-        index = ShardedIndex(8, 4)
-        index.add(data)
-        result = index.search(data, 1)
+        with ShardedIndex(8, 4) as index:
+            index.add(data)
+            result = index.search(data, 1)
         np.testing.assert_array_equal(result.ids[:, 0], np.arange(30))
 
     def test_memory_bytes_sums_shards(self):
         data, _ = make_data(n=12, d=4)
-        index = ShardedIndex(4, 3)
-        index.add(data)
-        assert index.memory_bytes() == 12 * 4 * 4
+        with ShardedIndex(4, 3) as index:
+            index.add(data)
+            assert index.memory_bytes() == 12 * 4 * 4
 
     def test_empty_index(self):
-        index = ShardedIndex(4, 3)
-        result = index.search(np.zeros((2, 4), dtype=np.float32), 3)
+        with ShardedIndex(4, 3) as index:
+            result = index.search(np.zeros((2, 4), dtype=np.float32), 3)
         assert result.ids.shape == (2, 3)
         assert (result.ids == -1).all()
 
     def test_k_larger_than_ntotal_pads(self):
         data, _ = make_data(n=3, d=4)
-        index = ShardedIndex(4, 2)
-        index.add(data[:3, :4])
-        result = index.search(np.zeros((1, 4), dtype=np.float32), 8)
+        with ShardedIndex(4, 2) as index:
+            index.add(data[:3, :4])
+            result = index.search(np.zeros((1, 4), dtype=np.float32), 8)
         assert (result.ids[0, 3:] == -1).all()
         assert np.isinf(result.distances[0, 3:]).all()
 
     def test_close_idempotent(self):
         data, queries = make_data(n=8, d=4)
-        index = ShardedIndex(4, 2)
+        index = ShardedIndex(4, 2, executor="process")
         index.add(data[:, :4])
         index.search(queries[:, :4], 2)
         index.close()
         index.close()
-        # Pool is rebuilt lazily after close.
-        result = index.search(queries[:, :4], 2)
-        assert result.ids.shape == (7, 2)
+        try:
+            # Pool is rebuilt lazily after close.
+            result = index.search(queries[:, :4], 2)
+            assert result.ids.shape == (7, 2)
+        finally:
+            index.close()
 
 
 class TestFlatEquivalence:
@@ -89,27 +93,25 @@ class TestFlatEquivalence:
         data, queries = make_data()
         flat = FlatIndex(16)
         flat.add(data)
-        sharded = ShardedIndex(16, num_shards)
-        sharded.add(data)
         want = flat.search(queries, 10)
-        got = sharded.search(queries, 10)
+        with ShardedIndex(16, num_shards) as sharded:
+            sharded.add(data)
+            got = sharded.search(queries, 10)
         assert got.ids.tobytes() == want.ids.tobytes()
         assert got.distances.tobytes() == want.distances.tobytes()
-        sharded.close()
 
     @pytest.mark.parametrize("num_shards", [3, 8])
     def test_incremental_adds_match(self, num_shards):
         data, queries = make_data(seed=7)
         flat = FlatIndex(16)
-        sharded = ShardedIndex(16, num_shards)
-        for start in range(0, len(data), 17):
-            chunk = data[start : start + 17]
-            flat.add(chunk)
-            sharded.add(chunk)
+        with ShardedIndex(16, num_shards) as sharded:
+            for start in range(0, len(data), 17):
+                chunk = data[start : start + 17]
+                flat.add(chunk)
+                sharded.add(chunk)
+            got = sharded.search(queries, 5)
         want = flat.search(queries, 5)
-        got = sharded.search(queries, 5)
         assert got.ids.tobytes() == want.ids.tobytes()
-        sharded.close()
 
 
 class TestExecutorEquivalence:
@@ -149,27 +151,21 @@ class TestExecutorEquivalence:
             assert got.ids.tobytes() == want.ids.tobytes()
             assert got.distances.tobytes() == want.distances.tobytes()
 
-    def test_auto_resolution_matches_host(self):
-        index = ShardedIndex(8, 2)
-        resolved = index.resolved_executor()
-        expected = "process" if (os.cpu_count() or 1) > 1 else "thread"
-        assert resolved == expected
-        index.close()
-
-    def test_auto_falls_back_for_unexportable_family(self):
-        """Families without a shm exporter never auto-pick processes."""
-        from repro.index.lsh import LSHIndex
-
-        def factory(dim):
-            return LSHIndex(dim, nbits=8, ntables=2, seed=0)
-
-        index = ShardedIndex(8, 2, factory=factory)
-        assert index.resolved_executor() == "thread"
-        index.close()
+    def test_default_executor_is_inline_on_every_host(self):
+        """No host shape turns the default into a process pool: a search
+        on a default-built index spawns nothing and maps nothing."""
+        data, queries = make_data(n=20, d=8)
+        with ShardedIndex(8, 2) as index:
+            index.add(data)
+            index.search(queries, 3)
+            assert index.resolved_executor() == "inline"
+            assert index._process_pool is None
+        assert shm.owned_segment_names() == []
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedIndex(8, 2, executor="greenlet")
+        for executor in ("greenlet", "auto", "thread"):
+            with pytest.raises(ValueError):
+                ShardedIndex(8, 2, executor=executor)
 
     def test_pickle_fallback_family_still_works_in_process(self):
         """A family without an shm exporter rides the pickle payload."""
@@ -179,10 +175,9 @@ class TestExecutorEquivalence:
             return LSHIndex(dim, nbits=8, ntables=2, seed=0)
 
         data, queries = make_data(n=60, d=8, seed=9)
-        want_index = ShardedIndex(8, 2, factory=factory, executor="inline")
-        want_index.add(data)
-        want = want_index.search(queries, 5)
-        want_index.close()
+        with ShardedIndex(8, 2, factory=factory) as want_index:
+            want_index.add(data)
+            want = want_index.search(queries, 5)
         with ShardedIndex(
             8, 2, factory=factory, executor="process"
         ) as sharded:
@@ -306,10 +301,9 @@ class TestProcessPoolLifecycle:
         def factory(dim):
             return PQIndex(dim, m=4, nbits=4, seed=1)
 
-        index = ShardedIndex(16, 2, factory=factory, executor="process")
-        with pytest.raises(RuntimeError, match="untrained"):
-            index._worker_pool()
-        index.close()
+        with ShardedIndex(16, 2, factory=factory, executor="process") as index:
+            with pytest.raises(RuntimeError, match="untrained"):
+                index._worker_pool()
 
     def test_health_stats_reports_executor_and_seconds(self):
         index, queries = self._build()
@@ -335,12 +329,11 @@ class TestPQEquivalence:
         plain = factory(16)
         plain.train(data)
         plain.add(data)
-        sharded = ShardedIndex(16, num_shards, factory=factory)
-        sharded.train(data)
-        sharded.add(data)
-        assert sharded.is_trained
         want = plain.search(queries, 10)
-        got = sharded.search(queries, 10)
+        with ShardedIndex(16, num_shards, factory=factory) as sharded:
+            sharded.train(data)
+            sharded.add(data)
+            assert sharded.is_trained
+            got = sharded.search(queries, 10)
         assert got.ids.tobytes() == want.ids.tobytes()
         assert got.distances.tobytes() == want.distances.tobytes()
-        sharded.close()

@@ -4,6 +4,10 @@ Each service has a characteristic accuracy/robustness profile the paper's
 Table V depends on; these tests pin those profiles on the shared KG.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.lookup.elastic import ElasticLookup
@@ -94,6 +98,35 @@ class TestQGram:
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             QGramLookup(q=0)
+
+    def test_boundary_ties_do_not_depend_on_str_hashing(self):
+        """Short queries tie many rows at the k-th score; which of them
+        are returned must not follow set iteration order, which moves
+        with ``PYTHONHASHSEED``."""
+        script = (
+            "from repro.kg import SyntheticKGConfig, generate_kg\n"
+            "from repro.lookup.qgram import QGramLookup\n"
+            "kg = generate_kg(SyntheticKGConfig(num_entities=160, seed=5))\n"
+            "service = QGramLookup.build(kg, include_aliases=True)\n"
+            "labels = [e.label for e in kg.entities()]\n"
+            "queries = [l[:3] for l in labels] + [l[:-1] + 'x' for l in labels]\n"
+            "for k in (1, 3, 10):\n"
+            "    print(service.lookup_batch(queries, k))\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestElastic:

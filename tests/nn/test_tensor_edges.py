@@ -1,5 +1,7 @@
 """Autograd edge cases: reverse ops, nested contexts, shared subgraphs."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,36 @@ class TestGradModes:
             with no_grad():
                 raise RuntimeError("boom")
         assert (t * 2).requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        """Two threads whose ``no_grad`` blocks overlap (enter A, enter
+        B, exit A, exit B) must not leave recording off for anyone: a
+        process-wide flag would restore A's saved ``True`` and then B's
+        saved ``False``."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        inside = []
+
+        def first():
+            with no_grad():
+                a_in.set()
+                assert b_in.wait(5)
+            a_out.set()
+
+        def second():
+            assert a_in.wait(5)
+            with no_grad():
+                b_in.set()
+                assert a_out.wait(5)
+                inside.append((leaf((2,), 9) * 2).requires_grad)
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert inside == [False]  # B stayed in inference mode after A left
+        assert (leaf((2,), 10) * 2).requires_grad  # and nobody else did
 
     def test_pow_non_scalar_exponent_rejected(self):
         t = leaf((2,), 5)

@@ -193,18 +193,28 @@ class TestFaultKinds:
         finally:
             index.close()
 
-    def test_slow_shard_times_out(self):
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_slow_shard_times_out(self, executor):
+        """Both executors drop the slow shard; only the concurrent
+        fan-out can give up on it *before* it finishes (a serial scan
+        is judged against its budget afterwards)."""
         vectors, queries = self._store()
         plan = FaultPlan.parse("s3:*:delay:0.5")
         index = build_sharded(
-            8, vectors, fault_hook=plan, shard_timeout=0.08, max_retries=0
+            8,
+            vectors,
+            fault_hook=plan,
+            shard_timeout=0.08,
+            max_retries=0,
+            executor=executor,
         )
         try:
             started = time.monotonic()
             got = index.search(queries, 5)
             elapsed = time.monotonic() - started
             assert got.partial is True and got.failed_shards == (3,)
-            assert elapsed < 0.45, f"search waited {elapsed:.2f}s past deadline"
+            if executor == "process":
+                assert elapsed < 0.45, f"waited {elapsed:.2f}s past deadline"
             assert index.health_stats()["shards"][3]["timeouts"] == 1
             assert_topk_equal(
                 got, manual_fanin(vectors, queries, 5, skip_shard=3)
@@ -273,9 +283,7 @@ class TestFaultKinds:
     def test_kill_fault_is_inert_off_process_executor(self):
         vectors, queries = self._store()
         plan = FaultPlan.parse("s2:*:kill")
-        index = build_sharded(
-            8, vectors, fault_hook=plan, executor="thread"
-        )
+        index = build_sharded(8, vectors, fault_hook=plan)
         try:
             got = index.search(queries, 5)
             assert got.partial is False
@@ -283,7 +291,7 @@ class TestFaultKinds:
         finally:
             index.close()
 
-    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["inline", "process"])
     def test_degradation_semantics_uniform_across_executors(self, executor):
         """PR 5's drop-the-dead-shard contract holds verbatim on every
         executor: same partial flag, same failed set, same merged ids."""

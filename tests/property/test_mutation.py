@@ -6,7 +6,7 @@ Three tiers of guarantees for the online-mutation path:
   through any seeded add/remove/update/compact sequence serves results
   bit-identical to a *twin* built in one shot from the equivalent bulk
   state (same append order, same tombstones).  Runs over the flat family
-  and sharded indexes under the inline, thread, and process executors.
+  and sharded indexes under the inline and process executors.
 - **old-or-new** (concurrent) — a lookup racing a mutation returns a
   result bit-identical to the pre-mutation oracle or the post-mutation
   oracle, never a mixture (torn read).  The mutator and the searchers
@@ -221,7 +221,7 @@ class TestReplayEquivalence:
 
         run_cases(prop, MutationStrategy(), cases=40, name="flat_replay")
 
-    @pytest.mark.parametrize("executor", ["inline", "thread"])
+    @pytest.mark.parametrize("executor", ["inline"])
     def test_sharded_replay_equivalence(self, executor):
         def prop(case):
             self.check(
@@ -366,7 +366,7 @@ class TestOldOrNew:
 
         run_cases(prop, OldOrNewStrategy(), cases=20, name="flat_old_or_new")
 
-    def test_sharded_thread_old_or_new(self):
+    def test_sharded_inline_old_or_new(self):
         def prop(case):
             self.check(
                 case,
@@ -374,7 +374,7 @@ class TestOldOrNew:
                     DIM,
                     NUM_SHARDS,
                     factory=lambda d: FlatIndex(d),
-                    executor="thread",
+                    executor="inline",
                 ),
                 lambda: ShardedIndex(
                     DIM,
@@ -445,7 +445,7 @@ class TestCompactionCrash:
         index.close()
 
     @pytest.mark.parametrize(
-        "populated", ["inline", "thread", "process"], indirect=True
+        "populated", ["inline", "process"], indirect=True
     )
     def test_crash_at_swap_leaves_old_shards_serving(self, populated):
         """The injected swap crash aborts all-or-nothing: bit-identical

@@ -65,22 +65,24 @@ class TestSynchronousLookup:
     def test_sharded_engine_matches_single_shard(self, trained_service):
         queries = ["germany", "tokyo", "acme corp"]
         single = LookupEngine.from_pipeline(trained_service, num_shards=1)
-        sharded = LookupEngine.from_pipeline(trained_service, num_shards=3)
-        assert single.lookup_batch(queries, 5) == sharded.lookup_batch(
-            queries, 5
-        )
-        sharded.close()
+        with LookupEngine.from_pipeline(
+            trained_service, num_shards=3
+        ) as sharded:
+            assert single.lookup_batch(queries, 5) == sharded.lookup_batch(
+                queries, 5
+            )
 
-    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["inline", "process"])
     def test_executor_choice_does_not_change_results(
         self, executor, trained_service
     ):
         """The serving answer is executor-invariant: worker processes
         over shared memory return what the in-process scan returns."""
         queries = ["germany", "tokyo", "acme corp", "uni of oxford"]
-        baseline = LookupEngine.from_pipeline(trained_service, num_shards=3)
-        want = baseline.lookup_batch(queries, 5)
-        baseline.close()
+        with LookupEngine.from_pipeline(
+            trained_service, num_shards=3
+        ) as baseline:
+            want = baseline.lookup_batch(queries, 5)
         with LookupEngine.from_pipeline(
             trained_service, num_shards=3, executor=executor, num_workers=2
         ) as engine:
@@ -98,9 +100,11 @@ class TestSynchronousLookup:
         engine = LookupEngine.from_pipeline(
             trained_service, num_shards=2, executor="process"
         )
-        engine.lookup_batch(["germany"], 3)
-        assert any(n.startswith(mine) for n in shm.owned_segment_names())
-        engine.close()
+        try:
+            engine.lookup_batch(["germany"], 3)
+            assert any(n.startswith(mine) for n in shm.owned_segment_names())
+        finally:
+            engine.close()
         engine.close()
         assert not any(n.startswith(mine) for n in shm.owned_segment_names())
 

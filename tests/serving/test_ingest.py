@@ -119,6 +119,45 @@ class TestStaleCacheRegression:
         finally:
             engine.close()
 
+    def test_remove_landing_before_the_cache_fill_is_not_cached_over(
+        self, trained_service, tiny_kg
+    ):
+        """A remove that lands between a lookup's scan and its
+        ``put_results`` must not get the pre-remove answer filed under
+        the post-remove generation: the fill uses the generation the
+        lookup pinned, so the next lookup recomputes."""
+        engine = fresh_engine(trained_service)
+        try:
+            # A typo'd label the ANN tier answers with its entity.
+            for victim in tiny_kg.entities():
+                query = victim.label[:-1] + "x"
+                if len(query) >= 6 and any(
+                    c.entity_id == victim.entity_id
+                    for c in engine.lookup_batch([query], 5)[0]
+                ):
+                    break
+            else:
+                pytest.fail("no typo'd label resolves to its entity")
+            engine.cache.clear()
+            put_results = engine.cache.put_results
+
+            def remove_then_put(*args, **kwargs):
+                engine.cache.put_results = put_results
+                engine.apply_mutation(
+                    IndexMutation(0, "remove", victim.entity_id)
+                )
+                put_results(*args, **kwargs)
+
+            engine.cache.put_results = remove_then_put
+            raced = engine.lookup_batch([query], 5)[0]
+            assert any(c.entity_id == victim.entity_id for c in raced)
+            after = engine.lookup_batch([query], 5)[0]
+            assert not any(
+                c.entity_id == victim.entity_id for c in after
+            ), "pre-remove answer was cached under the post-remove generation"
+        finally:
+            engine.close()
+
     def test_generation_bump_preserves_embeddings(self, trained_service):
         engine = fresh_engine(trained_service, router=False)
         try:
