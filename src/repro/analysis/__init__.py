@@ -13,12 +13,8 @@ the codebase grows:
   performance rules (:mod:`repro.analysis.perf_rules`);
 - a **project import/call graph** (:mod:`repro.analysis.graph`) powering
   the interprocedural REP6xx gradient-flow rules
-  (:mod:`repro.analysis.grad_rules`), the REP7xx concurrency /
-  process-safety rules (:mod:`repro.analysis.concurrency`,
-  ``repro racecheck``), the REP8xx array-contract rules
-  (:mod:`repro.analysis.arrays`, ``repro arraycheck``), and the
-  architecture-contract checker (:mod:`repro.analysis.contract`,
-  ``repro archcheck``);
+  (:mod:`repro.analysis.grad_rules`) and the architecture-contract
+  checker (:mod:`repro.analysis.contract`, ``repro archcheck``);
 - a **shape/dtype abstract interpreter**
   (:mod:`repro.analysis.shapecheck`) that propagates symbolic
   ``(shape, dtype)`` through the dual-tower layer stack and rejects
@@ -58,8 +54,6 @@ from repro.analysis.rules import (
 )
 
 # Importing the rule modules registers their rules as a side effect.
-from repro.analysis import arrays as _array_rules  # noqa: F401
-from repro.analysis import concurrency as _concurrency_rules  # noqa: F401
 from repro.analysis import grad_rules as _grad_rules  # noqa: F401
 from repro.analysis import perf_rules as _perf_rules  # noqa: F401
 from repro.analysis.shapecheck import (

@@ -389,9 +389,6 @@ class _ClassInfo:
     base_keys: list[tuple[str, str]] = field(default_factory=list)
     base_names: list[str] = field(default_factory=list)
     methods: set[str] = field(default_factory=set)
-    #: instance attributes assigned a constructor call (``self.x = Cls(...)``),
-    #: mapped to the candidate project class key the value was built from.
-    attr_types: dict[str, tuple[str, str]] = field(default_factory=dict)
 
 
 class CallGraph:
@@ -444,75 +441,9 @@ class CallGraph:
                         if terminal:
                             info.base_names.append(terminal)
                     self._classes[(module.name, stmt.name)] = info
-                    self._collect_attr_types(module.name, stmt, info)
                     visit(stmt.body, stmt.name)
 
         visit(module.tree.body, None)
-
-    def _collect_attr_types(
-        self, module: str, cls: ast.ClassDef, info: _ClassInfo
-    ) -> None:
-        """Infer ``self.<attr>`` instance types from constructor assignments.
-
-        Any ``self.x = Cls(...)`` in any method (conditional expressions
-        included) records a *candidate* class key for ``x``; unknown keys
-        simply fail the later method lookup, so over-recording is safe.
-        """
-        for node in ast.walk(cls):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                candidates = [node.value]
-                if isinstance(node.value, ast.IfExp):
-                    candidates = [node.value.body, node.value.orelse]
-                for value in candidates:
-                    if not isinstance(value, ast.Call):
-                        continue
-                    key = self._resolve_ctor(module, value.func)
-                    if key is not None:
-                        info.attr_types[target.attr] = key
-                        break
-
-    def _resolve_ctor(
-        self, module: str, func: ast.expr
-    ) -> tuple[str, str] | None:
-        """Candidate class key of a constructor expression, if project-local."""
-        bindings = self._bindings.get(module, {})
-        if isinstance(func, ast.Name):
-            binding = bindings.get(func.id)
-            if binding is not None and binding.attr is not None:
-                return (binding.module, binding.attr)
-            return (module, func.id)
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            binding = bindings.get(func.value.id)
-            if binding is not None and binding.attr is None:
-                return (binding.module, func.attr)
-        return None
-
-    def _attr_class(
-        self, class_key: tuple[str, str], attr: str
-    ) -> tuple[str, str] | None:
-        """Inferred class of ``self.<attr>`` on ``class_key`` or its bases."""
-        seen: set[tuple[str, str]] = set()
-        queue = [class_key]
-        while queue:
-            key = queue.pop(0)
-            if key in seen:
-                continue
-            seen.add(key)
-            info = self._classes.get(key)
-            if info is None:
-                continue
-            if attr in info.attr_types:
-                return info.attr_types[attr]
-            queue.extend(info.base_keys)
-        return None
 
     def _resolve_class_base(
         self, module: str, base: ast.expr
@@ -545,10 +476,9 @@ class CallGraph:
         """Project function key one call inside ``info`` dispatches to.
 
         Resolves bare/from-imported names, ``mod.func(...)`` through
-        module bindings, ``self.method(...)`` through the class
-        hierarchy, and ``self.attr.method(...)`` through constructor-
-        inferred instance-attribute types.  ``None`` when the callee is
-        not statically resolvable to a project function.
+        module bindings, and ``self.method(...)`` through the class
+        hierarchy.  ``None`` when the callee is not statically
+        resolvable to a project function.
         """
         bindings = self._bindings.get(info.module, {})
         func = node.func
@@ -569,57 +499,12 @@ class CallGraph:
                         (info.module, info.owner_class), func.attr
                     )
                 return None
-            if (
-                isinstance(root, ast.Attribute)
-                and isinstance(root.value, ast.Name)
-                and root.value.id == "self"
-                and info.owner_class is not None
-            ):
-                attr_key = self._attr_class(
-                    (info.module, info.owner_class), root.attr
-                )
-                if attr_key is not None:
-                    return self._lookup_method(attr_key, func.attr)
-                return None
             if isinstance(root, ast.Name) and root.id in bindings:
                 binding = bindings[root.id]
                 if binding.attr is None:
                     key = (binding.module, func.attr)
                     if key in self.functions:
                         return key
-        return None
-
-    def resolve_callable(
-        self, info: FunctionInfo, node: ast.expr
-    ) -> tuple[str, str] | None:
-        """Project function a callable *reference* points at (not a call).
-
-        Handles ``self.method`` (through the class hierarchy), bare or
-        from-imported names, and ``mod.func`` — the shapes executor
-        ``submit(...)`` and ``Thread/Process(target=...)`` receive.
-        """
-        bindings = self._bindings.get(info.module, {})
-        if isinstance(node, ast.Name):
-            binding = bindings.get(node.id)
-            if binding is not None and binding.attr is not None:
-                key = (binding.module, binding.attr)
-                if key in self.functions:
-                    return key
-            if (info.module, node.id) in self.functions:
-                return (info.module, node.id)
-            return None
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.value, ast.Name
-        ):
-            if node.value.id == "self" and info.owner_class is not None:
-                return self._lookup_method(
-                    (info.module, info.owner_class), node.attr
-                )
-            binding = bindings.get(node.value.id)
-            if binding is not None and binding.attr is None:
-                key = (binding.module, node.attr)
-                if key in self.functions:
-                    return key
         return None
 
     def _lookup_method(

@@ -7,8 +7,6 @@ Subcommands cover the full lifecycle a downstream user needs:
 - ``lookup``        — query a saved model interactively or one-shot.
 - ``evaluate``      — score the model's lookup success on noisy queries.
 - ``lint``          — run the repo's static-analysis rules over source trees.
-- ``racecheck``     — run only the REP7xx concurrency/process-safety rules.
-- ``arraycheck``    — run only the REP8xx array shape/dtype/layout rules.
 - ``archcheck``     — enforce the declared architecture contract on imports.
 - ``shapecheck``    — statically verify a dual-tower config's shapes/dtypes.
 - ``selftest``      — run seeded property diagnostics over the lookup stack.
@@ -21,8 +19,6 @@ Example::
     python -m repro evaluate --kg kg.json --model model/ --noise 0.5
     python -m repro lint src/repro --baseline tools/lint_baseline.json
     python -m repro lint src/repro --profile perf
-    python -m repro racecheck src/repro --baseline tools/lint_baseline.json
-    python -m repro arraycheck src/repro --baseline tools/lint_baseline.json
     python -m repro archcheck src/repro --contract tools/arch_contract.toml
     python -m repro shapecheck --dim 64 --max-length 32
     python -m repro selftest --cases 25 --seed 1
@@ -38,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import analysis
 from repro.core import EmbLookup, EmbLookupConfig
 from repro.evaluation.reporting import format_table
 from repro.kg import SyntheticKGConfig, generate_kg, load_kg_json, save_kg_json
@@ -131,13 +126,14 @@ _LINT_PROFILES: dict[str, list[str] | None] = {
     "all": None,
     "perf": ["REP5"],
     "grad": ["REP6"],
-    "conc": ["REP7"],
-    "arrays": ["REP8"],
 }
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Lint source trees; exit non-zero when new (non-baselined) findings exist."""
+    # Lazy import: only the static-analysis verbs pay for repro.analysis.
+    from repro import analysis
+
     if args.profile and args.select:
         print("--profile and --select are mutually exclusive", file=sys.stderr)
         return 2
@@ -167,67 +163,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if new else 0
 
 
-def _cmd_racecheck(args: argparse.Namespace) -> int:
-    """Run only the REP7xx concurrency/process-safety rules.
-
-    A focused alias for ``repro lint --profile conc`` with ``archcheck``
-    exit-code semantics: 0 = no unbaselined REP7xx finding, 1 = at least
-    one new finding (a race/deadlock/leak risk landed since the
-    baseline), 2 = usage error.  The runtime half of this check is the
-    ``REPRO_SANITIZER=1`` lock-order tracker in the test suite.
-    """
-    try:
-        findings = analysis.lint_paths(args.paths, select=["REP7"])
-    except FileNotFoundError as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    baseline = (
-        analysis.load_baseline(args.baseline)
-        if args.baseline and not args.no_baseline
-        else frozenset()
-    )
-    new, known = analysis.partition_findings(findings, baseline)
-    if args.format == "json":
-        print(analysis.render_json(new, known))
-    elif new:
-        print(analysis.render_text(new, known))
-    else:
-        suffix = f" ({len(known)} baselined)" if known else ""
-        print(f"racecheck OK: no new REP7xx findings{suffix}")
-    return 1 if new else 0
-
-
-def _cmd_arraycheck(args: argparse.Namespace) -> int:
-    """Run only the REP8xx array-contract rules.
-
-    A focused alias for ``repro lint --profile arrays`` with ``archcheck``
-    exit-code semantics: 0 = no unbaselined REP8xx finding, 1 = at least
-    one new finding (a shape/dtype/layout contract violation or an
-    uncontracted public array API landed since the baseline), 2 = usage
-    error.  The runtime half of this check is the ``REPRO_ARRAYCHECK=1``
-    contract validator in the test suite.
-    """
-    try:
-        findings = analysis.lint_paths(args.paths, select=["REP8"])
-    except FileNotFoundError as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    baseline = (
-        analysis.load_baseline(args.baseline)
-        if args.baseline and not args.no_baseline
-        else frozenset()
-    )
-    new, known = analysis.partition_findings(findings, baseline)
-    if args.format == "json":
-        print(analysis.render_json(new, known))
-    elif new:
-        print(analysis.render_text(new, known))
-    else:
-        suffix = f" ({len(known)} baselined)" if known else ""
-        print(f"arraycheck OK: no new REP8xx findings{suffix}")
-    return 1 if new else 0
-
-
 def _archcheck_display_path(path) -> str:
     """Posix path relative to the current directory when possible."""
     try:
@@ -243,6 +178,8 @@ def _cmd_archcheck(args: argparse.Namespace) -> int:
     layer violation, ARC002 runtime import cycle, ARC003 undeclared
     layer); 2 = usage error (missing paths, missing/malformed contract).
     """
+    from repro import analysis
+
     try:
         contract = analysis.load_contract(args.contract)
     except FileNotFoundError:
@@ -279,6 +216,8 @@ def _cmd_archcheck(args: argparse.Namespace) -> int:
 
 def _cmd_shapecheck(args: argparse.Namespace) -> int:
     """Statically validate a dual-tower configuration's shapes and dtypes."""
+    from repro import analysis
+
     try:
         config = EmbLookupConfig(
             embedding_dim=args.dim,
@@ -485,47 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_LINT_PROFILES),
         default=None,
         help=(
-            "rule-family shortcut: perf=REP5xx, grad=REP6xx, "
-            "conc=REP7xx, arrays=REP8xx, all=every rule"
+            "rule-family shortcut: perf=REP5xx, grad=REP6xx, all=every rule"
         ),
     )
     p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "racecheck",
-        help="run the REP7xx concurrency/process-safety rules",
-    )
-    p.add_argument("paths", nargs="*", default=["src/repro"])
-    p.add_argument(
-        "--baseline",
-        default="tools/lint_baseline.json",
-        help="baseline JSON to honor (default tools/lint_baseline.json)",
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_racecheck)
-
-    p = sub.add_parser(
-        "arraycheck",
-        help="run the REP8xx array shape/dtype/layout contract rules",
-    )
-    p.add_argument("paths", nargs="*", default=["src/repro"])
-    p.add_argument(
-        "--baseline",
-        default="tools/lint_baseline.json",
-        help="baseline JSON to honor (default tools/lint_baseline.json)",
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_arraycheck)
 
     p = sub.add_parser(
         "archcheck",

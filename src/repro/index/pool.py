@@ -108,7 +108,7 @@ def _shard_worker_main(conn, payloads: dict[int, tuple]) -> None:
                     # The worker has nothing else to do between requests;
                     # blocking forever is the mainloop's contract, and the
                     # parent kills the process on shutdown/timeout.
-                    msg = conn.recv()  # repro: noqa[REP706] worker mainloop blocks by design
+                    msg = conn.recv()
                 except (EOFError, OSError):
                     break
                 if msg[0] == "stop":
@@ -338,7 +338,7 @@ class ProcessShardPool:
                     try:
                         # _mp_wait above proved the pipe is readable, so
                         # this recv returns without blocking.
-                        msg = worker.conn.recv()  # repro: noqa[REP706] readiness-checked via _mp_wait
+                        msg = worker.conn.recv()
                     except (EOFError, OSError):
                         self._respawn(worker, shard)
                         raise WorkerCrashedError(

@@ -75,10 +75,10 @@ class _LRUStore:
         if entry is None:
             # Counter updates run under the owning QueryCache._lock —
             # every public caller takes it before reaching the store.
-            self.stats.misses += 1  # repro: noqa[REP701] guarded by QueryCache._lock
+            self.stats.misses += 1  # guarded by QueryCache._lock
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1  # repro: noqa[REP701] guarded by QueryCache._lock
+        self.stats.hits += 1  # guarded by QueryCache._lock
         return entry
 
     def put(self, key: Any, value: Any) -> None:
@@ -87,7 +87,7 @@ class _LRUStore:
         self._entries[key] = value
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1  # repro: noqa[REP701] guarded by QueryCache._lock
+            self.stats.evictions += 1  # guarded by QueryCache._lock
 
     def clear(self) -> None:
         self._entries.clear()

@@ -19,6 +19,15 @@ __all__ = ["QGramLookup"]
 
 
 class QGramLookup(LookupService):
+    """Inverted q-gram index, one row per indexed surface form.
+
+    Rows are append-only and never renumbered: :meth:`add` appends,
+    :meth:`drop_entity` takes a row out of the posting lists and blanks
+    its entity id.  Both run on the single mutation thread; lock-free
+    readers see a row only once its gram set and entity id are in place,
+    and a posting list is replaced, never edited, when it loses a row.
+    """
+
     name = "qgram"
 
     def __init__(self, q: int = 3, include_aliases: bool = False):
@@ -29,7 +38,8 @@ class QGramLookup(LookupService):
         self.include_aliases = include_aliases
         self._postings: dict[str, list[int]] = defaultdict(list)
         self._gram_sets: list[frozenset[str]] = []
-        self._entity_ids: list[str] = []
+        #: row -> entity id, ``None`` once the row's entity was dropped.
+        self._entity_ids: list[str | None] = []
 
     @classmethod
     def build(
@@ -43,14 +53,39 @@ class QGramLookup(LookupService):
         for entity in kg.entities():
             mentions = entity.mentions if include_aliases else (entity.label,)
             for mention in mentions:
-                label = normalize(mention)
-                row = len(service._gram_sets)
-                grams = frozenset(qgrams(label, service.q))
-                service._gram_sets.append(grams)
-                service._entity_ids.append(entity.entity_id)
-                for gram in grams:
-                    service._postings[gram].append(row)
+                service.add(mention, entity.entity_id)
         return service
+
+    def add(self, mention: str, entity_id: str) -> None:
+        """Index one surface form of ``entity_id`` as the next row."""
+        grams = frozenset(qgrams(normalize(mention), self.q))
+        row = len(self._gram_sets)
+        self._gram_sets.append(grams)
+        self._entity_ids.append(entity_id)
+        # Postings last: a reader that finds the row can resolve it.
+        for gram in grams:
+            self._postings[gram].append(row)
+
+    def drop_entity(self, entity_id: str) -> int:
+        """Retire every row of ``entity_id``; returns how many there were.
+
+        O(rows) scan on the mutation path, like
+        :meth:`repro.lookup.router.LabelHashTable.drop_entity`.
+        """
+        rows = {
+            row
+            for row, owner in enumerate(self._entity_ids)
+            if owner == entity_id
+        }
+        for row in rows:
+            self._entity_ids[row] = None
+        for gram in set().union(*(self._gram_sets[row] for row in rows)):
+            remaining = [r for r in self._postings[gram] if r not in rows]
+            if remaining:
+                self._postings[gram] = remaining
+            else:
+                del self._postings[gram]
+        return len(rows)
 
     def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
         return [self._single(normalize(q), k) for q in queries]
@@ -82,7 +117,8 @@ class QGramLookup(LookupService):
         for score, neg_row in sorted(heap, reverse=True):
             row = -neg_row
             entity_id = self._entity_ids[row]
-            if entity_id in seen:
+            # ``None``: dropped after the posting lists were read.
+            if entity_id is None or entity_id in seen:
                 continue
             seen.add(entity_id)
             out.append(Candidate(entity_id, float(score)))

@@ -266,7 +266,10 @@ class LookupRouter(LookupService):
         raises on the first query that needs the tier.
     fuzzy:
         Service for short / low-alphabetic queries, or ``None`` to send
-        them to the ANN tier too.
+        them to the ANN tier too.  :meth:`add_entity` /
+        :meth:`remove_entity` need it to have the ``add`` /
+        ``drop_entity`` pair of :class:`LabelHashTable` (the q-gram and
+        Levenshtein services do).
     min_string_length_to_trigger:
         Normalized queries shorter than this never reach the embedding
         model (KAZU's knob of the same name).
@@ -350,6 +353,50 @@ class LookupRouter(LookupService):
             type_map=TypeFilterMap.from_kg(kg),
             **kwargs,
         )
+
+    # -- online mutation ---------------------------------------------------------
+
+    def require_mutable(self) -> None:
+        """Raise :class:`ValueError` unless every local tier can follow
+        :meth:`add_entity` / :meth:`remove_entity` — a fuzzy service
+        without ``add`` / ``drop_entity`` would keep serving removed
+        entities and never learn added ones."""
+        if self.fuzzy is not None and not (
+            callable(getattr(self.fuzzy, "add", None))
+            and callable(getattr(self.fuzzy, "drop_entity", None))
+        ):
+            raise ValueError(
+                f"router fuzzy tier {self.fuzzy.name!r} cannot follow "
+                "mutations (no add/drop_entity)"
+            )
+
+    def add_entity(
+        self,
+        entity_id: str,
+        mentions: list[str] | tuple[str, ...],
+        types: tuple[str, ...] = (),
+    ) -> None:
+        """Make ``entity_id`` answerable by the exact and fuzzy tiers under
+        every mention, and admissible under ``types`` (full type set,
+        primary type first).  Serialized by the caller, like the tiers'
+        own mutators."""
+        self.require_mutable()
+        for mention in mentions:
+            self.label_table.add(mention, entity_id)
+            if self.fuzzy is not None:
+                self.fuzzy.add(mention, entity_id)
+        if self.type_map is not None and types:
+            self.type_map.add_entity(entity_id, types, types[0])
+
+    def remove_entity(self, entity_id: str) -> None:
+        """Retract ``entity_id`` from the exact tier, the fuzzy tier and
+        the type map, so no local tier answers with it again."""
+        self.require_mutable()
+        self.label_table.drop_entity(entity_id)
+        if self.fuzzy is not None:
+            self.fuzzy.drop_entity(entity_id)
+        if self.type_map is not None:
+            self.type_map.remove_entity(entity_id)
 
     # -- tier classification -----------------------------------------------------
 

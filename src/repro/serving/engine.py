@@ -34,8 +34,9 @@ change-feed record (add/remove/update of a whole entity, see
 :mod:`repro.serving.ingest`) while ``submit()`` traffic keeps flowing.
 Mutations serialize on the engine's mutation lock and propagate to every
 structure that answers queries: the vector index, the row->entity map,
-the router's :class:`~repro.lookup.router.LabelHashTable` and
-:class:`~repro.lookup.router.TypeFilterMap`, and the result cache.
+the router's exact, fuzzy and type-filter tiers (through
+:meth:`~repro.lookup.router.LookupRouter.add_entity` /
+``remove_entity``), and the result cache.
 :meth:`LookupEngine.compact` reclaims tombstoned rows and re-keys the
 row->entity map through the remap the index returns.
 
@@ -246,6 +247,13 @@ class LookupEngine(LookupService):
             type_map
             if type_map is not None
             else (router.type_map if router is not None else None)
+        )
+        # The map the mutation path must update itself; the router
+        # updates its own, which is usually this same object.
+        self._own_type_map = (
+            None
+            if router is not None and router.type_map is self._type_map
+            else self._type_map
         )
         self.stage_times: dict[str, Stopwatch] = {
             stage: Stopwatch() for stage in _STAGES
@@ -468,14 +476,18 @@ class LookupEngine(LookupService):
 
         Raises :class:`ValueError` for semantically invalid records —
         adding an entity that already exists, removing or updating one
-        that does not, an empty mention list — which is exactly what the
-        ingestion consumer's dead-letter lane catches.
+        that does not, an empty mention list — and for any record when
+        the router's fuzzy tier cannot follow mutations (it would go
+        stale), which is exactly what the ingestion consumer's
+        dead-letter lane catches.
         """
         kind = mutation.kind
         entity_id = mutation.entity_id
         mentions = list(mutation.mentions)
         types = tuple(mutation.types)
         with self._mutation_lock:
+            if self.router is not None:
+                self.router.require_mutable()
             if kind == "remove":
                 self._mutate_remove(entity_id)
             elif kind in ("add", "update"):
@@ -552,10 +564,9 @@ class LookupEngine(LookupService):
             self._index.add(vectors)
         self._entity_rows[entity_id] = list(range(base, base + len(mentions)))
         if self.router is not None:
-            for mention in mentions:
-                self.router.label_table.add(mention, entity_id)
-        if self._type_map is not None and types:
-            self._type_map.add_entity(entity_id, types, types[0])
+            self.router.add_entity(entity_id, mentions, types)
+        if self._own_type_map is not None and types:
+            self._own_type_map.add_entity(entity_id, types, types[0])
 
     def _mutate_remove(self, entity_id: str) -> None:
         """Tombstone an entity's rows and retract its router entries.
@@ -568,9 +579,9 @@ class LookupEngine(LookupService):
         if rows is None:
             raise ValueError(f"entity {entity_id!r} is not indexed")
         if self.router is not None:
-            self.router.label_table.drop_entity(entity_id)
-        if self._type_map is not None:
-            self._type_map.remove_entity(entity_id)
+            self.router.remove_entity(entity_id)
+        if self._own_type_map is not None:
+            self._own_type_map.remove_entity(entity_id)
         self._index.remove(np.asarray(rows, dtype=np.int64))
 
     def compact(self) -> bool:

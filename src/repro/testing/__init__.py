@@ -13,8 +13,7 @@ Three pieces, all dependency-free (numpy only):
   accept;
 - :mod:`repro.testing.sanitizer` — the runtime lock-order tracker
   (``REPRO_SANITIZER=1``) that records the dynamic lock-acquisition
-  graph during the property suites and fails tests on inversions,
-  cross-validating the static REP703 deadlock detector.
+  graph during the property suites and fails tests on inversions.
 
 Layering: this package may import the production layers it tests
 (index, lookup, serving); no production layer may import it — enforced

@@ -1,10 +1,8 @@
-"""Runtime lock-order sanitizer: the dynamic half of the REP7xx pass.
+"""Runtime lock-order sanitizer: the one net for lock-order inversions.
 
-The static REP703 rule (:mod:`repro.analysis.concurrency`) flags
-lock-order inversions it can prove from the AST; this module catches the
-ones it cannot — locks reached through data structures, callbacks, or
-dynamic dispatch — by *recording* the lock-order graph actually executed
-while the property suites run, and failing the test the moment an edge
+It *records* the lock-order graph actually executed while the property
+suites run — locks reached through data structures, callbacks and
+dynamic dispatch included — and fails the test the moment an edge
 closes a cycle.
 
 Design:
@@ -18,10 +16,9 @@ Design:
   :class:`LockOrderViolation` is recorded.  Detection needs no actual
   interleaving: sequentially running ``A→B`` then ``B→A`` on one thread
   is enough, which keeps the sanitized suites deterministic.
-- Locks are named by **creation site** (``file.py:lineno``), the dynamic
-  mirror of the static rule's ``module.Class.attr`` canonicalisation:
-  every lock born at one source line is one graph node, so sibling
-  instances share ordering constraints exactly as REP703 assumes.
+- Locks are named by **creation site** (``file.py:lineno``): every lock
+  born at one source line is one graph node, so sibling instances share
+  ordering constraints.
 - :func:`install` monkeypatches ``threading.Lock`` with a factory that
   returns a :class:`TrackedLock` for locks created *in repro or test
   code* and a real lock otherwise (stdlib internals such as

@@ -1,4 +1,4 @@
-"""Declared array contracts: the shared half of the REP8xx pass.
+"""Declared array contracts and their runtime validator.
 
 A contract is a one-line, machine-readable signature for an array API::
 
@@ -27,21 +27,17 @@ Grammar (comma-separated entries, ``params -> returns``):
   not match the positionally-corresponding parameter is an import-time
   error, so contracts cannot drift from signatures silently.
 
-Two consumers share this module (grammar consistency is the point):
+The **runtime validator** makes the decorator check real arrays at call
+time; it is the one net for shape / dtype / layout at the kernel
+boundaries.  Mirroring :mod:`repro.testing.sanitizer`, violations are
+*recorded* on a :class:`ContractTracker` rather than raised mid-call (a
+shape bug usually still executes; raising inside a serving path would
+poison unrelated teardown) and surfaced per-test by the conftest when
+``REPRO_ARRAYCHECK=1``.
 
-- the **static pass** (:mod:`repro.analysis.arrays`) treats contracts as
-  function summaries and propagates symbolic shape/dtype/layout facts
-  through call sites;
-- the **runtime validator** here makes the same decorator check real
-  arrays at call time.  Mirroring :mod:`repro.testing.sanitizer`,
-  violations are *recorded* on a :class:`ContractTracker` rather than
-  raised mid-call (a shape bug usually still executes; raising inside a
-  serving path would poison unrelated teardown) and surfaced per-test by
-  the conftest when ``REPRO_ARRAYCHECK=1``.
-
-Violations carry the static rule ids — REP801 shape/dim, REP802 dtype,
-REP803 layout, REP804 sub-int64 id width — so cross-validation tests can
-compare the two halves finding-for-finding.
+Violations carry a rule id — REP801 shape/dim, REP802 dtype, REP803
+layout, REP804 sub-int64 id width — so tests can assert which contract
+clause a seeded violation tripped.
 """
 
 from __future__ import annotations
@@ -265,16 +261,15 @@ def parse_contract(text: str) -> ArrayContract:
     return ArrayContract(text=text, params=tuple(params), returns=returns)
 
 
-# -- shared dtype verdicts ---------------------------------------------------------
+# -- dtype verdicts ----------------------------------------------------------------
 
 
 def dtype_verdict(token: str, actual: str) -> tuple[str, str] | None:
     """``(rule, why)`` when dtype ``actual`` violates ``token``, else ``None``.
 
-    Shared by the static pass and the runtime validator so both halves
-    classify identically: a sub-int64 integer where ``i64`` is declared
-    is the id-width overflow hazard (REP804); every other mismatch is a
-    dtype-contract violation (REP802).
+    A sub-int64 integer where ``i64`` is declared is the id-width
+    overflow hazard (REP804); every other mismatch is a dtype-contract
+    violation (REP802).
     """
     if token == "any":
         return None
@@ -321,7 +316,7 @@ class ContractTracker:
         self._violations: list[str] = []
 
     def record(self, rule: str, message: str) -> None:
-        """Record one violation under static rule id ``rule``."""
+        """Record one violation under rule id ``rule``."""
         with self._meta:
             self._violations.append(f"{rule} {message}")
 

@@ -1,8 +1,8 @@
 """Contract-conforming mirror of ``arrays_violations.py``.
 
 Same kernels, same call shapes — every driver passes arrays that satisfy
-the declared contracts, so the static pass reports nothing and executing
-the drivers under the runtime validator records nothing.
+the declared contracts, so executing the drivers under the runtime
+validator records nothing.
 """
 
 import numpy as np
@@ -40,14 +40,3 @@ def remap_wide():
     ids = np.arange(6, dtype=np.int64)
     return remap_ids(ids)
 
-
-class _PrivateScanner:
-    # Private class: uncontracted ndarray signatures are fine here.
-    def project(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors
-
-
-class ContractedScanner:
-    @array_contract("vectors: (n, d) f32::any -> (n, d) f32::any")
-    def project(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors

@@ -1,13 +1,10 @@
 """Seeded REP80x array-contract violations.
 
-Each ``rank_*``/``*_narrow``/``narrow_*`` driver trips exactly one rule,
-marked by a trailing ``# REP80x`` comment on the violating line.  The
-static pass must flag every marked line when this file is linted under a
-``repro/index/...`` virtual path, and executing the drivers under the
-runtime validator must record the same rules (except the two static-only
-cases: the bare ``remap_narrow`` arithmetic, which crosses no contracted
-call, and the ``PublicScanner`` missing contract) — the REP8xx analogue
-of the PR 7 lockorder fixture pair.
+Each ``rank_*``/``narrow_*`` driver trips exactly one rule, marked by a
+trailing ``# REP80x`` comment on the violating line.  Executing the
+drivers under the runtime validator (``REPRO_ARRAYCHECK=1``, or a scoped
+tracker) must record those rules — the array-contract analogue of the
+lockorder fixture pair.
 """
 
 import numpy as np
@@ -50,16 +47,6 @@ def rank_fortran():
     return rank_kernel(queries, 2)  # REP803 Fortran view into a C kernel
 
 
-def remap_narrow():
-    ids = np.arange(6, dtype=np.int64).astype(np.int32)
-    return ids * 4  # REP804 narrow-int id arithmetic (static-only)
-
-
 def narrow_ids():
     ids = np.arange(5, dtype=np.int32)
     return remap_ids(ids)  # REP804 int32 ids into an i64 contract
-
-
-class PublicScanner:
-    def project(self, vectors: np.ndarray) -> np.ndarray:  # REP805
-        return vectors

@@ -1,8 +1,8 @@
 """The same two-lock workloads with one global acquisition order.
 
 Every path takes ``alpha`` (or ``accounts``) strictly before ``beta``
-(``audit``), so the lock-order graph is acyclic: zero REP703 findings,
-and the runtime sanitizer records no violation when this executes.
+(``audit``), so the lock-order graph is acyclic: the runtime sanitizer
+records no violation when this executes.
 """
 
 import threading

@@ -1,6 +1,5 @@
-"""Seeded lock-order inversions: REP703 must flag them statically and the
-runtime sanitizer must record the same cycle when this file is executed
-(see ``tests/testing/test_sanitizer.py`` for the cross-validation).
+"""Seeded lock-order inversions: the runtime sanitizer must record each
+cycle when this file is executed (see ``tests/testing/test_sanitizer.py``).
 
 ``InvertedPair`` inverts directly inside one class; ``Ledger`` inverts
 interprocedurally — ``transfer`` holds the accounts lock while a callee
@@ -18,12 +17,12 @@ class InvertedPair:
 
     def ab(self):
         with self._alpha_lock:
-            with self._beta_lock:  # REP703: alpha -> beta
+            with self._beta_lock:  # alpha -> beta
                 self.value += 1
 
     def ba(self):
         with self._beta_lock:
-            with self._alpha_lock:  # REP703: beta -> alpha closes the cycle
+            with self._alpha_lock:  # beta -> alpha closes the cycle
                 self.value -= 1
 
 
@@ -37,7 +36,7 @@ class Ledger:
     def transfer(self, amount):
         with self._accounts_lock:
             self.balance += amount
-            self._record(amount)  # REP703: callee takes audit under accounts
+            self._record(amount)  # callee takes audit under accounts
 
     def _record(self, amount):
         with self._audit_lock:
@@ -45,5 +44,5 @@ class Ledger:
 
     def audit(self):
         with self._audit_lock:
-            with self._accounts_lock:  # REP703: opposite nesting order
+            with self._accounts_lock:  # opposite nesting order
                 return self.balance, self.entries

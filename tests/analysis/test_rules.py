@@ -37,20 +37,9 @@ class TestRegistry:
             "REP503",
             "REP504",
             "REP601",
-            "REP702",
-            "REP704",
-            "REP705",
-            "REP706",
-            "REP805",
         }
         assert set(PROJECT_RULES) == {
             "REP602",
-            "REP701",
-            "REP703",
-            "REP801",
-            "REP802",
-            "REP803",
-            "REP804",
         }
 
     def test_registry_keys_match_instances(self):

@@ -195,6 +195,46 @@ class TestRouting:
         with pytest.raises(ValueError, match="fuzzy"):
             LookupRouter.build(tiny_kg, fuzzy="nope")
 
+    @pytest.mark.parametrize("name", ["qgram", "levenshtein"])
+    def test_entity_mutations_reach_every_local_tier(self, tiny_kg, name):
+        router = LookupRouter.build(tiny_kg, ann=StubService(), fuzzy=name)
+        victim, short = next(
+            (e, m)
+            for e in tiny_kg.entities()
+            for m in e.mentions
+            if len(m) == 3 and m.isalpha()
+        )
+        router.remove_entity(victim.entity_id)
+        router.add_entity("e-new", ("zq7", "zq7 long form"), victim.type_ids)
+        assert router.label_table.lookup(short) == ()
+        assert router.label_table.lookup("zq7") == ("e-new",)
+        allowed = router.type_map.allowed(victim.type_ids[0])
+        assert "e-new" in allowed and victim.entity_id not in allowed
+        # The fuzzy tier answers like one built over the resulting state:
+        # dropped rows leave no trace in scores or tie order.
+        twin = type(router.fuzzy)(include_aliases=True)
+        for entity in tiny_kg.entities():
+            if entity.entity_id != victim.entity_id:
+                for mention in entity.mentions:
+                    twin.add(mention, entity.entity_id)
+        twin.add("zq7", "e-new")
+        twin.add("zq7 long form", "e-new")
+        for query in (short, short[:-1] + "#", "zq8", "us", "b-52"):
+            got = router.fuzzy.lookup(query, 5)
+            assert got == twin.lookup(query, 5)
+            assert victim.entity_id not in [c.entity_id for c in got]
+        assert router.fuzzy.lookup("zq8", 3)[0].entity_id == "e-new"
+
+    def test_fuzzy_tier_without_mutators_refuses_mutations(self, router_parts):
+        _, table, _ = router_parts
+        router = LookupRouter(table, fuzzy=StubService())
+        size = len(table)
+        with pytest.raises(ValueError, match="cannot follow"):
+            router.add_entity("e-new", ("zq7",))
+        with pytest.raises(ValueError, match="cannot follow"):
+            router.remove_entity("e-new")
+        assert len(table) == size
+
     def test_validates_knobs(self, router_parts):
         _, table, _ = router_parts
         with pytest.raises(ValueError, match="min_string_length"):

@@ -6,7 +6,9 @@ Three tiers of guarantees for the online-mutation path:
   through any seeded add/remove/update/compact sequence serves results
   bit-identical to a *twin* built in one shot from the equivalent bulk
   state (same append order, same tombstones).  Runs over the flat family
-  and sharded indexes under the inline and process executors.
+  and sharded indexes under the inline and process executors, and over a
+  routed :class:`LookupEngine` whose exact and fuzzy tiers must follow
+  entity-level mutations too.
 - **old-or-new** (concurrent) — a lookup racing a mutation returns a
   result bit-identical to the pre-mutation oracle or the post-mutation
   oracle, never a mixture (torn read).  The mutator and the searchers
@@ -29,6 +31,9 @@ import pytest
 from repro.index.flat import FlatIndex
 from repro.index.sharded import ShardedIndex
 from repro.index.shm import owned_segment_names
+from repro.lookup.qgram import QGramLookup
+from repro.lookup.router import LabelHashTable, LookupRouter
+from repro.serving import IndexMutation, LookupEngine
 from repro.testing import (
     FaultInjected,
     FaultPlan,
@@ -173,6 +178,90 @@ def apply_op(index, model: BulkModel, op) -> None:
     )
 
 
+class EngineModel:
+    """Bulk state of a routed engine: every index row ever appended, the
+    tombstoned rows, and the live entities' surface forms in the order
+    the router tiers learned them."""
+
+    def __init__(self, pipeline):
+        self.pipeline = pipeline
+        mentions, owners = pipeline.index_rows()
+        self.blocks = [pipeline.embed_queries(mentions)]
+        self.owners = list(owners)
+        self.dead: set[int] = set()
+        self.surface = {
+            e.entity_id: tuple(e.mentions) for e in pipeline.kg.entities()
+        }
+
+    def add(self, entity_id: str, mentions: tuple[str, ...]) -> None:
+        self.blocks.append(self.pipeline.embed_queries(mentions))
+        self.owners.extend([entity_id] * len(mentions))
+        self.surface[entity_id] = mentions
+
+    def remove(self, entity_id: str) -> None:
+        del self.surface[entity_id]
+        self.dead.update(
+            row
+            for row, owner in enumerate(self.owners)
+            if owner == entity_id and row not in self.dead
+        )
+
+    def compacted(self) -> None:
+        live = [r for r in range(len(self.owners)) if r not in self.dead]
+        self.blocks = [np.concatenate(self.blocks, axis=0)[live]]
+        self.owners = [self.owners[r] for r in live]
+        self.dead = set()
+
+    def twin(self) -> LookupEngine:
+        """A routed engine built in one shot over the current state."""
+        matrix = np.concatenate(self.blocks, axis=0)
+        index = FlatIndex(matrix.shape[1])
+        index.add(matrix)
+        if self.dead:
+            index.remove(np.asarray(sorted(self.dead), dtype=np.int64))
+        router = LookupRouter(
+            LabelHashTable(), fuzzy=QGramLookup(include_aliases=True)
+        )
+        for entity_id, mentions in self.surface.items():
+            router.add_entity(entity_id, mentions)
+        return LookupEngine(
+            self.pipeline, index, list(self.owners), router=router
+        )
+
+
+def fresh_mentions(rng: np.random.Generator, count: int) -> tuple[str, ...]:
+    """``count`` new surface forms, alternating a 3-character one (the
+    router's fuzzy tier) with a long one (the ANN tier)."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    return tuple(
+        "".join(rng.choice(list(letters), size=3 if i % 2 == 0 else 9))
+        for i in range(count)
+    )
+
+
+def apply_engine_op(engine, model: EngineModel, step: int, op) -> None:
+    """Apply one seeded entity-level op to the engine and the model."""
+    kind, op_seed, count = op
+    rng = case_rng(op_seed, 0)
+    if kind == "compact":
+        assert engine.compact() == bool(model.dead)
+        model.compacted()
+        return
+    if kind == "add":
+        entity_id = f"N{step}"
+    else:
+        entity_id = str(rng.choice(sorted(model.surface)))
+        model.remove(entity_id)
+    if kind == "remove":
+        engine.apply_mutation(IndexMutation(step, "remove", entity_id))
+        return
+    mentions = fresh_mentions(rng, min(count, 3))
+    engine.apply_mutation(
+        IndexMutation(step, kind, entity_id, mentions=mentions)
+    )
+    model.add(entity_id, mentions)
+
+
 def queries_for(case: MutationCase) -> np.ndarray:
     return case_rng(case.seed, 1).standard_normal((4, DIM)).astype(np.float32)
 
@@ -271,6 +360,42 @@ class TestReplayEquivalence:
 
         run_cases(prop, MutationStrategy(), cases=3, name="process_replay")
         assert owned_segment_names() == []
+
+    def test_routed_engine_replay_equivalence(self, trained_service):
+        """Every tier of a routed engine follows entity mutations: after
+        each op the exact, fuzzy and ANN answers equal a twin whose
+        router and index were built once over the resulting state."""
+        kg = trained_service.kg
+        seen = [m for e in kg.entities() for m in e.mentions]
+        short = [m for m in seen if len(m) < 4]
+        # Exact hits, short strings and their typos (fuzzy tier), and
+        # typo'd long labels (ANN tier) — of entities the ops may remove.
+        base_queries = (
+            seen[:12]
+            + short
+            + [m[:-1] + "#" for m in short]
+            + [m[:-1] + "x" for m in seen[:12] if len(m) >= 6]
+        )
+
+        def prop(case):
+            model = EngineModel(trained_service)
+            with LookupEngine.from_pipeline(
+                trained_service, router=True, cache_size=0
+            ) as engine:
+                queries = list(base_queries)
+                for step, op in enumerate(case.ops):
+                    apply_engine_op(engine, model, step, op)
+                    added = model.surface.get(f"N{step}", ())
+                    queries += [*added, *(m[:-1] + "#" for m in added)]
+                    assert any(engine.router.wants_fuzzy(q) for q in queries)
+                    with model.twin() as twin:
+                        assert engine.lookup_batch(
+                            queries, case.k
+                        ) == twin.lookup_batch(queries, case.k), (
+                            f"after op {step} ({op[0]})"
+                        )
+
+        run_cases(prop, MutationStrategy(), cases=10, name="routed_replay")
 
 
 # -- old-or-new under concurrency -------------------------------------------------

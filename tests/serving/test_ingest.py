@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.lookup.cache import QueryCache
+from repro.lookup.fuzzy import FuzzyWuzzyLookup
+from repro.lookup.router import LookupRouter
 from repro.serving.engine import LookupEngine
 from repro.serving.ingest import (
     ChangeFeedConsumer,
@@ -155,6 +157,53 @@ class TestStaleCacheRegression:
             assert not any(
                 c.entity_id == victim.entity_id for c in after
             ), "pre-remove answer was cached under the post-remove generation"
+        finally:
+            engine.close()
+
+    def test_mutations_reach_the_router_fuzzy_tier(
+        self, trained_service, tiny_kg
+    ):
+        """Short strings never reach the ANN tier, so the q-gram tier
+        must drop a removed entity and learn an added one itself."""
+        engine = fresh_engine(trained_service, cache_size=0)
+        victim, short = next(
+            (e.entity_id, m)
+            for e in tiny_kg.entities()
+            for m in e.mentions
+            if len(m) == 3 and m.isalpha()
+        )
+        try:
+            assert engine.lookup(short, 3)[0].entity_id == victim
+            engine.apply_mutation(IndexMutation(0, "remove", victim))
+            for query in (short, short[:-1] + "#"):
+                assert engine.router.wants_fuzzy(query)
+                assert victim not in [
+                    c.entity_id for c in engine.lookup(query, 10)
+                ], f"fuzzy tier served the removed entity for {query!r}"
+            engine.apply_mutation(
+                IndexMutation(1, "add", "e-short", mentions=("zq7",))
+            )
+            assert "e-short" in [
+                c.entity_id for c in engine.lookup("zq8", 3)
+            ], "fuzzy tier never learned the added entity"
+        finally:
+            engine.close()
+
+    def test_fuzzy_tier_that_cannot_follow_is_a_poison_record(
+        self, trained_service, tiny_kg
+    ):
+        """A router that would go stale refuses the mutation up front."""
+        router = LookupRouter.build(
+            tiny_kg, fuzzy=FuzzyWuzzyLookup.build(tiny_kg)
+        )
+        engine = fresh_engine(trained_service, router=router)
+        try:
+            ntotal = engine.index.ntotal
+            with pytest.raises(ValueError, match="cannot follow"):
+                engine.apply_mutation(
+                    IndexMutation(0, "add", "e-stale", mentions=("stale",))
+                )
+            assert engine.index.ntotal == ntotal
         finally:
             engine.close()
 

@@ -176,86 +176,6 @@ class TestLintCommand:
         assert "--profile" in capsys.readouterr().err
 
 
-class TestRacecheckCommand:
-    def write_serving_module(self, tmp_path, source):
-        pkg = tmp_path / "repro" / "index"
-        pkg.mkdir(parents=True)
-        target = pkg / "module.py"
-        target.write_text(source)
-        return target
-
-    def test_repo_passes_its_own_racecheck(self, capsys):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[1]
-        rc = main([
-            "racecheck", str(root / "src" / "repro"),
-            "--baseline", str(root / "tools" / "lint_baseline.json"),
-        ])
-        assert rc == 0
-        assert "racecheck OK" in capsys.readouterr().out
-
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        self.write_serving_module(
-            tmp_path,
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self.n = 0\n"
-            "    def bump(self):\n"
-            "        with self._lock:\n"
-            "            self.n += 1\n",
-        )
-        rc = main(["racecheck", str(tmp_path), "--no-baseline"])
-        assert rc == 0
-        assert "racecheck OK" in capsys.readouterr().out
-
-    def test_unguarded_write_exits_one(self, tmp_path, capsys):
-        self.write_serving_module(
-            tmp_path,
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self.n = 0\n"
-            "    def bump(self):\n"
-            "        self.n += 1\n",
-        )
-        rc = main(["racecheck", str(tmp_path), "--no-baseline"])
-        assert rc == 1
-        assert "REP701" in capsys.readouterr().out
-
-    def test_only_rep7_rules_run(self, tmp_path, capsys):
-        # A dtype violation (REP101) must not surface through racecheck.
-        self.write_serving_module(
-            tmp_path, "import numpy as np\nx = np.zeros(3)\n"
-        )
-        rc = main(["racecheck", str(tmp_path), "--no-baseline"])
-        assert rc == 0
-        assert "racecheck OK" in capsys.readouterr().out
-
-    def test_json_format(self, tmp_path, capsys):
-        import json
-
-        self.write_serving_module(
-            tmp_path,
-            "def drain(conn):\n"
-            "    return conn.recv()\n",
-        )
-        rc = main([
-            "racecheck", str(tmp_path), "--no-baseline", "--format", "json",
-        ])
-        assert rc == 1
-        document = json.loads(capsys.readouterr().out)
-        assert [r["rule"] for r in document["findings"]] == ["REP706"]
-
-    def test_missing_path_exits_two(self, tmp_path, capsys):
-        rc = main(["racecheck", str(tmp_path / "nope"), "--no-baseline"])
-        assert rc == 2
-        assert "no such file" in capsys.readouterr().err
-
-
 class TestArchcheckCommand:
     def repo_args(self):
         from pathlib import Path

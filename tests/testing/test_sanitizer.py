@@ -1,9 +1,8 @@
-"""Runtime lock-order sanitizer tests, including static/dynamic agreement.
+"""Runtime lock-order sanitizer tests.
 
-The cross-validation tests execute the REP703 fixtures with
-``threading.Lock`` replaced by a tracked factory: the violating fixture
-must record the same inversion the static rule flags, and the clean
-fixture must record none.
+The cross-validation tests execute the seeded ``lockorder_*`` fixtures
+with ``threading.Lock`` replaced by a tracked factory: the violating
+fixture must record its inversions, and the clean fixture none.
 """
 
 import threading
@@ -111,7 +110,7 @@ class TestInversionDetection:
 
 
 class TestCrossValidation:
-    """The seeded REP703 fixtures must trip (or not trip) the sanitizer too."""
+    """The seeded lock-order fixtures must trip (or not trip) the sanitizer."""
 
     def run_fixture(self, name):
         tracker = LockOrderTracker()
@@ -122,8 +121,7 @@ class TestCrossValidation:
             namespace,
         )
         # Rebind Lock so the fixture classes build tracked locks; each
-        # __init__ line becomes one graph node, mirroring REP703's
-        # module.Class.attr canonicalisation.
+        # __init__ line becomes one graph node.
         namespace["threading"] = type(
             "T", (), {"Lock": staticmethod(tracked_factory(tracker))}
         )

@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--select", default=None)
     parser.add_argument(
         "--profile",
-        choices=["all", "arrays", "conc", "grad", "perf"],
+        choices=["all", "grad", "perf"],
         default=None,
         help="named rule family shortcut (mutually exclusive with --select)",
     )
