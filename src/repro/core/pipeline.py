@@ -265,11 +265,14 @@ class EmbLookup:
         )
 
     def _embed_in_batches(self, mentions: list[str], batch: int = 512) -> np.ndarray:
+        """Embed already-normalised mentions, at most ``batch`` per forward."""
         assert self.model is not None
         chunks = [
-            self.model.embed(mentions[i : i + batch])
+            self.model.embed_normalized(mentions[i : i + batch])
             for i in range(0, len(mentions), batch)
         ]
+        if len(chunks) == 1:
+            return chunks[0]
         if not chunks:
             return np.empty((0, self.config.embedding_dim), dtype=np.float32)
         return np.concatenate(chunks, axis=0)

@@ -13,9 +13,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.embedding.inference import embed_cnn
 from repro.nn import functional as F
 from repro.nn.layers import Conv1d, Linear, Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.text.encoding import OneHotEncoder
 from repro.utils.rng import as_rng
 
@@ -81,6 +82,16 @@ class CharCNNEncoder(Module):
     def dim(self) -> int:
         return self.out_dim
 
+    @property
+    def conv_layers(self) -> Sequence[Conv1d]:
+        """The convolutional layers, input side first."""
+        return self._convs
+
+    @property
+    def pool_after(self) -> Sequence[bool]:
+        """Per conv layer: whether a stride-2 max-pool follows it."""
+        return self._pool_after
+
     def forward(self, x: Tensor) -> Tensor:
         """Encode one-hot batches ``(N, |A|, L)`` to embeddings ``(N, out_dim)``."""
         for conv, pool in zip(self._convs, self._pool_after):
@@ -92,10 +103,5 @@ class CharCNNEncoder(Module):
         return self.head(flat)
 
     def embed(self, mentions: Sequence[str]) -> np.ndarray:
-        """Inference helper: strings -> numpy embeddings (no gradients)."""
-        if not mentions:
-            return np.empty((0, self.out_dim), dtype=np.float32)
-        batch = Tensor(self.encoder.encode_batch(mentions))
-        with no_grad():
-            out = self.forward(batch)
-        return out.data.astype(np.float32)
+        """Inference helper: strings -> float32 embeddings (no autograd)."""
+        return embed_cnn(self, mentions)

@@ -15,9 +15,11 @@ import numpy as np
 
 from repro.embedding.cnn import CharCNNEncoder
 from repro.embedding.fasttext import FastTextModel
+from repro.embedding.inference import embed_dual_tower
 from repro.nn.layers import Linear, Module
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor, concatenate
 from repro.text.encoding import OneHotEncoder
+from repro.text.tokenize import normalize
 from repro.utils.rng import as_rng
 
 __all__ = ["EmbLookupModel"]
@@ -98,9 +100,13 @@ class EmbLookupModel(Module):
         raise TypeError("EmbLookupModel requires forward_mentions(mentions)")
 
     def embed(self, mentions: Sequence[str]) -> np.ndarray:
-        """Inference: strings -> float32 embeddings, no gradient tracking."""
-        if not mentions:
-            return np.empty((0, self.out_dim), dtype=np.float32)
-        with no_grad():
-            out = self.forward_mentions(list(mentions))
-        return out.data.astype(np.float32)
+        """Inference: strings -> float32 embeddings, no autograd objects."""
+        return embed_dual_tower(self, mentions, [normalize(m) for m in mentions])
+
+    def embed_normalized(self, normalized: Sequence[str]) -> np.ndarray:
+        """:meth:`embed` for strings that are already ``normalize``d.
+
+        Same result; the fastText tower tokenises them as given instead of
+        folding each a second time.
+        """
+        return embed_dual_tower(self, normalized, normalized)

@@ -10,29 +10,59 @@ words still produce (partially overlapping) n-grams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.embedding.inference import embed_fasttext
 from repro.nn.layers import EmbeddingBag, Module
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad
-from repro.text.tokenize import normalize, word_tokens
+from repro.nn.tensor import Tensor
+from repro.text.tokenize import normalize, normalized_tokens, word_tokens
 from repro.utils.rng import as_rng
 
 __all__ = ["FastTextConfig", "FastTextModel", "subword_ngrams"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _fnv1a(text: str) -> int:
-    """64-bit FNV-1a hash (stable across runs, unlike built-in ``hash``)."""
-    value = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        value ^= byte
-        value = (value * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return value
+def _token_ngram_ids(
+    words: Iterable[str], min_n: int, max_n: int, buckets: int
+) -> list[int]:
+    """Bucket ids of ASCII word tokens: per word ``<word>``, then its n-grams.
+
+    64-bit FNV-1a (stable across runs, unlike built-in ``hash``) is a
+    streaming hash, so the state after the ``n`` bytes starting at ``i``
+    extends to the ``(n + 1)``-gram at ``i`` with one more step: a start
+    position costs ``max_n`` steps, not ``min_n + ... + max_n``.  Ids are
+    emitted whole word first, then all ``min_n``-grams, ..., then all
+    ``max_n``-grams.  Tokens are ASCII, so bytes and characters coincide.
+    """
+    if min_n < 1 or max_n < min_n:
+        raise ValueError(f"invalid n-gram range [{min_n}, {max_n}]")
+    if buckets < 1:
+        raise ValueError(f"buckets must be positive, got {buckets}")
+    ids: list[int] = []
+    for word in words:
+        data = f"<{word}>".encode("ascii")
+        value = _FNV_OFFSET
+        for byte in data:
+            value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
+        ids.append(value % buckets)
+        by_n: list[list[int]] = [[] for _ in range(min_n, max_n + 1)]
+        for start in range(len(data) - min_n + 1):
+            value = _FNV_OFFSET
+            for byte in data[start : start + min_n - 1]:
+                value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
+            # zip stops at the word's end: late starts emit only short grams.
+            for grams, byte in zip(by_n, data[start + min_n - 1 : start + max_n]):
+                value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
+                grams.append(value % buckets)
+        for grams in by_n:
+            ids += grams
+    return ids
 
 
 def subword_ngrams(
@@ -43,20 +73,7 @@ def subword_ngrams(
     Each word is wrapped in boundary markers (``<word>``) before n-gram
     extraction, as in fastText; the whole word is hashed too.
     """
-    if min_n < 1 or max_n < min_n:
-        raise ValueError(f"invalid n-gram range [{min_n}, {max_n}]")
-    if buckets < 1:
-        raise ValueError(f"buckets must be positive, got {buckets}")
-    ids: list[int] = []
-    for word in word_tokens(mention):
-        wrapped = f"<{word}>"
-        ids.append(_fnv1a(wrapped) % buckets)
-        for n in range(min_n, max_n + 1):
-            if len(wrapped) < n:
-                continue
-            for i in range(len(wrapped) - n + 1):
-                ids.append(_fnv1a(wrapped[i : i + n]) % buckets)
-    return ids
+    return _token_ngram_ids(word_tokens(mention), min_n, max_n, buckets)
 
 
 @dataclass(frozen=True)
@@ -100,25 +117,21 @@ class FastTextModel(Module):
     def is_trained(self) -> bool:
         return self._trained
 
-    def _bags(self, mentions: Sequence[str]) -> list[list[int]]:
+    def bags(self, normalized: Sequence[str]) -> list[list[int]]:
+        """Subword bucket ids of mentions that are already ``normalize``d."""
+        cfg = self.config
         return [
-            subword_ngrams(
-                m, self.config.min_n, self.config.max_n, self.config.buckets
-            )
-            for m in mentions
+            _token_ngram_ids(normalized_tokens(m), cfg.min_n, cfg.max_n, cfg.buckets)
+            for m in normalized
         ]
 
     def embed(self, mentions: Sequence[str]) -> np.ndarray:
         """Mean-of-subword-vectors embedding, ``(n, dim)`` float32."""
-        if not mentions:
-            return np.empty((0, self.config.dim), dtype=np.float32)
-        with no_grad():
-            out = self.bag.forward_bags(self._bags(mentions))
-        return out.data.astype(np.float32)
+        return embed_fasttext(self, [normalize(m) for m in mentions])
 
     def embed_tensor(self, mentions: Sequence[str]) -> Tensor:
         """Differentiable embedding (used when fine-tuned inside EmbLookup)."""
-        return self.bag.forward_bags(self._bags(mentions))
+        return self.bag.forward_bags(self.bags([normalize(m) for m in mentions]))
 
     def fit_anchored(
         self, synonym_groups: Sequence[Sequence[str]]
@@ -164,7 +177,7 @@ class FastTextModel(Module):
                 mentions = [pairs[i][0] for i in chunk]
                 targets = target_matrix[chunk]
                 loss = mse_loss(
-                    self.bag.forward_bags(self._bags(mentions)), Tensor(targets)
+                    self.bag.forward_bags(self.bags(mentions)), Tensor(targets)
                 )
                 optimizer.zero_grad()
                 loss.backward()
@@ -223,9 +236,9 @@ class FastTextModel(Module):
     ) -> Tensor:
         """-log s(a.p) - sum -log s(-a.n), averaged over the batch."""
         cfg = self.config
-        a = self.bag.forward_bags(self._bags(anchors))           # (B, D)
-        p = self.bag.forward_bags(self._bags(positives))         # (B, D)
-        n = self.bag.forward_bags(self._bags(negatives))         # (B*neg, D)
+        a = self.bag.forward_bags(self.bags(anchors))            # (B, D)
+        p = self.bag.forward_bags(self.bags(positives))          # (B, D)
+        n = self.bag.forward_bags(self.bags(negatives))          # (B*neg, D)
         batch = a.shape[0]
 
         pos_score = (a * p).sum(axis=1)                          # (B,)

@@ -19,7 +19,12 @@ from repro.text.distance import (
 )
 from repro.text.encoding import OneHotEncoder
 from repro.text.noise import NoiseModel, NoiseSpec, abbreviate
-from repro.text.tokenize import normalize, word_tokens, wordpieces
+from repro.text.tokenize import (
+    normalize,
+    normalized_tokens,
+    word_tokens,
+    wordpieces,
+)
 
 __all__ = [
     "Alphabet",
@@ -34,6 +39,7 @@ __all__ = [
     "levenshtein",
     "levenshtein_ratio",
     "normalize",
+    "normalized_tokens",
     "qgrams",
     "word_tokens",
     "wordpieces",

@@ -81,6 +81,11 @@ class Alphabet:
         """Positional index of ``ch``; 0 when the character is unknown."""
         return self._pos.get(ch, 0)
 
+    def positions(self, text: str) -> list[int]:
+        """:meth:`position` of every character of ``text``, in order."""
+        get = self._pos.get
+        return [get(ch, 0) for ch in text]
+
     def char_at(self, position: int) -> str:
         """Inverse of :meth:`position`; position 0 maps to the unknown char."""
         if position == 0:

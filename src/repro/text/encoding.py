@@ -57,6 +57,26 @@ class OneHotEncoder:
                 batch[b, rows(ch), col] = 1.0
         return batch
 
+    def encode_codes(self, mentions: Sequence[str]) -> np.ndarray:
+        """Index form of :meth:`encode_batch`: ``(batch, L)`` row numbers.
+
+        ``codes[b, l]`` is the alphabet position of the mention's ``l``-th
+        character — the row that is 1 in column ``l`` of
+        ``encode_batch(mentions)[b]`` — and ``alphabet.size`` (one past the
+        last row) where that column is all zero.  Same truncation and
+        unknown-character rule; 1 integer per column instead of ``|A|``
+        floats.
+        """
+        length = self.max_length
+        pad = self.alphabet.size
+        positions = self.alphabet.positions
+        flat: list[int] = []
+        for mention in mentions:
+            row = positions(mention[:length])
+            flat += row
+            flat += [pad] * (length - len(row))
+        return np.array(flat, dtype=np.intp).reshape(len(mentions), length)
+
     def decode(self, matrix: np.ndarray) -> str:
         """Best-effort inverse of :meth:`encode` (unknowns become ``\\0``).
 

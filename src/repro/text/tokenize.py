@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 import unicodedata
 
-__all__ = ["normalize", "word_tokens", "wordpieces"]
+__all__ = ["normalize", "normalized_tokens", "word_tokens", "wordpieces"]
 
 _WS_RE = re.compile(r"\s+")
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
@@ -23,9 +23,19 @@ def normalize(text: str) -> str:
     return _WS_RE.sub(" ", ascii_text.lower()).strip()
 
 
+def normalized_tokens(normalized: str) -> list[str]:
+    """Word tokens of a string that :func:`normalize` already produced.
+
+    The tokens are ASCII by construction (``[a-z0-9']``).  Hot paths that
+    hold the normalised form call this instead of :func:`word_tokens`,
+    which would fold the string a second time.
+    """
+    return _TOKEN_RE.findall(normalized)
+
+
 def word_tokens(text: str) -> list[str]:
-    """Alphanumeric word tokens of a normalised string."""
-    return _TOKEN_RE.findall(normalize(text))
+    """Alphanumeric word tokens of ``text`` after :func:`normalize`."""
+    return normalized_tokens(normalize(text))
 
 
 def wordpieces(token: str, vocabulary: set[str], max_piece: int = 8) -> list[str]:

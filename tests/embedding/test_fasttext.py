@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.embedding.fasttext import FastTextConfig, FastTextModel, subword_ngrams
+from repro.text.tokenize import word_tokens
 
 
 class TestSubwordNgrams:
@@ -25,6 +26,34 @@ class TestSubwordNgrams:
         clean = set(subword_ngrams("germany"))
         typo = set(subword_ngrams("germany".replace("m", "n")))
         assert len(clean & typo) >= len(clean) // 3
+
+    def test_streaming_hash_matches_per_gram_hash(self):
+        """The ids are FNV-1a of each n-gram hashed from its first byte,
+        in the order whole word, n = min_n, ..., max_n — what saved models
+        and built indexes were hashed with."""
+
+        def fnv1a(text):
+            value = 0xCBF29CE484222325
+            for byte in text.encode("utf-8"):
+                value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            return value
+
+        def reference(mention, min_n, max_n, buckets):
+            ids = []
+            for word in word_tokens(mention):
+                wrapped = f"<{word}>"
+                ids.append(fnv1a(wrapped) % buckets)
+                for n in range(min_n, max_n + 1):
+                    for i in range(len(wrapped) - n + 1):
+                        ids.append(fnv1a(wrapped[i : i + n]) % buckets)
+            return ids
+
+        mentions = ["germany", "a", "it's 4 o'clock", "New  York-City", "Müller"]
+        for min_n, max_n, buckets in [(3, 5, 2**16), (1, 1, 7), (2, 6, 1000), (4, 4, 97)]:
+            for mention in mentions:
+                assert subword_ngrams(mention, min_n, max_n, buckets) == reference(
+                    mention, min_n, max_n, buckets
+                )
 
     def test_empty_string(self):
         assert subword_ngrams("") == []

@@ -26,6 +26,7 @@ from repro.index.pq import PQIndex
 from repro.index.sharded import ShardedIndex
 from repro.testing import (
     GridStrategy,
+    LabelStrategy,
     TupleStrategy,
     VectorStoreStrategy,
     assert_topk_agrees,
@@ -257,3 +258,152 @@ class TestANNRecallFloors:
             ),
             floor=0.8,
         )
+
+
+class _MentionBatch:
+    """33 labels / typo'd aliases of :class:`LabelStrategy`, one case."""
+
+    SIZE = 33
+
+    def __init__(self):
+        self.labels = LabelStrategy(max_len=24, num_aliases=2)
+
+    def generate(self, rng):
+        mentions = []
+        while len(mentions) < self.SIZE:
+            label, aliases = self.labels.generate(rng)
+            mentions += [label, *aliases]
+        return mentions[: self.SIZE]
+
+    def shrink(self, mentions):
+        if len(mentions) > 1:
+            yield mentions[: len(mentions) // 2]
+            yield mentions[1:]
+
+
+class TestInferenceForwardDifferential:
+    """``embed`` (``repro.embedding.inference``, no tape) vs the autograd
+    ``forward_mentions`` it replaced on the query path.
+
+    Same float32 arithmetic, different summation order: layer 1 adds three
+    table rows where the reference multiplies a one-hot tensor, the other
+    layers and the head feed BLAS ``(k, c)``-ordered columns where the
+    reference feeds ``(c, k)``, and BLAS itself sums in a different order
+    per gemm height — the reference's own batch-1 and batch-512 rows differ
+    by 2.6e-7 on normalised outputs.  Each rounding is 2**-24 relative
+    (6e-8) and a few dozen accumulate over 5 conv layers, the head and two
+    fuse layers, so the bound is 1e-6 at magnitude <= 1 and scales with the
+    largest reference entry for un-normalised outputs.  A wrong tap, a
+    wrong head permutation or a skipped pad shows up at 1e-2.
+    """
+
+    ATOL = 1e-6
+    #: max_length 16 < LabelStrategy's 24: truncation is exercised; the
+    #: alphabet has no accented / greek / cyrillic / CJK: unknown row 0 is.
+    MAX_LENGTH = 16
+
+    def _model(self, normalize_output, finetune_fasttext):
+        from repro.embedding.emblookup_model import EmbLookupModel
+        from repro.embedding.fasttext import FastTextConfig, FastTextModel
+        from repro.text.alphabet import Alphabet
+        from repro.text.encoding import OneHotEncoder
+
+        encoder = OneHotEncoder(
+            Alphabet("abcdefghijklmnopqrstuvwxyz0123456789 -'"),
+            max_length=self.MAX_LENGTH,
+        )
+        fasttext = FastTextModel(
+            FastTextConfig(dim=16, buckets=2**10, epochs=0, seed=5)
+        )
+        model = EmbLookupModel(
+            encoder,
+            fasttext,
+            out_dim=16,
+            finetune_fasttext=finetune_fasttext,
+            normalize_output=normalize_output,
+            rng=7,
+        )
+        # Zero-initialised biases would hide a dropped or misplaced bias.
+        rng = np.random.default_rng(11)
+        for name, param in model.named_parameters():
+            if name.endswith("bias"):
+                param.data[...] = rng.normal(scale=0.1, size=param.data.shape)
+        return model
+
+    def _reference(self, model, mentions):
+        from repro.nn.tensor import no_grad
+
+        with no_grad():
+            return model.forward_mentions(list(mentions)).data
+
+    @pytest.mark.parametrize("finetune_fasttext", [False, True])
+    @pytest.mark.parametrize("normalize_output", [False, True])
+    def test_embed_matches_autograd_forward(
+        self, normalize_output, finetune_fasttext
+    ):
+        from repro.testing import run_cases
+
+        model = self._model(normalize_output, finetune_fasttext)
+
+        def prop(mentions):
+            single = np.concatenate([model.embed([m]) for m in mentions])
+            for size in (1, 2, 33):
+                batch = mentions[:size]
+                want = self._reference(model, batch)
+                got = model.embed(batch)
+                assert got.dtype == np.float32 and got.shape == want.shape
+                atol = self.ATOL * max(1.0, float(np.abs(want).max()))
+                worst = float(np.abs(got - want).max())
+                assert worst <= atol, (
+                    f"batch {size}: |embed - forward_mentions| = {worst:.3g}"
+                )
+                # Row i of a batch is the batch-1 result of the same string.
+                drift = float(np.abs(got - single[: len(batch)]).max())
+                assert drift <= atol, f"batch {size} vs batch 1: {drift:.3g}"
+
+        run_cases(
+            prop, _MentionBatch(), cases=25, name="inference_vs_autograd"
+        )
+
+    def test_strategy_reaches_the_edge_cases(self):
+        """The property above is only as good as its inputs: over its 25
+        cases the strategy must produce unknown characters, labels longer
+        than ``max_length``, labels that normalise to nothing, and
+        multi-token labels."""
+        from repro.text.tokenize import normalize, word_tokens
+
+        model = self._model(True, False)
+        known = model.encoder.alphabet
+        strategy = _MentionBatch()
+        mentions = [
+            m for i in range(25) for m in strategy.generate(case_rng(0, i))
+        ]
+        assert any(ch not in known for m in mentions for ch in m)
+        assert any(len(m) > self.MAX_LENGTH for m in mentions)
+        assert any(m and not normalize(m) for m in mentions)
+        assert any(len(word_tokens(m)) > 1 for m in mentions)
+
+    def test_towers_match_their_autograd_forwards(self):
+        """The two single-tower ``embed`` methods share the kernels."""
+        from repro.nn.tensor import Tensor, no_grad
+        from repro.text.tokenize import normalize
+
+        model = self._model(False, True)
+        strategy = _MentionBatch()
+        for index in range(5):
+            mentions = strategy.generate(case_rng(1, index))
+            with no_grad():
+                cnn = model.cnn(
+                    Tensor(model.encoder.encode_batch(mentions))
+                ).data
+                bags = model.fasttext.embed_tensor(mentions).data
+            np.testing.assert_allclose(
+                model.cnn.embed(mentions), cnn, rtol=0, atol=self.ATOL
+            )
+            np.testing.assert_allclose(
+                model.fasttext.embed(mentions), bags, rtol=0, atol=self.ATOL
+            )
+            np.testing.assert_array_equal(
+                model.embed_normalized([normalize(m) for m in mentions]),
+                model.embed([normalize(m) for m in mentions]),
+            )

@@ -61,6 +61,24 @@ class TestEncodeBatch:
         assert ENCODER.encode_batch([]).shape == (0, ALPHABET.size, 8)
 
 
+class TestEncodeCodes:
+    def test_is_the_index_form_of_encode_batch(self):
+        """Row ``codes[b, l]`` is the 1 of column ``l``; ``|A|`` marks an
+        all-zero column.  Unknown characters, truncation and empty
+        strings follow ``encode_batch``."""
+        mentions = ["abc", "de", "", "a?c", "abcdeabcdeabc", " "]
+        codes = ENCODER.encode_codes(mentions)
+        assert codes.shape == (len(mentions), 8)
+        onehot = np.zeros((len(mentions), ALPHABET.size + 1, 8), np.float32)
+        np.put_along_axis(onehot, codes[:, None, :], 1.0, axis=1)
+        np.testing.assert_array_equal(
+            onehot[:, : ALPHABET.size], ENCODER.encode_batch(mentions)
+        )
+
+    def test_empty_batch(self):
+        assert ENCODER.encode_codes([]).shape == (0, 8)
+
+
 class TestDecode:
     def test_roundtrip_known_chars(self):
         for mention in ["abc", "a b", "edcba"]:

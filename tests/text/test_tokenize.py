@@ -1,6 +1,11 @@
 """Tests for repro.text.tokenize."""
 
-from repro.text.tokenize import normalize, word_tokens, wordpieces
+from repro.text.tokenize import (
+    normalize,
+    normalized_tokens,
+    word_tokens,
+    wordpieces,
+)
 
 
 class TestNormalize:
@@ -32,6 +37,10 @@ class TestWordTokens:
 
     def test_empty(self):
         assert word_tokens("") == []
+
+    def test_normalized_tokens_skips_only_the_fold(self):
+        for text in ["O'Brien & Co.", "  Route   66 ", "Müller", "北京", ""]:
+            assert normalized_tokens(normalize(text)) == word_tokens(text)
 
 
 class TestWordpieces:
