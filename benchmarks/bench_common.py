@@ -9,8 +9,11 @@ that swap in EmbLookup and report speedup + F-score.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from collections.abc import Callable
+
+import numpy as np
 
 from repro.annotation.bbw import BbwAnnotator
 from repro.annotation.doser import DoSeRDisambiguator
@@ -154,3 +157,23 @@ def emblookup_services(pipeline: EmbLookup, pipeline_nc: EmbLookup):
         EmbLookupService(pipeline, gpu_mode=True),
         EmbLookupService(pipeline_nc, gpu_mode=True),
     )
+
+
+def per_query_times(engine, queries: list[str], k: int) -> np.ndarray:
+    """Serve one query at a time, recording each wall time."""
+    times = np.empty(len(queries))
+    for i, query in enumerate(queries):
+        start = time.perf_counter()
+        engine.lookup_batch([query], k)
+        times[i] = time.perf_counter() - start
+    return times
+
+
+def percentiles(times: np.ndarray) -> dict[str, float]:
+    """p50/p90/p99/mean of per-query seconds, in microseconds."""
+    return {
+        "p50_us": float(np.percentile(times, 50) * 1e6),
+        "p90_us": float(np.percentile(times, 90) * 1e6),
+        "p99_us": float(np.percentile(times, 99) * 1e6),
+        "mean_us": float(times.mean() * 1e6),
+    }

@@ -46,6 +46,7 @@ from repro.core.pipeline import EmbLookup  # noqa: E402
 from repro.kg import SyntheticKGConfig, generate_kg  # noqa: E402
 from repro.serving.engine import LookupEngine  # noqa: E402
 from repro.serving.ingest import ChangeFeedConsumer, IndexMutation  # noqa: E402
+from bench_common import per_query_times, percentiles  # noqa: E402
 from tools.bench_json import write_bench_json  # noqa: E402
 
 K = 10
@@ -78,25 +79,6 @@ def build_feed(num_mutations: int, seed: int) -> list[IndexMutation]:
     return feed
 
 
-def per_query_times(engine, queries: list[str]) -> np.ndarray:
-    """Serve one query at a time, recording each wall time."""
-    times = np.empty(len(queries))
-    for i, query in enumerate(queries):
-        start = time.perf_counter()
-        engine.lookup_batch([query], K)
-        times[i] = time.perf_counter() - start
-    return times
-
-
-def percentiles(times: np.ndarray) -> dict[str, float]:
-    return {
-        "p50_us": float(np.percentile(times, 50) * 1e6),
-        "p90_us": float(np.percentile(times, 90) * 1e6),
-        "p99_us": float(np.percentile(times, 99) * 1e6),
-        "mean_us": float(times.mean() * 1e6),
-    }
-
-
 def bench_latency_under_churn(pipeline, queries, truth, feed):
     """Frozen-index p50 vs p50 while a background feed mutates the index."""
     frozen = LookupEngine.from_pipeline(pipeline)
@@ -104,11 +86,11 @@ def bench_latency_under_churn(pipeline, queries, truth, feed):
     try:
         frozen.lookup_batch(queries[:8], K)  # warm numpy/BLAS one-time costs
         churned.lookup_batch(queries[:8], K)
-        frozen_times = per_query_times(frozen, queries)
+        frozen_times = per_query_times(frozen, queries, K)
         with ChangeFeedConsumer(churned) as consumer:
             for record in feed:
                 consumer.publish(record)
-            churn_times = per_query_times(churned, queries)
+            churn_times = per_query_times(churned, queries, K)
             consumer.drain()
             assert consumer.dead_letters == (), "churn feed dead-lettered"
             assert consumer.watermark == feed[-1].seq
@@ -190,12 +172,12 @@ def bench_compaction(pipeline, queries, num_removed: int):
         index = engine.index
         fraction = index.tombstone_count / index.ntotal
         engine.lookup_batch(queries[:8], K)
-        tombstoned_times = per_query_times(engine, queries)
+        tombstoned_times = per_query_times(engine, queries, K)
         live = index.nlive
         assert engine.compact() is True
         assert index.ntotal == live, "compaction must shrink to the live set"
         assert index.tombstone_count == 0
-        compacted_times = per_query_times(engine, queries)
+        compacted_times = per_query_times(engine, queries, K)
         return {
             "tombstone_fraction": fraction,
             "with_tombstones": percentiles(tombstoned_times),

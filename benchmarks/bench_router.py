@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 for _var in (
@@ -53,6 +52,7 @@ from repro.index.partitioned import TypePartitionedIndex  # noqa: E402
 from repro.kg import SyntheticKGConfig, generate_kg  # noqa: E402
 from repro.serving.engine import LookupEngine  # noqa: E402
 from repro.text.noise import NoiseModel  # noqa: E402
+from bench_common import per_query_times, percentiles  # noqa: E402
 from tools.bench_json import write_bench_json  # noqa: E402
 
 K = 10
@@ -87,31 +87,12 @@ def build_workload(kg, num_queries: int, seed: int):
     return queries, truth, kinds
 
 
-def per_query_times(engine, queries: list[str]) -> np.ndarray:
-    """Serve one query at a time, recording each wall time."""
-    times = np.empty(len(queries))
-    for i, query in enumerate(queries):
-        start = time.perf_counter()
-        engine.lookup_batch([query], K)
-        times[i] = time.perf_counter() - start
-    return times
-
-
-def percentiles(times: np.ndarray) -> dict[str, float]:
-    return {
-        "p50_us": float(np.percentile(times, 50) * 1e6),
-        "p90_us": float(np.percentile(times, 90) * 1e6),
-        "p99_us": float(np.percentile(times, 99) * 1e6),
-        "mean_us": float(times.mean() * 1e6),
-    }
-
-
 def bench_latency(baseline, routed, queries, truth):
     """Mixed-workload per-query latency plus top-10 recall, both engines."""
     out = {}
     for name, engine in (("pure_embedding", baseline), ("router", routed)):
         engine.reset_timers()
-        times = per_query_times(engine, queries)
+        times = per_query_times(engine, queries, K)
         rows = engine.lookup_batch(queries, K)
         recall = candidate_recall_at_k(
             [[c.entity_id for c in row] for row in rows], truth, K

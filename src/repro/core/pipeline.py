@@ -39,6 +39,7 @@ from repro.text.alphabet import Alphabet
 from repro.text.encoding import OneHotEncoder
 from repro.text.tokenize import normalize
 from repro.triplets.mining import Triplet, TripletMiner
+from repro.utils.ranking import fetch_size, resolve_hits
 from repro.utils.rng import as_rng
 
 __all__ = ["EmbLookup", "LookupResult"]
@@ -88,7 +89,7 @@ class EmbLookup:
         triplet-budget sweeps of Figure 3).
         """
         self._kg = kg
-        corpus = [normalize(m) for e in kg.entities() for m in e.mentions]
+        corpus = [mention for mention, _ in kg.mention_rows()]
         alphabet = Alphabet.fit(corpus)
         self.encoder = OneHotEncoder(alphabet, max_length=self.config.max_length)
 
@@ -186,19 +187,10 @@ class EmbLookup:
         :class:`repro.serving.LookupEngine`) can rebuild an index with the
         same row <-> entity correspondence.
         """
-        kg = kg or self._kg
-        if kg is None:
-            raise RuntimeError("no knowledge graph available for indexing")
-        mentions: list[str] = []
-        entity_ids: list[str] = []
-        for entity in kg.entities():
-            mentions.append(normalize(entity.label))
-            entity_ids.append(entity.entity_id)
-            if self.config.index_entity_aliases:
-                for alias in entity.aliases:
-                    mentions.append(normalize(alias))
-                    entity_ids.append(entity.entity_id)
-        return mentions, entity_ids
+        rows = list(
+            self._require_kg(kg).mention_rows(self.config.index_entity_aliases)
+        )
+        return [m for m, _ in rows], [entity_id for _, entity_id in rows]
 
     def index_row_types(self, kg: KnowledgeGraph | None = None) -> list[str]:
         """Partition key (primary entity type) of each index row.
@@ -211,17 +203,17 @@ class EmbLookup:
         :class:`~repro.index.partitioned.TypePartitionedIndex` so
         type-constrained lookups scan only matching partitions.
         """
+        kg = self._require_kg(kg)
+        return [
+            kg.entity(entity_id).primary_type or DEFAULT_PARTITION
+            for _, entity_id in kg.mention_rows(self.config.index_entity_aliases)
+        ]
+
+    def _require_kg(self, kg: KnowledgeGraph | None) -> KnowledgeGraph:
         kg = kg or self._kg
         if kg is None:
             raise RuntimeError("no knowledge graph available for indexing")
-        keys: list[str] = []
-        for entity in kg.entities():
-            key = entity.primary_type or DEFAULT_PARTITION
-            rows = 1
-            if self.config.index_entity_aliases:
-                rows += len(entity.aliases)
-            keys.extend([key] * rows)
-        return keys
+        return kg
 
     @property
     def kg(self) -> KnowledgeGraph | None:
@@ -237,10 +229,7 @@ class EmbLookup:
         """(Re)build the vector index from the trained model."""
         if self.model is None:
             raise RuntimeError("EmbLookup.build_index called before fit()")
-        kg = kg or self._kg
-        if kg is None:
-            raise RuntimeError("no knowledge graph available for indexing")
-        self._kg = kg
+        self._kg = kg = self._require_kg(kg)
 
         mentions, self._row_to_entity = self.index_rows(kg)
         vectors = self._embed_in_batches(mentions)
@@ -304,26 +293,13 @@ class EmbLookup:
         if not queries:
             return []
         embeddings = self.embed_queries(queries)
-        # Over-fetch when aliases are indexed so dedup still yields k.
-        fetch = k * 3 if self.config.index_entity_aliases else k
-        fetch = min(fetch, self.index.ntotal) or k
+        fetch = fetch_size(
+            k, self.config.index_entity_aliases, self.index.ntotal
+        )
         result = self.index.search(embeddings, fetch)
-        out: list[list[LookupResult]] = []
-        for row_ids, row_d in zip(result.ids, result.distances):
-            seen: set[str] = set()
-            candidates: list[LookupResult] = []
-            for idx, dist in zip(row_ids, row_d):
-                if idx < 0:
-                    continue
-                entity_id = self._row_to_entity[int(idx)]
-                if entity_id in seen:
-                    continue
-                seen.add(entity_id)
-                candidates.append(LookupResult(entity_id, float(dist)))
-                if len(candidates) == k:
-                    break
-            out.append(candidates)
-        return out
+        return resolve_hits(
+            result.ids, result.distances, self._row_to_entity, k, LookupResult
+        )
 
     def clone_with_compression(self, compression: str) -> "EmbLookup":
         """A new service sharing this trained model with a different index.

@@ -143,6 +143,22 @@ class KnowledgeGraph:
         """Entity ids whose label or alias normalises to ``mention``."""
         return set(self._mention_index.get(normalize(mention), ()))
 
+    def mention_rows(
+        self, include_aliases: bool = True
+    ) -> Iterator[tuple[str, str]]:
+        """``(normalised mention, entity id)`` for every indexed surface form.
+
+        Entities in insertion order, each entity's label first and then
+        (when ``include_aliases``) its aliases.  This is the one walk that
+        every lookup index builds its rows from, so row ``i`` means the
+        same surface form in all of them.
+        """
+        for entity in self._entities.values():
+            yield normalize(entity.label), entity.entity_id
+            if include_aliases:
+                for alias in entity.aliases:
+                    yield normalize(alias), entity.entity_id
+
     def mention_strings(self) -> list[str]:
         """All distinct normalised mentions in the graph."""
         return list(self._mention_index)

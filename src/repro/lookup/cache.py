@@ -193,8 +193,7 @@ class QueryCache:
         return one vector row per query; it runs *outside* the cache
         lock, so other threads keep hitting the cache while a model
         forward pass is in flight.  This is the shared serving-path
-        helper used by the engine and the embedder services (one
-        implementation instead of three hand-rolled probe/fill loops).
+        helper used by the engine and the embedder services.
         """
         vectors = [self.get_embedding(q) for q in normalized]
         miss_positions = [i for i, v in enumerate(vectors) if v is None]
@@ -268,24 +267,46 @@ class QueryCache:
         When the result store is disabled this is all-``None`` without
         touching the counters, so callers can use it unconditionally.
         """
-        if self._results is None:
-            return [None] * len(normalized)
         return [self.get_result(q, k, scope, generation) for q in normalized]
 
     def put_results(
         self,
         normalized: list[str],
         k: int,
-        rows: list[list | None],
+        rows: list[list],
         scope: str | None = None,
         generation: int | None = None,
     ) -> None:
-        """Batch :meth:`put_result`; ``None`` rows (failed queries) are skipped."""
-        if self._results is None:
-            return
+        """Batch :meth:`put_result` (no-op when the result store is disabled)."""
         for query, row in zip(normalized, rows):
-            if row is not None:
-                self.put_result(query, k, row, scope, generation)
+            self.put_result(query, k, row, scope, generation)
+
+    def read_through(
+        self,
+        normalized: list[str],
+        k: int,
+        serve: Callable[[list[str]], list[list]],
+        scope: str | None = None,
+        generation: int | None = None,
+    ) -> list[list]:
+        """Memoized batch lookup: probe, ``serve`` only the misses, fill.
+
+        ``serve`` receives the miss queries (in input order) and returns
+        one candidate list per query; it runs outside the cache lock.
+        Probe and fill use the same ``scope`` / ``generation``, so a
+        caller that pinned a generation files the answer under the state
+        it was computed from (see :meth:`put_result`).  With the result
+        store disabled this is ``serve(normalized)``.
+        """
+        out = self.get_results(normalized, k, scope, generation)
+        miss_positions = [i for i, row in enumerate(out) if row is None]
+        if miss_positions:
+            misses = [normalized[i] for i in miss_positions]
+            fresh = serve(misses)
+            for i, row in zip(miss_positions, fresh):
+                out[i] = row
+            self.put_results(misses, k, fresh, scope, generation)
+        return out
 
     # -- maintenance ------------------------------------------------------------
 

@@ -8,14 +8,13 @@ combined; the trigram channel provides the typo tolerance.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
 
-from repro.kg.graph import KnowledgeGraph
-from repro.lookup.base import Candidate, LookupService
+from repro.lookup.rows import RowTableLookup
 from repro.text.distance import levenshtein, qgrams
-from repro.text.tokenize import normalize, word_tokens
+from repro.text.tokenize import word_tokens
+from repro.utils.ranking import BestRows
 
 __all__ = ["ElasticLookup"]
 
@@ -35,10 +34,11 @@ class _BM25Index:
         counts: dict[str, int] = defaultdict(int)
         for term in terms:
             counts[term] += 1
-        for term, tf in counts.items():
-            self.postings[term].append((doc_id, tf))
+        # Length before postings: a reader that finds the doc can score it.
         self.doc_lengths.append(len(terms))
         self.total_length += len(terms)
+        for term, tf in counts.items():
+            self.postings[term].append((doc_id, tf))
         return doc_id
 
     def score(self, terms: list[str]) -> dict[int, float]:
@@ -47,7 +47,9 @@ class _BM25Index:
             return {}
         avg_len = self.total_length / n_docs
         scores: dict[int, float] = defaultdict(float)
-        for term in set(terms):
+        # Distinct terms in query order, not set order: the float sums
+        # below must not follow str hashing.
+        for term in dict.fromkeys(terms):
             plist = self.postings.get(term)
             if not plist:
                 continue
@@ -67,7 +69,7 @@ class _BM25Index:
         )
 
 
-class ElasticLookup(LookupService):
+class ElasticLookup(RowTableLookup):
     name = "elastic"
 
     def __init__(
@@ -77,7 +79,7 @@ class ElasticLookup(LookupService):
         fuzziness: int = 2,
         include_aliases: bool = False,
     ):
-        super().__init__()
+        super().__init__(include_aliases)
         if word_weight < 0 or trigram_weight < 0:
             raise ValueError("BM25 channel weights must be non-negative")
         if fuzziness < 0:
@@ -85,27 +87,13 @@ class ElasticLookup(LookupService):
         self.word_weight = word_weight
         self.trigram_weight = trigram_weight
         self.fuzziness = fuzziness
-        self.include_aliases = include_aliases
         self._words = _BM25Index()
         self._trigrams = _BM25Index()
-        self._entity_ids: list[str] = []
 
-    @classmethod
-    def build(
-        cls, kg: KnowledgeGraph, include_aliases: bool = False, **kwargs
-    ) -> "ElasticLookup":
-        service = cls(include_aliases=include_aliases, **kwargs)
-        for entity in kg.entities():
-            mentions = entity.mentions if include_aliases else (entity.label,)
-            for mention in mentions:
-                label = normalize(mention)
-                service._words.add(word_tokens(label))
-                service._trigrams.add(qgrams(label, 3))
-                service._entity_ids.append(entity.entity_id)
-        return service
-
-    def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
-        return [self._single(normalize(q), k) for q in queries]
+    def _index_row(self, row: int, label: str) -> None:
+        # BM25 doc ids are the table's row ids: both count appends.
+        self._words.add(word_tokens(label))
+        self._trigrams.add(qgrams(label, 3))
 
     def _expand_fuzzy(self, tokens: list[str]) -> list[str]:
         """ElasticSearch-style fuzzy term expansion.
@@ -130,7 +118,7 @@ class ElasticLookup(LookupService):
                     expanded.append(term)
         return expanded
 
-    def _single(self, query: str, k: int) -> list[Candidate]:
+    def _score(self, query: str, best: BestRows) -> None:
         combined: dict[int, float] = defaultdict(float)
         if self.word_weight > 0:
             word_scores = self._words.score(
@@ -142,22 +130,9 @@ class ElasticLookup(LookupService):
             trigram_scores = self._trigrams.score(qgrams(query, 3))
             for doc_id, score in trigram_scores.items():
                 combined[doc_id] += self.trigram_weight * score
-        heap: list[tuple[float, int]] = []
         for doc_id, score in combined.items():
-            if len(heap) < k:
-                heapq.heappush(heap, (score, doc_id))
-            elif score > heap[0][0]:
-                heapq.heapreplace(heap, (score, doc_id))
-        ranked = sorted(heap, key=lambda item: (-item[0], item[1]))
-        out: list[Candidate] = []
-        seen: set[str] = set()
-        for score, doc_id in ranked:
-            entity_id = self._entity_ids[doc_id]
-            if entity_id in seen:
-                continue
-            seen.add(entity_id)
-            out.append(Candidate(entity_id, float(score)))
-        return out
+            if self.rows.entity_ids[doc_id] is not None:
+                best.offer(score, doc_id)
 
     def index_bytes(self) -> int:
         return self._words.nbytes() + self._trigrams.nbytes()

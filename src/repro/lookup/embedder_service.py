@@ -17,6 +17,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.lookup.base import Candidate, LookupService
 from repro.lookup.cache import QueryCache
 from repro.text.tokenize import normalize
+from repro.utils.ranking import fetch_size, resolve_hits
 
 __all__ = ["EmbedderLookupService"]
 
@@ -44,7 +45,6 @@ class EmbedderLookupService(LookupService):
         embedder: Embedder | None = None,
         name: str = "embedder",
         cache_size: int = 0,
-        **kwargs,
     ) -> "EmbedderLookupService":
         """Index every entity label of ``kg`` under ``embedder``'s vectors.
 
@@ -54,12 +54,10 @@ class EmbedderLookupService(LookupService):
             raise ValueError("EmbedderLookupService.build requires an embedder")
         cache = QueryCache(cache_size) if cache_size > 0 else None
         service = cls(embedder, name=name, cache=cache)
-        labels = []
-        for entity in kg.entities():
-            labels.append(normalize(entity.label))
-            service._row_to_entity.append(entity.entity_id)
-        if labels:
-            service._index.add(embedder.embed(labels))
+        rows = list(kg.mention_rows(include_aliases=False))
+        if rows:
+            service._index.add(embedder.embed([label for label, _ in rows]))
+            service._row_to_entity = [entity_id for _, entity_id in rows]
         return service
 
     def _embed(self, normalized: list[str]) -> np.ndarray:
@@ -70,18 +68,11 @@ class EmbedderLookupService(LookupService):
 
     def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
         vectors = self._embed([normalize(q) for q in queries])
-        # Indexes handle k > ntotal themselves (-1 / inf padded rows);
-        # padded entries are filtered below, so no clamping is needed.
-        result = self._index.search(vectors, k)
-        out: list[list[Candidate]] = []
-        for row_ids, row_d in zip(result.ids, result.distances):
-            candidates = [
-                Candidate(self._row_to_entity[int(i)], -float(d))
-                for i, d in zip(row_ids, row_d)
-                if i >= 0
-            ]
-            out.append(candidates)
-        return out
+        fetch = fetch_size(k, False, self._index.ntotal)
+        result = self._index.search(vectors, fetch)
+        return resolve_hits(
+            result.ids, -result.distances, self._row_to_entity, k, Candidate
+        )
 
     def index_bytes(self) -> int:
         return self._index.memory_bytes()

@@ -54,28 +54,19 @@ class EmbLookupService(LookupService):
         kg: KnowledgeGraph,
         config: EmbLookupConfig | None = None,
         gpu_mode: bool = False,
-        **kwargs,
     ) -> "EmbLookupService":
         pipeline = EmbLookup(config)
         pipeline.fit(kg)
         return cls(pipeline, gpu_mode=gpu_mode)
 
     def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
-        if self.cache is None or not self.cache.caches_results:
+        if self.cache is None:
             return self._lookup_uncached(queries, k)
-        normalized = [normalize(q) for q in queries]
-        out = self.cache.get_results(normalized, k)
-        miss_positions = [qi for qi, row in enumerate(out) if row is None]
-        if miss_positions:
-            fresh = self._lookup_uncached(
-                [queries[i] for i in miss_positions], k
-            )
-            for row, qi in zip(fresh, miss_positions):
-                out[qi] = row
-            self.cache.put_results(
-                [normalized[qi] for qi in miss_positions], k, fresh
-            )
-        return [row if row is not None else [] for row in out]
+        return self.cache.read_through(
+            [normalize(q) for q in queries],
+            k,
+            lambda misses: self._lookup_uncached(misses, k),
+        )
 
     def _lookup_uncached(
         self, queries: list[str], k: int

@@ -3,16 +3,15 @@
 The fastest and most brittle baseline: any edit to the query misses.  By
 default only entity labels are indexed (matching the paper's "only entity
 mentions" local-index setting); ``include_aliases=True`` reproduces the
-larger alias-aware index discussed in Section IV-D.
+larger alias-aware index discussed in Section IV-D.  The hash itself is
+the router's exact tier, :class:`~repro.lookup.router.LabelHashTable`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.kg.graph import KnowledgeGraph
 from repro.lookup.base import Candidate, LookupService
-from repro.lookup.normalize import normalize
+from repro.lookup.router import LabelHashTable
 
 __all__ = ["ExactMatchLookup"]
 
@@ -23,28 +22,21 @@ class ExactMatchLookup(LookupService):
     def __init__(self, include_aliases: bool = False):
         super().__init__()
         self.include_aliases = include_aliases
-        self._index: dict[str, list[str]] = defaultdict(list)
-        self._bytes = 0
+        self.table = LabelHashTable(include_aliases)
 
     @classmethod
     def build(
-        cls, kg: KnowledgeGraph, include_aliases: bool = False, **kwargs
+        cls, kg: KnowledgeGraph, include_aliases: bool = False
     ) -> "ExactMatchLookup":
-        service = cls(include_aliases=include_aliases)
-        for entity in kg.entities():
-            mentions = entity.mentions if include_aliases else (entity.label,)
-            for mention in mentions:
-                key = normalize(mention)
-                service._index[key].append(entity.entity_id)
-                service._bytes += len(key.encode()) + 16
+        service = cls(include_aliases)
+        service.table = LabelHashTable.build(kg, include_aliases)
         return service
 
     def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
-        out: list[list[Candidate]] = []
-        for query in queries:
-            matches = self._index.get(normalize(query), ())
-            out.append([Candidate(eid, 1.0) for eid in matches[:k]])
-        return out
+        return [
+            [Candidate(eid, 1.0) for eid in self.table.lookup(query)[:k]]
+            for query in queries
+        ]
 
     def index_bytes(self) -> int:
-        return self._bytes
+        return self.table.index_bytes()

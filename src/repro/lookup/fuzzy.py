@@ -7,65 +7,35 @@ tokens) so that token reorderings ("gates bill") still match.
 
 from __future__ import annotations
 
-import heapq
-
-from repro.kg.graph import KnowledgeGraph
-from repro.lookup.base import Candidate, LookupService
+from repro.lookup.rows import RowTableLookup
 from repro.text.distance import levenshtein_ratio
-from repro.text.tokenize import normalize, word_tokens
+from repro.text.tokenize import word_tokens
+from repro.utils.ranking import BestRows
 
 __all__ = ["FuzzyWuzzyLookup"]
 
 
-class FuzzyWuzzyLookup(LookupService):
+class FuzzyWuzzyLookup(RowTableLookup):
     name = "fuzzywuzzy"
 
     def __init__(self, include_aliases: bool = False):
-        super().__init__()
-        self.include_aliases = include_aliases
-        self._labels: list[str] = []
+        super().__init__(include_aliases)
         self._sorted_labels: list[str] = []
-        self._entity_ids: list[str] = []
 
-    @classmethod
-    def build(
-        cls, kg: KnowledgeGraph, include_aliases: bool = False, **kwargs
-    ) -> "FuzzyWuzzyLookup":
-        service = cls(include_aliases=include_aliases)
-        for entity in kg.entities():
-            mentions = entity.mentions if include_aliases else (entity.label,)
-            for mention in mentions:
-                label = normalize(mention)
-                service._labels.append(label)
-                service._sorted_labels.append(" ".join(sorted(word_tokens(label))))
-                service._entity_ids.append(entity.entity_id)
-        return service
+    def _index_row(self, row: int, label: str) -> None:
+        self._sorted_labels.append(" ".join(sorted(word_tokens(label))))
 
-    def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
-        return [self._single(normalize(q), k) for q in queries]
-
-    def _single(self, query: str, k: int) -> list[Candidate]:
+    def _score(self, query: str, best: BestRows) -> None:
         sorted_query = " ".join(sorted(word_tokens(query)))
-        heap: list[tuple[float, int]] = []
-        for row, label in enumerate(self._labels):
-            score = max(
-                levenshtein_ratio(query, label),
-                levenshtein_ratio(sorted_query, self._sorted_labels[row]),
-            )
-            if len(heap) < k:
-                heapq.heappush(heap, (score, row))
-            elif score > heap[0][0]:
-                heapq.heapreplace(heap, (score, row))
-        ranked = sorted(heap, key=lambda item: (-item[0], item[1]))
-        out: list[Candidate] = []
-        seen: set[str] = set()
-        for score, row in ranked:
-            entity_id = self._entity_ids[row]
-            if entity_id in seen:
-                continue
-            seen.add(entity_id)
-            out.append(Candidate(entity_id, float(score)))
-        return out
-
-    def index_bytes(self) -> int:
-        return sum(len(label.encode()) + 16 for label in self._labels)
+        # ``_sorted_labels`` is appended last, so zip stops at complete rows.
+        for row, (sorted_label, label, owner) in enumerate(
+            zip(self._sorted_labels, self.rows.labels, self.rows.entity_ids)
+        ):
+            if owner is not None:
+                best.offer(
+                    max(
+                        levenshtein_ratio(query, label),
+                        levenshtein_ratio(sorted_query, sorted_label),
+                    ),
+                    row,
+                )

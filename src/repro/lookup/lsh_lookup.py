@@ -8,15 +8,13 @@ in any band are re-ranked by exact Levenshtein distance.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 
 import numpy as np
 
-from repro.kg.graph import KnowledgeGraph
-from repro.lookup.base import Candidate, LookupService
+from repro.lookup.rows import RowTableLookup
 from repro.text.distance import levenshtein, qgrams
-from repro.text.tokenize import normalize
+from repro.utils.ranking import BestRows
 from repro.utils.rng import as_rng
 
 __all__ = ["LSHStringLookup"]
@@ -24,7 +22,7 @@ __all__ = ["LSHStringLookup"]
 _HASH_PRIME = (1 << 61) - 1
 
 
-class LSHStringLookup(LookupService):
+class LSHStringLookup(RowTableLookup):
     name = "lsh"
 
     def __init__(
@@ -35,7 +33,7 @@ class LSHStringLookup(LookupService):
         include_aliases: bool = False,
         seed: int | np.random.Generator | None = 0,
     ):
-        super().__init__()
+        super().__init__(include_aliases)
         if num_hashes % bands != 0:
             raise ValueError(
                 f"num_hashes {num_hashes} must be divisible by bands {bands}"
@@ -44,32 +42,16 @@ class LSHStringLookup(LookupService):
         self.bands = bands
         self.rows_per_band = num_hashes // bands
         self.q = q
-        self.include_aliases = include_aliases
         rng = as_rng(seed)
         self._a = rng.integers(1, _HASH_PRIME, size=num_hashes, dtype=np.int64)
         self._b = rng.integers(0, _HASH_PRIME, size=num_hashes, dtype=np.int64)
         self._buckets: list[dict[int, list[int]]] = [
             defaultdict(list) for _ in range(bands)
         ]
-        self._labels: list[str] = []
-        self._entity_ids: list[str] = []
 
-    @classmethod
-    def build(
-        cls, kg: KnowledgeGraph, include_aliases: bool = False, **kwargs
-    ) -> "LSHStringLookup":
-        service = cls(include_aliases=include_aliases, **kwargs)
-        for entity in kg.entities():
-            mentions = entity.mentions if include_aliases else (entity.label,)
-            for mention in mentions:
-                label = normalize(mention)
-                row = len(service._labels)
-                service._labels.append(label)
-                service._entity_ids.append(entity.entity_id)
-                signature = service._minhash(label)
-                for band, key in enumerate(service._band_keys(signature)):
-                    service._buckets[band][key].append(row)
-        return service
+    def _index_row(self, row: int, label: str) -> None:
+        for band, key in enumerate(self._band_keys(self._minhash(label))):
+            self._buckets[band][key].append(row)
 
     def _minhash(self, label: str) -> np.ndarray:
         grams = qgrams(label, self.q)
@@ -93,38 +75,19 @@ class LSHStringLookup(LookupService):
             keys.append(hash(tuple(int(v) for v in chunk)))
         return keys
 
-    def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
-        return [self._single(normalize(q), k) for q in queries]
-
-    def _single(self, query: str, k: int) -> list[Candidate]:
-        signature = self._minhash(query)
+    def _score(self, query: str, best: BestRows) -> None:
         candidate_rows: set[int] = set()
-        for band, key in enumerate(self._band_keys(signature)):
+        for band, key in enumerate(self._band_keys(self._minhash(query))):
             candidate_rows.update(self._buckets[band].get(key, ()))
-        heap: list[tuple[float, int]] = []
         for row in candidate_rows:
-            d = levenshtein(query, self._labels[row])
-            score = -float(d)
-            if len(heap) < k:
-                heapq.heappush(heap, (score, row))
-            elif score > heap[0][0]:
-                heapq.heapreplace(heap, (score, row))
-        ranked = sorted(heap, key=lambda item: (-item[0], item[1]))
-        out: list[Candidate] = []
-        seen: set[str] = set()
-        for score, row in ranked:
-            entity_id = self._entity_ids[row]
-            if entity_id in seen:
-                continue
-            seen.add(entity_id)
-            out.append(Candidate(entity_id, float(score)))
-        return out
+            if self.rows.entity_ids[row] is not None:
+                best.offer(float(-levenshtein(query, self.rows.labels[row])), row)
 
     def index_bytes(self) -> int:
         bucket_entries = sum(
             len(rows) for table in self._buckets for rows in table.values()
         )
-        label_bytes = sum(len(label.encode()) for label in self._labels)
+        label_bytes = sum(len(label.encode()) for label in self.rows.labels)
         return bucket_entries * 8 + label_bytes
 
 

@@ -96,7 +96,6 @@ class SimulatedRemoteLookup(LookupService):
         kg: KnowledgeGraph,
         model: RemoteServiceModel | None = None,
         name: str = "wikidata_api",
-        **kwargs,
     ) -> "SimulatedRemoteLookup":
         model = model or RemoteServiceModel.wikidata()
         matcher = ElasticLookup.build(

@@ -40,13 +40,18 @@ import threading
 from repro.kg.graph import KnowledgeGraph
 from repro.index.partitioned import DEFAULT_PARTITION
 from repro.lookup.base import Candidate, LookupService
+from repro.lookup.levenshtein import LevenshteinLookup
 from repro.lookup.normalize import normalize
+from repro.lookup.qgram import QGramLookup
 from repro.utils.timing import Stopwatch
 
 __all__ = ["LabelHashTable", "LookupRouter", "TypeFilterMap"]
 
 #: Tier names in dispatch order.
 _TIERS = ("exact", "fuzzy", "ann")
+
+#: The string services ``LookupRouter.build(fuzzy=<name>)`` can build.
+_FUZZY_TIERS = {"qgram": QGramLookup, "levenshtein": LevenshteinLookup}
 
 #: Over-fetch factor when a type filter must be applied by post-filtering
 #: an unfiltered tier's answers (tiers without native type support).
@@ -77,12 +82,8 @@ class LabelHashTable:
     ) -> "LabelHashTable":
         """Index every entity label (and alias, by default) of ``kg``."""
         table = cls(include_aliases=include_aliases)
-        for entity in kg.entities():
-            mentions = (
-                entity.mentions if include_aliases else (entity.label,)
-            )
-            for mention in mentions:
-                table.add(mention, entity.entity_id)
+        for mention, entity_id in kg.mention_rows(include_aliases):
+            table.add(mention, entity_id)
         return table
 
     def add(self, mention: str, entity_id: str) -> None:
@@ -268,8 +269,8 @@ class LookupRouter(LookupService):
         Service for short / low-alphabetic queries, or ``None`` to send
         them to the ANN tier too.  :meth:`add_entity` /
         :meth:`remove_entity` need it to have the ``add`` /
-        ``drop_entity`` pair of :class:`LabelHashTable` (the q-gram and
-        Levenshtein services do).
+        ``drop_entity`` pair of :class:`LabelHashTable` (every
+        :class:`~repro.lookup.rows.RowTableLookup` does).
     min_string_length_to_trigger:
         Normalized queries shorter than this never reach the embedding
         model (KAZU's knob of the same name).
@@ -331,21 +332,14 @@ class LookupRouter(LookupService):
         disable the tier.
         """
         if isinstance(fuzzy, str):
-            if fuzzy == "qgram":
-                from repro.lookup.qgram import QGramLookup
-
-                fuzzy = QGramLookup.build(kg, include_aliases=include_aliases)
-            elif fuzzy == "levenshtein":
-                from repro.lookup.levenshtein import LevenshteinLookup
-
-                fuzzy = LevenshteinLookup.build(
-                    kg, include_aliases=include_aliases
-                )
-            else:
+            if fuzzy not in _FUZZY_TIERS:
                 raise ValueError(
                     "fuzzy must be a LookupService, 'qgram', 'levenshtein'"
                     f" or None, got {fuzzy!r}"
                 )
+            fuzzy = _FUZZY_TIERS[fuzzy].build(
+                kg, include_aliases=include_aliases
+            )
         return cls(
             LabelHashTable.build(kg, include_aliases=include_aliases),
             ann=ann,
@@ -507,7 +501,7 @@ class LookupRouter(LookupService):
                     ]
             for qi, row in zip(ann_positions, rows):
                 out[qi] = row
-        return [row if row is not None else [] for row in out]
+        return out
 
     # -- introspection -----------------------------------------------------------
 

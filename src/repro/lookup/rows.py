@@ -1,0 +1,131 @@
+"""The label-row table and the string service built on it.
+
+A string lookup service is *rows plus a scorer*: a :class:`LabelRows`
+table of (normalized surface form, entity id), filled by the KG's one row
+walk (:meth:`repro.kg.graph.KnowledgeGraph.mention_rows`), and a
+``_score`` method that offers ``(score, row)`` pairs to the shared ranker
+(:mod:`repro.utils.ranking`).  Building, online ``add`` /
+``drop_entity``, best-k selection and row -> entity resolution are
+written here once; a service adds only its scoring loop and whatever
+per-row index that loop reads.
+"""
+
+from __future__ import annotations
+
+from repro.kg.graph import KnowledgeGraph
+from repro.lookup.base import Candidate, LookupService
+from repro.lookup.normalize import normalize
+from repro.utils.ranking import BestRows, resolve_rows
+
+__all__ = ["LabelRows", "RowTableLookup"]
+
+
+class LabelRows:
+    """Append-only rows of (normalized label, entity id).
+
+    Rows are never renumbered: :meth:`add` appends, :meth:`drop_entity`
+    blanks the entity id (``None``) and leaves the label in place.  Both
+    run on the single mutation thread; a lock-free reader that walks
+    ``labels`` finds the entity id of every row it sees, because the id
+    is appended first.
+    """
+
+    def __init__(self) -> None:
+        self.labels: list[str] = []
+        #: row -> entity id, ``None`` once the row's entity was dropped.
+        self.entity_ids: list[str | None] = []
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def add(self, mention: str, entity_id: str) -> int:
+        """Append one surface form of ``entity_id``; returns its row."""
+        self.entity_ids.append(entity_id)
+        self.labels.append(normalize(mention))
+        return len(self.labels) - 1
+
+    def drop_entity(self, entity_id: str) -> list[int]:
+        """Blank every row of ``entity_id``; returns those rows.
+
+        O(rows) scan on the mutation path, like
+        :meth:`repro.lookup.router.LabelHashTable.drop_entity`.
+        """
+        rows = [
+            row
+            for row, owner in enumerate(self.entity_ids)
+            if owner == entity_id
+        ]
+        for row in rows:
+            self.entity_ids[row] = None
+        return rows
+
+    def nbytes(self) -> int:
+        """Approximate storage of the label strings plus per-row overhead."""
+        return sum(len(label.encode()) + 16 for label in self.labels)
+
+
+class RowTableLookup(LookupService):
+    """A :class:`LabelRows` table ranked by the subclass's ``_score``.
+
+    Subclasses implement :meth:`_score`, and :meth:`_index_row` /
+    :meth:`_unindex_rows` when the scorer reads a per-row index of its
+    own (posting lists, LSH buckets).  A scorer must not offer a row
+    whose entity id is ``None``: it would take a live row's place among
+    the best ``k`` before resolution discards it.
+    """
+
+    def __init__(self, include_aliases: bool = False):
+        super().__init__()
+        self.include_aliases = include_aliases
+        self.rows = LabelRows()
+
+    @classmethod
+    def build(
+        cls, kg: KnowledgeGraph, include_aliases: bool = False, **options
+    ) -> "RowTableLookup":
+        """Index ``kg``'s rows; ``options`` are the constructor's own
+        keywords (an unknown one raises ``TypeError`` there)."""
+        service = cls(include_aliases=include_aliases, **options)
+        for mention, entity_id in kg.mention_rows(include_aliases):
+            service.add(mention, entity_id)
+        return service
+
+    def add(self, mention: str, entity_id: str) -> None:
+        """Index one surface form of ``entity_id`` as the next row."""
+        row = self.rows.add(mention, entity_id)
+        # The scorer's index last: a reader that finds the row there can
+        # already resolve it through the table.
+        self._index_row(row, self.rows.labels[row])
+
+    def drop_entity(self, entity_id: str) -> int:
+        """Retire every row of ``entity_id``; returns how many there were."""
+        rows = self.rows.drop_entity(entity_id)
+        if rows:
+            self._unindex_rows(rows)
+        return len(rows)
+
+    def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
+        out: list[list[Candidate]] = []
+        for query in queries:
+            best = BestRows(k)
+            self._score(normalize(query), best)
+            out.append(
+                resolve_rows(best.ranked(), self.rows.entity_ids, k, Candidate)
+            )
+        return out
+
+    def index_bytes(self) -> int:
+        """The table's storage; override when the scorer's index dominates."""
+        return self.rows.nbytes()
+
+    # -- subclass hooks ----------------------------------------------------------
+
+    def _score(self, query: str, best: BestRows) -> None:
+        """Offer ``(score, row)`` for every candidate row of ``query``."""
+        raise NotImplementedError
+
+    def _index_row(self, row: int, label: str) -> None:
+        """Add the just-appended ``row`` to the scorer's own index."""
+
+    def _unindex_rows(self, rows: list[int]) -> None:
+        """Take just-dropped ``rows`` out of the scorer's own index."""

@@ -71,6 +71,7 @@ from repro.lookup.cache import QueryCache
 from repro.lookup.normalize import normalize
 from repro.lookup.router import LookupRouter, TypeFilterMap
 from repro.utils.contracts import array_contract
+from repro.utils.ranking import fetch_size, resolve_hits
 from repro.utils.timing import Stopwatch
 
 __all__ = [
@@ -638,23 +639,30 @@ class LookupEngine(LookupService):
             # The one read of engine state: everything below — cache
             # probe and fill, index scan, row resolution — uses this.
             snap = self._snap
+            normalized = [normalize(q) for q in queries]
+            if self.cache is None:
+                return self._serve(normalized, k, type_filter, snap)
+            cache_time = self.stage_times["cache"]
+
+            def serve(misses: list[str]) -> list[list[Candidate]]:
+                # The cache stage is the probe and the fill, not the work
+                # between them.
+                cache_time.stop()
+                try:
+                    return self._serve(misses, k, type_filter, snap)
+                finally:
+                    cache_time.start()
+
             # type_filter scopes the result keys: a filtered answer must
             # never serve an unfiltered lookup.
-            key = {"scope": type_filter, "generation": snap.generation}
-            normalized = [normalize(q) for q in queries]
-            out: list[list[Candidate] | None] = [None] * len(queries)
-            with self.stage_times["cache"]:
-                if self.cache is not None:
-                    out = self.cache.get_results(normalized, k, **key)
-            miss_positions = [qi for qi, row in enumerate(out) if row is None]
-            if miss_positions:
-                misses = [normalized[qi] for qi in miss_positions]
-                fresh = self._serve(misses, k, type_filter, snap)
-                for qi, row in zip(miss_positions, fresh):
-                    out[qi] = row
-                if self.cache is not None:
-                    self.cache.put_results(misses, k, fresh, **key)
-            return [row if row is not None else [] for row in out]
+            with cache_time:
+                return self.cache.read_through(
+                    normalized,
+                    k,
+                    serve,
+                    scope=type_filter,
+                    generation=snap.generation,
+                )
         finally:
             if deadline_owner:
                 self._deadline.value = None
@@ -704,7 +712,7 @@ class LookupEngine(LookupService):
             )
             for qi, row in zip(ann_positions, rows):
                 out[qi] = row
-        return [row if row is not None else [] for row in out]
+        return out
 
     def _serve_ann(
         self,
@@ -729,9 +737,12 @@ class LookupEngine(LookupService):
         if getattr(result, "partial", False):
             with self._stats_lock:
                 self._partial_results += 1
+        # Closest row of an entity wins; ``allowed`` drops entities outside
+        # the type filter (partitions mix types when entities declare
+        # several); ``snap.rows`` matches the scan that produced the ids.
         with self.stage_times["rank"]:
-            return self._rank(
-                result.ids, result.distances, k, allowed, snap.rows
+            return resolve_hits(
+                result.ids, -result.distances, snap.rows, k, Candidate, allowed
             )
 
     def _search(
@@ -755,7 +766,7 @@ class LookupEngine(LookupService):
         """
         index = self._index
         pinned = {} if snap.index is None else {"snapshot": snap.index}
-        fetch = k * 3 if snap.has_alias_rows else k
+        impure = 0
         scanned = index.ntotal if snap.index is None else snap.index.rows
         if type_filter is not None:
             partitions = None
@@ -765,12 +776,11 @@ class LookupEngine(LookupService):
                 scanned = snap.index.rows_in(partitions)
             with self._stats_lock:
                 self._type_rows_scanned += scanned
-            fetch += self._impure_row_count(
+            impure = self._impure_row_count(
                 type_filter, allowed, partitions, scanned, snap
             )
-        # (An empty scan — no rows, or a filter no partition can hold —
-        # still searches for k: the index pads instead of raising.)
-        return index.search(vectors, min(fetch, scanned) or k, **pinned)
+        fetch = fetch_size(k, snap.has_alias_rows, scanned, extra=impure)
+        return index.search(vectors, fetch, **pinned)
 
     def _impure_row_count(
         self,
@@ -807,43 +817,6 @@ class LookupEngine(LookupService):
         return self.cache.get_embeddings(
             normalized, self.pipeline.embed_queries
         )
-
-    @array_contract(
-        "ids: (nq, kr) i64::any, distances: (nq, kr) num::any, k: int -> any"
-    )
-    def _rank(
-        self,
-        ids: np.ndarray,
-        distances: np.ndarray,
-        k: int,
-        allowed: frozenset[str] | None,
-        rows_map: list[str],
-    ) -> list[list[Candidate]]:
-        """Dedup alias rows to entities (closest wins) and score candidates.
-
-        ``allowed`` drops entities outside a type filter's admissible set
-        (partitions may mix types when entities declare several).
-        ``rows_map`` is the row->entity list pinned in the same snapshot
-        as the scan that produced ``ids``.
-        """
-        out: list[list[Candidate]] = []
-        for row_ids, row_d in zip(ids, distances):
-            seen: set[str] = set()
-            candidates: list[Candidate] = []
-            for idx, dist in zip(row_ids, row_d):
-                if idx < 0:
-                    continue
-                entity_id = rows_map[int(idx)]
-                if entity_id in seen:
-                    continue
-                if allowed is not None and entity_id not in allowed:
-                    continue
-                seen.add(entity_id)
-                candidates.append(Candidate(entity_id, -float(dist)))
-                if len(candidates) == k:
-                    break
-            out.append(candidates)
-        return out
 
     # -- introspection ---------------------------------------------------------
 

@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+from repro.kg.graph import KnowledgeGraph
+from repro.kg.schema import Entity
 from repro.lookup.elastic import ElasticLookup
 from repro.lookup.exact import ExactMatchLookup
 from repro.lookup.fuzzy import FuzzyWuzzyLookup
@@ -17,17 +19,96 @@ from repro.lookup.levenshtein import LevenshteinLookup
 from repro.lookup.lsh_lookup import LSHStringLookup
 from repro.lookup.qgram import QGramLookup
 from repro.lookup.remote import RemoteServiceModel, SimulatedRemoteLookup
+from repro.lookup.rows import RowTableLookup
 
-
-@pytest.fixture(scope="module", params=[
+SERVICES = [
     ExactMatchLookup, LevenshteinLookup, FuzzyWuzzyLookup,
     QGramLookup, ElasticLookup, LSHStringLookup,
-])
-def any_service(request, tiny_kg):
-    return request.param.build(tiny_kg)
+]
+ROW_TABLE_SERVICES = [s for s in SERVICES if issubclass(s, RowTableLookup)]
+
+
+@pytest.fixture(scope="module", params=SERVICES)
+def service_class(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def any_service(service_class, tiny_kg):
+    return service_class.build(tiny_kg)
+
+
+def indexed_rows(service, probes):
+    """The (label, entity id) rows ``service`` holds, as a set."""
+    if isinstance(service, ExactMatchLookup):
+        rows = {(m, e) for m in probes for e in service.table.get(m)}
+        assert len(service.table) == len({m for m, _ in rows})  # no other key
+        return rows
+    return set(zip(service.rows.labels, service.rows.entity_ids))
 
 
 class TestCommonBehaviour:
+    def test_boundary_tie_keeps_the_lowest_row(self, service_class):
+        """Rows 0 and 1 tie at the k-th score: ``(score desc, row asc)``
+        keeps row 0, whatever order a heap, set or dict met them in."""
+        stem = "a long shared stem abc"
+        kg = KnowledgeGraph()
+        for row, tail in enumerate("xyd"):
+            kg.add_entity(Entity(f"E{row}", stem + tail))
+        service = service_class.build(kg)
+        ranked = [c.entity_id for c in service.lookup(stem + "d", 3)]
+        assert [c.entity_id for c in service.lookup(stem + "d", 2)] == ranked[:2]
+        if service_class is not ExactMatchLookup:  # which finds only E2
+            assert ranked == ["E2", "E0", "E1"]
+            tied = service.lookup(stem + "d", 3)[1:]
+            assert tied[0].score == tied[1].score
+
+    def test_unknown_build_keyword_raises(self, service_class, tiny_kg):
+        with pytest.raises(TypeError):
+            service_class.build(tiny_kg, include_alias=True)
+
+    @pytest.mark.parametrize("include_aliases", [False, True])
+    def test_indexes_exactly_the_walkers_rows(
+        self, service_class, tiny_kg, include_aliases
+    ):
+        want = set(tiny_kg.mention_rows(include_aliases))
+        entities = list(tiny_kg.entities())
+        assert len(want) >= len(entities)
+        assert include_aliases == (len(want) > len(entities))
+        service = service_class.build(tiny_kg, include_aliases=include_aliases)
+        assert service.include_aliases is include_aliases
+        every_mention = [m for m, _ in tiny_kg.mention_rows(True)]
+        assert indexed_rows(service, every_mention) == want
+
+    @pytest.mark.parametrize("cls", ROW_TABLE_SERVICES)
+    def test_add_then_drop_entity_round_trips(self, cls, tiny_kg):
+        service = cls.build(tiny_kg)
+        # Queries with clear winners: BM25's corpus statistics go on
+        # counting a blanked row, which may reorder near-ties.
+        queries = ["germany", "germny", "berlin"]
+        before = [
+            [c.entity_id for c in row]
+            for row in service.lookup_batch(queries, 5)
+        ]
+        rows = len(service.rows)
+        service.add("Zorbletron ", "E-new")
+        service.add("zorbletron prime", "E-new")
+        assert service.rows.labels[rows] == "zorbletron"
+        assert service.lookup("zorbletron", 5)[0].entity_id == "E-new"
+        assert service.drop_entity("E-new") == 2
+        assert service.drop_entity("E-new") == 0
+        # Rows are blanked, not renumbered, and take no live row's place.
+        assert len(service.rows) == rows + 2
+        assert service.rows.entity_ids[rows:] == [None, None]
+        after = [
+            [c.entity_id for c in row]
+            for row in service.lookup_batch(queries, 5)
+        ]
+        assert after == before
+        assert "E-new" not in [
+            c.entity_id for c in service.lookup("zorbletron", 5)
+        ]
+
     def test_exact_label_found(self, any_service, tiny_kg):
         germany = next(iter(tiny_kg.exact_lookup("germany")))
         candidates = any_service.lookup("germany", 10)

@@ -14,9 +14,12 @@ Two assertion tiers, matching what the arithmetic actually guarantees:
   permits reordering only inside oracle distance tie groups.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.pipeline import EmbLookup
 from repro.index.flat import FlatIndex
 from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
@@ -24,6 +27,9 @@ from repro.index.ivfpq import IVFPQIndex
 from repro.index.lsh import LSHIndex
 from repro.index.pq import PQIndex
 from repro.index.sharded import ShardedIndex
+from repro.lookup.cache import QueryCache
+from repro.lookup.emblookup_service import EmbLookupService
+from repro.serving.engine import LookupEngine
 from repro.testing import (
     GridStrategy,
     LabelStrategy,
@@ -407,3 +413,57 @@ class TestInferenceForwardDifferential:
                 model.embed_normalized([normalize(m) for m in mentions]),
                 model.embed([normalize(m) for m in mentions]),
             )
+
+
+class TestLookupStackDifferential:
+    """One fitted pipeline behind every way in: ``EmbLookup.lookup_batch``,
+    ``EmbLookupService`` and ``LookupEngine`` (each with and without a
+    result cache) run the same over-fetch -> search -> resolve sequence,
+    so they return the same entity ids with ``score == -distance``.
+
+    Exact equality: every pass below is all-miss or all-hit, so each path
+    embeds and scans the same batch.
+    """
+
+    @pytest.mark.parametrize("aliases", [False, True])
+    def test_pipeline_service_and_engine_agree(
+        self, trained_service, tiny_kg, aliases
+    ):
+        pipe = EmbLookup(
+            dataclasses.replace(
+                trained_service.config, index_entity_aliases=aliases
+            )
+        )
+        pipe.model, pipe.encoder = trained_service.model, trained_service.encoder
+        pipe.build_index(tiny_kg)
+        labels = [e.label for e in tiny_kg.entities()][:40]
+        queries = labels + [l[:-1] + "x" for l in labels] + labels[:5]
+        k = 7
+        want = [
+            [(r.entity_id, -r.distance) for r in row]
+            for row in pipe.lookup_batch(queries, k)
+        ]
+        assert all(len(row) == k for row in want)
+        rows = pipe.row_entity_ids
+        assert aliases == (len(set(rows)) < len(rows))
+
+        def cache():
+            return QueryCache(256, cache_results=True)
+
+        with LookupEngine(pipe, pipe.index, rows) as engine, LookupEngine(
+            pipe, pipe.index, rows, cache=cache()
+        ) as cached_engine:
+            stacks = {
+                "service": EmbLookupService(pipe),
+                "service+cache": EmbLookupService(pipe, cache=cache()),
+                "engine": engine,
+                "engine+cache": cached_engine,
+            }
+            for name, stack in stacks.items():
+                for attempt in ("cold", "warm"):
+                    got = stack.lookup_batch(queries, k)
+                    assert [
+                        [tuple(c) for c in row] for row in got
+                    ] == want, (name, attempt)
+            for name in ("service+cache", "engine+cache"):
+                assert stacks[name].cache.stats.hits >= len(queries), name

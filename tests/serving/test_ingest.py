@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.lookup.cache import QueryCache
-from repro.lookup.fuzzy import FuzzyWuzzyLookup
+from repro.lookup.exact import ExactMatchLookup
 from repro.lookup.router import LookupRouter
 from repro.serving.engine import LookupEngine
 from repro.serving.ingest import (
@@ -193,8 +193,9 @@ class TestStaleCacheRegression:
         self, trained_service, tiny_kg
     ):
         """A router that would go stale refuses the mutation up front."""
+        # An exact-match service as the fuzzy tier has no add/drop_entity.
         router = LookupRouter.build(
-            tiny_kg, fuzzy=FuzzyWuzzyLookup.build(tiny_kg)
+            tiny_kg, fuzzy=ExactMatchLookup.build(tiny_kg)
         )
         engine = fresh_engine(trained_service, router=router)
         try:
