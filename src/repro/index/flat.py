@@ -1,16 +1,30 @@
 """Exact brute-force index (FAISS ``IndexFlatL2`` equivalent).
 
 This is the "EmbLookup without compression" (EL-NC) index of the paper and
-the ground truth for the Figure 4 recall experiments.  Since the serving
-PR the scan is *blockwise*: distances are computed one
-:data:`~repro.index.topk.DEFAULT_BLOCK_SIZE`-row block at a time and folded
-into a running top-k, so peak memory is O(n_queries x block) instead of the
-full O(n_queries x ntotal) matrix, and storage grows through an amortized
-doubling buffer instead of a per-``add`` ``np.concatenate``.
+the ground truth for the Figure 4 recall experiments.  The scan is
+*blockwise* and *two-stage*.  Per block of stored rows:
+
+1. **coarse, float32** — ``||x||^2 - 2 q.x`` (``-q.x`` for ``"ip"``) for
+   every row, as one sgemm plus the block's float32 row norms;
+2. **conservative cut** — a row is dropped only when its coarse score lies
+   beyond the k-th smallest one by more than twice a forward-error bound of
+   step 1 (:func:`_survivors`), so no true neighbour is lost to float32
+   rounding, overflow or NaN;
+3. **exact, float64, survivors only** — the few rows left (``k`` plus a
+   handful on real stores) are re-scored with a *pair-pure* kernel: the
+   distance of ``(q, x)`` is a fixed-order sum over those two vectors
+   alone (:func:`_exact_distances`), so it is bit-identical whatever the
+   block size, shard count, batch composition or row position.
+
+Survivors are ranked by ``(pad-last, distance, id)`` and folded into the
+running top-k, so peak memory is O(n_queries x block) float32 and no
+float64 copy of the store is ever made.  Row norms are recomputed per
+search, not stored: the index stays 256 bytes per 64-d row (DESIGN.md §9,
+"Flat scan: coarse + re-score").
 
 The index is *mutable under live traffic*: it is a
 :class:`~repro.index.mutation.RowStore`, which owns ``add`` / ``remove`` /
-``update`` / ``compact`` / ``search`` and publishes one immutable
+``update`` / ``compact`` and publishes one immutable
 :class:`~repro.index.mutation.IndexSnapshot` per mutation; a search scans
 the snapshot it pinned.  Row ids are stable until a compaction, which
 returns an old-to-new id remap.
@@ -22,11 +36,126 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.index.kmeans import _squared_distances
+from repro.index.base import SearchResult
 from repro.index.mutation import IndexSnapshot, RowStore
+from repro.index.topk import (
+    DEFAULT_BLOCK_BUDGET_BYTES,
+    _pad_topk,
+    auto_block_size,
+    merge_topk,
+)
 from repro.utils.contracts import array_contract
 
 __all__ = ["FlatIndex"]
+
+_EPS32 = np.finfo(np.float32).eps
+_TINY32 = np.finfo(np.float32).tiny
+
+
+@array_contract(
+    "queries: (nq, d) f32, block: (b, d) f32, dead: any, k: int, metric: str"
+    " -> (nq, b) bool"
+)
+def _survivors(
+    queries: np.ndarray,
+    block: np.ndarray,
+    dead: np.ndarray | None,
+    k: int,
+    metric: str,
+) -> np.ndarray:
+    """Rows of ``block`` not *provably* outside each query's top ``k``.
+
+    ``coarse = ||x||^2 - 2 q.x`` (``-q.x`` for ``"ip"``) in float32, with
+    the ``dead`` (tombstoned) columns masked out.  Every float32 operation
+    rounds by at most ``u = eps32 / 2`` relative (plus ``tiny32`` on
+    underflow), so with ``S = (||q|| + max ||x||)^2``::
+
+        |coarse - exact| <= (d + 1) u S  <  bound / 2,
+        bound = (d + 4) (eps32 S + tiny32)
+
+    for both metrics, in any summation order BLAS picks.  The ``k`` rows
+    with the smallest coarse scores are truly below ``kth + bound / 2``
+    and a row whose coarse score exceeds ``cut = kth + 2 bound`` is truly
+    above ``kth + 3 bound / 2``: at least ``k`` rows beat it, by a margin
+    (``> bound``) far above the float64 rounding of the re-score and the
+    float32 rounding of ``S`` and ``cut`` themselves.  Only those rows are
+    dropped — ``~(coarse > cut)`` keeps NaN scores, and an overflowing
+    ``S`` makes the bound infinite, which keeps everything.
+    """
+    nq, width = len(queries), len(block)
+    if width <= k:
+        keep = np.ones((nq, width), dtype=bool)
+    else:
+        # Overflow to inf / NaN is a handled outcome here, not an error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.einsum("ij,ij->i", block, block)
+            coarse = queries @ block.T
+            if metric == "l2":
+                coarse *= -2.0
+                coarse += norms
+            else:
+                np.negative(coarse, out=coarse)
+            if dead is not None:
+                coarse[:, dead] = np.inf
+                norms = np.delete(norms, dead)
+            kth = np.partition(coarse, k - 1, axis=1)[:, k - 1 : k]
+            reach = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+            reach += np.sqrt(norms.max(initial=0.0))
+            # (d + 4) S is formed first, in float32: it overflows (bound
+            # inf) before any intermediate of ``coarse`` (all <= S) can.
+            terms = queries.shape[1] + 4
+            bound = _EPS32 * (terms * (reach * reach)) + terms * _TINY32
+            keep = ~(coarse > kth + 2.0 * bound[:, None])
+    if dead is not None:
+        keep[:, dead] = False
+    return keep
+
+
+@array_contract("keep: (nq, b) bool -> (nq, _) i64")
+def _left_pack(keep: np.ndarray) -> np.ndarray:
+    """Column numbers of the ``True`` cells of each row, ascending and
+    left-aligned; rows with fewer than the widest are padded with ``-1``."""
+    # flatnonzero + divmod: 10x faster than the 2-D np.nonzero at 32 x 5000.
+    row, col = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    counts = np.bincount(row, minlength=len(keep))
+    packed = np.full((len(keep), counts.max(initial=0)), -1, dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    packed[row, np.arange(len(row), dtype=np.int64) - first[row]] = col
+    return packed
+
+
+@array_contract(
+    "q64: (nq, d) f64, block: (b, d) f32, cand: (nq, s) i64, metric: str"
+    " -> (nq, s) f64"
+)
+def _exact_distances(
+    q64: np.ndarray, block: np.ndarray, cand: np.ndarray, metric: str
+) -> np.ndarray:
+    """Float64 distance of every ``(query, candidate row)`` pair.
+
+    *Pair-pure*: each output is ``sum_j (q_j - x_j)^2`` (``-sum_j q_j x_j``
+    for ``"ip"``) accumulated by einsum's fixed-order loop over the ``d``
+    axis of that one pair, so it does not depend on which other queries or
+    rows share the call.  The ``(nq, s, d)`` gather is chunked over ``s`` to
+    stay inside the block budget even when every row survived.  ``cand``
+    entries of ``-1`` (padding) come back as ``inf``.
+    """
+    nq, dim = q64.shape
+    out = np.empty(cand.shape, dtype=q64.dtype)
+    step = max(1, DEFAULT_BLOCK_BUDGET_BYTES // (max(1, nq) * dim * 8))
+    for lo in range(0, cand.shape[1], step):
+        rows = block[cand[:, lo : lo + step]]
+        if metric == "l2":
+            diff = q64[:, None, :] - rows
+            np.einsum("qsd,qsd->qs", diff, diff, out=out[:, lo : lo + step])
+        else:
+            # Survivors only: the store itself is never widened.
+            rows = rows.astype(np.float64)  # repro: noqa[REP102]
+            np.einsum("qd,qsd->qs", q64, rows, out=out[:, lo : lo + step])
+    if metric == "ip":
+        np.negative(out, out=out)
+    out[cand < 0] = np.inf  # the gather scored padding against the last row
+    return out
 
 
 class FlatIndex(RowStore):
@@ -46,6 +175,9 @@ class FlatIndex(RowStore):
         so one-query probes and 256-query benches each get a
         cache-friendly tile.
     """
+
+    # The coarse tile is float32.
+    _bytes_per_score = 4
 
     def __init__(self, dim: int, metric: str = "l2", block_size: int | None = None):
         if dim <= 0:
@@ -83,15 +215,42 @@ class FlatIndex(RowStore):
         index._wrap(attach(state["vectors"]))
         return index
 
-    def _scorer(
-        self, queries: np.ndarray, snap: IndexSnapshot
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        if self.metric == "l2":
-            return lambda block: _squared_distances(queries, block)
-        # Inner products accumulate over dim float32 terms; float64
-        # accumulation keeps ties stable (storage stays float32).
+    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
+    def search(
+        self,
+        queries: np.ndarray,
+        k: int,
+        block_size: int | None = None,
+        snapshot: IndexSnapshot | None = None,
+    ) -> SearchResult:
+        """Exact top-``k`` over ``snapshot`` (default: the current one),
+        excluding its tombstones: per block, a float32 coarse pass, then a
+        float64 re-score of the rows it could not rule out."""
+        queries = self._check_vectors(queries, "queries")
+        self._check_k(k)
+        block = block_size if block_size is not None else self.block_size
+        if block is None:
+            block = auto_block_size(
+                len(queries), bytes_per_score=self._bytes_per_score
+            )
+        if block < 1:
+            raise ValueError(f"block_size must be >= 1, got {block}")
+        snap = snapshot if snapshot is not None else self._snap
+        # Exact re-score accumulates in float64 (storage stays float32).
         q64 = queries.astype(np.float64)  # repro: noqa[REP102]
-        return lambda block: -(q64 @ block.astype(np.float64).T)  # repro: noqa[REP102]
+        ids = np.empty((len(queries), 0), dtype=np.int64)
+        distances = np.empty((len(queries), 0), dtype=q64.dtype)
+        for start in range(0, snap.rows, block):
+            rows = snap.data[start : start + block]
+            dead = None
+            if snap.tombstones is not None:
+                dead = np.flatnonzero(snap.tombstones[start : start + block])
+            cand = _left_pack(_survivors(queries, rows, dead, k, self.metric))
+            exact = _exact_distances(q64, rows, cand, self.metric)
+            cand[cand >= 0] += start
+            ids, distances = merge_topk(ids, distances, cand, exact, k)
+        ids, distances = _pad_topk(ids, distances, k)
+        return SearchResult(ids=ids, distances=distances)
 
     @array_contract("idx: int -> (d,) f32")
     def reconstruct(self, idx: int) -> np.ndarray:

@@ -176,7 +176,9 @@ class RowStore(VectorIndex):
     the float32 vectors callers hand in into the stored rows; encoding
     runs under the write lock, so always with the codec the rows are
     published with.  Subclasses set ``dim`` / ``block_size``, implement
-    :meth:`_scorer`, and may set ``_rebuild`` (see :meth:`compact`).
+    :meth:`_scorer` (the flat index, whose scan is not one score per row,
+    overrides :meth:`search` instead), and may set ``_rebuild`` (see
+    :meth:`compact`).
     """
 
     block_size: int | None = None

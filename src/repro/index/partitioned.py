@@ -18,10 +18,9 @@ cannot be recovered arithmetically (partitions grow unevenly, unlike the
 round-robin stripes of :class:`~repro.index.sharded.ShardedIndex`), the
 mapping is materialised in a one-column :class:`GrowBuffer` per
 partition.  The ``(distance, id)`` ranking convention makes the merged
-union partition-invariant — see :mod:`repro.index.topk` for the exact
-bit-identity caveats per index family (the default flat partitions are
-identical up to ulp-level distance ties; PQ partitions sharing one
-trained quantizer are bit-exact).
+union partition-invariant — see :mod:`repro.index.topk` (the default
+flat partitions and PQ partitions sharing one trained quantizer are both
+bit-exact against the unpartitioned scan).
 
 The sub-index family is pluggable through ``factory`` — pass a closure
 building a :class:`~repro.index.sharded.ShardedIndex` to combine per-type

@@ -15,18 +15,16 @@ materialisation; see ``BENCH_serving.json``).
 Ordering convention: candidates are ranked by ``(distance, id)`` — ties
 broken toward the smaller row id — so the selection/merge machinery
 itself is exactly partition-invariant: feeding it the same per-candidate
-scores in any block or shard grouping returns identical results.
-Caveat discovered by the ``repro.testing`` differential harness: for the
-*flat* scan the scores themselves are BLAS matmuls whose rounding can
-differ by ~1 ulp with block width (gemv vs gemm kernels), so cross-
-partition results are bit-identical only up to ulp-level distance ties;
-the PQ ADC path sums its tables in fixed order and is bit-exact across
-any partitioning.  (That fixed-order constraint is why
+scores in any block or shard grouping returns identical results.  Both
+scanning families hand it scores that are themselves partition-invariant:
+the flat scan re-scores its survivors one ``(query, row)`` pair at a time
+in float64 (:mod:`repro.index.flat`), and the PQ ADC path sums its tables
+in fixed order.  (That fixed-order constraint is why
 ``ProductQuantizer.scan_codes`` accumulates its per-subquantizer LUT
 gathers with elementwise adds instead of a GEMM reduction: a BLAS dot
-over the ``m`` axis may re-associate the sum per tile width, which would
-quietly re-introduce the flat scan's caveat into the one path the
-differential suite pins bit-exactly.)  Padding follows
+over the ``m`` axis may re-associate the sum per tile width, and a score
+that moves by an ulp with the tile width is a result that moves with the
+block size.)  Padding follows
 :class:`repro.index.base.SearchResult`: id ``-1`` with ``inf`` distance,
 always sorted last.
 
@@ -60,15 +58,15 @@ __all__ = [
     "merge_topk",
 ]
 
-#: Default scan granularity: 4096 rows/block keeps a 256-query float64
-#: block under 8 MB and measured fastest of {1k, 4k, 8k} on one core.
+#: Default scan granularity: 4096 rows/block keeps a 256-query block of
+#: 8-byte scores under 8 MB and measured fastest of {1k, 4k, 8k} on one core.
 DEFAULT_BLOCK_SIZE = 4096
 
 #: Per-block score-tile budget for :func:`auto_block_size`.  8 MiB is the
-#: sweet spot measured in BENCH_serving.json: at 256 queries x float64 it
-#: yields the winning 4096-row block, while the 8192-row block's 16 MiB
-#: tile overflows the last-level cache and scans *slower* than the full
-#: materialisation trend (0.263s vs 0.146s at 50k x 64).
+#: sweet spot measured in BENCH_serving.json: at 256 queries x 8-byte
+#: scores it yields the winning 4096-row block, while the 8192-row
+#: block's 16 MiB tile overflows the last-level cache and scans *slower*
+#: than the full materialisation trend (0.263s vs 0.146s at 50k x 64).
 DEFAULT_BLOCK_BUDGET_BYTES = 8 << 20
 
 
@@ -95,9 +93,10 @@ def auto_block_size(
     num_queries:
         Rows of the score tile (the batch size of the scan).
     bytes_per_score:
-        Bytes of per-candidate working set per query; 8 for the flat
-        scan's float64 tile, larger for scans that materialise extra
-        per-candidate temporaries (the PQ ADC gather uses 16).
+        Bytes of per-candidate working set per query: 4 for the flat
+        scan's float32 coarse tile, 8 for a float64 one, larger for scans
+        that materialise extra per-candidate temporaries (the PQ ADC
+        gather uses 16).
     budget_bytes:
         Working-set budget (default :data:`DEFAULT_BLOCK_BUDGET_BYTES`).
     floor / cap:
@@ -138,10 +137,8 @@ def _rank_topk(
     in ``np.sort``.
     """
     order = np.lexsort((ids, distances, ids < 0), axis=1)[:, :k]
-    return (
-        np.take_along_axis(ids, order, axis=1),
-        np.take_along_axis(distances, order, axis=1),
-    )
+    rows = np.arange(len(ids), dtype=np.int64)[:, None]
+    return ids[rows, order], distances[rows, order]
 
 
 @array_contract(

@@ -3,15 +3,14 @@
 Two assertion tiers, matching what the arithmetic actually guarantees:
 
 - **exactness** — the selection/merge machinery is exactly
-  partition-invariant, and PQ's ADC distances are computed per row in a
-  fixed order, so PQ results are *bit-identical* across any block/shard
-  partitioning and repeated flat searches are bit-identical to
-  themselves;
-- **agreement** — flat-scan *scores* come from BLAS matmuls whose
-  rounding varies ~1 ulp with the gemm width, so cross-partition flat
-  comparisons (and any production-vs-oracle comparison, where the
-  kernels differ by construction) use :func:`assert_topk_agrees`, which
-  permits reordering only inside oracle distance tie groups.
+  partition-invariant, PQ's ADC distances are computed per row in a
+  fixed order and the flat scan re-scores its survivors one (query, row)
+  pair at a time, so both families are *bit-identical* across any
+  block/shard/batch partitioning of one store;
+- **agreement** — a production scan and the oracle add the same terms in
+  different orders, so production-vs-oracle comparisons use
+  :func:`assert_topk_agrees`, which permits reordering only inside
+  oracle distance tie groups.
 """
 
 import dataclasses
@@ -134,6 +133,162 @@ class TestFlatDifferential:
             assert_topk_equal(second, first, context=store.note)
 
         run_cases(prop, strategy, name="flat_determinism")
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_flat_pair_purity_is_bit_exact(self, metric):
+        """A flat distance is a function of its (query, row) pair alone:
+        ids *and* distances are bit-identical across block sizes, shard
+        counts, batch composition and compaction."""
+        from repro.testing import run_cases
+
+        strategy = TupleStrategy(
+            VectorStoreStrategy(conditioned=False), GridStrategy()
+        )
+
+        def prop(case):
+            store, grid = case
+            n, k = len(store.vectors), grid.k
+            reference = FlatIndex(store.dim, metric=metric, block_size=n)
+            reference.add(store.vectors)
+            want = reference.search(store.queries, k)
+
+            for block in (1, 7):
+                assert_topk_equal(
+                    reference.search(store.queries, k, block_size=block),
+                    want,
+                    context=f"block={block} {store.note}",
+                )
+
+            for num_shards in (1, 2, 3):
+                sharded = ShardedIndex(
+                    store.dim,
+                    num_shards,
+                    factory=lambda d: FlatIndex(d, metric=metric),
+                )
+                sharded.add(store.vectors)
+                try:
+                    assert_topk_equal(
+                        sharded.search(store.queries, k),
+                        want,
+                        context=f"shards={num_shards} {store.note}",
+                    )
+                finally:
+                    sharded.close()
+
+            for row, query in enumerate(store.queries):
+                alone = reference.search(query, k)
+                assert_topk_equal(
+                    alone,
+                    (want.ids[row : row + 1], want.distances[row : row + 1]),
+                    context=f"query {row} alone {store.note}",
+                )
+
+            reference.remove(np.arange(0, n, 3))
+            before = reference.search(store.queries, k)
+            remap = reference.compact()
+            moved = np.where(before.ids >= 0, remap[before.ids], -1)
+            assert_topk_equal(
+                reference.search(store.queries, k),
+                (moved, before.distances),
+                context=f"compact {store.note}",
+            )
+
+        run_cases(prop, strategy, cases=40, name=f"flat_pair_purity_{metric}")
+
+
+class TestFlatTwoStageScan:
+    """The float32 coarse pass may only drop rows it can prove are
+    outside the top-k; everything else is decided in float64."""
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_cut_keeps_every_oracle_neighbour(self, metric):
+        from repro.index.flat import _survivors
+        from repro.testing import run_cases
+
+        strategy = TupleStrategy(
+            VectorStoreStrategy(conditioned=False), GridStrategy()
+        )
+
+        def prop(case):
+            store, grid = case
+            keep = _survivors(
+                store.queries, store.vectors, None, grid.k, metric
+            )
+            oracle_ids, _ = brute_force_topk(
+                store.vectors, store.queries, grid.k, metric=metric
+            )
+            for row, ids in enumerate(oracle_ids):
+                lost = [int(i) for i in ids[ids >= 0] if not keep[row, i]]
+                assert not lost, (
+                    f"query {row}: cut dropped oracle neighbours {lost} "
+                    f"({store.note}, k={grid.k})"
+                )
+
+        run_cases(prop, strategy, name=f"flat_cut_soundness_{metric}")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, 1e20])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_nonfinite_coarse_scores_keep_every_live_row(self, metric, bad):
+        """1e20 squares past float32's range: the coarse bound is infinite
+        and nothing may be dropped on it."""
+        from repro.index.flat import _survivors
+
+        rng = case_rng(0, 0)
+        vectors = rng.normal(size=(60, 8)).astype(np.float32)
+        vectors[17, 3] = bad
+        queries = rng.normal(size=(3, 8)).astype(np.float32)
+        dead = np.array([4, 40])
+        keep = _survivors(queries, vectors, dead, 5, metric)
+        assert not keep[:, dead].any()
+        assert np.delete(keep, dead, axis=1).all()
+
+    def test_well_conditioned_store_keeps_few_rows(self):
+        """The cut is not vacuous: on unit-scale data it leaves k rows
+        plus a handful, not the block."""
+        from repro.index.flat import _survivors
+
+        rng = case_rng(0, 1)
+        vectors = rng.normal(size=(2000, 64)).astype(np.float32)
+        queries = rng.normal(size=(4, 64)).astype(np.float32)
+        counts = _survivors(queries, vectors, None, 10, "l2").sum(axis=1)
+        assert (counts >= 10).all() and (counts <= 20).all(), counts
+
+    def test_rescore_chunking_is_invisible(self):
+        """300 queries x 64 dims leave 54 survivors per 8 MiB re-score
+        chunk; an inf entry makes all 130 rows survive, so the re-score
+        runs in three chunks and must equal the one-row-per-block scan."""
+        rng = case_rng(0, 3)
+        vectors = rng.normal(size=(130, 64)).astype(np.float32)
+        vectors[5, 9] = np.inf
+        queries = rng.normal(size=(300, 64)).astype(np.float32)
+        index = FlatIndex(64)
+        index.add(vectors)
+        assert_topk_equal(
+            index.search(queries, 10), index.search(queries, 10, block_size=1)
+        )
+
+    @pytest.mark.parametrize("block", [7, None])
+    def test_identical_rows_rank_by_id(self, block):
+        index = FlatIndex(4, block_size=block)
+        index.add(np.full((100, 4), 0.25, dtype=np.float32))
+        got = index.search(np.ones((2, 4), dtype=np.float32), 10)
+        np.testing.assert_array_equal(got.ids, [list(range(10))] * 2)
+        assert (got.distances == got.distances[0, 0]).all()
+
+    def test_k_beyond_live_rows_pads_after_the_live_ones(self):
+        rng = case_rng(0, 2)
+        vectors = rng.normal(size=(10, 4)).astype(np.float32)
+        queries = rng.normal(size=(3, 4)).astype(np.float32)
+        index = FlatIndex(4, block_size=4)
+        index.add(vectors)
+        index.remove([1, 4, 5, 9])
+        live = np.array([0, 2, 3, 6, 7, 8])
+        got = index.search(queries, 8)
+        oracle_ids, oracle_d = brute_force_topk(vectors[live], queries, 8)
+        want_ids = np.where(oracle_ids >= 0, live[oracle_ids], -1)
+        assert_topk_agrees(got, (want_ids, oracle_d), rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(got.ids[:, 6:], -1)
+        assert np.isinf(got.distances[:, 6:]).all()
 
 
 class TestPQDifferential:
