@@ -116,7 +116,10 @@ def check_row_ids(ids, rows: int) -> np.ndarray:
             f"row ids must be in [0, {rows}), got range "
             f"[{out.min()}, {out.max()}]"
         )
-    if len(np.unique(out)) != len(out):
+    # Not ``np.unique``: its first call imports ``numpy.ma`` (tens of ms)
+    # on the mutation thread, under the engine's mutation lock.
+    ordered = np.sort(out)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("duplicate row ids in one mutation batch")
     return out
 

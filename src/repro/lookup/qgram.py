@@ -7,20 +7,30 @@ approximate string matcher.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
 from repro.lookup.rows import RowTableLookup
 from repro.text.distance import qgrams
-from repro.utils.ranking import BestRows
+from repro.utils.ranking import best_rows
 
 __all__ = ["QGramLookup"]
 
 
 class QGramLookup(RowTableLookup):
-    """Inverted q-gram index over the row table.
+    """Inverted q-gram index over the row table, held as integer arrays.
 
-    Lock-free readers see a row only once its gram set is in place, and a
-    posting list is replaced, never edited, when it loses a row.
+    ``_postings`` maps a gram to the int32 rows containing it, ascending
+    because rows only grow; ``_columns`` is the pair ``(gram_count,
+    live)`` over all rows — distinct grams of the row's label, and
+    whether its entity is still indexed.  A lookup is one ``bincount``
+    over the concatenated postings of the query's grams.
+
+    Lock-free readers rely on two rules.  A posting array is replaced,
+    never edited, and a dropped row stays in its postings with ``live``
+    cleared (rows are never renumbered, so nothing is ever rewritten for
+    a drop).  The writer fills a row's columns before it publishes the
+    row's postings and a reader takes postings before columns, so every
+    row a reader finds in a posting has its columns.
     """
 
     name = "qgram"
@@ -30,38 +40,60 @@ class QGramLookup(RowTableLookup):
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
         self.q = q
-        self._postings: dict[str, list[int]] = defaultdict(list)
-        self._gram_sets: list[frozenset[str]] = []
+        self._postings: dict[str, np.ndarray] = {}
+        self._columns: tuple[np.ndarray, np.ndarray] = (
+            np.zeros(0, dtype=np.int32),
+            np.zeros(0, dtype=bool),
+        )
 
-    def _index_row(self, row: int, label: str) -> None:
-        grams = frozenset(qgrams(label, self.q))
-        self._gram_sets.append(grams)
-        for gram in grams:
-            self._postings[gram].append(row)
+    def _index_rows(self, start: int, stop: int) -> None:
+        gram_count, live = self._columns
+        if stop > len(live):
+            pad = max(stop, 2 * len(live)) - len(live)
+            # Capacity doubles; one assignment publishes both columns, so
+            # no reader pairs an old one with a new one.
+            self._columns = gram_count, live = (
+                np.concatenate((gram_count, np.zeros(pad, dtype=np.int32))),
+                np.concatenate((live, np.zeros(pad, dtype=bool))),
+            )
+        rows_of: dict[str, list[int]] = {}
+        for row in range(start, stop):
+            grams = set(qgrams(self.rows.labels[row], self.q))
+            gram_count[row] = len(grams)
+            live[row] = True
+            for gram in grams:
+                rows_of.setdefault(gram, []).append(row)
+        postings = self._postings
+        for gram, rows in rows_of.items():
+            new = np.array(rows, dtype=np.int32)
+            old = postings.get(gram)
+            postings[gram] = new if old is None else np.concatenate((old, new))
 
     def _unindex_rows(self, rows: list[int]) -> None:
-        gone = set(rows)
-        for gram in set().union(*(self._gram_sets[row] for row in rows)):
-            remaining = [r for r in self._postings[gram] if r not in gone]
-            if remaining:
-                self._postings[gram] = remaining
-            else:
-                del self._postings[gram]
+        self._columns[1][rows] = False
 
-    def _score(self, query: str, best: BestRows) -> None:
-        query_grams = set(qgrams(query, self.q))
-        overlap: dict[int, int] = defaultdict(int)
-        for gram in query_grams:
-            for row in self._postings.get(gram, ()):
-                overlap[row] += 1
-        for row, shared in overlap.items():
-            union = len(query_grams) + len(self._gram_sets[row]) - shared
-            score = shared / union if union else 1.0
-            if score >= best.floor:
-                best.offer(score, row)
+    def _ranked(self, query: str, k: int) -> list[tuple[float, int]]:
+        grams = set(qgrams(query, self.q))
+        postings = self._postings
+        hit = [rows for rows in map(postings.get, grams) if rows is not None]
+        if not hit:
+            return []
+        gram_count, live = self._columns
+        shared = np.bincount(np.concatenate(hit))
+        rows = np.flatnonzero((shared > 0) & live[: len(shared)])
+        shared = shared[rows]
+        # Small ints divide exactly like Python's ``int / int``.
+        scores = shared / (len(grams) + gram_count[rows] - shared)
+        return best_rows(scores, rows, k)
 
     def index_bytes(self) -> int:
-        return sum(
-            len(gram.encode()) + 8 * len(rows)
-            for gram, rows in self._postings.items()
+        """Gram keys, 4 B per posting entry, and the two per-row columns."""
+        gram_count, live = self._columns
+        return (
+            sum(
+                len(gram.encode()) + rows.nbytes
+                for gram, rows in self._postings.items()
+            )
+            + gram_count.nbytes
+            + live.nbytes
         )

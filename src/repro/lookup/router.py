@@ -68,12 +68,16 @@ class LabelHashTable:
     (every :meth:`add` / :meth:`drop_entity` installs a *new* tuple with
     one GIL-atomic dict assignment) and mutations are serialized by the
     serving engine's mutation lock, so concurrent readers see either the
-    old tuple or the new one without taking a lock.
+    old tuple or the new one without taking a lock.  The mutation thread
+    alone reads ``_keys_of``, the reverse map that lets a drop visit only
+    the entity's own keys.
     """
 
     def __init__(self, include_aliases: bool = True) -> None:
         self.include_aliases = include_aliases
         self._entries: dict[str, tuple[str, ...]] = {}
+        #: entity id -> the keys whose tuple names it.
+        self._keys_of: dict[str, list[str]] = {}
         self._bytes = 0
 
     @classmethod
@@ -95,31 +99,28 @@ class LabelHashTable:
         if entity_id in existing:
             return
         self._entries[key] = existing + (entity_id,)
+        self._keys_of.setdefault(entity_id, []).append(key)
         self._bytes += len(key.encode()) + len(entity_id.encode()) + 16
 
     def drop_entity(self, entity_id: str) -> int:
         """Remove ``entity_id`` from every surface form it is indexed under.
 
-        Returns the number of entries it was removed from.  O(table)
-        scan — acceptable because mutations are rare next to lookups and
-        the scan happens on the ingestion path, never on a serving
-        thread.  Copy-on-write: affected keys get a fresh tuple (or are
-        deleted when the entity was their only answer), so concurrent
-        readers are never exposed to a half-edited entry.
+        Returns the number of entries it was removed from (0 for an
+        unknown entity); visits only those entries.  Copy-on-write:
+        affected keys get a fresh tuple (or are deleted when the entity
+        was their only answer), so concurrent readers are never exposed
+        to a half-edited entry.
         """
-        dropped = 0
-        for key, ids in list(self._entries.items()):
-            if entity_id not in ids:
-                continue
-            remaining = tuple(e for e in ids if e != entity_id)
+        keys = self._keys_of.pop(entity_id, [])
+        for key in keys:
+            remaining = tuple(e for e in self._entries[key] if e != entity_id)
             if remaining:
                 self._entries[key] = remaining
             else:
                 del self._entries[key]
             # Mirror of the per-add accounting in :meth:`add`.
             self._bytes -= len(key.encode()) + len(entity_id.encode()) + 16
-            dropped += 1
-        return dropped
+        return len(keys)
 
     def get(self, normalized: str) -> tuple[str, ...]:
         """Entity ids whose label/alias normalizes to ``normalized``."""
@@ -134,7 +135,8 @@ class LabelHashTable:
         return len(self._entries)
 
     def index_bytes(self) -> int:
-        """Approximate storage of keys plus id tuples."""
+        """Approximate storage of keys plus id tuples (what a probe reads;
+        the write-side reverse map is not counted)."""
         return self._bytes
 
 

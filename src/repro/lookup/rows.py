@@ -7,7 +7,8 @@ walk (:meth:`repro.kg.graph.KnowledgeGraph.mention_rows`), and a
 (:mod:`repro.utils.ranking`).  Building, online ``add`` /
 ``drop_entity``, best-k selection and row -> entity resolution are
 written here once; a service adds only its scoring loop and whatever
-per-row index that loop reads.
+per-row index that loop reads.  Every write costs what it touches: the
+table finds an entity's rows through a reverse map, never by scanning.
 """
 
 from __future__ import annotations
@@ -34,27 +35,24 @@ class LabelRows:
         self.labels: list[str] = []
         #: row -> entity id, ``None`` once the row's entity was dropped.
         self.entity_ids: list[str | None] = []
+        #: live entity id -> its rows; only the mutation thread reads it.
+        self._rows_of: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def add(self, mention: str, entity_id: str) -> int:
         """Append one surface form of ``entity_id``; returns its row."""
+        row = len(self.labels)
+        self._rows_of.setdefault(entity_id, []).append(row)
         self.entity_ids.append(entity_id)
         self.labels.append(normalize(mention))
-        return len(self.labels) - 1
+        return row
 
     def drop_entity(self, entity_id: str) -> list[int]:
-        """Blank every row of ``entity_id``; returns those rows.
-
-        O(rows) scan on the mutation path, like
-        :meth:`repro.lookup.router.LabelHashTable.drop_entity`.
-        """
-        rows = [
-            row
-            for row, owner in enumerate(self.entity_ids)
-            if owner == entity_id
-        ]
+        """Blank every row of ``entity_id``; returns those rows (ascending,
+        empty for an unknown entity).  O(rows of the entity)."""
+        rows = self._rows_of.pop(entity_id, [])
         for row in rows:
             self.entity_ids[row] = None
         return rows
@@ -71,7 +69,11 @@ class RowTableLookup(LookupService):
     :meth:`_unindex_rows` when the scorer reads a per-row index of its
     own (posting lists, LSH buckets).  A scorer must not offer a row
     whose entity id is ``None``: it would take a live row's place among
-    the best ``k`` before resolution discards it.
+    the best ``k`` before resolution discards it.  A scorer that has all
+    its ``(score, row)`` pairs at once overrides :meth:`_ranked` instead
+    of :meth:`_score`, and one that indexes a run of rows cheaper than
+    row by row overrides :meth:`_index_rows` instead of
+    :meth:`_index_row`.
     """
 
     def __init__(self, include_aliases: bool = False):
@@ -87,7 +89,8 @@ class RowTableLookup(LookupService):
         keywords (an unknown one raises ``TypeError`` there)."""
         service = cls(include_aliases=include_aliases, **options)
         for mention, entity_id in kg.mention_rows(include_aliases):
-            service.add(mention, entity_id)
+            service.rows.add(mention, entity_id)
+        service._index_rows(0, len(service.rows))
         return service
 
     def add(self, mention: str, entity_id: str) -> None:
@@ -95,7 +98,7 @@ class RowTableLookup(LookupService):
         row = self.rows.add(mention, entity_id)
         # The scorer's index last: a reader that finds the row there can
         # already resolve it through the table.
-        self._index_row(row, self.rows.labels[row])
+        self._index_rows(row, row + 1)
 
     def drop_entity(self, entity_id: str) -> int:
         """Retire every row of ``entity_id``; returns how many there were."""
@@ -107,11 +110,8 @@ class RowTableLookup(LookupService):
     def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
         out: list[list[Candidate]] = []
         for query in queries:
-            best = BestRows(k)
-            self._score(normalize(query), best)
-            out.append(
-                resolve_rows(best.ranked(), self.rows.entity_ids, k, Candidate)
-            )
+            ranked = self._ranked(normalize(query), k)
+            out.append(resolve_rows(ranked, self.rows.entity_ids, k, Candidate))
         return out
 
     def index_bytes(self) -> int:
@@ -120,9 +120,22 @@ class RowTableLookup(LookupService):
 
     # -- subclass hooks ----------------------------------------------------------
 
+    def _ranked(self, query: str, k: int) -> list[tuple[float, int]]:
+        """The best ``k`` ``(score, row)`` pairs of ``query``, best first."""
+        best = BestRows(k)
+        self._score(query, best)
+        return best.ranked()
+
     def _score(self, query: str, best: BestRows) -> None:
         """Offer ``(score, row)`` for every candidate row of ``query``."""
         raise NotImplementedError
+
+    def _index_rows(self, start: int, stop: int) -> None:
+        """Add the just-appended rows ``[start, stop)`` to the scorer's own
+        index: the whole table after :meth:`build`, one row per
+        :meth:`add`."""
+        for row in range(start, stop):
+            self._index_row(row, self.rows.labels[row])
 
     def _index_row(self, row: int, label: str) -> None:
         """Add the just-appended ``row`` to the scorer's own index."""

@@ -14,9 +14,11 @@ import math
 from collections.abc import Callable, Collection, Iterable, Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.utils.contracts import array_contract
 
-__all__ = ["BestRows", "fetch_size", "resolve_hits", "resolve_rows"]
+__all__ = ["BestRows", "best_rows", "fetch_size", "resolve_hits", "resolve_rows"]
 
 
 class BestRows:
@@ -48,6 +50,24 @@ class BestRows:
     def ranked(self) -> list[tuple[float, int]]:
         """The kept pairs, best first."""
         return [(score, -neg) for score, neg in sorted(self._heap, reverse=True)]
+
+
+@array_contract("scores: (n,) f64, rows: (n,) int, k: int -> any")
+def best_rows(scores, rows, k: int) -> list[tuple[float, int]]:
+    """:class:`BestRows` for a scorer that has every pair at once.
+
+    ``scores[i]`` belongs to ``rows[i]`` (distinct rows, any order);
+    returns what ``k`` offers followed by ``ranked()`` would: the best
+    ``k`` pairs, best first.
+    """
+    cut = len(scores) - k
+    if cut > 0:
+        # Everything tied with the k-th score survives the partition; the
+        # sort below is what picks the lowest rows among the ties.
+        keep = scores >= np.partition(scores, cut)[cut]
+        scores, rows = scores[keep], rows[keep]
+    order = np.lexsort((rows, -scores))[:k]
+    return list(zip(scores[order].tolist(), rows[order].tolist()))
 
 
 def resolve_rows(

@@ -10,6 +10,10 @@ re-export path).  The concurrent old-or-new property lives in
 ``tests/property/test_mutation.py``.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -58,6 +62,37 @@ class TestMutationHelpers:
             check_row_ids([1, 1], 5)
         with pytest.raises(ValueError, match="integer"):
             check_row_ids([0.5], 5)
+
+    def test_duplicate_check_keeps_numpy_ma_out_of_the_remove_path(self):
+        """``np.unique`` would import ``numpy.ma`` on the first remove of a
+        process — tens of ms on the mutation thread, under the engine's
+        mutation lock."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.index.flat import FlatIndex\n"
+            "index = FlatIndex(4)\n"
+            "index.add(np.eye(4, dtype=np.float32))\n"
+            "try:\n"
+            "    index.remove([2, 0, 2])\n"
+            "except ValueError as exc:\n"
+            "    assert 'duplicate row ids in one mutation batch' in str(exc)\n"
+            "else:\n"
+            "    raise SystemExit('a duplicate batch was accepted')\n"
+            "index.remove([3, 1])\n"
+            "assert index.nlive == 2\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_bury_is_copy_on_write(self):
         first = bury(None, 6, np.array([1], dtype=np.int64))
