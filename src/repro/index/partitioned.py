@@ -6,8 +6,8 @@ answers afterwards — O(ntotal) work for a query whose admissible answer
 set is one entity type.  :class:`TypePartitionedIndex` stores each
 partition (in serving, each primary entity type) in its own sub-index, so
 a filtered search scans only the selected partitions' rows, and an
-unfiltered search unions every partition through the same
-:func:`~repro.index.topk.merge_topk` fold the sharded fan-in uses
+unfiltered search unions every partition with the same single
+``(distance, id)`` rank the sharded fan-in uses
 (Gillick et al. 2019 motivate exactly this layout for type-constrained
 dense retrieval).
 
@@ -53,7 +53,7 @@ from repro.index.base import SearchResult, VectorIndex
 from repro.index.buffer import GrowBuffer
 from repro.index.flat import FlatIndex
 from repro.index.mutation import check_row_ids, snapshot_of, validate_removable
-from repro.index.topk import merge_topk
+from repro.index.topk import _pad_topk, _rank_topk
 from repro.utils.contracts import array_contract
 
 __all__ = ["DEFAULT_PARTITION", "PartitionSnapshot", "TypePartitionedIndex"]
@@ -301,9 +301,9 @@ class TypePartitionedIndex(VectorIndex):
 
         Each selected partition is searched for ``k`` winners under the
         sub-index snapshot pinned with its id column, local ids are
-        remapped through that column, and the per-partition results fold
-        through :func:`merge_topk` — the same reduction the sharded
-        fan-in uses, so multi-type unions rank identically to an
+        remapped through that column, and the concatenated per-partition
+        winners are ranked once — the same reduction the sharded fan-in
+        uses, so multi-type unions rank identically to an
         equivalent single index (up to the per-family tie caveats
         documented in :mod:`repro.index.topk`).  An empty selection (no
         partitions, or only unknown keys) returns all-pad rows rather
@@ -312,31 +312,21 @@ class TypePartitionedIndex(VectorIndex):
         queries = self._check_vectors(queries, "queries")
         self._check_k(k)
         snap = snapshot if snapshot is not None else self._snap
-        run_ids: np.ndarray | None = None
-        run_d: np.ndarray | None = None
+        ids = [np.empty((len(queries), 0), dtype=np.int64)]
+        # Result distances follow the SearchResult contract, not storage.
+        distances = [np.empty((len(queries), 0), dtype=np.float64)]  # repro: noqa[REP102]
         for key in snap.select(partitions):
             part = snap.parts[key]
             if part.snap is None:
                 local = part.index.search(queries, k)
             else:
                 local = part.index.search(queries, k, snapshot=part.snap)
-            ids = self._remap(local.ids, part.ids)
-            if run_ids is None or run_d is None:
-                run_ids, run_d = ids, local.distances
-            else:
-                run_ids, run_d = merge_topk(
-                    run_ids, run_d, ids, local.distances, k
-                )
-        if run_ids is None or run_d is None:
-            nq = len(queries)
-            run_ids = np.full((nq, k), -1, dtype=np.int64)
-            run_d = np.full((nq, k), np.inf, dtype=np.float64)  # repro: noqa[REP102]
-        if run_ids.shape[1] < k:  # single partition narrower than k
-            pad_ids = np.full((len(queries), k), -1, dtype=np.int64)
-            pad_d = np.full((len(queries), k), np.inf, dtype=np.float64)  # repro: noqa[REP102]
-            pad_ids[:, : run_ids.shape[1]] = run_ids
-            pad_d[:, : run_d.shape[1]] = run_d
-            run_ids, run_d = pad_ids, pad_d
+            ids.append(self._remap(local.ids, part.ids))
+            distances.append(local.distances)
+        run_ids, run_d = _rank_topk(
+            np.concatenate(ids, axis=1), np.concatenate(distances, axis=1), k
+        )
+        run_ids, run_d = _pad_topk(run_ids, run_d, k)
         return SearchResult(ids=run_ids, distances=run_d)
 
     @staticmethod

@@ -8,10 +8,10 @@ shard's working set is a fraction of the store.
 Vectors are striped round-robin by arrival order — the ``g``-th added
 vector lands in shard ``g % num_shards`` — so the global id of a shard's
 ``local``-th row is ``local * num_shards + shard`` and per-shard results
-remap arithmetically.  Fan-in uses :func:`repro.index.topk.merge_topk`,
-which ranks by ``(distance, id)``; together with the blockwise scans
-inside each shard this makes a sharded search return *identical* results
-to the equivalent unsharded index, on either executor:
+remap arithmetically.  Fan-in ranks the shards' concatenated winners once
+by ``(distance, id)``, the order of :mod:`repro.index.topk`; together with
+the blockwise scans inside each shard this makes a sharded search return
+*identical* results to the equivalent unsharded index, on either executor:
 
 - ``"inline"`` (default) — shards scan serially on the calling thread.
   Owns no process and no shared memory; the fastest choice for single
@@ -78,7 +78,7 @@ from repro.index.pool import (
     ShardTimeoutError,
     WorkerCrashedError,
 )
-from repro.index.topk import merge_topk
+from repro.index.topk import _pad_topk, _rank_topk
 from repro.utils.contracts import array_contract
 
 __all__ = [
@@ -123,7 +123,14 @@ class _IndexView(NamedTuple):
 
 @dataclass(slots=True)
 class _ShardHealth:
-    """Per-shard serving counters (mutated under the index's stats lock)."""
+    """Per-shard serving counters (mutated under the index's stats lock).
+
+    ``seconds`` is the coordinator's wall per search: hooks, retries and,
+    on the process executor, pickling and the pipe round trip.
+    ``scan_seconds`` is the part the shard spent scanning: the worker's
+    own clock on the process executor, the wall around ``shard.search``
+    inline.  The difference is what the transport costs.
+    """
 
     searches: int = 0
     failures: int = 0
@@ -131,6 +138,7 @@ class _ShardHealth:
     retries: int = 0
     respawns: int = 0
     seconds: float = 0.0
+    scan_seconds: float = 0.0
 
 
 class ShardedIndex(VectorIndex):
@@ -489,6 +497,7 @@ class ShardedIndex(VectorIndex):
         shard = view.shards[s]
         snap = view.snaps[s]
         attempts = self.max_retries + 1
+        scanned = 0.0
         start = monotonic()
         try:
             for attempt in range(attempts):
@@ -503,14 +512,18 @@ class ShardedIndex(VectorIndex):
                     if pool is not None and pool.shards is view.shards:
                         if should_kill is not None and should_kill(s):
                             pool.kill_shard_worker(s)
-                        ids, distances, _ = pool.request(
+                        ids, distances, seconds = pool.request(
                             s, queries, k, deadline, snap
                         )
                         result = SearchResult(ids=ids, distances=distances)
-                    elif snap is None:
-                        result = shard.search(queries, k)
+                        scanned += seconds
                     else:
-                        result = shard.search(queries, k, snapshot=snap)
+                        scan_start = monotonic()
+                        if snap is None:
+                            result = shard.search(queries, k)
+                        else:
+                            result = shard.search(queries, k, snapshot=snap)
+                        scanned += monotonic() - scan_start
                     if transform is not None:
                         ids, distances = transform(
                             s, result.ids, result.distances
@@ -529,6 +542,7 @@ class ShardedIndex(VectorIndex):
             elapsed = monotonic() - start
             with self._stats_lock:
                 self._health[s].seconds += elapsed
+                self._health[s].scan_seconds += scanned
 
     def _inline_outcomes(
         self, queries: np.ndarray, k: int, view: _IndexView
@@ -607,10 +621,12 @@ class ShardedIndex(VectorIndex):
         k: int,
         view: _IndexView,
     ) -> SearchResult:
-        """Merge per-shard outcomes, bookkeeping health and degradation."""
-        run_ids = np.full((len(queries), k), -1, dtype=np.int64)
-        # Running accumulator in the SearchResult contract, not storage.
-        run_d = np.full((len(queries), k), np.inf, dtype=np.float64)  # repro: noqa[REP102]
+        """Rank the surviving shards' winners once (partition invariance
+        makes one rank of the concatenation equal any fold of merges),
+        bookkeeping health and degradation."""
+        ids = [np.empty((len(queries), 0), dtype=np.int64)]
+        # Result distances follow the SearchResult contract, not storage.
+        distances = [np.empty((len(queries), 0), dtype=np.float64)]  # repro: noqa[REP102]
         failed: list[int] = []
         for s, (result, timed_out, error) in enumerate(outcomes):
             with self._stats_lock:
@@ -634,14 +650,14 @@ class ShardedIndex(VectorIndex):
             # local row r of shard s holds global id r * num_shards + s.
             # (Every shard scanned under the snapshot this view pinned,
             # so its tombstones are already excluded.)
-            remapped = np.where(
-                result.ids >= 0,
-                result.ids * self.num_shards + s,
-                np.int64(-1),
+            ids.append(
+                np.where(
+                    result.ids >= 0,
+                    result.ids * self.num_shards + s,
+                    np.int64(-1),
+                )
             )
-            run_ids, run_d = merge_topk(
-                run_ids, run_d, remapped, result.distances, k
-            )
+            distances.append(result.distances)
         with self._stats_lock:
             self._total_searches += 1
             if failed:
@@ -650,6 +666,10 @@ class ShardedIndex(VectorIndex):
             raise AllShardsFailedError(
                 f"all {self.num_shards} shards failed or timed out"
             )
+        run_ids, run_d = _rank_topk(
+            np.concatenate(ids, axis=1), np.concatenate(distances, axis=1), k
+        )
+        run_ids, run_d = _pad_topk(run_ids, run_d, k)
         return SearchResult(
             ids=run_ids,
             distances=run_d,
@@ -663,7 +683,10 @@ class ShardedIndex(VectorIndex):
         """Serving-health snapshot: per-shard counters plus search totals.
 
         ``partial_searches`` counts degraded (survivor-only) results;
-        ``worker_respawns`` is the pool-wide respawn total.  Atomic:
+        ``worker_respawns`` is the pool-wide respawn total.  Per shard,
+        ``seconds`` is the coordinator's wall (transport included) and
+        ``scan_seconds`` the shard's own scan clock, never more than
+        ``seconds`` (see :class:`_ShardHealth`).  Atomic:
         every per-shard dict and both totals are copied under one
         ``_stats_lock`` hold.  The pool respawn counter is read *before*
         taking the index lock (it takes the pool's own lock internally —

@@ -337,3 +337,37 @@ class TestPQEquivalence:
             got = sharded.search(queries, 10)
         assert got.ids.tobytes() == want.ids.tobytes()
         assert got.distances.tobytes() == want.distances.tobytes()
+
+
+class TestScanSeconds:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_scan_clock_is_inside_the_coordinator_wall(self, executor):
+        """``scan_seconds`` is the shard's own scan (the worker's clock on
+        the process executor), ``seconds`` the coordinator's wall around
+        it: the first is positive and never exceeds the second."""
+        data, queries = make_data(n=400, seed=6)
+        with ShardedIndex(16, 2, executor=executor) as index:
+            index.add(data)
+            for _ in range(3):
+                index.search(queries, 5)
+            shards = index.health_stats()["shards"]
+        assert len(shards) == 2
+        for shard in shards:
+            assert 0 < shard["scan_seconds"] <= shard["seconds"]
+
+    def test_failed_attempts_cost_wall_but_no_scan(self):
+        """A shard whose every attempt raises before scanning reports
+        the wall it burnt and no scan time."""
+
+        class Boom:
+            def before(self, shard):
+                if shard == 1:
+                    raise RuntimeError("injected")
+
+        data, queries = make_data(n=40, seed=6)
+        with ShardedIndex(16, 2, fault_hook=Boom()) as index:
+            index.add(data)
+            assert index.search(queries, 5).failed_shards == (1,)
+            shards = index.health_stats()["shards"]
+        assert shards[0]["scan_seconds"] > 0
+        assert shards[1]["scan_seconds"] == 0 and shards[1]["seconds"] > 0

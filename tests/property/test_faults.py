@@ -130,10 +130,8 @@ class TestDegradedSearchProperty:
             try:
                 got = sharded.search(store.queries, k)
                 want = flat.search(store.queries, k)
-                # Selection is exactly partition-invariant; flat *scores*
-                # can differ by ~1 ulp with gemm width, so compare the
-                # retrieved id sets and the sharded result against the
-                # shape-exact manual fan-in.
+                # Bit-for-bit against the manual fan-in, and as id sets
+                # against one flat index over the same store.
                 assert_topk_equal(
                     got, manual_fanin(store.vectors, store.queries, k)
                 )

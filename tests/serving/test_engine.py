@@ -195,7 +195,7 @@ class TestEngineCache:
 
 
 def assert_candidate_rows_agree(got, want):
-    """Same ranked entities; scores equal up to flat-scan BLAS ulp noise."""
+    """Same ranked entities, scores equal within tolerance."""
     assert len(got) == len(want)
     for got_row, want_row in zip(got, want):
         assert [c.entity_id for c in got_row] == [c.entity_id for c in want_row]
