@@ -7,18 +7,25 @@ and batch size (1 and 32 queries), k = 30, it times one ``search`` of
 - ``flat`` — :class:`FlatIndex` (float32 coarse pass + float64 re-score
   of the survivors);
 - ``flat_tombstoned`` — the same store with 2 % of its rows removed;
-- ``pq`` — :class:`PQIndex` ``(m=8, nbits=8)``, the paper's 8-byte index;
+- ``pq`` — :class:`PQIndex` ``(m=8, nbits=8)``, the paper's 8-byte index
+  (float32 ADC gather + float64 re-score of the survivors);
 - ``floor`` — ``||x||^2 - 2 X q`` + ``argpartition`` in plain numpy: the
   arithmetic an exact scan cannot avoid (no exact re-score, no ranking).
 
 The variants run round-robin inside every repetition, so host drift lands
 on all of them alike; medians and quartiles are over the repetitions.
 
-The exit code is the CI gate (``--smoke`` measures only what it needs):
-at 5 000 rows, batch 1, the median ``flat`` search must not be slower
-than the median ``pq`` search.  Both are measured in this one process, so
-the gate asserts a shape — the exact index is not the slow one — and no
-absolute time.
+The exit code is the CI gate (``--smoke`` measures only what it needs),
+two shapes at 5 000 rows: at batch 1 the median ``flat`` search must not
+be slower than the median ``pq`` search (the exact index is not the slow
+one), and at batch 32 the median ``pq`` search must stay within 2.5 x the
+median ``flat`` search (ranking 8-byte codes costs about what one sgemm
+over the 256-byte rows does; a float64 gather sits at 3.5 x, a scan that
+re-scores or ranks the whole block far beyond).  Everything is measured in
+this one process against the exact scan of the same store, so the gates
+assert shapes and no absolute time — and no yardstick that an embed-path
+change moves, which is why the ``bulk_pq_sharded`` kernel is gated here
+and not by a search / embed ratio of a traced run.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ from tools.bench_json import write_bench_json  # noqa: E402
 
 DIM = 64
 K = 30
-GATE = ("5000", "1")  # rows, batch
+GATE_ROWS = "5000"
+PQ_OVER_FLAT_AT_32 = 2.5
 
 
 def numpy_floor(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -116,10 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sizes = {5000: 300} if args.smoke else {1000: 600, 5000: 600, 50_000: 120}
-    batches = [1] if args.smoke else [1, 32]
     stores = {}
     for num_rows, repeats in sizes.items():
-        stores[str(num_rows)] = bench_store(num_rows, batches, repeats, args.seed)
+        stores[str(num_rows)] = bench_store(num_rows, [1, 32], repeats, args.seed)
         for batch, row in stores[str(num_rows)].items():
             print(
                 f"  {num_rows:6d} rows, batch {batch:>2s}: "
@@ -128,23 +135,31 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 + "  (median us)"
             )
-    gate = stores[GATE[0]][GATE[1]]
-    flat_us, pq_us = gate["flat"]["median_us"], gate["pq"]["median_us"]
-    passed = flat_us <= pq_us
+    one, many = stores[GATE_ROWS]["1"], stores[GATE_ROWS]["32"]
+    flat_1, pq_1 = one["flat"]["median_us"], one["pq"]["median_us"]
+    flat_32, pq_32 = many["flat"]["median_us"], many["pq"]["median_us"]
+    gates = {
+        "gate_flat_not_slower_than_pq_5000x1": flat_1 <= pq_1,
+        "gate_pq_within_2p5x_flat_5000x32": pq_32 <= PQ_OVER_FLAT_AT_32 * flat_32,
+    }
     metrics = {
         "smoke": args.smoke,
         "workload": {"dim": DIM, "k": K, "seed": args.seed, "repeats": sizes},
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "stores": stores,
-        "gate_flat_not_slower_than_pq_5000x1": passed,
+        **gates,
     }
     path = write_bench_json(args.out, "flat_scan", metrics)
     print(f"wrote {path}")
     print(
-        f"gate: flat {flat_us:.1f} us {'<=' if passed else '>'} pq {pq_us:.1f} us "
-        f"at {GATE[0]} rows, batch {GATE[1]}"
+        f"gate: flat {flat_1:.1f} us {'<=' if flat_1 <= pq_1 else '>'} "
+        f"pq {pq_1:.1f} us at {GATE_ROWS} rows, batch 1"
     )
-    return 0 if passed else 1
+    print(
+        f"gate: pq {pq_32:.1f} us = {pq_32 / flat_32:.2f} x flat {flat_32:.1f} us "
+        f"(limit {PQ_OVER_FLAT_AT_32} x) at {GATE_ROWS} rows, batch 32"
+    )
+    return 0 if all(gates.values()) else 1
 
 
 if __name__ == "__main__":

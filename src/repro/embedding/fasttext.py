@@ -9,6 +9,7 @@ words still produce (partially overlapping) n-grams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
@@ -27,41 +28,62 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _FNV_MASK = 0xFFFFFFFFFFFFFFFF
 
+#: Distinct ``(word, min_n, max_n, buckets)`` entries kept by
+#: :func:`_word_ngram_ids`.  An entry measures about 1 KB (a 3-12 letter
+#: word is ~30 boxed ids), so the cache tops out near 32 MB however many
+#: strings pass through; a KG's label vocabulary fits, typos churn the tail.
+_WORD_CACHE_SIZE = 1 << 15
 
-def _token_ngram_ids(
-    words: Iterable[str], min_n: int, max_n: int, buckets: int
-) -> list[int]:
-    """Bucket ids of ASCII word tokens: per word ``<word>``, then its n-grams.
+
+@functools.lru_cache(maxsize=_WORD_CACHE_SIZE)
+def _word_ngram_ids(
+    word: str, min_n: int, max_n: int, buckets: int
+) -> tuple[int, ...]:
+    """Bucket ids of one ASCII word token: ``<word>``, then its n-grams.
 
     64-bit FNV-1a (stable across runs, unlike built-in ``hash``) is a
     streaming hash, so the state after the ``n`` bytes starting at ``i``
     extends to the ``(n + 1)``-gram at ``i`` with one more step: a start
     position costs ``max_n`` steps, not ``min_n + ... + max_n``.  Ids are
     emitted whole word first, then all ``min_n``-grams, ..., then all
-    ``max_n``-grams.  Tokens are ASCII, so bytes and characters coincide.
+    ``max_n``-grams.  The token is ASCII, so bytes and characters coincide.
+
+    Memoised: KG labels and table cells reuse words, and a pure function of
+    four hashable values returning an immutable tuple is safe to share
+    between threads (``lru_cache`` locks its own bookkeeping).
     """
+    data = f"<{word}>".encode("ascii")
+    value = _FNV_OFFSET
+    for byte in data:
+        value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
+    ids = [value % buckets]
+    by_n: list[list[int]] = [[] for _ in range(min_n, max_n + 1)]
+    for start in range(len(data) - min_n + 1):
+        value = _FNV_OFFSET
+        for byte in data[start : start + min_n - 1]:
+            value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
+        # zip stops at the word's end: late starts emit only short grams.
+        for grams, byte in zip(by_n, data[start + min_n - 1 : start + max_n]):
+            value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
+            grams.append(value % buckets)
+    for grams in by_n:
+        ids += grams
+    return tuple(ids)
+
+
+def _token_ngram_ids(
+    words: Iterable[str], min_n: int, max_n: int, buckets: int
+) -> list[int]:
+    """Bucket ids of ASCII word tokens, word by word
+    (:func:`_word_ngram_ids`); the arguments are checked here, outside
+    the per-word cache."""
     if min_n < 1 or max_n < min_n:
         raise ValueError(f"invalid n-gram range [{min_n}, {max_n}]")
     if buckets < 1:
         raise ValueError(f"buckets must be positive, got {buckets}")
     ids: list[int] = []
     for word in words:
-        data = f"<{word}>".encode("ascii")
-        value = _FNV_OFFSET
-        for byte in data:
-            value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
-        ids.append(value % buckets)
-        by_n: list[list[int]] = [[] for _ in range(min_n, max_n + 1)]
-        for start in range(len(data) - min_n + 1):
-            value = _FNV_OFFSET
-            for byte in data[start : start + min_n - 1]:
-                value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
-            # zip stops at the word's end: late starts emit only short grams.
-            for grams, byte in zip(by_n, data[start + min_n - 1 : start + max_n]):
-                value = ((value ^ byte) * _FNV_PRIME) & _FNV_MASK
-                grams.append(value % buckets)
-        for grams in by_n:
-            ids += grams
+        ids += _word_ngram_ids(word, min_n, max_n, buckets)
     return ids
 
 

@@ -21,9 +21,12 @@ Implements the index families the paper relies on:
   (per entity type in serving), so type-constrained lookups scan only
   the selected partitions' rows.
 
-The scanning families (flat, PQ) stream their stores through the blockwise
-top-k kernel in :mod:`repro.index.topk` (``merge_topk`` and friends), so
-peak search memory is bounded by the block size rather than ``ntotal``.
+The scanning families (flat, PQ) stream their stores through one two-stage
+block loop (:meth:`repro.index.mutation.RowStore.search`: float32 coarse
+cut, float64 re-score of the survivors, ``merge_topk``), so peak search
+memory is bounded by the block size rather than ``ntotal``.
+``block_topk`` / ``blockwise_topk`` are exported for callers that rank
+scores of their own; the indexes do not serve through them.
 """
 
 from repro.index.base import SearchResult, VectorIndex

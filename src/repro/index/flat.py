@@ -2,7 +2,9 @@
 
 This is the "EmbLookup without compression" (EL-NC) index of the paper and
 the ground truth for the Figure 4 recall experiments.  The scan is
-*blockwise* and *two-stage*.  Per block of stored rows:
+*blockwise* and *two-stage*: the block loop is
+:meth:`~repro.index.mutation.RowStore.search`, shared with the PQ index,
+and this module supplies its two kernels.  Per block of stored rows:
 
 1. **coarse, float32** — ``||x||^2 - 2 q.x`` (``-q.x`` for ``"ip"``) for
    every row, as one sgemm plus the block's float32 row norms;
@@ -36,15 +38,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.index.base import SearchResult
 from repro.index.mutation import IndexSnapshot, RowStore
-from repro.index.topk import (
-    DEFAULT_BLOCK_BUDGET_BYTES,
-    _left_pack,
-    _pad_topk,
-    auto_block_size,
-    merge_topk,
-)
+from repro.index.topk import DEFAULT_BLOCK_BUDGET_BYTES
 from repro.utils.contracts import array_contract
 
 __all__ = ["FlatIndex"]
@@ -164,7 +159,7 @@ class FlatIndex(RowStore):
         cache-friendly tile.
     """
 
-    # The coarse tile is float32.
+    # One float32 tile: the sgemm output, cut in place.
     _bytes_per_score = 4
 
     def __init__(self, dim: int, metric: str = "l2", block_size: int | None = None):
@@ -203,42 +198,18 @@ class FlatIndex(RowStore):
         index._wrap(attach(state["vectors"]))
         return index
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
-    def search(
-        self,
-        queries: np.ndarray,
-        k: int,
-        block_size: int | None = None,
-        snapshot: IndexSnapshot | None = None,
-    ) -> SearchResult:
-        """Exact top-``k`` over ``snapshot`` (default: the current one),
-        excluding its tombstones: per block, a float32 coarse pass, then a
-        float64 re-score of the rows it could not rule out."""
-        queries = self._check_vectors(queries, "queries")
-        self._check_k(k)
-        block = block_size if block_size is not None else self.block_size
-        if block is None:
-            block = auto_block_size(
-                len(queries), bytes_per_score=self._bytes_per_score
-            )
-        if block < 1:
-            raise ValueError(f"block_size must be >= 1, got {block}")
-        snap = snapshot if snapshot is not None else self._snap
+    def _scan_kernels(
+        self, queries: np.ndarray, snap: IndexSnapshot, k: int
+    ) -> tuple[Callable, Callable]:
+        """:func:`_survivors` and :func:`_exact_distances` bound to this
+        batch (see :meth:`RowStore._scan_kernels`)."""
+        metric = self.metric
         # Exact re-score accumulates in float64 (storage stays float32).
         q64 = queries.astype(np.float64)  # repro: noqa[REP102]
-        ids = np.empty((len(queries), 0), dtype=np.int64)
-        distances = np.empty((len(queries), 0), dtype=q64.dtype)
-        for start in range(0, snap.rows, block):
-            rows = snap.data[start : start + block]
-            dead = None
-            if snap.tombstones is not None:
-                dead = np.flatnonzero(snap.tombstones[start : start + block])
-            cand = _left_pack(_survivors(queries, rows, dead, k, self.metric))
-            exact = _exact_distances(q64, rows, cand, self.metric)
-            cand[cand >= 0] += start
-            ids, distances = merge_topk(ids, distances, cand, exact, k)
-        ids, distances = _pad_topk(ids, distances, k)
-        return SearchResult(ids=ids, distances=distances)
+        return (
+            lambda block, dead: _survivors(queries, block, dead, k, metric),
+            lambda block, cand: _exact_distances(q64, block, cand, metric),
+        )
 
     @array_contract("idx: int -> (d,) f32")
     def reconstruct(self, idx: int) -> np.ndarray:

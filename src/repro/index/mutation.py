@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.buffer import GrowBuffer
-from repro.index.topk import auto_block_size, blockwise_topk
+from repro.index.topk import _left_pack, _pad_topk, auto_block_size, merge_topk
 from repro.utils.contracts import array_contract
 
 __all__ = [
@@ -178,15 +178,26 @@ class RowStore(VectorIndex):
     ``codec`` (``None`` or an object with ``encode`` / ``decode``) turns
     the float32 vectors callers hand in into the stored rows; encoding
     runs under the write lock, so always with the codec the rows are
-    published with.  Subclasses set ``dim`` / ``block_size``, implement
-    :meth:`_scorer` (the flat index, whose scan is not one score per row,
-    overrides :meth:`search` instead), and may set ``_rebuild`` (see
-    :meth:`compact`).
+    published with.
+
+    **One scan skeleton, two kernels per family.**  :meth:`search` is the
+    only block loop: pin a snapshot, then per block — tombstoned columns,
+    the family's *coarse* float32 keep-mask, left-pack the survivors, the
+    family's *exact* float64 re-score of those few, merge into the running
+    top-k by ``(pad-last, distance, id)``.  A subclass sets ``dim`` /
+    ``block_size`` / ``_bytes_per_score``, implements
+    :meth:`_scan_kernels`, and may set ``_rebuild`` (see :meth:`compact`).
+    The coarse mask may drop only rows it can prove are outside the top
+    ``k``; because the exact kernel is pair-pure, ids *and* distances are
+    then bit-identical whatever the block size, shard count or row
+    position (DESIGN.md §9).
     """
 
     block_size: int | None = None
-    #: Working-set bytes per (query, row) score, for the block heuristic.
-    _bytes_per_score = 8
+    #: Bytes of coarse tile alive per (query, row) of a block, for the
+    #: block heuristic: 4 per ``(nq, block)`` float32 array the family's
+    #: coarse kernel holds at once.
+    _bytes_per_score: int
     _rebuild: Callable | None = None
 
     def __init__(
@@ -331,11 +342,23 @@ class RowStore(VectorIndex):
             self._publish(None, codec)
             return remap
 
-    def _scorer(
-        self, queries: np.ndarray, snap: IndexSnapshot
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """``score(block) -> (nq, len(block))`` distances of ``queries``
-        against a block of ``snap.data`` (per-batch set-up goes here)."""
+    def _scan_kernels(
+        self, queries: np.ndarray, snap: IndexSnapshot, k: int
+    ) -> tuple[Callable, Callable]:
+        """The family's two kernels for one batch over a non-empty
+        ``snap`` (per-batch set-up goes here), as ``(coarse, exact)``:
+
+        ``coarse(block, dead) -> (nq, len(block)) bool``
+            float32 scores of every row of ``block`` (a slice of
+            ``snap.data``), cut at the ``k``-th smallest per query: the
+            mask is ``False`` on the ``dead`` (tombstoned) columns and on
+            rows at least ``k`` live rows of the block *provably* beat, and
+            ``True`` on everything else — NaN scores included.
+        ``exact(block, cand) -> (nq, s) float64``
+            the distance of each ``(query, block[cand])`` pair as a
+            fixed-order float64 sum over that pair alone (*pair-pure*);
+            ``cand`` is ``-1``-padded, and padding scores ``inf``.
+        """
         raise NotImplementedError
 
     @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
@@ -346,23 +369,34 @@ class RowStore(VectorIndex):
         block_size: int | None = None,
         snapshot: IndexSnapshot | None = None,
     ) -> SearchResult:
-        """Blockwise top-``k`` over ``snapshot`` (default: the current
-        one), excluding its tombstones."""
+        """Top-``k`` over ``snapshot`` (default: the current one),
+        excluding its tombstones: per block, the family's float32 coarse
+        cut, then its float64 re-score of the rows the cut could not rule
+        out, folded into the running result."""
         queries = self._check_vectors(queries, "queries")
         self._check_k(k)
         block = block_size if block_size is not None else self.block_size
         if block is None:
+            # The tile is the family's float32 coarse scores.
             block = auto_block_size(
                 len(queries), bytes_per_score=self._bytes_per_score
             )
+        if block < 1:
+            raise ValueError(f"block_size must be >= 1, got {block}")
         snap = snapshot if snapshot is not None else self._snap
-        score, data = self._scorer(queries, snap), snap.data
-        ids, distances = blockwise_topk(
-            lambda start, stop: score(data[start:stop]),
-            snap.rows,
-            k,
-            num_queries=len(queries),
-            block_size=block,
-            exclude=snap.tombstones,
-        )
+        if snap.rows:
+            coarse, exact = self._scan_kernels(queries, snap, k)
+        ids = np.empty((len(queries), 0), dtype=np.int64)
+        # Survivor distances are float64 (the SearchResult contract).
+        distances = np.empty((len(queries), 0), dtype=np.float64)  # repro: noqa[REP102]
+        for start in range(0, snap.rows, block):
+            rows = snap.data[start : start + block]
+            dead = None
+            if snap.tombstones is not None:
+                dead = np.flatnonzero(snap.tombstones[start : start + block])
+            cand = _left_pack(coarse(rows, dead))
+            scores = exact(rows, cand)
+            cand[cand >= 0] += start
+            ids, distances = merge_topk(ids, distances, cand, scores, k)
+        ids, distances = _pad_topk(ids, distances, k)
         return SearchResult(ids=ids, distances=distances)

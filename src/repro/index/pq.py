@@ -21,6 +21,9 @@ from repro.utils.rng import as_rng
 
 __all__ = ["PQIndex", "ProductQuantizer"]
 
+_EPS32 = np.finfo(np.float32).eps
+_TINY32 = np.finfo(np.float32).tiny
+
 
 class ProductQuantizer:
     """Encodes vectors into ``m`` byte codes against learned codebooks.
@@ -118,40 +121,46 @@ class ProductQuantizer:
 
     @array_contract("queries: (nq, d) num::any -> (nq, m, ksub) f64")
     def distance_tables(self, queries: np.ndarray) -> np.ndarray:
-        """ADC lookup tables: ``(n_queries, m, ksub)`` squared distances."""
-        self._require_trained()
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise ValueError(f"expected (n, {self.dim}) queries")
-        # ADC tables use the ||q||^2 + ||c||^2 - 2q.c expansion, which
-        # cancels catastrophically in float32; accumulate in float64
-        # (tables are per-query scratch, never stored).
-        tables = np.empty((len(queries), self.m, self.ksub), dtype=np.float64)  # repro: noqa[REP102]
-        for j in range(self.m):
-            sub_q = queries[:, j * self.dsub : (j + 1) * self.dsub].astype(
-                np.float64  # repro: noqa[REP102] -- cancellation-safe accumulation
-            )
-            cb = self.codebooks[j].astype(np.float64)  # repro: noqa[REP102] -- cancellation-safe accumulation
-            cross = sub_q @ cb.T
-            q_norm = (sub_q * sub_q).sum(axis=1)[:, None]
-            c_norm = (cb * cb).sum(axis=1)[None, :]
-            tables[:, j, :] = np.maximum(q_norm + c_norm - 2.0 * cross, 0.0)
-        return tables
+        """ADC lookup tables: ``(n_queries, m, ksub)`` squared distances
+        (:meth:`scan_tables`, query-major)."""
+        # ADC tables are float64 by contract (precision of the m-sum).
+        return np.ascontiguousarray(
+            self.scan_tables(queries).transpose(2, 0, 1),
+            dtype=np.float64,  # repro: noqa[REP102]
+        )
 
     @array_contract("queries: (nq, d) num::any -> (m, ksub, nq) f64")
     def scan_tables(self, queries: np.ndarray) -> np.ndarray:
         """ADC tables in scan orientation: contiguous ``(m, ksub, nq)``.
 
-        Same numbers as :meth:`distance_tables`, transposed once per query
-        batch so the hot block scan (:meth:`scan_codes`) gathers *rows* of
-        ``(ksub, nq)`` sub-tables — contiguous ``nq``-wide copies the CPU
-        streams — instead of one scattered element per (query, code) pair.
+        Entry ``[j, c, q]`` is the squared distance of query ``q``'s
+        ``j``-th sub-vector to centroid ``c`` of sub-quantizer ``j``, never
+        negative.  All ``m`` sub-quantizers are one batched matmul over the
+        ``(m, ksub, dsub)`` codebooks, laid out so the block scan gathers
+        *rows* of the ``(ksub, nq)`` sub-tables — contiguous ``nq``-wide
+        copies the CPU streams — instead of one scattered element per
+        (query, code) pair.
         """
-        # ADC tables are float64 by contract (precision of the m-sum).
-        return np.ascontiguousarray(
-            self.distance_tables(queries).transpose(1, 2, 0),
-            dtype=np.float64,  # repro: noqa[REP102]
+        self._require_trained()
+        queries = np.asarray(queries, dtype=np.float32)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise ValueError(f"expected (n, {self.dim}) queries")
+        # ADC tables use the ||q||^2 + ||c||^2 - 2q.c expansion, which
+        # cancels catastrophically in float32; accumulate in float64.  Both
+        # widened operands are per-search scratch: a float64 codebook kept
+        # on the quantizer would more than double its footprint.
+        cb = self.codebooks.astype(np.float64)  # repro: noqa[REP102] -- cancellation-safe accumulation
+        sub_q = np.ascontiguousarray(
+            queries.reshape(len(queries), self.m, self.dsub).transpose(1, 0, 2),
+            dtype=np.float64,  # repro: noqa[REP102] -- cancellation-safe accumulation
         )
+        tables = cb @ sub_q.transpose(0, 2, 1)
+        tables *= -2.0
+        tables += (
+            (sub_q * sub_q).sum(axis=2)[:, None, :]
+            + (cb * cb).sum(axis=2)[:, :, None]
+        )
+        return np.maximum(tables, 0.0, out=tables)
 
     @array_contract(
         "queries: (nq, d) num::any, codes: (n, m) int::any -> (nq, n) f64::any"
@@ -162,10 +171,16 @@ class ProductQuantizer:
 
     @staticmethod
     @array_contract(
-        "tables_t: (m, ksub, nq) f64, codes: (n, m) int::any -> (nq, n) f64::any"
+        "tables_t: (m, ksub, nq) num, codes: (n, m) int::any -> (nq, n) num::any"
     )
     def scan_codes(tables_t: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """ADC block scan: gather + reduce over sub-quantizers, ``(nq, n)``.
+        """ADC distances of a block of codes, ``(nq, n)``, accumulated in
+        the dtype of ``tables_t``.
+
+        On the float64 :meth:`scan_tables` this is the reference
+        :class:`PQIndex`'s two-stage scan is bit-equal to, and what scans
+        without a top-k cut (:class:`IVFPQIndex`) rank; on their float32
+        cast it is that scan's coarse pass, at half the bytes.
 
         ``tables_t`` is the :meth:`scan_tables` layout ``(m, ksub, nq)``.
         For each sub-quantizer ``j`` the block's codes select whole rows of
@@ -176,8 +191,7 @@ class ProductQuantizer:
 
         The fold runs in fixed ``j = 0..m-1`` order with elementwise adds,
         so every distance is a pure function of its (query, code row) pair
-        — bit-identical across any block size, shard count, or executor,
-        which is what keeps ``results_identical_across_variants`` exact.
+        — bit-identical across any block size, shard count, or executor.
         (A literal matmul/einsum reduction over ``m`` was measured slower
         here — it must materialise the full ``(m, n, nq)`` gather — and
         GEMM kernels may re-associate the ``m``-sum differently per block
@@ -185,17 +199,111 @@ class ProductQuantizer:
         """
         m, _, nq = tables_t.shape
         n = len(codes)
-        # Accumulates m float64 table entries per code; keep their precision.
-        out = np.zeros((n, nq), dtype=np.float64)  # repro: noqa[REP102]
-        gathered = np.empty((n, nq), dtype=np.float64)  # repro: noqa[REP102]
+        # Accumulates m table entries per code at the tables' precision.
+        out = np.zeros((n, nq), dtype=tables_t.dtype)
+        gathered = np.empty((n, nq), dtype=tables_t.dtype)
         for j in range(m):
-            np.take(tables_t[j], codes[:, j], axis=0, out=gathered)
+            # mode="clip" skips take's bounds-checked staging buffer (half
+            # the gather's time); a byte code cannot exceed a 256-row table,
+            # and a shorter table's codes come from encode's argmin over it.
+            np.take(tables_t[j], codes[:, j], axis=0, out=gathered, mode="clip")
             out += gathered
         return out.T
 
     def _require_trained(self) -> None:
         if self.codebooks is None:
             raise RuntimeError("ProductQuantizer used before train()")
+
+
+@array_contract(
+    "tables32: (m, ksub, nq) f32, codes: (b, m) int::any, dead: any, k: int"
+    " -> (nq, b) bool"
+)
+def _adc_survivors(
+    tables32: np.ndarray, codes: np.ndarray, dead: np.ndarray | None, k: int
+) -> np.ndarray:
+    """Rows of ``codes`` not *provably* outside each query's top ``k``.
+
+    ``coarse`` is :meth:`ProductQuantizer.scan_codes` — the fixed-order
+    gather and add — on the float32 cast of the tables, half the bytes of
+    the float64 fold, with the ``dead`` (tombstoned) columns masked out.  Every
+    ADC term is ``>= 0``, so nothing cancels and the float32 error is
+    *relative* to the exact sum ``S`` of the row's ``m`` float64 entries:
+    one rounding for the cast and ``m - 1`` for the adds, each at most
+    ``u = eps32 / 2``, plus ``u tiny32`` per entry that casts to a
+    subnormal, give::
+
+        |coarse - S| <= g S + m u tiny32,    g = m u / (1 - m u)
+
+    The ``k`` rows with the smallest coarse scores have ``S <= (kth +
+    m u tiny32) / (1 - g)``; a row is *dropped* when its coarse score
+    exceeds ::
+
+        cut = kth (1 + 4 m eps32) + m tiny32
+
+    and then has ``S > (cut - m u tiny32) / (1 + g)``.  ``(1 + g) / (1 -
+    g) = 1 / (1 - 2 m u) ~ 1 + m eps32``, and ``cut`` itself is formed in
+    float32 (``1 + 4 m eps32`` is exact, the multiply and the add round
+    once each, so at least ``kth (1 + (4 m - 1) eps32)`` is left): the
+    dropped row's ``S`` exceeds each of those ``k`` by a factor of at
+    least ``1 + m eps32`` — ``2**30`` times the ``m 2**-53`` rounding of
+    the float64 fold that ranks the survivors — and at ``kth = 0`` by
+    ``m tiny32 / 2`` against entries that cast to zero, i.e. lie below
+    ``u tiny32``.  So at least ``k`` live rows strictly beat a dropped
+    one.  (The constant is 4, not the minimal 1, so that ``4 m - 1``
+    still clears ``m`` at ``m = 1``.)  A sum or a table
+    entry that overflows float32 reads ``inf``, which only ever overstates
+    a score whose true value is already beyond every finite ``cut``;
+    ``~(coarse > cut)`` keeps NaN scores, and a NaN or infinite ``kth`` —
+    fewer than ``k`` finite live scores — keeps every live row.
+    """
+    m, _, nq = tables32.shape
+    width = len(codes)
+    if width <= k:
+        keep = np.ones((nq, width), dtype=bool)
+    else:
+        # inf + inf and NaN terms are handled outcomes here, not errors.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coarse = np.ascontiguousarray(
+                ProductQuantizer.scan_codes(tables32, codes), dtype=np.float32
+            )
+            # C-order scratch: the in-place partition walks contiguous rows.
+            scratch = coarse.copy()
+            if dead is not None:
+                scratch[:, dead] = np.inf
+            scratch.partition(k - 1, axis=1)
+            cut = scratch[:, k - 1 : k]
+            cut *= np.float32(1.0 + 4 * m * _EPS32)
+            cut += np.float32(m * _TINY32)
+            keep = np.greater(coarse, cut, out=np.empty(coarse.shape, dtype=bool))
+        np.logical_not(keep, out=keep)
+    if dead is not None:
+        keep[:, dead] = False
+    return keep
+
+
+@array_contract(
+    "tables_t: (m, ksub, nq) f64, codes: (b, m) int::any, cand: (nq, s) i64"
+    " -> (nq, s) f64"
+)
+def _adc_exact(
+    tables_t: np.ndarray, codes: np.ndarray, cand: np.ndarray
+) -> np.ndarray:
+    """Float64 ADC distance of every ``(query, candidate row)`` pair.
+
+    The same fold as :meth:`ProductQuantizer.scan_codes` — float64 table
+    entries added in ``j = 0..m-1`` order onto zero — for the candidates
+    only, so each output is bit-equal to that pair's ``scan_codes`` entry:
+    *pair-pure*.  ``cand`` entries of ``-1`` (padding) come back as ``inf``.
+    """
+    rows = codes[cand]  # (nq, s, m); padding gathers the last row
+    query = np.arange(len(cand), dtype=np.int64)[:, None]
+    # Accumulates m float64 table entries per pair; keep their precision.
+    out = np.zeros(cand.shape, dtype=np.float64)  # repro: noqa[REP102]
+    for j in range(tables_t.shape[0]):
+        out += tables_t[j][rows[:, :, j], query]
+    out[cand < 0] = np.inf
+    return out
 
 
 def _retrain(
@@ -212,13 +320,19 @@ def _retrain(
 
 
 class PQIndex(RowStore):
-    """Flat index over PQ codes with blockwise ADC search.
+    """Flat index over PQ codes with blockwise, two-stage ADC search.
 
     The compressed storage is ``m`` bytes/vector versus ``4 * dim`` for
     :class:`FlatIndex`, the 256 B -> 8 B reduction the paper reports.  The
-    ADC tables are computed once per query batch; the table *lookups* then
-    stream over the code store one block at a time with a running top-k,
-    never materialising the full ``(n_queries, ntotal)`` distance matrix.
+    ADC tables are computed once per query batch, in float64, and cast
+    once to float32.  The block loop is :meth:`~repro.index.mutation.
+    RowStore.search`, shared with the flat index: per block the float32
+    tables rank every code and cut at the ``k``-th smallest score
+    (:func:`_adc_survivors`), and only the rows the cut could not rule
+    out — ``k`` plus the exact-duplicate codes — are re-scored from the
+    float64 tables (:func:`_adc_exact`).  Ids *and* distances equal
+    ranking :meth:`ProductQuantizer.adc_distances` by ``(distance, id)``,
+    bit for bit (DESIGN.md §9, "PQ scan: coarse + re-score").
 
     Mutation is the :class:`~repro.index.mutation.RowStore` protocol with
     the quantizer as the store's codec: every published snapshot holds
@@ -229,9 +343,8 @@ class PQIndex(RowStore):
     mix old codes with new codebooks.
     """
 
-    # The ADC fold keeps an output tile plus a same-shape gathered LUT
-    # tile alive per block: 16 working-set bytes per score.
-    _bytes_per_score = 16
+    # Two float32 tiles: the running sum and the gathered table plane.
+    _bytes_per_score = 8
     _rebuild = staticmethod(_retrain)
 
     def __init__(
@@ -300,13 +413,20 @@ class PQIndex(RowStore):
         index._wrap(attach(state["codes"]))
         return index
 
-    def _scorer(
-        self, queries: np.ndarray, snap: IndexSnapshot
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        pq = snap.codec
-        # (m, ksub, nq), built once per batch.
-        tables_t = pq.scan_tables(queries) if snap.rows else None
-        return lambda codes: pq.scan_codes(tables_t, codes)
+    def _scan_kernels(
+        self, queries: np.ndarray, snap: IndexSnapshot, k: int
+    ) -> tuple[Callable, Callable]:
+        """:func:`_adc_survivors` and :func:`_adc_exact` bound to this
+        batch's ADC tables (see :meth:`RowStore._scan_kernels`): built once
+        per search in float64, cast once to float32 for the coarse pass."""
+        tables_t = snap.codec.scan_tables(queries)
+        # A table entry beyond float32's range reads inf: a handled outcome.
+        with np.errstate(over="ignore"):
+            tables32 = tables_t.astype(np.float32)
+        return (
+            lambda block, dead: _adc_survivors(tables32, block, dead, k),
+            lambda block, cand: _adc_exact(tables_t, block, cand),
+        )
 
     @array_contract("idx: int -> (d,) f32")
     def reconstruct(self, idx: int) -> np.ndarray:

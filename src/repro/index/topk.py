@@ -1,12 +1,22 @@
-"""Blockwise top-k selection kernel shared by the scanning indexes.
+"""Top-k selection and merging shared by the scanning indexes.
 
 A scan never materialises the full ``(n_queries, ntotal)`` distance
-matrix: it scores one block of rows at a time, selects the block's top-k
-(:func:`block_topk`) and folds it into a running top-k
-(:func:`merge_topk`).  Peak memory is O(n_queries x block_size) and the
-blocked distance computations are far kinder to the cache (on a single
-core the 4096-row blocked flat scan runs ~3x faster than the full
-materialisation; see ``BENCH_serving.json``).
+matrix: it handles one block of rows at a time, selects the block's
+candidates and folds them into a running top-k (:func:`merge_topk`).
+Peak memory is O(n_queries x block_size) and the blocked distance
+computations are far kinder to the cache (on a single core the 4096-row
+blocked flat scan runs ~3x faster than the full materialisation; see
+``BENCH_serving.json``).
+
+The served scans — :class:`~repro.index.flat.FlatIndex` and
+:class:`~repro.index.pq.PQIndex` — run one loop,
+:meth:`repro.index.mutation.RowStore.search`, built from this module's
+:func:`_left_pack`, :func:`merge_topk` and :func:`_pad_topk`: a float32
+coarse pass decides who *survives*, a float64 re-score of the survivors
+decides the order.  :func:`block_topk` / :func:`blockwise_topk` are the
+same selection rule for a caller that already holds one final score per
+(query, row) cell — ``benchmarks/bench_serving.py`` and the selection
+tests; no index serves through them.
 
 Ordering convention: candidates are ranked by ``(pad-last, distance,
 id)`` — ties broken toward the smaller row id, ``NaN`` last among the
@@ -16,10 +26,11 @@ SearchResult`) strictly after every real row, even one whose distance is
 neighbour nor leapfrog the padding, and feeding the same per-candidate
 scores in any block or shard grouping returns identical results.  Both
 scanning families hand over scores that are themselves
-partition-invariant: the flat scan re-scores its survivors one ``(query,
-row)`` pair at a time in float64 (:mod:`repro.index.flat`), and
-``ProductQuantizer.scan_codes`` folds its ``m`` table gathers in fixed
-order with elementwise adds (a BLAS reduction may re-associate the sum
+partition-invariant, because both re-score their survivors one ``(query,
+row)`` pair at a time in float64: the flat scan by a fixed-order sum over
+the pair's ``d`` coordinates (:mod:`repro.index.flat`), the PQ scan by
+folding the pair's ``m`` table entries in fixed order with elementwise
+adds (:mod:`repro.index.pq`; a BLAS reduction may re-associate the sum
 per tile width, and a score that moves by an ulp with the tile width is a
 result that moves with the block size).
 
@@ -91,9 +102,8 @@ def auto_block_size(
         Rows of the score tile (the batch size of the scan).
     bytes_per_score:
         Bytes of per-candidate working set per query: 4 for the flat
-        scan's float32 coarse tile, 8 for a float64 one, larger for scans
-        that materialise extra per-candidate temporaries (the PQ ADC
-        gather uses 16).
+        scan's one float32 coarse tile, 8 for the PQ scan's two (running
+        sum and gathered plane) or for one float64 tile.
     budget_bytes:
         Working-set budget (default :data:`DEFAULT_BLOCK_BUDGET_BYTES`).
     floor / cap:
@@ -161,7 +171,8 @@ def block_topk(
     id_offset: int = 0,
     exclude: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of one scored block, as ``(ids, distances)`` of width ``k``.
+    """Top-k of one block of final scores, as ``(ids, distances)`` of
+    width ``k``.
 
     Parameters
     ----------
@@ -190,7 +201,8 @@ def block_topk(
     keep = np.ones((nq, width), dtype=bool)
     if take < width:
         # C-order scratch: the in-place partition walks contiguous rows
-        # (2x faster than np.partition over scan_codes' transposed tile).
+        # (2x faster than np.partition over a transposed (rows, nq) tile,
+        # the layout an ADC fold such as scan_codes hands over).
         scratch = distances.copy()
         if exclude is not None:
             scratch[:, exclude] = np.inf
@@ -269,7 +281,10 @@ def blockwise_topk(
     id_offset: int = 0,
     exclude: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Streaming scan: score blocks, keep a running top-k.
+    """Streaming scan over a one-score-per-cell callback: score blocks,
+    keep a running top-k.  (The indexes' own loop is
+    :meth:`repro.index.mutation.RowStore.search`, which ranks re-scored
+    survivors instead of the block's scores.)
 
     Parameters
     ----------

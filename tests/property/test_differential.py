@@ -358,6 +358,197 @@ class TestPQDifferential:
         assert np.mean(recalls) >= 0.6, recalls
 
 
+def _ranked_adc(index, queries, k):
+    """The reference a PQ search must equal bit for bit: float64
+    ``adc_distances`` over the live rows, ranked by ``(distance, id)``,
+    padded with ``-1`` / ``inf`` to width ``k``."""
+    snap = index.snapshot()
+    live = snap.live()[0]
+    scores = np.ascontiguousarray(
+        snap.codec.adc_distances(queries, snap.data[live])
+    )
+    ids = np.tile(live, (len(queries), 1))
+    order = np.lexsort((ids, scores), axis=1)[:, :k]
+    rows = np.arange(len(queries))[:, None]
+    want_ids = np.full((len(queries), k), -1, dtype=np.int64)
+    want_d = np.full((len(queries), k), np.inf)
+    want_ids[:, : order.shape[1]] = ids[rows, order]
+    want_d[:, : order.shape[1]] = scores[rows, order]
+    return want_ids, want_d
+
+
+def _one_code_store(rng):
+    vectors = np.tile(rng.normal(size=(1, 16)).astype(np.float32), (400, 1))
+    return vectors, 1.0
+
+
+def _duplicate_store(rng):
+    vectors = rng.normal(size=(400, 16)).astype(np.float32)
+    vectors[320:] = vectors[:80]
+    return vectors, 1.0
+
+
+def _overflowing_store(rng):
+    # Codebooks at 5e18: a table entry is ~(2..20) x 2.5e37, on both sides
+    # of float32's 3.4e38, so coarse scores mix finite values and inf.
+    return rng.normal(size=(400, 16)).astype(np.float32), 5e18
+
+
+class TestPQTwoStageScan:
+    """The PQ twin of :class:`TestFlatTwoStageScan`: the float32 ADC pass
+    may only drop rows at least ``k`` others strictly beat; the ranking
+    is decided by the float64 table entries."""
+
+    @staticmethod
+    def _coarse_keep(pq, queries, codes, dead, k):
+        from repro.index.pq import _adc_survivors
+
+        tables32 = pq.scan_tables(queries).astype(np.float32)
+        return tables32, _adc_survivors(tables32, codes, dead, k)
+
+    @staticmethod
+    def _assert_sound(keep, scores, k, context):
+        ids = np.tile(np.arange(scores.shape[1]), (len(scores), 1))
+        oracle = np.lexsort((ids, scores), axis=1)[:, :k]
+        for row, best in enumerate(oracle):
+            lost = [int(i) for i in best if not keep[row, i]]
+            assert not lost, (
+                f"query {row}: cut dropped ADC neighbours {lost} ({context})"
+            )
+
+    @pytest.mark.parametrize(
+        "build", [_one_code_store, _duplicate_store, _overflowing_store]
+    )
+    @pytest.mark.parametrize("k", [1, 10, 399])
+    def test_cut_keeps_every_adc_neighbour_on_adversarial_stores(
+        self, build, k
+    ):
+        from repro.index.pq import ProductQuantizer
+
+        rng = case_rng(0, 4)
+        vectors, scale = build(rng)
+        pq = ProductQuantizer(16, m=4, nbits=5, seed=1, kmeans_iters=4)
+        pq.train(vectors)
+        codes = pq.encode(vectors)
+        pq.codebooks = pq.codebooks * np.float32(scale)
+        queries = np.concatenate(
+            [vectors[:4], rng.normal(size=(4, 16)).astype(np.float32)]
+        ) * np.float32(scale)
+        tables32, keep = self._coarse_keep(pq, queries, codes, None, k)
+        if build is _overflowing_store:
+            assert np.isinf(tables32).any() and np.isfinite(tables32).any()
+        if build is _one_code_store:
+            assert keep.all()  # nobody is strictly beaten
+        self._assert_sound(
+            keep, pq.adc_distances(queries, codes), k, build.__name__
+        )
+
+    def test_cut_keeps_every_adc_neighbour_on_generated_stores(self):
+        from repro.index.pq import ProductQuantizer
+        from repro.testing import run_cases
+
+        strategy = TupleStrategy(
+            VectorStoreStrategy(dims=(2, 8, 16)), GridStrategy()
+        )
+
+        def prop(case):
+            store, grid = case
+            pq = ProductQuantizer(store.dim, m=2, nbits=4, seed=0, kmeans_iters=3)
+            pq.train(store.vectors)
+            codes = pq.encode(store.vectors)
+            _, keep = self._coarse_keep(pq, store.queries, codes, None, grid.k)
+            self._assert_sound(
+                keep, pq.adc_distances(store.queries, codes), grid.k, store.note
+            )
+
+        run_cases(prop, strategy, cases=25, name="pq_cut_soundness")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_queries_keep_every_live_row(self, bad):
+        from repro.index.pq import ProductQuantizer
+
+        rng = case_rng(0, 5)
+        vectors = rng.normal(size=(60, 8)).astype(np.float32)
+        pq = ProductQuantizer(8, m=4, nbits=4, seed=1, kmeans_iters=4)
+        pq.train(vectors)
+        codes = pq.encode(vectors)
+        queries = rng.normal(size=(3, 8)).astype(np.float32)
+        queries[1, 3] = bad
+        dead = np.array([4, 40])
+        _, keep = self._coarse_keep(pq, queries, codes, dead, 5)
+        assert not keep[:, dead].any()
+        assert np.delete(keep[1], dead).all()
+        # The healthy queries beside it are still cut, and soundly.
+        assert not np.delete(keep[[0, 2]], dead, axis=1).all()
+        live = np.delete(np.arange(60), dead)
+        scores = pq.adc_distances(queries[[0, 2]], codes[live])
+        self._assert_sound(keep[[0, 2]][:, live], scores, 5, f"bad={bad}")
+
+    def test_workload_shaped_store_keeps_k_plus_duplicates(self):
+        """The cut is not vacuous: of a 3 000-row, 8-byte-code shard it
+        leaves the rows at or below the k-th exact score (k plus the
+        exact-duplicate codes there) and a handful, not the block."""
+        from repro.index.pq import ProductQuantizer
+
+        rng = case_rng(0, 6)
+        vectors = rng.normal(size=(3000, 64)).astype(np.float32)
+        vectors[2400:] = vectors[:600]
+        pq = ProductQuantizer(64, m=8, nbits=8, seed=3, kmeans_iters=3)
+        pq.train(vectors)
+        codes = pq.encode(vectors)
+        queries = vectors[rng.choice(3000, 32)] + 0.05 * rng.normal(
+            size=(32, 64)
+        ).astype(np.float32)
+        _, keep = self._coarse_keep(pq, queries, codes, None, 10)
+        scores = pq.adc_distances(queries, codes)
+        kth = np.partition(scores, 9, axis=1)[:, 9:10]
+        at_or_below = (scores <= kth).sum(axis=1)
+        counts = keep.sum(axis=1)
+        assert (at_or_below > 10).any()  # the store does tie at the cut
+        assert (counts >= at_or_below).all()
+        assert (counts <= at_or_below + 5).all(), counts - at_or_below
+
+    def test_search_equals_ranked_adc_across_block_sizes(self):
+        """Ids *and* distances are those of the float64 reference, bit for
+        bit, whatever the block size, with tombstones in every block."""
+        from repro.testing import run_cases
+
+        strategy = TupleStrategy(
+            VectorStoreStrategy(dims=(2, 8, 16)), GridStrategy()
+        )
+
+        def prop(case):
+            store, grid = case
+            index = PQIndex(store.dim, m=2, nbits=4, seed=0, kmeans_iters=3)
+            index.train(store.vectors)
+            index.add(store.vectors)
+            index.remove(np.arange(0, len(store.vectors), 3))
+            want_ids, want_d = _ranked_adc(index, store.queries, grid.k)
+            for block in (1, 7, 256, None):
+                got = index.search(store.queries, grid.k, block_size=block)
+                context = f"block={block} k={grid.k} {store.note}"
+                assert got.ids.tobytes() == want_ids.tobytes(), context
+                assert got.distances.tobytes() == want_d.tobytes(), context
+
+        run_cases(prop, strategy, cases=25, name="pq_two_stage_vs_adc")
+
+    def test_k_beyond_live_rows_pads_after_the_live_ones(self):
+        rng = case_rng(0, 7)
+        vectors = rng.normal(size=(10, 4)).astype(np.float32)
+        queries = rng.normal(size=(3, 4)).astype(np.float32)
+        index = PQIndex(4, m=2, nbits=3, seed=0, block_size=4)
+        index.train(vectors)
+        index.add(vectors)
+        index.remove([1, 4, 5, 9])
+        got = index.search(queries, 8)
+        want_ids, want_d = _ranked_adc(index, queries, 8)
+        np.testing.assert_array_equal(got.ids, want_ids)
+        np.testing.assert_array_equal(got.distances, want_d)
+        assert (np.sort(got.ids[:, :6], axis=1) == [0, 2, 3, 6, 7, 8]).all()
+        np.testing.assert_array_equal(got.ids[:, 6:], -1)
+        assert np.isinf(got.distances[:, 6:]).all()
+
+
 class TestANNRecallFloors:
     """Approximate families: structural validity on every case, plus a
     conservative mean-recall floor against the oracle (per family)."""

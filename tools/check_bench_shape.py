@@ -15,12 +15,15 @@ so it holds on any host speed.  The record's workload name picks them:
 * a remove costs what it touches — ``ingest.remove_us_p50`` below
   ``4 x ingest.add_us_p50`` (no table scan hides in a router-side drop).
 
-``bulk_pq_sharded``
-
-* scanning 8-byte codes for 32 queries costs a few embeds of the same 32
-  strings, not many — ``index.search_us_per_call`` below ``4.5 x
-  embed.us_per_call`` (a top-k selection that sorts the whole block for
-  a tie at the cut sits at 6.5-7.8 x).
+``bulk_pq_sharded`` has no check here.  Until PR 20 it was
+``index.search_us_per_call < 4.5 x embed.us_per_call``; every other figure
+of a traced record is code this repository keeps optimising, so an embed
+gain alone pushed the ratio at its limit (3 901 / 914 = 4.27).  The shape
+it guarded — ranking 8-byte codes must not cost a full-block re-score or
+sort — is gated in process, against the exact scan of the same store, by
+``benchmarks/bench_flat_scan.py --smoke`` (``pq <= 2.5 x flat`` at
+5 000 x 32); CI still runs the workload's traced smoke, which exits
+non-zero on a wrong answer.
 
 Exit 0 when every check holds, 1 otherwise, 2 for a record of a workload
 with no checks.
@@ -43,15 +46,7 @@ def churn_closed(metrics: dict) -> list[tuple[str, bool]]:
     ]
 
 
-def bulk_pq_sharded(metrics: dict) -> list[tuple[str, bool]]:
-    search = metrics["index.search_us_per_call"]
-    embed = metrics["embed.us_per_call"]
-    return [
-        (f"search {search:.0f} us/call < 4.5 x embed {embed:.0f} us/call", search < 4.5 * embed),
-    ]
-
-
-CHECKS = {"churn_closed": churn_closed, "bulk_pq_sharded": bulk_pq_sharded}
+CHECKS = {"churn_closed": churn_closed}
 
 
 def main(argv: list[str]) -> int:
