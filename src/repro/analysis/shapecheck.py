@@ -216,7 +216,7 @@ class DualTowerSpec:
             "out_dim": config.embedding_dim,
             "fasttext_dim": config.embedding_dim,
             "fasttext_buckets": config.fasttext_buckets,
-            "pq_m": config.pq_m if config.compression in ("pq", "ivfpq") else None,
+            "pq_m": config.pq_m if config.compression == "pq" else None,
         }
         base.update(overrides)
         return cls(**base)  # type: ignore[arg-type]

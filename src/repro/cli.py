@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--triplets", type=int, default=20)
     p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--compression", choices=["pq", "none", "ivfpq"], default="pq")
+    p.add_argument("--compression", choices=["pq", "none"], default="pq")
     p.add_argument("--seed", type=int, default=41)
     p.set_defaults(func=_cmd_train)
 
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-size", type=int, default=40)
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--layers", type=int, default=5)
-    p.add_argument("--compression", choices=["pq", "none", "ivfpq"], default="pq")
+    p.add_argument("--compression", choices=["pq", "none"], default="pq")
     p.add_argument("--pq-m", type=int, default=8)
     p.add_argument("--dtype", choices=["float32", "float64"], default="float32")
     p.add_argument("--mlp-in", type=int, default=None)

@@ -47,8 +47,7 @@ class EmbLookupConfig:
     triplets_per_entity:
         Offline mining budget (paper default: 100).
     compression:
-        ``"pq"`` (the paper's EL variant), ``"none"`` (EL-NC), or
-        ``"ivfpq"``.
+        ``"pq"`` (the paper's EL variant) or ``"none"`` (EL-NC).
     pq_m / pq_nbits:
         Product-quantization sub-vector count and bits per code
         (paper: 8 x 8 bits = 8 bytes/entity).
@@ -89,8 +88,6 @@ class EmbLookupConfig:
     compression: str = "pq"
     pq_m: int = 8
     pq_nbits: int = 8
-    ivf_nlist: int = 64
-    ivf_nprobe: int = 8
     fasttext_epochs: int = 3
     fasttext_buckets: int = 2**15
     fasttext_objective: str = "anchored"
@@ -125,7 +122,7 @@ class EmbLookupConfig:
             )
         if not 0.0 <= self.hard_mining_start <= 1.0:
             raise ValueError("hard_mining_start must be in [0, 1]")
-        if self.compression not in ("pq", "none", "ivfpq"):
+        if self.compression not in ("pq", "none"):
             raise ValueError(f"unknown compression {self.compression!r}")
         if self.query_cache_size < 0:
             raise ValueError("query_cache_size must be >= 0")

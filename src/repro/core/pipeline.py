@@ -27,7 +27,6 @@ from repro.embedding.emblookup_model import EmbLookupModel
 from repro.embedding.fasttext import FastTextConfig, FastTextModel
 from repro.index.base import VectorIndex
 from repro.index.flat import FlatIndex
-from repro.index.ivfpq import IVFPQIndex
 from repro.index.partitioned import DEFAULT_PARTITION
 from repro.index.pq import PQIndex
 from repro.kg.graph import KnowledgeGraph
@@ -242,16 +241,7 @@ class EmbLookup:
         seed = int(self.rng.integers(0, 2**31))
         if cfg.compression == "none":
             return FlatIndex(cfg.embedding_dim)
-        if cfg.compression == "pq":
-            return PQIndex(cfg.embedding_dim, m=cfg.pq_m, nbits=cfg.pq_nbits, seed=seed)
-        return IVFPQIndex(
-            cfg.embedding_dim,
-            nlist=cfg.ivf_nlist,
-            m=cfg.pq_m,
-            nbits=cfg.pq_nbits,
-            nprobe=cfg.ivf_nprobe,
-            seed=seed,
-        )
+        return PQIndex(cfg.embedding_dim, m=cfg.pq_m, nbits=cfg.pq_nbits, seed=seed)
 
     def _embed_in_batches(self, mentions: list[str], batch: int = 512) -> np.ndarray:
         """Embed already-normalised mentions, at most ``batch`` per forward."""

@@ -1,32 +1,40 @@
 """Vector similarity-search library (the reproduction's FAISS substitute).
 
-Implements the index families the paper relies on:
+**Served families** — what a :class:`ShardedIndex`, a
+:class:`TypePartitionedIndex` and the serving engine accept: each
+publishes immutable snapshots and supports ``add`` / ``remove`` /
+``update`` under live searches (the contract is
+:func:`repro.index.mutation.served_snapshot`).
 
 - :class:`FlatIndex` — exact brute-force L2 / inner-product search
-  (``IndexFlatL2`` in FAISS); the ground truth for recall experiments.
+  (``IndexFlatL2`` in FAISS); the paper's EL-NC and the ground truth for
+  recall experiments.
 - :class:`PQIndex` — product quantization (Jégou et al.), the paper's
   default 256 B -> 8 B compression (Section III-D).
+- :class:`ShardedIndex` — serving-scale fan-out striping a flat or PQ
+  store across N shards (scanned inline or by worker processes).
+- :class:`TypePartitionedIndex` — one flat, PQ or sharded sub-index per
+  string partition key (per entity type in serving), so type-constrained
+  lookups scan only the selected partitions' rows.
+
+**Offline baselines** — build-once :class:`VectorIndex` families for the
+index-family benchmark and the differential suite; the served containers
+refuse them (``TypeError``).
+
 - :class:`IVFFlatIndex` / :class:`IVFPQIndex` — inverted-file coarse
   quantization with optional PQ-compressed residual codes.
 - :class:`LSHIndex` — random-hyperplane signed LSH, used as the Table V
   baseline family.
 - :class:`HNSWIndex` — hierarchical navigable small-world graphs (the
   algorithm behind nmslib, the paper's runner-up library).
-- :class:`PCATransform` — the dimensionality-reduction alternative the
-  paper compares against PQ in Figure 5.
-- :class:`ShardedIndex` — serving-scale fan-out wrapper striping any of
-  the families above across N shards (scanned inline or by worker
-  processes).
-- :class:`TypePartitionedIndex` — one sub-index per string partition key
-  (per entity type in serving), so type-constrained lookups scan only
-  the selected partitions' rows.
+
+:class:`PCATransform` is the dimensionality-reduction alternative the
+paper compares against PQ in Figure 5.
 
 The scanning families (flat, PQ) stream their stores through one two-stage
 block loop (:meth:`repro.index.mutation.RowStore.search`: float32 coarse
 cut, float64 re-score of the survivors, ``merge_topk``), so peak search
 memory is bounded by the block size rather than ``ntotal``.
-``block_topk`` / ``blockwise_topk`` are exported for callers that rank
-scores of their own; the indexes do not serve through them.
 """
 
 from repro.index.base import SearchResult, VectorIndex
@@ -41,16 +49,9 @@ from repro.index.partitioned import DEFAULT_PARTITION, TypePartitionedIndex
 from repro.index.pca import PCATransform
 from repro.index.pq import PQIndex, ProductQuantizer
 from repro.index.sharded import ShardedIndex
-from repro.index.topk import (
-    DEFAULT_BLOCK_SIZE,
-    auto_block_size,
-    block_topk,
-    blockwise_topk,
-    merge_topk,
-)
+from repro.index.topk import auto_block_size, merge_topk
 
 __all__ = [
-    "DEFAULT_BLOCK_SIZE",
     "DEFAULT_PARTITION",
     "FlatIndex",
     "GrowBuffer",
@@ -67,7 +68,5 @@ __all__ = [
     "TypePartitionedIndex",
     "VectorIndex",
     "auto_block_size",
-    "block_topk",
-    "blockwise_topk",
     "merge_topk",
 ]

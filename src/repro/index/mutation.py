@@ -21,11 +21,15 @@ test_mutation.py`` enforces: a lookup concurrent with a mutation equals
 the brute-force oracle over either the pre- or the post-mutation entity
 set, never a torn mixture.  The fan-out indexes (:mod:`repro.index.
 sharded`, :mod:`repro.index.partitioned`) and the serving engine publish
-their own snapshots the same way, each holding those of the level below.
+their own snapshots the same way, each holding those of the level below —
+which is why every level *requires* the level below to have one:
+:func:`served_snapshot` is the single statement of what the serving stack
+may hold, checked where an index enters it.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -43,7 +47,7 @@ __all__ = [
     "bury",
     "check_row_ids",
     "extend_tombstones",
-    "snapshot_of",
+    "served_snapshot",
     "validate_removable",
 ]
 
@@ -89,12 +93,43 @@ class IndexSnapshot:
         rows = self.data[ids]
         return ids, rows if self.codec is None else self.codec.decode(rows)
 
+    def check_removable(self, ids: np.ndarray) -> None:
+        """Raise ``ValueError`` when any of ``ids`` is already removed."""
+        validate_removable(self.tombstones, ids)
 
-def snapshot_of(index: VectorIndex) -> object | None:
-    """``index``'s published snapshot; ``None`` for a family without
-    snapshots (no ``compact``, so its row ids are never renumbered)."""
+
+def served_snapshot(index: VectorIndex) -> object:
+    """``index``'s published snapshot — or ``TypeError``, naming its
+    class, when ``index`` is not something the serving stack may hold.
+
+    The stack (:class:`~repro.index.sharded.ShardedIndex`,
+    :class:`~repro.index.partitioned.TypePartitionedIndex`,
+    :class:`~repro.serving.engine.LookupEngine`) holds an index only if
+    ``index.snapshot()`` returns an immutable object with ``rows`` (the
+    row-id space it pins), ``tombstone_count`` and ``check_removable(ids)``
+    (``ValueError`` when an id of that space, already validated by
+    :func:`check_row_ids`, is removed — a fan-out level asks every child
+    before it touches any), and ``index.search`` scans a pinned one handed
+    back as ``snapshot=``.  Each container calls this on what enters it,
+    before anything is spawned or edited, and afterwards pins
+    ``index.snapshot()`` without asking again.
+    """
     snapshot = getattr(index, "snapshot", None)
-    return snapshot() if callable(snapshot) else None
+    snap = snapshot() if callable(snapshot) else None
+    missing = [
+        f"snapshot().{name}"
+        for name in ("rows", "tombstone_count", "check_removable")
+        if not hasattr(snap, name)
+    ]
+    if "snapshot" not in inspect.signature(type(index).search).parameters:
+        missing.append("search(snapshot=)")
+    if missing:
+        raise TypeError(
+            f"{type(index).__name__} cannot be served: it has no "
+            f"{', '.join(missing)} (repro.index.mutation.served_snapshot "
+            "states the contract)"
+        )
+    return snap
 
 
 @array_contract("ids: any, rows: int -> (_,) i64")
@@ -136,11 +171,7 @@ def extend_tombstones(
 
 @array_contract("tombstones: any, ids: (_,) i64::any -> None")
 def validate_removable(tombstones: np.ndarray | None, ids: np.ndarray) -> None:
-    """Raise ``ValueError`` when any id is already tombstoned.
-
-    Used for all-or-nothing pre-validation before a multi-shard remove
-    touches any shard.
-    """
+    """Raise ``ValueError`` when any id is already tombstoned."""
     if tombstones is None or ids.size == 0:
         return
     dead = ids[tombstones[ids]]

@@ -22,8 +22,9 @@ union partition-invariant — see :mod:`repro.index.topk` (the default
 flat partitions and PQ partitions sharing one trained quantizer are both
 bit-exact against the unpartitioned scan).
 
-The sub-index family is pluggable through ``factory`` — pass a closure
-building a :class:`~repro.index.sharded.ShardedIndex` to combine per-type
+The sub-index comes from ``factory`` and must meet the serving contract
+(:func:`repro.index.mutation.served_snapshot`) — pass a closure building a
+:class:`~repro.index.sharded.ShardedIndex` to combine per-type
 partitioning with multi-core shard execution (shm export and worker
 pools come along for free; ``close`` forwards to every partition).
 
@@ -35,7 +36,8 @@ protocol of :mod:`repro.index.mutation`, one level up).  A search reads
 it once, so it can never see a partition's new rows without their ids.
 :meth:`TypePartitionedIndex.remove` tombstones *global* row ids by
 locating each id in its partition's id column and forwarding the local
-ids to the sub-index's ``remove``.  Updates go through the serving engine
+ids to the sub-index's ``remove``, after every partition's snapshot said
+its batch is removable.  Updates go through the serving engine
 as remove + add — an updated entity may change primary type, i.e. change
 partition, which an in-place update cannot express.
 """
@@ -52,7 +54,7 @@ import numpy as np
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.buffer import GrowBuffer
 from repro.index.flat import FlatIndex
-from repro.index.mutation import check_row_ids, snapshot_of, validate_removable
+from repro.index.mutation import check_row_ids, served_snapshot
 from repro.index.topk import _pad_topk, _rank_topk
 from repro.utils.contracts import array_contract
 
@@ -68,7 +70,7 @@ class _Partition(NamedTuple):
 
     index: VectorIndex
     ids: np.ndarray  # (n_local,) int64 global ids; never written again
-    snap: object | None  # None for sub-index families without snapshots
+    snap: object  # the sub-index's own snapshot
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +83,36 @@ class PartitionSnapshot:
 
     parts: dict[str, _Partition]
     rows: int
+
+    @property
+    def tombstone_count(self) -> int:
+        """Removed rows awaiting compaction, across all partitions."""
+        return sum(p.snap.tombstone_count for p in self.parts.values())
+
+    def check_removable(
+        self, ids: np.ndarray
+    ) -> list[tuple[VectorIndex, np.ndarray]]:
+        """``(sub-index, local row ids)`` per partition holding any of the
+        global ``ids``.
+
+        Each id is located in its partition's global-id column and every
+        partition's batch is checked against its pinned sub-snapshot
+        before the caller touches *any* partition (``ValueError``), so a
+        double-remove in one cannot leave another half-mutated.
+        """
+        plan: list[tuple[VectorIndex, np.ndarray]] = []
+        for part in self.parts.values():
+            local = np.nonzero(np.isin(part.ids, ids))[0]
+            if len(local):
+                part.snap.check_removable(local)
+                plan.append((part.index, local))
+        found = sum(len(local) for _, local in plan)
+        if found != len(ids):  # pragma: no cover - id column invariant
+            raise ValueError(
+                f"only {found} of {len(ids)} row ids found in partition "
+                "id columns"
+            )
+        return plan
 
     def select(self, partitions: Sequence[str] | None) -> list[str]:
         """Known keys among ``partitions``, deduplicated (all when None)."""
@@ -157,11 +189,7 @@ class TypePartitionedIndex(VectorIndex):
     @property
     def tombstone_count(self) -> int:
         """Removed rows awaiting compaction, across all partitions."""
-        return sum(
-            part.snap.tombstone_count
-            for part in self._snap.parts.values()
-            if part.snap is not None
-        )
+        return self._snap.tombstone_count
 
     @property
     def is_trained(self) -> bool:
@@ -202,7 +230,7 @@ class TypePartitionedIndex(VectorIndex):
         self._snap = PartitionSnapshot(
             {
                 key: _Partition(
-                    index, self._ids[key].view[:, 0], snapshot_of(index)
+                    index, self._ids[key].view[:, 0], index.snapshot()
                 )
                 for key, index in indexes.items()
             },
@@ -244,6 +272,7 @@ class TypePartitionedIndex(VectorIndex):
             for key, rows in order.items():
                 if key not in indexes:
                     indexes[key] = self._factory(self.dim)
+                    served_snapshot(indexes[key])  # TypeError: not servable
                     self._ids[key] = GrowBuffer(1, np.int64)
                 indexes[key].add(vectors[rows])
                 global_ids = np.asarray(rows, dtype=np.int64) + snap.rows
@@ -252,38 +281,14 @@ class TypePartitionedIndex(VectorIndex):
 
     @array_contract("ids: any -> None")
     def remove(self, ids) -> None:
-        """Tombstone global row ids in their partitions (all-or-nothing).
-
-        Each id is located in its partition's global-id column; every
-        partition's batch is pre-validated against its tombstone bitmap
-        before any partition is touched, so a double-remove in one
-        partition cannot leave another half-mutated.
-        """
+        """Tombstone global row ids in their partitions (all-or-nothing,
+        see :meth:`PartitionSnapshot.check_removable`)."""
         with self._write_lock:
             snap = self._snap
             row_ids = check_row_ids(ids, snap.rows)
             if len(row_ids) == 0:
                 return
-            plan: list[tuple[VectorIndex, np.ndarray]] = []
-            found = 0
-            for part in snap.parts.values():
-                local = np.nonzero(np.isin(part.ids, row_ids))[0]
-                if len(local) == 0:
-                    continue
-                if not hasattr(part.snap, "tombstones"):
-                    raise NotImplementedError(
-                        f"partition family {type(part.index).__name__} "
-                        "does not support remove()"
-                    )
-                validate_removable(part.snap.tombstones, local)
-                plan.append((part.index, local))
-                found += len(local)
-            if found != len(row_ids):  # pragma: no cover - id column invariant
-                raise ValueError(
-                    f"only {found} of {len(row_ids)} row ids found in "
-                    "partition id columns"
-                )
-            for index, local in plan:
+            for index, local in snap.check_removable(row_ids):
                 index.remove(local)
             self._publish(snap.rows)
 
@@ -317,10 +322,7 @@ class TypePartitionedIndex(VectorIndex):
         distances = [np.empty((len(queries), 0), dtype=np.float64)]  # repro: noqa[REP102]
         for key in snap.select(partitions):
             part = snap.parts[key]
-            if part.snap is None:
-                local = part.index.search(queries, k)
-            else:
-                local = part.index.search(queries, k, snapshot=part.snap)
+            local = part.index.search(queries, k, snapshot=part.snap)
             ids.append(self._remap(local.ids, part.ids))
             distances.append(local.distances)
         run_ids, run_d = _rank_topk(

@@ -28,6 +28,7 @@ from time import monotonic
 import numpy as np
 
 from repro.index.base import VectorIndex
+from repro.index.mutation import IndexSnapshot
 from repro.index.shm import AttachedSegments, ShmRegistry
 from repro.utils.contracts import array_contract
 
@@ -42,39 +43,14 @@ class WorkerCrashedError(RuntimeError):
     """A shard's worker process died mid-request (before responding)."""
 
 
-def _export_shard(shard: VectorIndex, registry: ShmRegistry) -> tuple:
-    """Describe one shard as a picklable ``(class, state)`` payload.
-
-    Families that can describe themselves as constructor arguments plus
-    bulk arrays (``to_shared`` / ``from_shared`` — flat and PQ, the two
-    the serving path builds) ship the arrays through shared memory; any
-    other family falls back to pickling the whole shard object into the
-    worker (functional, but the payload crosses the pipe once at spawn
-    instead of being mapped).
-    """
-    to_shared = getattr(shard, "to_shared", None)
-    if to_shared is None:
-        return None, shard
-    return type(shard), to_shared(registry.share)
-
-
-def _build_shard(payload: tuple, segments: AttachedSegments) -> VectorIndex:
-    """Rebuild a worker-local shard over the parent's shm segments."""
-    cls, state = payload
-    return state if cls is None else cls.from_shared(state, segments.attach)
-
-
 def _pinned_search(shard: VectorIndex, s: int, queries, k, rows, tombstones):
     """Scan ``shard`` under the parent's pinned ``(rows, tombstones)``.
 
-    ``rows=None`` means "search everything" (pickle-family shards
-    without snapshot support).  A pinned row count wider than the
-    worker's exported store means the export predates an append the
-    parent already published; that is an error, not a stale prefix to
-    serve silently — the parent's retry lands on a re-exported pool.
+    A pinned row count wider than the worker's exported store means the
+    export predates an append the parent already published; that is an
+    error, not a stale prefix to serve silently — the parent's retry
+    lands on a re-exported pool.
     """
-    if rows is None:
-        return shard.search(queries, k)
     local = shard.snapshot()
     if local.rows < rows:
         raise RuntimeError(
@@ -88,7 +64,8 @@ def _pinned_search(shard: VectorIndex, s: int, queries, k, rows, tombstones):
 
 
 def _shard_worker_main(conn, payloads: dict[int, tuple]) -> None:
-    """Worker loop: build shards from payloads, serve search requests.
+    """Worker loop: rebuild each shard from its ``(class, to_shared
+    state)`` payload over the parent's shm segments, serve search requests.
 
     Protocol (one in-flight request per worker, enforced parent-side):
 
@@ -100,8 +77,8 @@ def _shard_worker_main(conn, payloads: dict[int, tuple]) -> None:
     with AttachedSegments() as segments:
         try:
             shards = {
-                s: _build_shard(payload, segments)
-                for s, payload in payloads.items()
+                s: cls.from_shared(state, segments.attach)
+                for s, (cls, state) in payloads.items()
             }
             while True:
                 try:
@@ -152,8 +129,10 @@ class _ShardWorker:
 class ProcessShardPool:
     """Persistent worker processes serving one immutable shard set.
 
-    ``start()`` exports every shard payload into one :class:`ShmRegistry`
-    and spawns ``num_workers`` processes, shards assigned round-robin.
+    ``start()`` exports every shard (its class plus its ``to_shared``
+    state: constructor arguments and the bulk arrays, which go into one
+    :class:`ShmRegistry`) and spawns ``num_workers`` processes, shards
+    assigned round-robin.
     ``request()`` runs one shard search on its worker with an optional
     deadline; a dead worker is respawned transparently (counted through
     ``on_respawn``) and the caller retries per the index's budget.
@@ -214,7 +193,7 @@ class ProcessShardPool:
         self._registry = ShmRegistry()
         try:
             self._payloads = {
-                s: _export_shard(shard, self._registry)
+                s: (type(shard), shard.to_shared(self._registry.share))
                 for s, shard in enumerate(self.shards)
             }
         except BaseException:
@@ -290,7 +269,7 @@ class ProcessShardPool:
         queries: np.ndarray,
         k: int,
         deadline: float | None,
-        snap: object | None = None,
+        snap: IndexSnapshot,
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """One shard search on its worker; ``(ids, distances, seconds)``.
 
@@ -306,8 +285,6 @@ class ProcessShardPool:
         cancelled, but the *pool* must not stay wedged), and
         ``RuntimeError`` when the worker reports a search error.
         """
-        rows = snap.rows if snap is not None else None
-        tombstones = snap.tombstones if snap is not None else None
         worker = self._worker_of[shard]
         with worker.lock:
             if worker.injected_kill:
@@ -320,7 +297,7 @@ class ProcessShardPool:
             req_id = worker.req_counter
             try:
                 worker.conn.send(
-                    ("search", req_id, shard, queries, k, rows, tombstones)
+                    ("search", req_id, shard, queries, k, snap.rows, snap.tombstones)
                 )
             except (BrokenPipeError, OSError):
                 self._respawn(worker, shard)

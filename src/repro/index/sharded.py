@@ -1,4 +1,4 @@
-"""Sharded wrapper parallelising any index family across N sub-indexes.
+"""Sharded wrapper parallelising a scanning index across N sub-indexes.
 
 Production entity retrievers (Gillick et al.'s dense retrieval stack,
 FAISS's ``IndexShards``) split the vector store into shards and fan each
@@ -72,7 +72,7 @@ import numpy as np
 
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.flat import FlatIndex
-from repro.index.mutation import check_row_ids, snapshot_of, validate_removable
+from repro.index.mutation import check_row_ids, served_snapshot
 from repro.index.pool import (
     ProcessShardPool,
     ShardTimeoutError,
@@ -101,10 +101,9 @@ class _IndexView(NamedTuple):
     ``shards`` is the shard *set* — one list object per compaction swap,
     never mutated in place, so its identity tells a search whether the
     process pool's shm export describes the shards it pinned.  ``snaps``
-    holds each shard's own snapshot (``None`` for families without
-    snapshot support), captured under the write lock in the same
-    publish.  ``rows`` is the global row-id space, ``epoch`` the publish
-    count.
+    holds each shard's own snapshot, captured under the write lock in the
+    same publish.  ``rows`` is the global row-id space, ``epoch`` the
+    publish count.
     """
 
     shards: list[VectorIndex]
@@ -114,11 +113,28 @@ class _IndexView(NamedTuple):
 
     @property
     def tombstone_count(self) -> int:
-        return sum(s.tombstone_count for s in self.snaps if s is not None)
+        return sum(snap.tombstone_count for snap in self.snaps)
 
     @property
     def nlive(self) -> int:
         return self.rows - self.tombstone_count
+
+    def check_removable(self, ids: np.ndarray) -> dict[int, np.ndarray]:
+        """Per-shard local row ids of the global ``ids``.
+
+        Every shard's batch is checked against its pinned snapshot before
+        the caller touches *any* shard (``ValueError``), so a bad id in
+        one shard cannot leave another half-mutated.
+        """
+        num_shards = len(self.snaps)
+        lanes = ids % num_shards
+        plan: dict[int, np.ndarray] = {}
+        for s, snap in enumerate(self.snaps):
+            local = ids[lanes == s] // num_shards
+            if len(local):
+                snap.check_removable(local)
+                plan[s] = local
+        return plan
 
 
 @dataclass(slots=True)
@@ -152,7 +168,11 @@ class ShardedIndex(VectorIndex):
         Number of child indexes (and fan-out width of every search).
     factory:
         ``factory(dim) -> VectorIndex`` building one (empty) shard; defaults
-        to flat shards.  For trained families the factory must produce
+        to flat shards.  A shard must meet the serving contract
+        (:func:`repro.index.mutation.served_snapshot`; ``TypeError``
+        otherwise) — a :class:`~repro.index.mutation.RowStore`, whose
+        ``to_shared`` / ``live`` the process executor and :meth:`compact`
+        use.  For trained families the factory must produce
         identically-seeded indexes so all shards learn the same quantizer
         (``train`` feeds every shard the full training matrix).
     executor:
@@ -213,7 +233,7 @@ class ShardedIndex(VectorIndex):
                     f"factory built a dim-{shard.dim} shard, expected {dim}"
                 )
         self._write_lock = threading.Lock()
-        self._view = _IndexView(shards, tuple(map(snapshot_of, shards)), 0, 0)
+        self._view = _IndexView(shards, tuple(map(served_snapshot, shards)), 0, 0)
         self.executor = executor
         self._num_workers = num_workers or num_shards
         self._executor: ThreadPoolExecutor | None = None
@@ -265,9 +285,8 @@ class ShardedIndex(VectorIndex):
         """Swap in the next view; caller holds ``_write_lock``."""
         if shards is None:
             shards = self._view.shards
-        self._view = _IndexView(
-            shards, tuple(map(snapshot_of, shards)), rows, self._view.epoch + 1
-        )
+        snaps = tuple(shard.snapshot() for shard in shards)
+        self._view = _IndexView(shards, snaps, rows, self._view.epoch + 1)
 
     def _stripe(
         self, shards: list[VectorIndex], vectors: np.ndarray, base: int
@@ -279,30 +298,6 @@ class ShardedIndex(VectorIndex):
             rows = vectors[lanes == s]
             if len(rows):
                 shard.add(rows)
-
-    def _removal_plan(self, ids) -> dict[int, np.ndarray]:
-        """Validated per-shard local row ids for a remove of global ``ids``.
-
-        Every shard's batch is checked against its published tombstone
-        bitmap before *any* shard is touched, so a bad id in one shard
-        cannot leave another half-mutated.  Caller holds ``_write_lock``.
-        """
-        view = self._view
-        row_ids = check_row_ids(ids, view.rows)
-        lanes = row_ids % self.num_shards
-        plan: dict[int, np.ndarray] = {}
-        for s, snap in enumerate(view.snaps):
-            local = row_ids[lanes == s] // self.num_shards
-            if len(local) == 0:
-                continue
-            if snap is None:
-                raise NotImplementedError(
-                    f"shard family {type(view.shards[s]).__name__} does "
-                    "not support remove()"
-                )
-            validate_removable(snap.tombstones, local)
-            plan[s] = local
-        return plan
 
     @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
@@ -335,7 +330,8 @@ class ShardedIndex(VectorIndex):
         """
         with self._write_lock:
             view = self._view
-            for s, local in self._removal_plan(ids).items():
+            plan = view.check_removable(check_row_ids(ids, view.rows))
+            for s, local in plan.items():
                 view.shards[s].remove(local)
             self._publish(view.rows)
 
@@ -350,7 +346,7 @@ class ShardedIndex(VectorIndex):
         vectors = self._check_vectors(vectors, "vectors")
         with self._write_lock:
             view = self._view
-            plan = self._removal_plan(ids)
+            plan = view.check_removable(check_row_ids(ids, view.rows))
             self._invalidate_workers()
             for s, local in plan.items():
                 view.shards[s].remove(local)
@@ -364,19 +360,12 @@ class ShardedIndex(VectorIndex):
 
         Each shard's snapshot hands over its own live rows (coded shards
         decode them — compaction re-encodes against freshly trained
-        codebooks).  Raises ``NotImplementedError`` for shard families
-        without a snapshot to rebuild from.
+        codebooks).
         """
         all_ids: list[np.ndarray] = []
         all_vecs: list[np.ndarray] = []
         for s, snap in enumerate(view.snaps):
-            live = getattr(snap, "live", None)
-            if live is None:
-                raise NotImplementedError(
-                    f"compact() unsupported for shard family "
-                    f"{type(view.shards[s]).__name__}"
-                )
-            local, vecs = live()
+            local, vecs = snap.live()
             all_ids.append(local * self.num_shards + s)
             all_vecs.append(vecs)
         ids = np.concatenate(all_ids)
@@ -519,10 +508,7 @@ class ShardedIndex(VectorIndex):
                         scanned += seconds
                     else:
                         scan_start = monotonic()
-                        if snap is None:
-                            result = shard.search(queries, k)
-                        else:
-                            result = shard.search(queries, k, snapshot=snap)
+                        result = shard.search(queries, k, snapshot=snap)
                         scanned += monotonic() - scan_start
                     if transform is not None:
                         ids, distances = transform(

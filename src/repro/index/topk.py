@@ -4,19 +4,16 @@ A scan never materialises the full ``(n_queries, ntotal)`` distance
 matrix: it handles one block of rows at a time, selects the block's
 candidates and folds them into a running top-k (:func:`merge_topk`).
 Peak memory is O(n_queries x block_size) and the blocked distance
-computations are far kinder to the cache (on a single core the 4096-row
-blocked flat scan runs ~3x faster than the full materialisation; see
-``BENCH_serving.json``).
+computations are far kinder to the cache (measured 2026-08-08 on a 1-CPU
+x86-64 VM, 50 000 x 64 rows, 256 queries, best of 3: the 4096-row blocked
+flat scan took 0.156 s, the full materialisation 0.399 s).
 
 The served scans — :class:`~repro.index.flat.FlatIndex` and
 :class:`~repro.index.pq.PQIndex` — run one loop,
 :meth:`repro.index.mutation.RowStore.search`, built from this module's
 :func:`_left_pack`, :func:`merge_topk` and :func:`_pad_topk`: a float32
 coarse pass decides who *survives*, a float64 re-score of the survivors
-decides the order.  :func:`block_topk` / :func:`blockwise_topk` are the
-same selection rule for a caller that already holds one final score per
-(query, row) cell — ``benchmarks/bench_serving.py`` and the selection
-tests; no index serves through them.
+decides the order.
 
 Ordering convention: candidates are ranked by ``(pad-last, distance,
 id)`` — ties broken toward the smaller row id, ``NaN`` last among the
@@ -35,9 +32,10 @@ per tile width, and a score that moves by an ulp with the tile width is a
 result that moves with the block size).
 
 Selection is one rule, **threshold, left-pack, rank** (DESIGN.md §9):
-keep the cells not above the k-th smallest score of their query — every
-tie at the cut included — pack those ragged few to the left
-(:func:`_left_pack`) and order only them (:func:`_rank_topk`).  Every row
+keep the cells not above the k-th smallest coarse score of their query —
+every tie at the cut included (the family's coarse kernel) — pack those
+ragged few to the left (:func:`_left_pack`) and order only them
+(:func:`_rank_topk`, through :func:`merge_topk`).  Every row
 of the true top-k scores at or below the k-th smallest, so the keepers are
 a superset of it and the sort sees ``k`` plus the ties at the cut, never
 the block.  Ties are the normal case on an entity index: aliases and
@@ -57,24 +55,13 @@ import numpy as np
 
 from repro.utils.contracts import array_contract
 
-__all__ = [
-    "DEFAULT_BLOCK_SIZE",
-    "DEFAULT_BLOCK_BUDGET_BYTES",
-    "auto_block_size",
-    "block_topk",
-    "blockwise_topk",
-    "merge_topk",
-]
-
-#: Default scan granularity: 4096 rows/block keeps a 256-query block of
-#: 8-byte scores under 8 MB and measured fastest of {1k, 4k, 8k} on one core.
-DEFAULT_BLOCK_SIZE = 4096
+__all__ = ["DEFAULT_BLOCK_BUDGET_BYTES", "auto_block_size", "merge_topk"]
 
 #: Per-block score-tile budget for :func:`auto_block_size`.  8 MiB is the
-#: sweet spot measured in BENCH_serving.json: at 256 queries x 8-byte
-#: scores it yields the winning 4096-row block, while the 8192-row
-#: block's 16 MiB tile overflows the last-level cache and scans *slower*
-#: than the full materialisation trend (0.263s vs 0.146s at 50k x 64).
+#: sweet spot of the measurement in the module docstring: at 256 queries x
+#: 8-byte scores it yields the 4096-row block, fastest of {1k, 4k, 8k}
+#: (0.190 / 0.156 / 0.294 s) — the 8192-row block's 16 MiB tile overflows
+#: the last-level cache.
 DEFAULT_BLOCK_BUDGET_BYTES = 8 << 20
 
 
@@ -161,66 +148,6 @@ def _left_pack(keep: np.ndarray) -> np.ndarray:
     return packed
 
 
-@array_contract(
-    "distances: (nq, b) num::any, k: int, id_offset: int, exclude: any"
-    " -> (nq, k) i64, (nq, k) num"
-)
-def block_topk(
-    distances: np.ndarray,
-    k: int,
-    id_offset: int = 0,
-    exclude: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of one block of final scores, as ``(ids, distances)`` of
-    width ``k``.
-
-    Parameters
-    ----------
-    distances:
-        ``(n_queries, block)`` scores for one contiguous block of rows.
-    k:
-        Number of winners to keep per query.
-    id_offset:
-        Global id of the block's first row; returned ids are global.
-    exclude:
-        Optional ``(block,)`` boolean tombstone bitmap.  Excluded rows
-        never become candidates, so ``k`` beyond the live count pads.
-
-    Threshold: ``kth``, the ``k``-th smallest score of each query with the
-    excluded columns counted as ``+inf``.  Keep ``~(score > kth)`` on the
-    live columns — every tie at the cut and every ``NaN``; a ``NaN`` or
-    ``inf`` ``kth`` (fewer than ``k`` finite live scores) keeps the whole
-    live row, which is what lets live ``inf`` / ``NaN`` rows still rank
-    before padding.  The keepers are then left-packed, gathered and
-    ranked by ``(pad-last, distance, id)``.  Blocks narrower than ``k``
-    are padded with ``-1`` / ``inf``, so every result is exactly
-    ``(n_queries, k)`` and directly mergeable.
-    """
-    nq, width = distances.shape
-    take = min(k, width)
-    keep = np.ones((nq, width), dtype=bool)
-    if take < width:
-        # C-order scratch: the in-place partition walks contiguous rows
-        # (2x faster than np.partition over a transposed (rows, nq) tile,
-        # the layout an ADC fold such as scan_codes hands over).
-        scratch = distances.copy()
-        if exclude is not None:
-            scratch[:, exclude] = np.inf
-        scratch.partition(take - 1, axis=1)
-        np.greater(distances, scratch[:, take - 1 : take], out=keep)
-        np.logical_not(keep, out=keep)
-    if exclude is not None:
-        keep[:, exclude] = False
-    cand = _left_pack(keep)
-    # Padding gathers the last column (index -1) and is overwritten.
-    cand_d = np.where(
-        cand >= 0, np.take_along_axis(distances, cand, axis=1), np.inf
-    )
-    ids, ranked_d = _rank_topk(cand, cand_d, take)
-    ids[ids >= 0] += id_offset
-    return _pad_topk(ids, ranked_d, k)
-
-
 def _pad_topk(
     ids: np.ndarray, distances: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -266,69 +193,3 @@ def merge_topk(
     ids = np.concatenate([ids_a, ids_b], axis=1)
     distances = np.concatenate([d_a, d_b], axis=1)
     return _rank_topk(ids, distances, k)
-
-
-@array_contract(
-    "score_block: callable, ntotal: int, k: int, num_queries: int"
-    " -> (num_queries, k) i64, (num_queries, k) num"
-)
-def blockwise_topk(
-    score_block,
-    ntotal: int,
-    k: int,
-    num_queries: int,
-    block_size: int | None = None,
-    id_offset: int = 0,
-    exclude: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Streaming scan over a one-score-per-cell callback: score blocks,
-    keep a running top-k.  (The indexes' own loop is
-    :meth:`repro.index.mutation.RowStore.search`, which ranks re-scored
-    survivors instead of the block's scores.)
-
-    Parameters
-    ----------
-    score_block:
-        ``score_block(start, stop) -> (n_queries, stop - start)`` distance
-        callback for rows ``[start, stop)`` of the scanned store.  Only one
-        block of scores is alive at a time.
-    ntotal:
-        Number of stored rows to scan.
-    k:
-        Winners per query.
-    num_queries:
-        Rows of every ``score_block`` result (fixes the output shape even
-        when ``ntotal`` is 0 and the callback is never invoked).
-    block_size:
-        Scan granularity (defaults to :data:`DEFAULT_BLOCK_SIZE`).
-    id_offset:
-        Added to every returned id (used by sharded scans to map a shard's
-        local row space into the global id space).
-    exclude:
-        Optional ``(ntotal,)`` tombstone bitmap; each block receives its
-        slice (see :func:`block_topk`), so removed rows never enter the
-        running top-k.
-
-    Returns the ``(ids, distances)`` pair in :class:`SearchResult` layout.
-    """
-    block = block_size if block_size is not None else DEFAULT_BLOCK_SIZE
-    if block < 1:
-        raise ValueError(f"block_size must be >= 1, got {block}")
-    run_ids: np.ndarray | None = None
-    run_d: np.ndarray | None = None
-    for start in range(0, ntotal, block):
-        stop = min(start + block, ntotal)
-        blk_ids, blk_d = block_topk(
-            score_block(start, stop),
-            k,
-            id_offset + start,
-            exclude=exclude[start:stop] if exclude is not None else None,
-        )
-        if run_ids is None or run_d is None:
-            run_ids, run_d = blk_ids, blk_d
-        else:
-            run_ids, run_d = merge_topk(run_ids, run_d, blk_ids, blk_d, k)
-    if run_ids is None or run_d is None:
-        run_ids = np.full((num_queries, k), -1, dtype=np.int64)
-        run_d = np.full((num_queries, k), np.inf, dtype=np.float64)  # repro: noqa[REP102]
-    return run_ids, run_d

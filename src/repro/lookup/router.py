@@ -15,8 +15,7 @@ cheap-similarity front tier:
    diverge.  Hits short-circuit without touching the embedding model.
 2. **fuzzy** — queries too short (``min_string_length_to_trigger``) or
    insufficiently alphabetic (``min_alpha_ratio``) for the character
-   embedding tower route to a cheap string service (q-gram Jaccard or
-   bounded Levenshtein).
+   embedding tower route to a cheap string service (q-gram Jaccard).
 3. **ann** — everything else falls through to the embedding + vector
    index path (any :class:`~repro.lookup.base.LookupService`, typically
    :class:`~repro.lookup.emblookup_service.EmbLookupService` or the
@@ -40,7 +39,6 @@ import threading
 from repro.kg.graph import KnowledgeGraph
 from repro.index.partitioned import DEFAULT_PARTITION
 from repro.lookup.base import Candidate, LookupService
-from repro.lookup.levenshtein import LevenshteinLookup
 from repro.lookup.normalize import normalize
 from repro.lookup.qgram import QGramLookup
 from repro.utils.timing import Stopwatch
@@ -49,9 +47,6 @@ __all__ = ["LabelHashTable", "LookupRouter", "TypeFilterMap"]
 
 #: Tier names in dispatch order.
 _TIERS = ("exact", "fuzzy", "ann")
-
-#: The string services ``LookupRouter.build(fuzzy=<name>)`` can build.
-_FUZZY_TIERS = {"qgram": QGramLookup, "levenshtein": LevenshteinLookup}
 
 #: Over-fetch factor when a type filter must be applied by post-filtering
 #: an unfiltered tier's answers (tiers without native type support).
@@ -329,19 +324,17 @@ class LookupRouter(LookupService):
     ) -> "LookupRouter":
         """Build the exact tier and type map from ``kg``.
 
-        ``fuzzy`` may be a ready service, the string ``"qgram"`` /
-        ``"levenshtein"`` to build one over ``kg``, or ``None`` to
-        disable the tier.
+        ``fuzzy`` may be a ready service, the string ``"qgram"`` to
+        build a :class:`QGramLookup` over ``kg``, or ``None`` to disable
+        the tier.
         """
         if isinstance(fuzzy, str):
-            if fuzzy not in _FUZZY_TIERS:
+            if fuzzy != "qgram":
                 raise ValueError(
-                    "fuzzy must be a LookupService, 'qgram', 'levenshtein'"
-                    f" or None, got {fuzzy!r}"
+                    "fuzzy must be a LookupService, 'qgram' or None, "
+                    f"got {fuzzy!r}"
                 )
-            fuzzy = _FUZZY_TIERS[fuzzy].build(
-                kg, include_aliases=include_aliases
-            )
+            fuzzy = QGramLookup.build(kg, include_aliases=include_aliases)
         return cls(
             LabelHashTable.build(kg, include_aliases=include_aliases),
             ann=ann,

@@ -63,7 +63,7 @@ import numpy as np
 from repro.core.pipeline import EmbLookup
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.flat import FlatIndex
-from repro.index.mutation import snapshot_of
+from repro.index.mutation import served_snapshot
 from repro.index.partitioned import DEFAULT_PARTITION, TypePartitionedIndex
 from repro.index.sharded import ShardedIndex
 from repro.lookup.base import Candidate, LookupService
@@ -96,9 +96,7 @@ class LookupDeadlineExceeded(TimeoutError):
 class EngineSnapshot:
     """Everything one lookup's ANN path reads, pinned together.
 
-    ``index`` is the vector index's own snapshot (``None`` for families
-    without snapshots: they cannot compact, so their row ids are never
-    renumbered and the live index is safe to scan).  ``rows`` maps row
+    ``index`` is the vector index's own snapshot.  ``rows`` maps row
     id -> entity id; between compactions it is one list that only grows,
     so every row id ``index`` can return is already in it.
     ``impure_rows`` memoizes, per type filter, how many scanned rows
@@ -107,7 +105,7 @@ class EngineSnapshot:
     keeps it current.  ``generation`` keys the result cache.
     """
 
-    index: object | None
+    index: object
     rows: list[str]
     has_alias_rows: bool
     impure_rows: dict[str, int]
@@ -174,7 +172,9 @@ class LookupEngine(LookupService):
     :class:`~repro.index.sharded.ShardedIndex` built by
     :meth:`from_pipeline`) and an optional :class:`QueryCache`; the
     pipeline contributes only the trained embedding model and the
-    row -> entity mapping.  It is also a regular :class:`LookupService`,
+    row -> entity mapping.  The index must meet the serving contract
+    (:func:`repro.index.mutation.served_snapshot`; ``TypeError`` at
+    construction otherwise).  It is also a regular :class:`LookupService`,
     so ``lookup_batch`` works synchronously and the evaluation harness
     can benchmark it like any other service.
 
@@ -224,6 +224,7 @@ class LookupEngine(LookupService):
         super().__init__()
         if pipeline.model is None:
             raise ValueError("LookupEngine requires a fitted pipeline")
+        served_snapshot(index)
         if index.ntotal != len(row_to_entity):
             raise ValueError(
                 f"index has {index.ntotal} rows but row_to_entity maps "
@@ -516,7 +517,7 @@ class LookupEngine(LookupService):
     def _freeze(self, generation: int) -> EngineSnapshot:
         """The writer-side state as one snapshot under ``generation``."""
         return EngineSnapshot(
-            snapshot_of(self._index),
+            self._index.snapshot(),
             self._row_to_entity,
             self._has_alias_rows,
             {},
@@ -576,9 +577,9 @@ class LookupEngine(LookupService):
         first (an exact hit on a half-removed entity would resurrect
         it); the index tombstone publish is last.
         """
-        rows = self._entity_rows.pop(entity_id, None)
-        if rows is None:
+        if entity_id not in self._entity_rows:
             raise ValueError(f"entity {entity_id!r} is not indexed")
+        rows = self._entity_rows.pop(entity_id)
         if self.router is not None:
             self.router.remove_entity(entity_id)
         if self._own_type_map is not None:
@@ -765,9 +766,9 @@ class LookupEngine(LookupService):
         and only the rank filter applies.
         """
         index = self._index
-        pinned = {} if snap.index is None else {"snapshot": snap.index}
+        pinned = {"snapshot": snap.index}
         impure = 0
-        scanned = index.ntotal if snap.index is None else snap.index.rows
+        scanned = snap.index.rows
         if type_filter is not None:
             partitions = None
             if isinstance(index, TypePartitionedIndex):

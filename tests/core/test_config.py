@@ -20,6 +20,7 @@ class TestValidation:
             {"margin": 0.0},
             {"hard_mining_start": 1.5},
             {"compression": "zip"},
+            {"compression": "ivfpq"},  # an offline baseline, not an option
         ],
     )
     def test_invalid(self, kwargs):

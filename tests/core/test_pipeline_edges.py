@@ -50,19 +50,6 @@ class TestConfigInteractions:
         service.fit(tiny_kg)
         assert len(service.lookup("germany", k=5)) == 5
 
-    def test_ivfpq_compression_option(self, tiny_kg):
-        from repro.index.ivfpq import IVFPQIndex
-
-        service = EmbLookup(
-            EmbLookupConfig(
-                epochs=0, triplets_per_entity=2, fasttext_epochs=0,
-                compression="ivfpq", ivf_nlist=8, ivf_nprobe=4, seed=0,
-            )
-        )
-        service.fit(tiny_kg)
-        assert isinstance(service.index, IVFPQIndex)
-        assert len(service.lookup("germany", k=5)) == 5
-
     def test_normalized_embeddings_unit_length(self, trained_service):
         vectors = trained_service.model.embed(["germany", "berlin", "x"])
         norms = np.linalg.norm(vectors, axis=1)

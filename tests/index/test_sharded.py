@@ -8,6 +8,7 @@ is covered explicitly.  Every index built here is closed by the test
 that built it; the conftest leak check enforces it.
 """
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -167,23 +168,34 @@ class TestExecutorEquivalence:
             with pytest.raises(ValueError):
                 ShardedIndex(8, 2, executor=executor)
 
-    def test_pickle_fallback_family_still_works_in_process(self):
-        """A family without an shm exporter rides the pickle payload."""
+    def test_snapshotless_family_is_refused_where_it_enters(
+        self, trained_service
+    ):
+        """The served stack holds one kind of index.  An offline baseline
+        (no snapshots, no ``remove``) is a ``TypeError`` naming its class
+        at each of the three doors — not a pickled shard, and not a
+        mutation that fails half-applied later — and nothing was spawned
+        or mapped on the way."""
+        from repro.index.ivfpq import IVFPQIndex
         from repro.index.lsh import LSHIndex
+        from repro.index.partitioned import TypePartitionedIndex
+        from repro.serving import LookupEngine
 
-        def factory(dim):
+        def lsh(dim):
             return LSHIndex(dim, nbits=8, ntables=2, seed=0)
 
-        data, queries = make_data(n=60, d=8, seed=9)
-        with ShardedIndex(8, 2, factory=factory) as want_index:
-            want_index.add(data)
-            want = want_index.search(queries, 5)
-        with ShardedIndex(
-            8, 2, factory=factory, executor="process"
-        ) as sharded:
-            sharded.add(data)
-            got = sharded.search(queries, 5)
-            assert got.ids.tobytes() == want.ids.tobytes()
+        data, _ = make_data(n=6, d=8, seed=9)
+        with pytest.raises(TypeError, match="LSHIndex"):
+            ShardedIndex(8, 2, factory=lsh, executor="process")
+        partitioned = TypePartitionedIndex(8, factory=lsh)
+        with pytest.raises(TypeError, match="LSHIndex"):
+            partitioned.add(data, ["a", "b"] * 3)
+        assert partitioned.ntotal == 0 and partitioned.partition_keys() == ()
+        dim = trained_service.config.embedding_dim
+        with pytest.raises(TypeError, match="IVFPQIndex"):
+            LookupEngine(trained_service, IVFPQIndex(dim), [])
+        assert shm.owned_segment_names() == []
+        assert multiprocessing.active_children() == []
 
 
 class TestProcessPoolLifecycle:

@@ -1,4 +1,4 @@
-"""Tests for repro.index.topk (blockwise streaming top-k kernel)."""
+"""Tests for repro.index.topk (merge rule) and the streaming scans built on it."""
 
 import tracemalloc
 
@@ -7,50 +7,7 @@ import pytest
 
 from repro.index.flat import FlatIndex
 from repro.index.pq import PQIndex
-from repro.index.topk import (
-    DEFAULT_BLOCK_SIZE,
-    block_topk,
-    blockwise_topk,
-    merge_topk,
-)
-
-
-def brute_rank(distances, k):
-    """Reference (distance, id) ranking over a full distance matrix."""
-    nq, n = distances.shape
-    ids = np.broadcast_to(np.arange(n, dtype=np.int64), (nq, n))
-    order = np.lexsort((ids, distances), axis=1)[:, :k]
-    out_ids = np.take_along_axis(np.ascontiguousarray(ids), order, axis=1)
-    out_d = np.take_along_axis(distances, order, axis=1)
-    if k > n:
-        pad = k - n
-        out_ids = np.pad(out_ids, ((0, 0), (0, pad)), constant_values=-1)
-        out_d = np.pad(out_d, ((0, 0), (0, pad)), constant_values=np.inf)
-    return out_ids, out_d
-
-
-class TestBlockTopk:
-    def test_selects_smallest(self):
-        d = np.array([[3.0, 1.0, 2.0, 0.5]])
-        ids, dist = block_topk(d, 2)
-        np.testing.assert_array_equal(ids, [[3, 1]])
-        np.testing.assert_allclose(dist, [[0.5, 1.0]])
-
-    def test_id_offset_shifts_ids(self):
-        d = np.array([[3.0, 1.0]])
-        ids, _ = block_topk(d, 1, id_offset=10)
-        np.testing.assert_array_equal(ids, [[11]])
-
-    def test_pads_when_k_exceeds_width(self):
-        d = np.array([[2.0, 1.0]])
-        ids, dist = block_topk(d, 4)
-        np.testing.assert_array_equal(ids, [[1, 0, -1, -1]])
-        assert np.isinf(dist[0, 2:]).all()
-
-    def test_ties_broken_by_id(self):
-        d = np.zeros((1, 5))
-        ids, _ = block_topk(d, 3)
-        np.testing.assert_array_equal(ids, [[0, 1, 2]])
+from repro.index.topk import merge_topk
 
 
 class TestMergeTopk:
@@ -77,58 +34,6 @@ class TestMergeTopk:
         d = np.array([[1.0]])
         ids, _ = merge_topk(ids_a, d, ids_b, d, 1)
         np.testing.assert_array_equal(ids, [[3]])
-
-
-class TestBlockwiseTopk:
-    def run_blockwise(self, distances, k, block):
-        def score_block(start, stop):
-            return distances[:, start:stop]
-
-        return blockwise_topk(
-            score_block,
-            distances.shape[1],
-            k,
-            num_queries=distances.shape[0],
-            block_size=block,
-        )
-
-    @pytest.mark.parametrize("block", [1, 7, 100, 4096])
-    def test_matches_full_ranking_for_any_block_size(self, block):
-        rng = np.random.default_rng(0)
-        distances = rng.random((6, 100))
-        want_ids, want_d = brute_rank(distances, 10)
-        ids, dist = self.run_blockwise(distances, 10, block)
-        np.testing.assert_array_equal(ids, want_ids)
-        np.testing.assert_array_equal(dist, want_d)
-
-    @pytest.mark.parametrize("block", [1, 7, 100, 4096])
-    def test_bit_identical_across_block_sizes(self, block):
-        """Every block size must give byte-for-byte the same answer."""
-        rng = np.random.default_rng(4)
-        distances = rng.random((3, 57))
-        ref_ids, ref_d = self.run_blockwise(distances, 5, DEFAULT_BLOCK_SIZE)
-        ids, dist = self.run_blockwise(distances, 5, block)
-        assert ids.tobytes() == ref_ids.tobytes()
-        assert dist.tobytes() == ref_d.tobytes()
-
-    def test_empty_store_pads(self):
-        ids, dist = blockwise_topk(
-            lambda s, e: np.empty((2, 0)), 0, 3, num_queries=2
-        )
-        assert ids.shape == (2, 3)
-        assert (ids == -1).all()
-        assert np.isinf(dist).all()
-
-    def test_never_scores_more_than_block(self):
-        widths = []
-
-        def score_block(start, stop):
-            widths.append(stop - start)
-            return np.zeros((2, stop - start))
-
-        blockwise_topk(score_block, 1000, 4, num_queries=2, block_size=64)
-        assert widths, "score_block never called"
-        assert max(widths) <= 64
 
 
 class TestStreamingMemory:
@@ -241,37 +146,52 @@ class TestPadRankingRegression:
             sharded.close()
 
     def test_boundary_ties_break_toward_smaller_id(self):
-        """argpartition pre-selection keeps an arbitrary candidate among
-        scores tied at the cut; block_topk must fall through to the exact
-        (distance, id) rank so the smaller id wins regardless of column
-        order."""
-        distances = np.array([[5.0, 1.0, 1.0, 1.0, 9.0]])
+        """A cut that keeps an arbitrary candidate among scores tied at
+        the boundary would let column order pick the winner; the scan
+        must rank the ties by (distance, id) so the smaller id wins."""
+        index = FlatIndex(2)
+        index.add(  # squared distances from the origin: 5, 1, 1, 1, 9
+            np.array(
+                [[2, 1], [1, 0], [0, 1], [-1, 0], [3, 0]], dtype=np.float32
+            )
+        )
         for k in (1, 2):
-            ids, d = block_topk(distances, k)
-            np.testing.assert_array_equal(ids, [[1, 2][:k]])
-            np.testing.assert_array_equal(d, [[1.0, 1.0][:k]])
+            got = index.search(np.zeros((1, 2), dtype=np.float32), k)
+            np.testing.assert_array_equal(got.ids, [[1, 2][:k]])
+            np.testing.assert_array_equal(got.distances, [[1.0, 1.0][:k]])
 
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning"
+    )
     def test_boundary_tie_fallback_with_nan_cut(self):
         """All-NaN boundary: the NaN candidates tie among themselves and
         must still pick the smallest ids."""
-        distances = np.array([[np.nan, np.nan, np.nan, 1.0]])
-        ids, _ = block_topk(distances, 2)
-        np.testing.assert_array_equal(ids, [[3, 0]])
+        index = FlatIndex(2)
+        index.add(
+            np.array(
+                [[np.nan, 0], [np.nan, 0], [np.nan, 0], [1, 0]],
+                dtype=np.float32,
+            )
+        )
+        got = index.search(np.zeros((1, 2), dtype=np.float32), 2)
+        np.testing.assert_array_equal(got.ids, [[3, 0]])
 
     def test_partition_invariance_on_exact_ties(self):
-        """The PR 5 finding: PQ-style duplicate scores made the one-shot
-        scan and the width-1 blocked scan return different (tied) ids.
-        With the fallback, every blocking returns the same winner."""
+        """The PR 5 finding: duplicate rows (PQ-style exactly equal
+        scores) made the one-shot scan and the width-1 blocked scan
+        return different (tied) ids.  Every blocking returns the same
+        winner."""
         rng = np.random.default_rng(5)
-        scores = rng.choice([1.0, 2.0, 3.0], size=(3, 40))
-
-        def score_block(start, stop):
-            return scores[:, start:stop]
-
-        want = blockwise_topk(score_block, 40, 5, num_queries=3, block_size=40)
-        for block in (1, 3, 7, 39):
-            got = blockwise_topk(
-                score_block, 40, 5, num_queries=3, block_size=block
-            )
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+        data = rng.choice([1.0, 2.0, 3.0], size=(40, 4)).astype(np.float32)
+        data[20:] = data[:20]
+        queries = rng.normal(size=(3, 4)).astype(np.float32)
+        pq = PQIndex(4, m=2, nbits=2, seed=0)
+        pq.train(data)
+        for index in (FlatIndex(4), pq):
+            index.add(data)
+            want = index.search(queries, 5, block_size=40)
+            assert (want.distances[:, 1:] == want.distances[:, :-1]).any()
+            for block in (1, 3, 7, 39):
+                got = index.search(queries, 5, block_size=block)
+                np.testing.assert_array_equal(got.ids, want.ids)
+                np.testing.assert_array_equal(got.distances, want.distances)

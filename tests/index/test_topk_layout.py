@@ -1,10 +1,10 @@
-"""Top-k kernels under mixed dtypes and non-contiguous layouts.
+"""The top-k merge under mixed dtypes and non-contiguous layouts.
 
-The top-k family declares ``num::any`` input contracts: distances may
-arrive as float64 (f64 accumulators in PQ scans) or as views — Fortran
+``merge_topk`` declares ``num::any`` input contracts: distances may
+arrive as float64 (the scans' re-scored survivors) or as views — Fortran
 blocks, transposed score matrices, strided slices.  These tests assert
-the kernels are *value*-driven: the same scores in any dtype/layout
-must produce bit-identical ids and distances to the contiguous-float32
+the merge is *value*-driven: the same scores in any dtype/layout must
+produce bit-identical ids and distances to the contiguous-float32
 baseline.  Inputs are generated as float32 first so the f64 upcast is
 exact and "bit-identical" is well-defined.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.index.flat import FlatIndex
-from repro.index.topk import block_topk, blockwise_topk, merge_topk
+from repro.index.topk import merge_topk
 
 NQ = 6
 K = 4
@@ -25,8 +25,10 @@ def scores(seed=0, nq=NQ, n=40):
 
 
 def topk_pair(seed, width, k=K, offset=0):
-    """A padded ``(ids, distances)`` top-k set built from fresh scores."""
-    return block_topk(scores(seed=seed, n=width), k, id_offset=offset)
+    """A ranked ``(ids, distances)`` top-k set built from fresh scores."""
+    d = scores(seed=seed, n=width)
+    ids = np.tile(np.arange(offset, offset + width, dtype=np.int64), (NQ, 1))
+    return merge_topk(ids[:, :0], d[:, :0], ids, d, k)
 
 
 LAYOUTS = {
@@ -35,26 +37,6 @@ LAYOUTS = {
     "transposed_view": lambda a: np.ascontiguousarray(a.T).T,
     "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
 }
-
-
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-class TestBlockTopk:
-    def test_matches_contiguous_float32(self, layout):
-        block = scores()
-        ids, dist = block_topk(block, K, id_offset=100)
-        vids, vdist = block_topk(LAYOUTS[layout](block), K, id_offset=100)
-        np.testing.assert_array_equal(vids, ids)
-        np.testing.assert_array_equal(
-            vdist.astype(np.float32), dist.astype(np.float32)
-        )
-        assert vids.dtype == np.int64
-
-    def test_narrow_block_padding_survives_layout(self, layout):
-        block = scores(n=2)  # narrower than k: pads with -1 / inf
-        ids, _ = block_topk(block, K)
-        vids, _ = block_topk(LAYOUTS[layout](block), K)
-        np.testing.assert_array_equal(vids, ids)
-        assert (vids[:, 2:] == -1).all()
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -88,49 +70,6 @@ class TestMergeTopk:
         np.testing.assert_array_equal(
             vdist.astype(np.float32), dist.astype(np.float32)
         )
-
-
-class TestBlockwiseTopk:
-    def test_fortran_blocks_match_contiguous(self):
-        all_scores = scores(seed=5, n=64)
-
-        def contiguous(start, stop):
-            return all_scores[:, start:stop]
-
-        def fortran(start, stop):
-            return np.asfortranarray(all_scores[:, start:stop])
-
-        ids, dist = blockwise_topk(contiguous, 64, K, NQ, block_size=16)
-        vids, vdist = blockwise_topk(fortran, 64, K, NQ, block_size=16)
-        np.testing.assert_array_equal(vids, ids)
-        np.testing.assert_array_equal(vdist, dist)
-
-    def test_float64_blocks_match_contiguous(self):
-        all_scores = scores(seed=6, n=48)
-
-        def f32(start, stop):
-            return all_scores[:, start:stop]
-
-        def f64(start, stop):
-            return all_scores[:, start:stop].astype(np.float64)
-
-        ids, dist = blockwise_topk(f32, 48, K, NQ, block_size=10)
-        vids, vdist = blockwise_topk(f64, 48, K, NQ, block_size=10)
-        np.testing.assert_array_equal(vids, ids)
-        np.testing.assert_array_equal(
-            vdist.astype(np.float32), dist.astype(np.float32)
-        )
-
-    def test_block_size_invariance_under_f64(self):
-        all_scores = scores(seed=7, n=33)
-
-        def f64(start, stop):
-            return all_scores[:, start:stop].astype(np.float64)
-
-        whole = blockwise_topk(f64, 33, K, NQ, block_size=33)
-        chunked = blockwise_topk(f64, 33, K, NQ, block_size=7)
-        np.testing.assert_array_equal(chunked[0], whole[0])
-        np.testing.assert_array_equal(chunked[1], whole[1])
 
 
 class TestFlatSearchEndToEnd:

@@ -13,6 +13,8 @@ from repro.lookup import (
 )
 from repro.index.partitioned import DEFAULT_PARTITION
 from repro.lookup.base import Candidate
+from repro.lookup.levenshtein import LevenshteinLookup
+from repro.lookup.qgram import QGramLookup
 from repro.lookup.router import alpha_ratio
 from repro.text.tokenize import normalize as text_normalize
 
@@ -189,15 +191,23 @@ class TestRouting:
         assert all(v == 0.0 for v in router.tier_seconds().values())
 
     def test_build_constructs_fuzzy_by_name(self, tiny_kg):
-        for name in ("qgram", "levenshtein"):
-            router = LookupRouter.build(tiny_kg, ann=StubService(), fuzzy=name)
-            assert router.fuzzy is not None and router.fuzzy.name != "router"
-        with pytest.raises(ValueError, match="fuzzy"):
-            LookupRouter.build(tiny_kg, fuzzy="nope")
+        router = LookupRouter.build(tiny_kg, ann=StubService(), fuzzy="qgram")
+        assert isinstance(router.fuzzy, QGramLookup)
+        ready = LevenshteinLookup.build(tiny_kg)
+        assert LookupRouter.build(tiny_kg, fuzzy=ready).fuzzy is ready
+        for name in ("nope", "levenshtein"):
+            with pytest.raises(ValueError, match="fuzzy"):
+                LookupRouter.build(tiny_kg, fuzzy=name)
 
-    @pytest.mark.parametrize("name", ["qgram", "levenshtein"])
-    def test_entity_mutations_reach_every_local_tier(self, tiny_kg, name):
-        router = LookupRouter.build(tiny_kg, ann=StubService(), fuzzy=name)
+    @pytest.mark.parametrize(
+        "service", [QGramLookup, LevenshteinLookup], ids=["qgram", "levenshtein"]
+    )
+    def test_entity_mutations_reach_every_local_tier(self, tiny_kg, service):
+        router = LookupRouter.build(
+            tiny_kg,
+            ann=StubService(),
+            fuzzy=service.build(tiny_kg, include_aliases=True),
+        )
         victim, short = next(
             (e, m)
             for e in tiny_kg.entities()

@@ -244,6 +244,9 @@ def apply_engine_op(engine, model: EngineModel, step: int, op) -> None:
     kind, op_seed, count = op
     rng = case_rng(op_seed, 0)
     if kind == "compact":
+        if not hasattr(engine.index, "compact"):  # TypePartitionedIndex
+            assert engine.compact() is False
+            return
         assert engine.compact() == bool(model.dead)
         model.compacted()
         return
@@ -361,10 +364,18 @@ class TestReplayEquivalence:
         run_cases(prop, MutationStrategy(), cases=3, name="process_replay")
         assert owned_segment_names() == []
 
-    def test_routed_engine_replay_equivalence(self, trained_service):
+    @pytest.mark.parametrize(
+        "index_kwargs",
+        [{}, {"partition_by_type": True, "num_shards": 2}],
+        ids=["flat", "sharded_partitions"],
+    )
+    def test_routed_engine_replay_equivalence(
+        self, trained_service, index_kwargs
+    ):
         """Every tier of a routed engine follows entity mutations: after
         each op the exact, fuzzy and ANN answers equal a twin whose
-        router and index were built once over the resulting state."""
+        router and index were built once over the resulting state —
+        whatever served index the engine holds."""
         kg = trained_service.kg
         seen = [m for e in kg.entities() for m in e.mentions]
         short = [m for m in seen if len(m) < 4]
@@ -380,7 +391,7 @@ class TestReplayEquivalence:
         def prop(case):
             model = EngineModel(trained_service)
             with LookupEngine.from_pipeline(
-                trained_service, router=True, cache_size=0
+                trained_service, router=True, cache_size=0, **index_kwargs
             ) as engine:
                 queries = list(base_queries)
                 for step, op in enumerate(case.ops):

@@ -8,6 +8,9 @@ API" deliverable true by construction.
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +63,13 @@ def test_all_exports_resolve():
             continue
         for name in exported:
             assert hasattr(module, name), f"{module.__name__}.__all__: {name}"
+
+
+def test_experiments_md_is_rendered_from_its_template():
+    """EXPERIMENTS.md is a build product of tools/EXPERIMENTS.template.md
+    + benchmarks/results/*.txt; a hand edit of either copy alone fails."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "build_experiments.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), "--check"], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
