@@ -7,13 +7,16 @@ LRU over *normalized* query strings converts the embedding tower's matmul
 distribution.  Hit/miss/eviction counters are first-class so the serving
 benchmarks can plot hit-rate curves against cache capacity.
 
-Keys are normalized by the cache itself through the shared
-:func:`repro.lookup.normalize` helper (the same function the exact-hit
+Keys are strings normalized by the shared :func:`repro.lookup.normalize`
+helper (the same function the exact-hit
 :class:`~repro.lookup.router.LabelHashTable` keys on), so "Germany " and
 "germany" share an entry and a cache key can never diverge from an
-exact-hit key.  Normalization is idempotent, so callers that pre-normalize
-(the serving engine does, to normalize once per batch) pay only a cheap
-re-fold.
+exact-hit key.  The single-key methods (``get_result``, ``put_embedding``,
+...) normalize what they are given.  The batch methods the serving path
+calls (``get_results`` / ``put_results`` / ``get_embeddings`` /
+``read_through``) take a list their caller has *already* normalized --
+the engine normalizes once per lookup -- and use those strings as keys as
+given, under one hold of the lock per call.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ class QueryCache:
       not on the entity set.
 
     All methods are thread-safe; the serving engine calls into one cache
-    from its micro-batch flush path while shard searches run on the pool.
+    from every thread that serves a batch, concurrently.
 
     Parameters
     ----------
@@ -189,19 +192,31 @@ class QueryCache:
     ) -> np.ndarray:
         """Memoized batch embedding: probe, embed only the misses, fill.
 
-        ``embed_fn`` receives the miss queries (in input order) and must
-        return one vector row per query; it runs *outside* the cache
-        lock, so other threads keep hitting the cache while a model
-        forward pass is in flight.  This is the shared serving-path
-        helper used by the engine and the embedder services.
+        ``normalized`` strings are the keys, taken as given (one lock
+        hold for the probe, one for the fill).  ``embed_fn`` receives the
+        miss queries (in input order) and must return one vector row per
+        query; it runs *outside* the cache lock, so other threads keep
+        hitting the cache while a model forward pass is in flight.  This
+        is the shared serving-path helper used by the engine and the
+        embedder services.
         """
-        vectors = [self.get_embedding(q) for q in normalized]
+        get = self._embeddings.get
+        with self._lock:
+            vectors = [get(q) for q in normalized]
         miss_positions = [i for i, v in enumerate(vectors) if v is None]
         if miss_positions:
             fresh = embed_fn([normalized[i] for i in miss_positions])
+            entries = []
             for row, i in enumerate(miss_positions):
-                vectors[i] = fresh[row]
-                self.put_embedding(normalized[i], fresh[row])
+                entry = vectors[i] = fresh[row].copy()
+                entry.flags.writeable = False
+                entries.append((normalized[i], entry))
+            put = self._embeddings.put
+            with self._lock:
+                for key, entry in entries:
+                    put(key, entry)
+            if len(miss_positions) == len(normalized):
+                return fresh  # nothing cached to interleave (a lone miss)
         return np.stack(vectors)
 
     # -- result store -----------------------------------------------------------
@@ -264,10 +279,22 @@ class QueryCache:
     ) -> list[list | None]:
         """Batch :meth:`get_result`: one slot per query, ``None`` on miss.
 
-        When the result store is disabled this is all-``None`` without
-        touching the counters, so callers can use it unconditionally.
+        ``normalized`` strings are the keys, taken as given, and the
+        whole probe is one hold of the lock.  When the result store is
+        disabled this is all-``None`` without touching the counters, so
+        callers can use it unconditionally.
         """
-        return [self.get_result(q, k, scope, generation) for q in normalized]
+        if self._results is None:
+            return [None] * len(normalized)
+        get = self._results.get
+        out: list[list | None] = []
+        with self._lock:
+            if generation is None:
+                generation = self._generation
+            for query in normalized:
+                cached = get((query, k, scope, generation))
+                out.append(list(cached) if cached is not None else None)
+        return out
 
     def put_results(
         self,
@@ -277,9 +304,19 @@ class QueryCache:
         scope: str | None = None,
         generation: int | None = None,
     ) -> None:
-        """Batch :meth:`put_result` (no-op when the result store is disabled)."""
-        for query, row in zip(normalized, rows):
-            self.put_result(query, k, row, scope, generation)
+        """Batch :meth:`put_result` (no-op when the result store is disabled).
+
+        ``normalized`` strings are the keys, taken as given; one hold of
+        the lock for the whole fill.
+        """
+        if self._results is None:
+            return
+        put = self._results.put
+        with self._lock:
+            if generation is None:
+                generation = self._generation
+            for query, row in zip(normalized, rows):
+                put((query, k, scope, generation), list(row))
 
     def read_through(
         self,

@@ -35,6 +35,7 @@ merges them into ``serving_stats``.
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.kg.graph import KnowledgeGraph
 from repro.index.partitioned import DEFAULT_PARTITION
@@ -243,10 +244,10 @@ def alpha_ratio(text: str) -> float:
     them to the fuzzy tier instead.  Empty/whitespace-only strings score
     0.0 (maximally non-alphabetic).
     """
-    meat = [c for c in text if not c.isspace()]
+    meat = "".join(text.split())
     if not meat:
         return 0.0
-    return sum(c.isalpha() for c in meat) / len(meat)
+    return sum(map(str.isalpha, meat)) / len(meat)
 
 
 class LookupRouter(LookupService):
@@ -425,34 +426,37 @@ class LookupRouter(LookupService):
             allowed = self.type_map.allowed(type_filter)
         out: list[list[Candidate] | None] = [None] * len(normalized)
         exact_hits = 0
-        with self.tier_times["exact"]:
-            for qi, query in enumerate(normalized):
-                hits = self.label_table.get(query)
-                if allowed is not None:
-                    hits = tuple(e for e in hits if e in allowed)
-                if hits:
-                    out[qi] = [Candidate(e, 1.0) for e in hits[:k]]
-                    exact_hits += 1
+        start = time.perf_counter()
+        for qi, query in enumerate(normalized):
+            hits = self.label_table.get(query)
+            if allowed is not None:
+                hits = tuple(e for e in hits if e in allowed)
+            if hits:
+                out[qi] = [Candidate(e, 1.0) for e in hits[:k]]
+                exact_hits += 1
+        self.tier_times["exact"].add(time.perf_counter() - start)
         fuzzy_positions = [
             qi
             for qi, row in enumerate(out)
             if row is None and self.wants_fuzzy(normalized[qi])
         ]
         if fuzzy_positions:
-            with self.tier_times["fuzzy"]:
-                fetch = k if allowed is None else k * _TYPE_OVERFETCH
-                rows = self.fuzzy.lookup_batch(
-                    [normalized[qi] for qi in fuzzy_positions], fetch
-                )
-                for qi, row in zip(fuzzy_positions, rows):
-                    if allowed is not None:
-                        row = [c for c in row if c.entity_id in allowed][:k]
-                    out[qi] = row
-        ann_routed = sum(1 for row in out if row is None)
+            start = time.perf_counter()
+            fetch = k if allowed is None else k * _TYPE_OVERFETCH
+            rows = self.fuzzy.lookup_batch(
+                [normalized[qi] for qi in fuzzy_positions], fetch
+            )
+            for qi, row in zip(fuzzy_positions, rows):
+                if allowed is not None:
+                    row = [c for c in row if c.entity_id in allowed][:k]
+                out[qi] = row
+            self.tier_times["fuzzy"].add(time.perf_counter() - start)
         with self._stats_lock:
             self._exact_hits += exact_hits
             self._fuzzy_routed += len(fuzzy_positions)
-            self._ann_routed += ann_routed
+            self._ann_routed += (
+                len(normalized) - exact_hits - len(fuzzy_positions)
+            )
         return out
 
     # -- LookupService hooks -----------------------------------------------------

@@ -1,11 +1,12 @@
-"""Query-serving layer: micro-batched lookups over sharded indexes.
+"""Query-serving layer: lookups served when idle, over sharded indexes.
 
-:class:`LookupEngine` sits above the lookup services: it coalesces
-single-query ``submit()`` calls into micro-batches, drives them through
-the cache -> embed -> search -> rank stages, and reports per-stage
-timings.  Built for the paper's serving scenario (Section V) where many
-concurrent clients issue single lookups that are cheapest to answer in
-batches against a (possibly sharded) vector index.
+:class:`LookupEngine` sits above the lookup services: a single-query
+``submit()`` is served at once when the engine is idle and joins the
+next batch when it is not, every batch runs the cache -> embed -> search
+-> rank stages, and per-stage timings are reported.  Built for the
+paper's serving scenario (Section V) where many concurrent clients issue
+single lookups against a (possibly sharded) vector index: under load
+the clients' queries coalesce, and an idle engine makes nobody wait.
 
 The ingestion side (:mod:`repro.serving.ingest`) streams change-feed
 mutations into a live engine: :class:`ChangeFeedConsumer` applies

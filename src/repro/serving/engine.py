@@ -1,13 +1,20 @@
-"""Micro-batching query engine over an EmbLookup pipeline.
+"""Serve-when-idle query engine over an EmbLookup pipeline.
 
 The engine answers the serving-path question the offline benchmark tables
-ignore: queries arrive one at a time, but the embedding model and the
-vector index are both far cheaper per query when driven in batches.
-:meth:`LookupEngine.submit` therefore enqueues single queries and returns
-a :class:`PendingLookup` handle; the queue is flushed into one batched
-lookup when it reaches ``max_batch_size``, when the oldest entry exceeds
-``max_batch_age`` seconds, or when :meth:`LookupEngine.flush` is called
-explicitly.
+ignore: queries arrive one at a time, and what the caller feels is the
+latency of *its* query.  :meth:`LookupEngine.submit` therefore never
+holds a query back to wait for company.  A submit that finds the engine
+idle serves its query at once, on the calling thread, and returns a
+:class:`PendingLookup` that is already resolved; while that serve is in
+flight, other threads' submits queue, and the serving thread drains what
+queued behind it as the next batch, and the next, until the queue is
+empty.  Batches are therefore exactly as large as the load makes them: 1
+on an idle engine, larger when queries arrive faster than they are
+served.  ``max_batch_size`` caps a queued batch and ``max_batch_age``
+bounds how long an entry waits behind an in-flight flush -- a queued
+submit that reaches either cap serves the queue on its own thread
+instead of waiting for the flusher -- and :meth:`LookupEngine.flush`
+serves whatever is queued, now.
 
 Each flush runs the full serving pipeline -- LRU cache probe, embedding
 of the misses, (sharded) blockwise index scan, duplicate-row ranking --
@@ -17,10 +24,11 @@ of the whole-call ``query_time`` every :class:`LookupService` keeps.
 Failure semantics (the fault-injection suite in ``tests/property``
 exercises every branch):
 
-- **Error isolation** -- when a batched lookup raises, the engine retries
-  each of the batch's queries individually, so a poisoned query fails
+- **Error isolation** -- when a batched lookup of several queries raises,
+  the engine retries each of them individually, so a poisoned query fails
   alone (its handle raises from :attr:`PendingLookup.result`) while its
-  batch-mates still resolve normally.
+  batch-mates still resolve normally.  A batch of one is already alone:
+  it is served once and fails with what it raised.
 - **Deadlines** -- ``batch_deadline`` bounds one batch's wall time; the
   embed and search stages check it and raise
   :class:`LookupDeadlineExceeded` rather than starting work they cannot
@@ -89,7 +97,7 @@ _STAGES = ("cache", "route", "embed", "search", "rank")
 
 
 class LookupDeadlineExceeded(TimeoutError):
-    """A micro-batch blew its ``batch_deadline`` before finishing."""
+    """A batch blew its ``batch_deadline`` before finishing."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,13 +123,16 @@ class EngineSnapshot:
 class PendingLookup:
     """Handle for a query submitted to a :class:`LookupEngine`.
 
-    The result materialises when the engine flushes the micro-batch the
-    query rides in; reading :attr:`result` before that forces a flush.
-    A query that failed during its flush (poisoned input, deadline, dead
-    index) stores the exception instead: :attr:`done` is still True,
-    :attr:`exception` holds the error, and :attr:`result` re-raises it.
-    Every submitted handle resolves one way or the other — flush never
-    strands a handle, even when the whole batch errors.
+    A handle returned by an idle engine is already resolved: the submit
+    served it.  One that queued behind an in-flight flush resolves when
+    the batch it rides in has been served, on whichever thread serves
+    it; reading :attr:`result` before that serves the queue if the query
+    is still in it and otherwise waits for the serving thread.
+    A query that failed (poisoned input, deadline, dead index) stores the
+    exception instead: :attr:`done` is still True, :attr:`exception`
+    holds the error, and :attr:`result` re-raises it.  Every submitted
+    handle resolves one way or the other -- a flush never strands a
+    handle, even when the whole batch errors.
     """
 
     __slots__ = ("_engine", "_row", "_done", "_error")
@@ -134,24 +145,22 @@ class PendingLookup:
 
     @property
     def done(self) -> bool:
-        """Whether the micro-batch holding this query has been flushed."""
+        """Whether this query has been served (or has failed)."""
         return self._done
 
     @property
     def exception(self) -> BaseException | None:
-        """The error this query failed with, or ``None`` (does not flush)."""
+        """The error this query failed with, or ``None`` (does not wait)."""
         return self._error
 
     @property
     def result(self) -> list[Candidate]:
-        """The candidate list, flushing the engine's queue if needed.
+        """The candidate list, waiting until the query has been served.
 
         Raises the stored exception when this query's serve failed.
         """
         if not self._done:
-            self._engine.flush()
-        if not self._done:
-            raise RuntimeError("pending lookup was not resolved by flush()")
+            self._engine._await(self)
         if self._error is not None:
             raise self._error
         return self._row
@@ -166,7 +175,11 @@ class PendingLookup:
 
 
 class LookupEngine(LookupService):
-    """Micro-batched entity lookup over a fitted EmbLookup pipeline.
+    """Entity lookup over a fitted EmbLookup pipeline, served when idle.
+
+    :meth:`submit` serves a query at once when no flush is in flight and
+    queues it behind the flush otherwise; the flusher drains the queue in
+    batches until it is empty (module docstring).
 
     The engine owns its vector index (typically a
     :class:`~repro.index.sharded.ShardedIndex` built by
@@ -180,6 +193,14 @@ class LookupEngine(LookupService):
 
     Parameters
     ----------
+    max_batch_size:
+        Most queries a queued batch holds before the submit that filled
+        it serves the queue on its own thread.
+    max_batch_age:
+        Longest wait, in seconds, behind an in-flight flush: a submit
+        that finds the oldest queued entry older than this serves the
+        queue on its own thread.  An idle engine never reads it (nor the
+        clock): nothing waits there.
     batch_deadline:
         Wall-clock budget in seconds for serving one batch (``None``
         disables it).  Checked before the embed and search stages; a
@@ -260,12 +281,21 @@ class LookupEngine(LookupService):
         self.stage_times: dict[str, Stopwatch] = {
             stage: Stopwatch() for stage in _STAGES
         }
+        # The queue exists only behind an in-flight flush.  _flushers
+        # counts the threads serving (or about to serve) submitted
+        # queries.  The one invariant: a non-empty queue has a flusher.
+        # It holds because "append, having seen a flusher" (submit) and
+        # "find the queue empty and leave" (_drain) are each one hold of
+        # _lock, so an entry that arrives as the flusher leaves is taken
+        # by the flusher or served by its own submit, never stranded.
+        # _lock is a leaf: never held while serving or while taking
+        # another lock.  _batch_done (on _lock) is notified after every
+        # batch; PendingLookup.result and close() wait on it.
         self._pending: list[tuple[str, int, PendingLookup]] = []
+        self._flushers = 0
         self._batch_started = 0.0
         self._lock = threading.Lock()
-        # Deadline is per serving thread: concurrent lookup_batch calls
-        # each get their own budget instead of racing on a shared one.
-        self._deadline = threading.local()
+        self._batch_done = threading.Condition(self._lock)
         self._stats_lock = threading.Lock()
         # Serializes apply_mutation/compact against each other; each ends
         # by publishing the next EngineSnapshot.  Lock order:
@@ -282,6 +312,8 @@ class LookupEngine(LookupService):
         self._deadline_hits = 0
         self._isolation_retries = 0
         self._type_rows_scanned = 0
+        self._flushes = 0
+        self._flushed_queries = 0
 
     # -- construction ----------------------------------------------------------
 
@@ -385,79 +417,150 @@ class LookupEngine(LookupService):
             **engine_kwargs,
         )
 
-    # -- micro-batching --------------------------------------------------------
+    # -- serve-when-idle batching ------------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Number of submitted queries waiting for the next flush."""
+        """Number of submitted queries queued behind an in-flight flush."""
         with self._lock:
             return len(self._pending)
 
     def submit(self, query: str, k: int = 10) -> PendingLookup:
-        """Enqueue one query; auto-flushes on size or age thresholds."""
+        """Serve one query now if the engine is idle, else queue it.
+
+        Idle (no flush in flight): the query is served on this thread and
+        the returned handle is already ``done``; before returning, this
+        thread also serves whatever other threads queued meanwhile.
+        Otherwise the query joins the queue the in-flight flusher drains
+        next, and this thread serves the queue itself only if that made
+        it ``max_batch_size`` long or its oldest entry has waited
+        ``max_batch_age``.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         handle = PendingLookup(self)
         with self._lock:
-            if not self._pending:
-                self._batch_started = time.monotonic()
-            self._pending.append((query, k, handle))
-            should_flush = len(self._pending) >= self.max_batch_size or (
-                time.monotonic() - self._batch_started >= self.max_batch_age
-            )
-        if should_flush:
+            idle = not self._flushers
+            if idle:
+                self._flushers = 1
+            else:
+                if not self._pending:
+                    self._batch_started = time.monotonic()
+                self._pending.append((query, k, handle))
+                capped = len(self._pending) >= self.max_batch_size or (
+                    time.monotonic() - self._batch_started
+                    >= self.max_batch_age
+                )
+        if idle:
+            # The batch of one, without the queue: nothing to take, to
+            # group or to sweep for stranded handles.
+            with self._stats_lock:
+                self._flushes += 1
+                self._flushed_queries += 1
+            try:
+                self._serve_alone(query, k, handle)
+            finally:
+                self._drain()
+        elif capped:
             self.flush()
         return handle
 
     def flush(self) -> int:
-        """Resolve every pending query in batched lookups; returns the count.
+        """Serve every queued query now, on this thread; returns the count.
 
         Every handle taken from the queue resolves before this returns:
         with its candidate row on success, or with a stored exception on
-        failure.  A failed batch is retried query-by-query so one bad
-        query cannot reject its batch-mates (error isolation); queries
-        that still fail alone carry their own exception.
+        failure.  Entries that queue while this thread is serving are
+        served (and counted) too: it leaves only when it finds the queue
+        empty.  A query another thread's flush already took is that
+        thread's to resolve, not awaited here -- :attr:`PendingLookup.
+        result` waits for one.
         """
         with self._lock:
-            pending, self._pending = self._pending, []
-        if not pending:
-            return 0
+            self._flushers += 1
+        return self._drain()
+
+    def _drain(self) -> int:
+        """Serve the queue, batch after batch, until it is found empty.
+
+        The caller counted itself into ``_flushers``; this takes it out
+        again in the lock hold that finds the queue empty (the other half
+        of the invariant in ``__init__``), and wakes whoever waits for a
+        batch this thread served.
+        """
+        served = 0
+        while True:
+            with self._lock:
+                # Swap, never alias: once the lock is released the queue
+                # list belongs to the next appender.
+                batch, self._pending = self._pending, []
+                if not batch:
+                    self._flushers -= 1
+                self._batch_done.notify_all()
+            if not batch:
+                return served
+            try:
+                self._serve_batch(batch)
+            except BaseException:
+                # Interrupted mid-batch (or a bug): this flusher is gone.
+                # Fail the handles it still held and stop counting it, so
+                # no waiter hangs and the next submit finds the engine
+                # idle and takes over the queue.
+                for _, _, handle in batch:
+                    if not handle._done:
+                        handle._fail(
+                            RuntimeError("pending lookup dropped by flush()")
+                        )
+                with self._lock:
+                    self._flushers -= 1
+                    self._batch_done.notify_all()
+                raise
+            served += len(batch)
+
+    def _serve_batch(
+        self, batch: list[tuple[str, int, PendingLookup]]
+    ) -> None:
+        """Resolve every handle of one queued batch, each failing alone."""
+        with self._stats_lock:
+            self._flushes += 1
+            self._flushed_queries += len(batch)
         # One batched lookup per distinct k, preserving submission order
         # within each group.
         groups: dict[int, list[tuple[str, PendingLookup]]] = {}
-        for query, k, handle in pending:
+        for query, k, handle in batch:
             groups.setdefault(k, []).append((query, handle))
-        try:
-            for k, items in groups.items():
+        for k, items in groups.items():
+            if len(items) > 1:
                 try:
                     rows = self.lookup_batch([query for query, _ in items], k)
                 except Exception:
-                    self._flush_isolated(items, k)
+                    # Error isolation: retry query by query below, so one
+                    # bad query cannot reject its batch-mates.
+                    with self._stats_lock:
+                        self._isolation_retries += 1
+                else:
+                    for (_, handle), row in zip(items, rows):
+                        handle._resolve(row)
                     continue
-                for (_, handle), row in zip(items, rows):
-                    handle._resolve(row)
-        finally:
-            # Safety net: a bug above must not strand a handle forever.
-            for _, _, handle in pending:
-                if not handle.done:
-                    handle._fail(
-                        RuntimeError("pending lookup dropped by flush()")
-                    )
-        return len(pending)
+            for query, handle in items:
+                self._serve_alone(query, k, handle)
 
-    def _flush_isolated(
-        self, items: list[tuple[str, "PendingLookup"]], k: int
-    ) -> None:
-        """Per-query retry of a failed batch: each query fails alone."""
-        with self._stats_lock:
-            self._isolation_retries += 1
-        for query, handle in items:
-            try:
-                handle._resolve(self.lookup_batch([query], k)[0])
-            except Exception as exc:
-                with self._stats_lock:
-                    self._failed_queries += 1
-                handle._fail(exc)
+    def _serve_alone(self, query: str, k: int, handle: PendingLookup) -> None:
+        """One query, served once: its row or its own exception."""
+        try:
+            handle._resolve(self.lookup_batch([query], k)[0])
+        except Exception as exc:
+            with self._stats_lock:
+                self._failed_queries += 1
+            handle._fail(exc)
+
+    def _await(self, handle: PendingLookup) -> None:
+        """Block until ``handle`` is done: serve it if it is still queued,
+        else wait for the thread whose batch holds it."""
+        self.flush()
+        with self._batch_done:
+            while not handle._done:
+                self._batch_done.wait()
 
     # -- online mutation -------------------------------------------------------
 
@@ -635,51 +738,46 @@ class LookupEngine(LookupService):
     def _lookup(
         self, queries: list[str], k: int, type_filter: str | None
     ) -> list[list[Candidate]]:
-        deadline_owner = self._start_deadline()
-        try:
-            # The one read of engine state: everything below — cache
-            # probe and fill, index scan, row resolution — uses this.
-            snap = self._snap
-            normalized = [normalize(q) for q in queries]
-            if self.cache is None:
-                return self._serve(normalized, k, type_filter, snap)
-            cache_time = self.stage_times["cache"]
+        # Each call has its own budget (an argument, not engine state):
+        # concurrent lookups cannot race on one, and an isolation retry,
+        # being a call of its own, starts a fresh one.
+        deadline = (
+            None
+            if self.batch_deadline is None
+            else time.monotonic() + self.batch_deadline
+        )
+        # The one read of engine state: everything below — cache probe
+        # and fill, index scan, row resolution — uses this.
+        snap = self._snap
+        normalized = [normalize(q) for q in queries]
+        if self.cache is None:
+            return self._serve(normalized, k, type_filter, snap, deadline)
+        # The cache stage is the probe and the fill, not the work
+        # between them: ``served`` comes off its clock.
+        served = 0.0
 
-            def serve(misses: list[str]) -> list[list[Candidate]]:
-                # The cache stage is the probe and the fill, not the work
-                # between them.
-                cache_time.stop()
-                try:
-                    return self._serve(misses, k, type_filter, snap)
-                finally:
-                    cache_time.start()
+        def serve(misses: list[str]) -> list[list[Candidate]]:
+            nonlocal served
+            start = time.perf_counter()
+            rows = self._serve(misses, k, type_filter, snap, deadline)
+            served = time.perf_counter() - start
+            return rows
 
-            # type_filter scopes the result keys: a filtered answer must
-            # never serve an unfiltered lookup.
-            with cache_time:
-                return self.cache.read_through(
-                    normalized,
-                    k,
-                    serve,
-                    scope=type_filter,
-                    generation=snap.generation,
-                )
-        finally:
-            if deadline_owner:
-                self._deadline.value = None
+        # type_filter scopes the result keys: a filtered answer must
+        # never serve an unfiltered lookup.
+        start = time.perf_counter()
+        out = self.cache.read_through(
+            normalized,
+            k,
+            serve,
+            scope=type_filter,
+            generation=snap.generation,
+        )
+        self.stage_times["cache"].add(time.perf_counter() - start - served)
+        return out
 
-    def _start_deadline(self) -> bool:
-        """Arm this thread's batch deadline; True when this call owns it."""
-        if self.batch_deadline is None:
-            return False
-        if getattr(self._deadline, "value", None) is not None:
-            return False  # nested call (isolation retry) keeps the outer budget
-        self._deadline.value = time.monotonic() + self.batch_deadline
-        return True
-
-    def _check_deadline(self, stage: str) -> None:
-        deadline = getattr(self._deadline, "value", None)
-        if deadline is not None and time.monotonic() > deadline:
+    def _check_deadline(self, deadline: float, stage: str) -> None:
+        if time.monotonic() > deadline:
             with self._stats_lock:
                 self._deadline_hits += 1
             raise LookupDeadlineExceeded(
@@ -693,6 +791,7 @@ class LookupEngine(LookupService):
         k: int,
         type_filter: str | None,
         snap: EngineSnapshot,
+        deadline: float | None,
     ) -> list[list[Candidate]]:
         """Route -> embed -> search -> rank for result-cache misses.
 
@@ -704,12 +803,17 @@ class LookupEngine(LookupService):
             self.fault_hook(normalized)
         out: list[list[Candidate] | None] = [None] * len(normalized)
         if self.router is not None:
-            with self.stage_times["route"]:
-                out = self.router.serve_local(normalized, k, type_filter)
+            start = time.perf_counter()
+            out = self.router.serve_local(normalized, k, type_filter)
+            self.stage_times["route"].add(time.perf_counter() - start)
         ann_positions = [qi for qi, row in enumerate(out) if row is None]
         if ann_positions:
             rows = self._serve_ann(
-                [normalized[qi] for qi in ann_positions], k, type_filter, snap
+                [normalized[qi] for qi in ann_positions],
+                k,
+                type_filter,
+                snap,
+                deadline,
             )
             for qi, row in zip(ann_positions, rows):
                 out[qi] = row
@@ -721,30 +825,38 @@ class LookupEngine(LookupService):
         k: int,
         type_filter: str | None,
         snap: EngineSnapshot,
+        deadline: float | None,
     ) -> list[list[Candidate]]:
         """The embedding path: model forward pass + index scan + dedup,
         all against the caller's pinned snapshot."""
-        self._check_deadline("embed")
-        with self.stage_times["embed"]:
-            vectors = self._embed(normalized)
-        self._check_deadline("search")
+        clock, stages = time.perf_counter, self.stage_times
+        if deadline is not None:
+            self._check_deadline(deadline, "embed")
+        start = clock()
+        vectors = self._embed(normalized)
+        stages["embed"].add(clock() - start)
+        if deadline is not None:
+            self._check_deadline(deadline, "search")
         allowed = (
             self._type_map.allowed(type_filter)
             if type_filter is not None
             else None
         )
-        with self.stage_times["search"]:
-            result = self._search(vectors, k, type_filter, allowed, snap)
+        start = clock()
+        result = self._search(vectors, k, type_filter, allowed, snap)
+        stages["search"].add(clock() - start)
         if getattr(result, "partial", False):
             with self._stats_lock:
                 self._partial_results += 1
         # Closest row of an entity wins; ``allowed`` drops entities outside
         # the type filter (partitions mix types when entities declare
         # several); ``snap.rows`` matches the scan that produced the ids.
-        with self.stage_times["rank"]:
-            return resolve_hits(
-                result.ids, -result.distances, snap.rows, k, Candidate, allowed
-            )
+        start = clock()
+        rows = resolve_hits(
+            result.ids, -result.distances, snap.rows, k, Candidate, allowed
+        )
+        stages["rank"].add(clock() - start)
+        return rows
 
     def _search(
         self,
@@ -836,9 +948,13 @@ class LookupEngine(LookupService):
         """Degradation counters for dashboards and the fault-injection suite.
 
         ``partial_results`` counts searches served from surviving shards
-        only; ``isolation_retries`` counts batches that fell back to
-        query-by-query serving; ``failed_queries`` counts queries whose
-        handle resolved with an exception; ``deadline_hits`` counts
+        only; ``isolation_retries`` counts batches of several queries
+        that fell back to query-by-query serving; ``flushes`` counts the
+        batches of submitted queries served and ``flushed_queries`` the
+        queries in them (their ratio is the mean batch size: 1.0 when
+        every submit found the engine idle); ``failed_queries`` counts
+        queries whose handle resolved with an exception;
+        ``deadline_hits`` counts
         :class:`LookupDeadlineExceeded` raises; ``worker_respawns``
         counts shard worker processes the index replaced after a crash
         or a timed-out request (0 for non-process executors).
@@ -874,6 +990,8 @@ class LookupEngine(LookupService):
             return {
                 "partial_results": self._partial_results,
                 "isolation_retries": self._isolation_retries,
+                "flushes": self._flushes,
+                "flushed_queries": self._flushed_queries,
                 "failed_queries": self._failed_queries,
                 "deadline_hits": self._deadline_hits,
                 "worker_respawns": respawns,
@@ -896,13 +1014,18 @@ class LookupEngine(LookupService):
         return self._index.memory_bytes()
 
     def close(self) -> None:
-        """Flush outstanding queries and release the index's workers.
+        """Serve outstanding queries, then release the index's workers.
 
-        Idempotent; for a process-executor :class:`ShardedIndex` this
-        stops the worker processes and unlinks their shared-memory
-        segments, so an engine teardown never leaks either.
+        Waits for a flush in flight on another thread before the index
+        goes away under it.  Idempotent; for a process-executor
+        :class:`ShardedIndex` this stops the worker processes and unlinks
+        their shared-memory segments, so an engine teardown never leaks
+        either.
         """
         self.flush()
+        with self._batch_done:
+            while self._flushers:
+                self._batch_done.wait()
         close = getattr(self._index, "close", None)
         if callable(close):
             close()

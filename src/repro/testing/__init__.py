@@ -10,7 +10,8 @@ Three pieces, all dependency-free (numpy only):
   ``REPRO_SEED``/``REPRO_CASE`` replay;
 - :mod:`repro.testing.faults` — the :class:`FaultPlan` / `QueryPoison`
   injectors the hardened ``ShardedIndex`` / ``LookupEngine`` hook points
-  accept;
+  accept, and ``held_flush``, which holds an engine mid-flush so a test
+  can queue a batch behind it;
 - :mod:`repro.testing.sanitizer` — the runtime lock-order tracker
   (``REPRO_SANITIZER=1``) that records the dynamic lock-acquisition
   graph during the property suites and fails tests on inversions.
@@ -21,7 +22,13 @@ by ``tools/arch_contract.toml``.  The one sanctioned consumer outside
 the test suite is the ``repro selftest`` CLI diagnostics command.
 """
 
-from repro.testing.faults import FaultInjected, FaultPlan, FaultSpec, QueryPoison
+from repro.testing.faults import (
+    FaultInjected,
+    FaultPlan,
+    FaultSpec,
+    QueryPoison,
+    held_flush,
+)
 from repro.testing.sanitizer import (
     LockOrderTracker,
     LockOrderViolation,
@@ -75,6 +82,7 @@ __all__ = [
     "case_rng",
     "current_tracker",
     "exact_topk",
+    "held_flush",
     "recall_at_k",
     "run_cases",
     "tracked_factory",

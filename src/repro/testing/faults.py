@@ -49,19 +49,29 @@ Kinds:
 :class:`repro.serving.LookupEngine`: it makes specific (normalized)
 query strings raise or stall inside the serving pipeline, which is how
 the tests prove one poisoned query fails alone instead of rejecting its
-whole micro-batch.
+whole micro-batch.  :func:`held_flush` holds an engine mid-flush, which
+is the only state in which its ``submit`` queues: the tests build their
+batches inside it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FaultInjected", "FaultPlan", "FaultSpec", "QueryPoison"]
+__all__ = [
+    "FaultInjected",
+    "FaultPlan",
+    "FaultSpec",
+    "QueryPoison",
+    "held_flush",
+]
 
 _KINDS = ("raise", "delay", "corrupt", "drop", "kill", "compact")
 
@@ -289,3 +299,52 @@ class QueryPoison:
             time.sleep(self.delay)
         if self.kind == "raise":
             raise FaultInjected(f"poisoned query served: {hit[0]!r}")
+
+
+#: Each gate query is new to the engine's result cache, so it reaches the hook.
+_GATE_IDS = itertools.count()
+#: Longest any step of :func:`held_flush` waits before it gives up.
+_GATE_TIMEOUT = 10.0
+
+
+@contextmanager
+def held_flush(engine) -> Iterator[None]:
+    """Keep ``engine`` mid-flush for the length of the block.
+
+    A helper thread submits a gate query to the (idle) engine and parks
+    inside the engine's ``fault_hook`` while serving it, so every
+    ``submit`` made inside the block finds a flush in flight and queues.
+    Leaving the block releases the helper; its drain serves what the
+    block queued as one batch, and the block's exit returns once the
+    helper has finished.  The engine's own ``fault_hook`` keeps running
+    behind the gate and is restored on exit.
+    """
+    parked, release = threading.Event(), threading.Event()
+    inner = engine.fault_hook
+
+    def gate_hook(normalized: list[str]) -> None:
+        if threading.current_thread() is gate and not release.is_set():
+            parked.set()
+            release.wait(_GATE_TIMEOUT)
+        if inner is not None:
+            inner(normalized)
+
+    gate = threading.Thread(
+        target=engine.submit,
+        args=(f"held flush gate {next(_GATE_IDS)}",),
+        daemon=True,
+    )
+    engine.fault_hook = gate_hook
+    gate.start()
+    try:
+        if not parked.wait(_GATE_TIMEOUT):
+            raise RuntimeError(
+                "held_flush: the gate query was not served (engine not idle?)"
+            )
+        yield
+    finally:
+        release.set()
+        gate.join(_GATE_TIMEOUT)
+        engine.fault_hook = inner
+    if gate.is_alive():
+        raise RuntimeError("held_flush: the gate thread did not finish")

@@ -83,6 +83,18 @@ class Stopwatch:
             self.count += 1
         return window
 
+    def add(self, seconds: float) -> None:
+        """Accumulate one window the caller timed itself.
+
+        The hot-path form (a serving lookup opens several windows of a
+        few microseconds each): two ``perf_counter`` reads at the call
+        site and this one lock hold, without the per-thread window state
+        ``start`` / ``stop`` keep.
+        """
+        with self._lock:
+            self.total += seconds
+            self.count += 1
+
     def __enter__(self) -> "Stopwatch":
         self.start()
         return self

@@ -332,14 +332,14 @@ class TestEngineFaults:
             engine.close()
 
     def test_poisoned_query_fails_alone(self, engine_factory, tiny_kg):
-        from repro.testing import QueryPoison
+        from repro.testing import QueryPoison, held_flush
         from repro.text.tokenize import normalize
 
         labels = [e.label for e in tiny_kg.entities()][:6]
         poison = QueryPoison([normalize(labels[2])])
         engine = engine_factory(fault_hook=poison)
-        handles = [engine.submit(label, k=3) for label in labels]
-        engine.flush()
+        with held_flush(engine):  # one batch of six, served on release
+            handles = [engine.submit(label, k=3) for label in labels]
         for i, handle in enumerate(handles):
             assert handle.done
             if i == 2:
@@ -352,17 +352,35 @@ class TestEngineFaults:
         stats = engine.serving_stats()
         assert stats["failed_queries"] == 1
         assert stats["isolation_retries"] >= 1
+        assert poison.fired == 2  # the batch, then the poisoned query alone
+
+    def test_batch_of_one_is_served_once(self, engine_factory, tiny_kg):
+        """A lone query is already isolated: it fails with what it raised,
+        without the retry that would run a poisoned (or slow) serve twice."""
+        from repro.testing import QueryPoison
+        from repro.text.tokenize import normalize
+
+        label = next(iter(tiny_kg.entities())).label
+        poison = QueryPoison([normalize(label)])
+        engine = engine_factory(fault_hook=poison)
+        handle = engine.submit(label, k=3)
+        assert handle.done
+        assert isinstance(handle.exception, FaultInjected)
+        assert poison.fired == 1
+        stats = engine.serving_stats()
+        assert stats["failed_queries"] == 1
+        assert stats["isolation_retries"] == 0
 
     def test_batch_deadline_bounds_slow_serves(self, engine_factory, tiny_kg):
-        from repro.testing import QueryPoison
+        from repro.testing import QueryPoison, held_flush
         from repro.text.tokenize import normalize
 
         labels = [e.label for e in tiny_kg.entities()][:3]
         slow = QueryPoison([normalize(labels[0])], kind="delay", delay=0.2)
         engine = engine_factory(fault_hook=slow, batch_deadline=0.05)
-        slow_handle = engine.submit(labels[0], k=3)
-        ok_handle = engine.submit(labels[1], k=3)
-        engine.flush()
+        with held_flush(engine):  # one batch of two, served on release
+            slow_handle = engine.submit(labels[0], k=3)
+            ok_handle = engine.submit(labels[1], k=3)
         assert isinstance(slow_handle.exception, LookupDeadlineExceeded)
         assert ok_handle.exception is None and len(ok_handle.result) > 0
         assert engine.serving_stats()["deadline_hits"] >= 1

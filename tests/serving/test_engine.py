@@ -1,4 +1,8 @@
-"""Tests for repro.serving.engine (micro-batching lookup engine)."""
+"""Tests for repro.serving.engine (serve-when-idle lookup engine)."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from repro.index.sharded import ShardedIndex
 from repro.lookup.cache import QueryCache
 from repro.lookup.router import LookupRouter, TypeFilterMap
 from repro.serving.engine import LookupEngine
+from repro.testing import QueryPoison, held_flush
 
 
 @pytest.fixture(scope="module")
@@ -122,26 +127,169 @@ class TestSynchronousLookup:
 
 
 class TestMicroBatching:
-    def test_submit_queues_until_flush(self, trained_service):
+    def test_idle_submit_serves_at_once(self, trained_service):
         engine = LookupEngine.from_pipeline(
             trained_service, max_batch_size=100, max_batch_age=1000.0
         )
-        h1 = engine.submit("germany", 3)
-        h2 = engine.submit("france", 3)
-        assert not h1.done and not h2.done
-        assert engine.pending == 2
-        assert engine.flush() == 2
-        assert h1.done and h2.done
+        handle = engine.submit("germany", 3)
+        assert handle.done and handle.exception is None
         assert engine.pending == 0
+        assert handle.result == engine.lookup_batch(["germany"], 3)[0]
+        stats = engine.serving_stats()
+        assert (stats["flushes"], stats["flushed_queries"]) == (1, 1)
+        assert engine.flush() == 0
+
+    def test_submit_queues_until_flush(self, trained_service, monkeypatch):
+        """Behind a flush in flight submits queue; the flusher's drain
+        serves them as one batch, one batched lookup per distinct k."""
+        engine = LookupEngine.from_pipeline(
+            trained_service, max_batch_size=100, max_batch_age=1000.0
+        )
+        calls = []
+        lookup_batch = engine.lookup_batch
+
+        def spy(queries, k):
+            calls.append((list(queries), k))
+            return lookup_batch(queries, k)
+
+        monkeypatch.setattr(engine, "lookup_batch", spy)
+        with held_flush(engine):
+            before = engine.serving_stats()
+            h1 = engine.submit("germany", 3)
+            h2 = engine.submit("france", 3)
+            h5 = engine.submit("germany", 5)
+            assert not h1.done and not h2.done and not h5.done
+            assert engine.pending == 3
+        # Released: the parked flusher's drain served the queue as one
+        # batch, one batched lookup per distinct k.
+        assert h1.done and h2.done and h5.done
+        assert engine.pending == 0
+        assert calls[1:] == [(["germany", "france"], 3), (["germany"], 5)]
+        assert len(h1.result) == 3 and len(h5.result) == 5
+        # (scores of a batched scan differ from a lone one in the last bits)
+        assert [c.entity_id for c in h2.result] == [
+            c.entity_id for c in lookup_batch(["france"], 3)[0]
+        ]
+        after = engine.serving_stats()
+        assert after["flushes"] - before["flushes"] == 1
+        assert after["flushed_queries"] - before["flushed_queries"] == 3
 
     def test_size_threshold_auto_flushes(self, trained_service):
+        """The queued submit that reaches ``max_batch_size`` serves the
+        queue on its own thread."""
         engine = LookupEngine.from_pipeline(
             trained_service, max_batch_size=2, max_batch_age=1000.0
         )
-        h1 = engine.submit("germany", 3)
-        assert not h1.done
-        h2 = engine.submit("france", 3)
-        assert h1.done and h2.done
+        with held_flush(engine):
+            h1 = engine.submit("germany", 3)
+            assert not h1.done
+            h2 = engine.submit("france", 3)
+            # The flusher is still parked: this thread served both.
+            assert h1.done and h2.done
+            assert engine.pending == 0
+
+    def test_age_cap_flushes_on_the_next_submitter(self, trained_service):
+        engine = LookupEngine.from_pipeline(
+            trained_service, max_batch_size=100, max_batch_age=0.01
+        )
+        with held_flush(engine):
+            h1 = engine.submit("germany", 3)
+            assert not h1.done
+            time.sleep(0.02)
+            h2 = engine.submit("france", 3)
+            assert h1.done and h2.done
+
+    def test_result_waits_for_a_batch_in_flight_elsewhere(
+        self, trained_service
+    ):
+        """``result`` of a handle whose batch another thread is serving
+        blocks until that thread resolves it (it used to raise)."""
+        engine = LookupEngine.from_pipeline(
+            trained_service,
+            max_batch_size=100,
+            max_batch_age=1000.0,
+            fault_hook=QueryPoison(["germany"], kind="delay", delay=0.2),
+        )
+        want = [c.entity_id for c in engine.lookup_batch(["france"], 3)[0]]
+        with held_flush(engine):
+            slow = engine.submit("germany", 3)
+            mate = engine.submit("france", 3)
+            flusher = threading.Thread(target=engine.flush)
+            flusher.start()
+            while engine.pending:  # until the flusher has taken the batch
+                time.sleep(0.001)
+            assert not mate.done
+            assert [c.entity_id for c in mate.result] == want
+            assert slow.done and mate.done
+            flusher.join(10.0)
+            assert not flusher.is_alive()
+
+    def test_no_handle_is_stranded_as_the_flusher_leaves(self, trained_service):
+        """8 threads x 200 submits and no final ``flush()``: whichever
+        way each submit raced the flusher's exit, it was served once."""
+        engine = LookupEngine.from_pipeline(
+            trained_service,
+            max_batch_size=8,
+            fault_hook=lambda normalized: time.sleep(50e-6),
+        )
+        queries = ["germany", "france", "tokyo", "acme corp", "oxford"]
+        handles, errors = [], []
+
+        def worker(ti):
+            try:
+                mine = [
+                    engine.submit(queries[(ti + i) % len(queries)], 3)
+                    for i in range(200)
+                ]
+                handles.append(mine)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(ti,)) for ti in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert engine.pending == 0
+        assert sum(len(mine) for mine in handles) == 1600
+        for mine in handles:
+            for handle in mine:
+                assert handle.done and handle.exception is None
+                assert len(handle.result) == 3
+        stats = engine.serving_stats()
+        assert stats["flushed_queries"] == 1600
+        assert stats["flushes"] <= 1600
+        assert stats["failed_queries"] == 0
+
+    def test_close_waits_for_a_flush_in_flight(self, trained_service):
+        """``close()`` releases the index's workers only after the flush
+        parked on another thread has resolved (conftest fails the test on
+        a leaked shm segment or child process)."""
+        engine = LookupEngine.from_pipeline(
+            trained_service, num_shards=2, executor="process"
+        )
+        engine.lookup_batch(["france"], 3)  # workers up
+        closer = threading.Thread(target=engine.close)
+        with held_flush(engine):
+            queued = engine.submit("germany", 3)
+            closer.start()
+            closer.join(0.2)
+            assert closer.is_alive()  # waiting for the parked flusher
+            assert queued.done  # close() served the queue first
+        closer.join(10.0)
+        assert not closer.is_alive()
+        stats = engine.serving_stats()
+        # The parked query ran its search against a live index.
+        assert stats["flushed_queries"] == 2
+        assert stats["failed_queries"] == 0
 
     def test_result_forces_flush(self, trained_service):
         engine = LookupEngine.from_pipeline(
