@@ -6,9 +6,6 @@ Subcommands cover the full lifecycle a downstream user needs:
 - ``train``         — train an EmbLookup model over a KG and save it.
 - ``lookup``        — query a saved model interactively or one-shot.
 - ``evaluate``      — score the model's lookup success on noisy queries.
-- ``lint``          — run the repo's static-analysis rules over source trees.
-- ``archcheck``     — enforce the declared architecture contract on imports.
-- ``shapecheck``    — statically verify a dual-tower config's shapes/dtypes.
 - ``selftest``      — run seeded property diagnostics over the lookup stack.
 
 Example::
@@ -17,10 +14,6 @@ Example::
     python -m repro train --kg kg.json --out model/ --epochs 10
     python -m repro lookup --kg kg.json --model model/ germany germoney
     python -m repro evaluate --kg kg.json --model model/ --noise 0.5
-    python -m repro lint src/repro --baseline tools/lint_baseline.json
-    python -m repro lint src/repro --profile perf
-    python -m repro archcheck src/repro --contract tools/arch_contract.toml
-    python -m repro shapecheck --dim 64 --max-length 32
     python -m repro selftest --cases 25 --seed 1
 """
 
@@ -30,7 +23,6 @@ import argparse
 import sys
 import time
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -118,133 +110,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             title="EmbLookup evaluation",
         )
     )
-    return 0
-
-
-#: ``--profile`` shortcuts onto rule-id prefixes (``all`` = no filter).
-_LINT_PROFILES: dict[str, list[str] | None] = {
-    "all": None,
-    "perf": ["REP5"],
-    "grad": ["REP6"],
-}
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Lint source trees; exit non-zero when new (non-baselined) findings exist."""
-    # Lazy import: only the static-analysis verbs pay for repro.analysis.
-    from repro import analysis
-
-    if args.profile and args.select:
-        print("--profile and --select are mutually exclusive", file=sys.stderr)
-        return 2
-    select = args.select.split(",") if args.select else None
-    if args.profile:
-        select = _LINT_PROFILES[args.profile]
-    try:
-        findings = analysis.lint_paths(args.paths, select=select)
-    except (FileNotFoundError, KeyError) as exc:
-        # str(KeyError) wraps the message in quotes; print the bare text.
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        analysis.write_baseline(findings, args.baseline)
-        print(f"wrote {len(findings)} finding(s) to baseline {args.baseline}")
-        return 0
-    baseline = (
-        analysis.load_baseline(args.baseline)
-        if args.baseline and not args.no_baseline
-        else frozenset()
-    )
-    new, known = analysis.partition_findings(findings, baseline)
-    if args.format == "json":
-        print(analysis.render_json(new, known))
-    else:
-        print(analysis.render_text(new, known))
-    return 1 if new else 0
-
-
-def _archcheck_display_path(path) -> str:
-    """Posix path relative to the current directory when possible."""
-    try:
-        return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
-    except ValueError:
-        return path.as_posix()
-
-
-def _cmd_archcheck(args: argparse.Namespace) -> int:
-    """Check the import graph against the declared architecture contract.
-
-    Exit codes: 0 = contract holds; 1 = at least one violation (ARC001
-    layer violation, ARC002 runtime import cycle, ARC003 undeclared
-    layer); 2 = usage error (missing paths, missing/malformed contract).
-    """
-    from repro import analysis
-
-    try:
-        contract = analysis.load_contract(args.contract)
-    except FileNotFoundError:
-        print(f"contract file not found: {args.contract}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        files = analysis.iter_python_files(args.paths)
-    except FileNotFoundError as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    sources = [
-        (_archcheck_display_path(f), f.read_text(encoding="utf-8"))
-        for f in files
-    ]
-    graph = analysis.build_import_graph(sources)
-    findings = analysis.check_contract(graph, contract)
-    if args.format == "json":
-        print(analysis.render_json(findings, []))
-    elif findings:
-        print(analysis.render_text(findings, []))
-    else:
-        runtime_edges = sum(
-            1 for e in graph.edges if e.kind == "import" and e.runtime
-        )
-        print(
-            f"architecture contract OK ({len(graph.modules)} modules, "
-            f"{runtime_edges} runtime import edges)"
-        )
-    return 1 if findings else 0
-
-
-def _cmd_shapecheck(args: argparse.Namespace) -> int:
-    """Statically validate a dual-tower configuration's shapes and dtypes."""
-    from repro import analysis
-
-    try:
-        config = EmbLookupConfig(
-            embedding_dim=args.dim,
-            max_length=args.max_length,
-            compression=args.compression,
-            pq_m=args.pq_m,
-        )
-        spec = analysis.DualTowerSpec.from_config(
-            config,
-            alphabet_size=args.alphabet_size,
-            cnn_channels=args.channels,
-            cnn_layers=args.layers,
-            dtype=args.dtype,
-            **(
-                {"mlp_in": args.mlp_in} if args.mlp_in is not None else {}
-            ),
-            **(
-                {"mlp_hidden": args.mlp_hidden}
-                if args.mlp_hidden is not None
-                else {}
-            ),
-        )
-        report = analysis.check_dual_tower(spec)
-    except (analysis.ShapeError, ValueError) as exc:
-        print(f"shapecheck FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(report.format())
     return 0
 
 
@@ -401,61 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("lint", help="run static-analysis rules over source trees")
-    p.add_argument("paths", nargs="*", default=["src/repro"])
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--baseline", default=None, help="baseline JSON to honor")
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept current findings: write them to --baseline and exit 0",
-    )
-    p.add_argument(
-        "--select", default=None, help="comma-separated rule ids/prefixes"
-    )
-    p.add_argument(
-        "--profile",
-        choices=sorted(_LINT_PROFILES),
-        default=None,
-        help=(
-            "rule-family shortcut: perf=REP5xx, grad=REP6xx, all=every rule"
-        ),
-    )
-    p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "archcheck",
-        help="check project imports against the architecture contract",
-    )
-    p.add_argument("paths", nargs="*", default=["src/repro"])
-    p.add_argument(
-        "--contract",
-        default="tools/arch_contract.toml",
-        help="TOML contract declaring per-layer allowed dependencies",
-    )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_archcheck)
-
-    p = sub.add_parser(
-        "shapecheck", help="statically verify dual-tower shapes and dtypes"
-    )
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--max-length", type=int, default=32)
-    p.add_argument("--alphabet-size", type=int, default=40)
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--layers", type=int, default=5)
-    p.add_argument("--compression", choices=["pq", "none"], default="pq")
-    p.add_argument("--pq-m", type=int, default=8)
-    p.add_argument("--dtype", choices=["float32", "float64"], default="float32")
-    p.add_argument("--mlp-in", type=int, default=None)
-    p.add_argument("--mlp-hidden", type=int, default=None)
-    p.set_defaults(func=_cmd_shapecheck)
 
     p = sub.add_parser(
         "selftest",

@@ -15,6 +15,7 @@ Stages (paper Figure 1):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -317,16 +318,12 @@ class EmbLookup:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         meta = {
+            # Every field but ``mining``, which ``__post_init__`` re-derives
+            # from ``triplets_per_entity`` and ``seed``.
             "config": {
-                "embedding_dim": self.config.embedding_dim,
-                "max_length": self.config.max_length,
-                "compression": self.config.compression,
-                "pq_m": self.config.pq_m,
-                "pq_nbits": self.config.pq_nbits,
-                "index_entity_aliases": self.config.index_entity_aliases,
-                "fasttext_buckets": self.config.fasttext_buckets,
-                "normalize_output": self.config.normalize_output,
-                "seed": self.config.seed,
+                f.name: getattr(self.config, f.name)
+                for f in dataclasses.fields(self.config)
+                if f.name != "mining"
             },
             "alphabet": "".join(self.encoder.alphabet.chars),
             "row_to_entity": self._row_to_entity,
@@ -342,17 +339,10 @@ class EmbLookup:
         if not meta_path.exists():
             raise FileNotFoundError(f"no saved EmbLookup at {directory}")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        cfg_d = meta["config"]
+        # A key an older save did not write falls back to its default.
+        known = {f.name for f in dataclasses.fields(EmbLookupConfig)} - {"mining"}
         config = EmbLookupConfig(
-            embedding_dim=cfg_d["embedding_dim"],
-            max_length=cfg_d["max_length"],
-            compression=cfg_d["compression"],
-            pq_m=cfg_d["pq_m"],
-            pq_nbits=cfg_d["pq_nbits"],
-            index_entity_aliases=cfg_d["index_entity_aliases"],
-            fasttext_buckets=cfg_d["fasttext_buckets"],
-            normalize_output=cfg_d.get("normalize_output", True),
-            seed=cfg_d["seed"],
+            **{k: v for k, v in meta["config"].items() if k in known}
         )
         service = cls(config)
         alphabet = Alphabet(meta["alphabet"])

@@ -19,7 +19,7 @@ shaped around what the serving stack actually needs:
   different-but-pinned case stream.
 
 Generators accept a ``rng`` explicitly — nothing in this module touches
-global random state (the repo's REP301 lint rule applies here too).
+global random state.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def case_rng(base: int, index: int) -> np.random.Generator:
     generating its predecessors.
     """
     # Explicit SeedSequence streams, not unmanaged global state.
-    seq = np.random.SeedSequence((base, index))  # repro: noqa[REP301]
-    return np.random.default_rng(seq)  # repro: noqa[REP301]
+    seq = np.random.SeedSequence((base, index))
+    return np.random.default_rng(seq)
 
 
 class PropertyFailure(AssertionError):

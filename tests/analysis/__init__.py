@@ -1,1 +1,1 @@
-"""Tests for the repro.analysis lint + shapecheck subsystem."""
+"""Tests for the repository's linter (``tools/lint``, run by ``tools/run_lint.py``)."""

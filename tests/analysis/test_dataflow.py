@@ -2,7 +2,7 @@
 
 import ast
 
-from repro.analysis.dataflow import (
+from lint.dataflow import (
     KIND_LIST,
     KIND_NDARRAY,
     KIND_SCALAR,

@@ -1,8 +1,8 @@
-"""Engine tests: noqa suppression, fingerprints, selection, file walking."""
+"""Engine tests: noqa suppression, selection, file walking."""
 
 import pytest
 
-from repro.analysis import iter_python_files, lint_paths, lint_source
+from lint import check_paths, iter_python_files, lint_source
 
 from tests.analysis.fixtures import fixture_source
 
@@ -56,30 +56,6 @@ class TestSelection:
         assert {f.rule for f in findings} == {"REP101", "REP102"}
 
 
-class TestFingerprints:
-    def test_stable_across_checkout_location(self):
-        """Fingerprints hash the repro/... tail, not the as-invoked path."""
-        source = fixture_source("dtype_violations.py")
-        here = lint_source(source, "src/repro/nn/fake.py")
-        elsewhere = lint_source(source, "/tmp/clone/repro/nn/fake.py")
-        assert [f.fingerprint for f in here] == [f.fingerprint for f in elsewhere]
-
-    def test_stable_under_line_churn(self):
-        """Inserting unrelated lines above does not change the fingerprint."""
-        base = "import numpy as np\nx = np.zeros(3)\n"
-        shifted = "import numpy as np\n\n\n# padding\nx = np.zeros(3)\n"
-        (a,) = lint_source(base, HOT_PATH)
-        (b,) = lint_source(shifted, HOT_PATH)
-        assert a.line != b.line
-        assert a.fingerprint == b.fingerprint
-
-    def test_identical_lines_get_distinct_fingerprints(self):
-        source = "import numpy as np\nx = np.zeros(3)\ny = np.zeros(3)\n"
-        first, second = lint_source(source, HOT_PATH)
-        assert first.line != second.line
-        assert first.fingerprint != second.fingerprint
-
-
 class TestFileWalking:
     def test_iter_python_files_expands_and_sorts(self, tmp_path):
         (tmp_path / "b.py").write_text("x = 1\n")
@@ -128,6 +104,6 @@ class TestFileWalking:
         (pkg / "good.py").write_text(
             "import numpy as np\nx = np.zeros(3, dtype=np.float32)\n"
         )
-        findings = lint_paths([tmp_path])
+        findings = check_paths([tmp_path])
         assert [f.rule for f in findings] == ["REP101"]
         assert findings[0].path.endswith("repro/nn/bad.py")

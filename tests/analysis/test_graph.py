@@ -1,10 +1,6 @@
-"""Import/call graph tests: resolution, cycles, class hierarchy, reach."""
+"""Import graph tests: module names, resolution, cycles."""
 
-from repro.analysis.graph import (
-    ProjectContext,
-    build_import_graph,
-    module_name_for_path,
-)
+from lint.graph import build_import_graph, module_name_for_path
 
 
 def graph_of(*sources):
@@ -99,57 +95,3 @@ class TestCycles:
              "    from repro import a\n"),
         )
         assert graph.find_cycles() == []
-
-
-CALL_SOURCES = [
-    ("repro/__init__.py", ""),
-    ("repro/nn/__init__.py", ""),
-    (
-        "repro/nn/layers.py",
-        "class Module:\n    def parameters(self):\n        return []\n",
-    ),
-    ("repro/emb/__init__.py", ""),
-    ("repro/emb/util.py", "def shared():\n    return 1\n"),
-    (
-        "repro/emb/model.py",
-        "from repro.nn.layers import Module\n"
-        "from repro.emb import util\n"
-        "\n"
-        "class Base(Module):\n"
-        "    def helper(self):\n"
-        "        return util.shared()\n"
-        "\n"
-        "class Tower(Base):\n"
-        "    def forward(self, x):\n"
-        "        return self.helper()\n",
-    ),
-]
-
-
-class TestCallGraph:
-    def test_reachability_through_self_and_modules(self):
-        project = ProjectContext(CALL_SOURCES)
-        call_graph = project.call_graph
-        reached = call_graph.reachable_from(
-            {("repro.emb.model", "Tower.forward")}
-        )
-        # self.helper() resolves through the base class; util.shared()
-        # resolves through the from-import binding across modules.
-        assert ("repro.emb.model", "Base.helper") in reached
-        assert ("repro.emb.util", "shared") in reached
-
-    def test_module_subclass_detection_is_transitive(self):
-        call_graph = ProjectContext(CALL_SOURCES).call_graph
-        assert call_graph.is_module_subclass("repro.emb.model", "Tower")
-        assert call_graph.is_module_subclass("repro.emb.model", "Base")
-
-    def test_the_root_module_class_is_not_its_own_subclass(self):
-        call_graph = ProjectContext(CALL_SOURCES).call_graph
-        assert not call_graph.is_module_subclass("repro.nn.layers", "Module")
-
-    def test_unrelated_class_is_not_a_module(self):
-        sources = CALL_SOURCES + [
-            ("repro/emb/other.py", "class Plain:\n    def forward(self):\n        return 0\n"),
-        ]
-        call_graph = ProjectContext(sources).call_graph
-        assert not call_graph.is_module_subclass("repro.emb.other", "Plain")

@@ -1,6 +1,6 @@
 """REP5xx perf-rule tests: fixture positives/negatives + scoping."""
 
-from repro.analysis import lint_source
+from lint import lint_source
 
 from tests.analysis.fixtures import fixture_source
 

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.analysis import lint_source, render_json, render_text, summarize
+from lint import lint_source, render_json, render_text, summarize
 
 from tests.analysis.fixtures import fixture_source
 
@@ -31,19 +31,10 @@ class TestTextReporter:
         report = render_text(sample_findings())
         assert "src/repro/lookup/fake.py" in report
         assert "src/repro/nn/fake.py" in report
-        assert "11 new finding(s): 1 error(s), 10 warning(s)" in report
+        assert "11 finding(s): 1 error(s), 10 warning(s)" in report
 
     def test_clean_run(self):
-        assert render_text([]) == "no new findings"
-
-    def test_baselined_counts_in_footer_only(self):
-        findings = sample_findings()
-        new, baselined = findings[:1], findings[1:]
-        report = render_text(new, baselined)
-        assert f"{len(baselined)} baselined finding(s) suppressed" in report
-        assert render_text([], baselined) == (
-            f"no new findings ({len(baselined)} baselined)"
-        )
+        assert render_text([]) == "no findings"
 
 
 class TestJsonReporter:
@@ -52,44 +43,21 @@ class TestJsonReporter:
         document = json.loads(render_json(findings))
         assert document["version"] == 1
         assert document["summary"]["total"] == len(findings)
-        assert document["summary"]["baselined"] == 0
         assert len(document["findings"]) == len(findings)
         record = document["findings"][0]
         assert set(record) == {
-            "rule", "path", "line", "col", "severity", "message", "fingerprint",
+            "rule", "path", "line", "col", "severity", "message",
         }
-        assert record["fingerprint"]
-
-    def test_baselined_count_in_summary(self):
-        findings = sample_findings()
-        document = json.loads(render_json(findings[:2], findings[2:]))
-        assert document["summary"]["baselined"] == len(findings) - 2
-        assert len(document["findings"]) == 2
 
     def test_zero_findings_document(self):
         document = json.loads(render_json([]))
         assert document["version"] == 1
         assert document["findings"] == []
-        assert document["summary"] == {
-            "total": 0,
-            "errors": 0,
-            "warnings": 0,
-            "baselined": 0,
-        }
-
-    def test_identical_fingerprints_both_rendered(self):
-        """Duplicated findings are reported twice, not silently merged."""
-        (finding,) = lint_source(
-            "import numpy as np\nx = np.zeros(3)\n", HOT_PATH
-        )
-        document = json.loads(render_json([finding, finding]))
-        assert len(document["findings"]) == 2
-        prints = [r["fingerprint"] for r in document["findings"]]
-        assert prints[0] == prints[1]
+        assert document["summary"] == {"total": 0, "errors": 0, "warnings": 0}
 
     def test_severity_round_trips_through_json(self):
         """Severity constants serialise to their own literal strings."""
-        from repro.analysis import Severity
+        from lint import Severity
 
         findings = sample_findings()
         document = json.loads(render_json(findings))

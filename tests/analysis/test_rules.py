@@ -8,8 +8,8 @@ everywhere-but-allowlist rules without touching real modules.
 
 import pytest
 
-from repro.analysis import PROJECT_RULES, RULES, lint_source
-from repro.analysis.rules import module_tail
+from lint import RULES, lint_source
+from lint.rules import module_tail
 
 from tests.analysis.fixtures import fixture_source
 
@@ -27,8 +27,6 @@ class TestRegistry:
         assert set(RULES) == {
             "REP101",
             "REP102",
-            "REP201",
-            "REP301",
             "REP401",
             "REP402",
             "REP403",
@@ -36,14 +34,10 @@ class TestRegistry:
             "REP502",
             "REP503",
             "REP504",
-            "REP601",
-        }
-        assert set(PROJECT_RULES) == {
-            "REP602",
         }
 
     def test_registry_keys_match_instances(self):
-        for rule_id, rule in {**RULES, **PROJECT_RULES}.items():
+        for rule_id, rule in RULES.items():
             assert rule.rule_id == rule_id
             assert rule.description
 
@@ -86,69 +80,6 @@ class TestDtypeRules:
             select=["REP102"],
         )
         assert findings == []
-
-
-class TestMutationRule:
-    def test_all_mutation_forms_flagged(self):
-        findings = lint_source(
-            fixture_source("mutation_violations.py"), COLD_PATH, select=["REP201"]
-        )
-        assert rule_ids(findings) == ["REP201"] * 5
-
-    def test_reads_not_flagged(self):
-        findings = lint_source(fixture_source("mutation_clean.py"), COLD_PATH)
-        assert findings == []
-
-    def test_engine_modules_allowlisted(self):
-        findings = lint_source(
-            fixture_source("mutation_violations.py"),
-            "src/repro/nn/optim.py",
-            select=["REP201"],
-        )
-        assert findings == []
-
-    def test_severity_is_error(self):
-        findings = lint_source(
-            fixture_source("mutation_violations.py"), COLD_PATH, select=["REP201"]
-        )
-        assert all(f.severity == "error" for f in findings)
-
-
-class TestRawRandomRule:
-    def test_raw_randomness_flagged(self):
-        findings = lint_source(
-            fixture_source("random_violations.py"), COLD_PATH, select=["REP301"]
-        )
-        assert rule_ids(findings) == ["REP301"] * 4
-
-    def test_seeded_rng_usage_clean(self):
-        findings = lint_source(fixture_source("random_clean.py"), COLD_PATH)
-        assert findings == []
-
-    def test_rng_module_allowlisted(self):
-        findings = lint_source(
-            fixture_source("random_violations.py"),
-            "src/repro/utils/rng.py",
-            select=["REP301"],
-        )
-        assert findings == []
-
-    def test_unrelated_random_attribute_not_flagged(self):
-        """``rng.random()`` on a Generator is fine — only the module is bad."""
-        source = "def draw(rng):\n    return rng.random()\n"
-        assert lint_source(source, COLD_PATH, select=["REP301"]) == []
-
-    def test_import_order_does_not_matter(self):
-        """stdlib-random calls are caught even when numpy.random is imported
-        after ``import random`` (regression: flag must accumulate)."""
-        source = (
-            "import random\n"
-            "import numpy.random\n"
-            "x = random.choice([1, 2])\n"
-        )
-        findings = lint_source(source, COLD_PATH, select=["REP301"])
-        # Two imports + one call.
-        assert rule_ids(findings) == ["REP301"] * 3
 
 
 class TestHygieneRules:

@@ -1,6 +1,9 @@
 """Integration tests for the EmbLookup pipeline (uses the session-scoped
 ``trained_service`` fixture to avoid retraining per test)."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core.config import EmbLookupConfig
 from repro.core.pipeline import EmbLookup, LookupResult
 from repro.index.flat import FlatIndex
 from repro.index.pq import PQIndex
+from repro.serving import LookupEngine
 
 
 class TestLifecycle:
@@ -137,6 +141,61 @@ class TestPersistence:
         # derived seed, so even the compressed index agrees).
         for a, b in zip(original, loaded):
             assert {r.entity_id for r in a} == {r.entity_id for r in b}
+
+    def test_every_config_field_survives_the_round_trip(self, tiny_kg, tmp_path):
+        """No field comes back as its default (regression: ``save`` wrote a
+        hand-picked subset, so e.g. ``query_cache_size`` loaded as 0)."""
+        config = EmbLookupConfig(
+            embedding_dim=32,
+            max_length=24,
+            epochs=1,
+            batch_size=64,
+            margin=0.3,
+            loss="contrastive",
+            learning_rate=2e-3,
+            hard_mining_start=0.25,
+            triplets_per_entity=2,
+            compression="none",
+            pq_m=4,
+            pq_nbits=6,
+            fasttext_epochs=1,
+            fasttext_buckets=2**10,
+            fasttext_objective="sgns",
+            finetune_fasttext=True,
+            normalize_output=False,
+            index_entity_aliases=True,
+            query_cache_size=64,
+            seed=3,
+        )
+        defaults = EmbLookupConfig()
+        for f in dataclasses.fields(config):
+            assert getattr(config, f.name) != getattr(defaults, f.name), f.name
+        service = EmbLookup(config)
+        service.fit(tiny_kg)
+        service.save(tmp_path / "model")
+        restored = EmbLookup.load(tmp_path / "model", tiny_kg)
+        assert restored.config == config
+        with LookupEngine.from_pipeline(restored) as engine:
+            assert engine.cache is not None
+
+    def test_meta_without_the_newer_keys_still_loads(
+        self, trained_service, tiny_kg, tmp_path
+    ):
+        """A ``meta.json`` from before every field was written opens, the
+        absent fields at their defaults."""
+        trained_service.save(tmp_path / "model")
+        meta_path = tmp_path / "model" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        old_keys = (
+            "embedding_dim", "max_length", "compression", "pq_m", "pq_nbits",
+            "index_entity_aliases", "fasttext_buckets", "seed",
+        )
+        meta["config"] = {k: meta["config"][k] for k in old_keys}
+        meta_path.write_text(json.dumps(meta))
+        restored = EmbLookup.load(tmp_path / "model", tiny_kg)
+        assert restored.config.normalize_output is True
+        assert restored.config.query_cache_size == 0
+        assert restored.lookup("germany", k=3)
 
     def test_save_before_fit_raises(self, tmp_path):
         with pytest.raises(RuntimeError):

@@ -66,8 +66,9 @@ def test_all_exports_resolve():
 
 
 def test_experiments_md_is_rendered_from_its_template():
-    """EXPERIMENTS.md is a build product of tools/EXPERIMENTS.template.md
-    + benchmarks/results/*.txt; a hand edit of either copy alone fails."""
+    """Every ``<!-- results: name -->`` table of EXPERIMENTS.md is what
+    benchmarks/results/name.txt holds (the test keeps the name it had when
+    a second copy, tools/EXPERIMENTS.template.md, was rendered into it)."""
     tool = Path(__file__).resolve().parent.parent / "tools" / "build_experiments.py"
     done = subprocess.run(
         [sys.executable, str(tool), "--check"], capture_output=True, text=True

@@ -1,48 +1,37 @@
-"""Tier-1 gate: the library source must lint clean against the baseline.
+"""Tier-1 gate: ``src/repro`` passes the repository's linter.
 
-Runs the full rule set over ``src/repro`` once and fails on any finding
-whose fingerprint is not frozen in ``tools/lint_baseline.json``.  New
-deliberate violations must either be fixed, suppressed inline with
-``# repro: noqa[RULE]`` and a justification, or consciously accepted via
-``python tools/run_lint.py --update-baseline``.
+The same call ``python tools/run_lint.py`` makes: every rule over every
+file, then the layer contract over their import graph.  A new finding is
+fixed, or suppressed inline with ``# repro: noqa[RULE]`` and its reason.
 """
 
+import re
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import lint_paths, load_baseline, partition_findings, render_text
+from lint import CONTRACT_RULES, RULES, check_paths, load_contract, render_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_TREE = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "tools" / "lint_baseline.json"
+CONTRACT = REPO_ROOT / "tools" / "arch_contract.toml"
 
 
-@pytest.fixture(scope="module")
-def findings():
-    """One lint pass over the source tree, shared by every test here."""
-    return lint_paths([SOURCE_TREE])
+def test_source_tree_lints_clean():
+    """No rule finding and no contract violation in src/repro."""
+    findings = check_paths([SOURCE_TREE], contract=load_contract(CONTRACT))
+    assert not findings, "lint findings:\n" + render_text(findings)
 
 
-def test_source_tree_lints_clean(findings):
-    """No new lint findings in src/repro beyond the committed baseline."""
-    new, _known = partition_findings(findings, load_baseline(BASELINE))
-    assert not new, "new lint findings:\n" + render_text(new)
-
-
-def test_baseline_has_no_stale_entries(findings):
-    """Every baselined fingerprint still corresponds to a real finding.
-
-    A stale entry means a violation was fixed without burning it out of
-    the baseline — harmless for CI but misleading for reviewers.
-    """
-    current = {f.fingerprint for f in findings}
-    stale = load_baseline(BASELINE) - current
-    assert not stale, f"stale baseline fingerprints: {sorted(stale)}"
-
-
-def test_baseline_contains_no_errors(findings):
-    """Only warnings may be baselined; error-severity rules must be fixed."""
-    _new, known = partition_findings(findings, load_baseline(BASELINE))
-    errors = [f for f in known if f.severity == "error"]
-    assert not errors, "error-severity findings in baseline:\n" + render_text(errors)
+def test_every_noqa_names_a_registered_rule():
+    """A ``# repro: noqa[RULE]`` whose rule was deleted suppresses nothing
+    and reads as if something still checked the line."""
+    marker = re.compile(r"#\s*repro:\s*noqa\[([^\]]*)\]", re.IGNORECASE)
+    known = {*RULES, *CONTRACT_RULES}
+    dead = [
+        f"{path.relative_to(REPO_ROOT)}:{number}: {rule}"
+        for path in sorted(SOURCE_TREE.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        for match in marker.finditer(line)
+        for rule in (r.strip().upper() for r in match.group(1).split(","))
+        if rule not in known
+    ]
+    assert not dead, "noqa markers naming unregistered rules:\n" + "\n".join(dead)

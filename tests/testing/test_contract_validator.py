@@ -19,7 +19,7 @@ from repro.utils.contracts import (
     scoped_tracker,
 )
 
-from tests.analysis.fixtures import FIXTURES_DIR, fixture_source
+from tests.testing.fixtures import FIXTURES_DIR, fixture_source
 
 
 @array_contract("(nq, d) f32, k: int -> (nq, k) f32")

@@ -19,7 +19,7 @@ from repro.testing.sanitizer import (
     uninstall,
 )
 
-from tests.analysis.fixtures import fixture_source
+from tests.testing.fixtures import fixture_source
 
 
 def make_locks(tracker, *names):

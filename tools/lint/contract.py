@@ -4,14 +4,13 @@ The contract lives in ``tools/arch_contract.toml`` and declares, for each
 first-level package under the root (``index``, ``nn``, ``lookup``, ...),
 which other first-level packages it may import from **at runtime**.
 Intra-package imports are always allowed; typing-only imports (guarded by
-``if TYPE_CHECKING:``) are exempt.  ``repro archcheck`` builds the import
-graph, checks every runtime edge against the contract, and exits 1 on any
-violation, so a layering regression (e.g. ``analysis`` reaching into
-``nn``, or ``index`` importing ``lookup``) fails CI before review.
+``if TYPE_CHECKING:``) are exempt.  ``tools/run_lint.py`` builds the
+import graph of the tree it lints, checks every runtime edge against the
+contract, and exits 1 on any violation, so a layering regression (e.g.
+``index`` importing ``lookup``) fails CI before review.
 
-Violations are reported as :class:`~repro.analysis.findings.Finding`
-records with their own stable rule ids, reusing the lint reporter and
-noqa machinery:
+Violations are reported as :class:`~lint.findings.Finding` records with
+their own stable rule ids, through the same reporters as the lint rules:
 
 - ``ARC001`` (error) — an undeclared cross-layer runtime import;
 - ``ARC002`` (error) — a module-level runtime import cycle;
@@ -23,15 +22,19 @@ from __future__ import annotations
 import tomllib
 from pathlib import Path
 
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.graph import ImportGraph
+from .findings import Finding, Severity
+from .graph import ImportGraph
 
 __all__ = [
     "ArchContract",
+    "CONTRACT_RULES",
     "check_contract",
     "layer_of",
     "load_contract",
 ]
+
+#: Rule ids of the contract checks (selectable like the lint rules).
+CONTRACT_RULES: tuple[str, ...] = ("ARC001", "ARC002", "ARC003")
 
 #: Layer name used for the root package's own ``__init__``.
 ROOT_LAYER = "__root__"
@@ -111,7 +114,7 @@ def check_contract(graph: ImportGraph, contract: ArchContract) -> list[Finding]:
     findings: list[Finding] = []
     undeclared_reported: set[str] = set()
     for edge in graph.edges:
-        if edge.kind != "import" or not edge.runtime:
+        if not edge.runtime:
             continue
         src_layer = layer_of(edge.src, contract.root)
         dst_layer = layer_of(edge.dst, contract.root)

@@ -1,7 +1,6 @@
 """Intraprocedural dataflow: reaching definitions + loop context on the AST.
 
-This is the engine behind the REP5xx perf rules and the REP601
-gradient-flow rule.  For one function (or a module's top-level code) it
+This is the engine behind the REP5xx perf rules.  For one function (or a module's top-level code) it
 computes, per expression node:
 
 - an **abstract value** — a coarse ``(kind, dtype)`` lattice

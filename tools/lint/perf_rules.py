@@ -4,7 +4,7 @@ The paper's speedup claim lives in the embed → PQ k-NN hot path; a single
 Python-level loop over an ndarray or a quadratic ``np.concatenate`` growth
 pattern can silently cost more than the 256 B → 8 B compression saves.
 These rules run the reaching-definitions/loop-context engine
-(:mod:`repro.analysis.dataflow`) over every function in the hot-path
+(:mod:`lint.dataflow`) over every function in the hot-path
 packages (``repro.nn`` / ``repro.index`` / ``repro.embedding``):
 
 - ``REP501`` — ndarray allocation (``np.zeros``/``np.empty``/...),
@@ -23,8 +23,8 @@ packages (``repro.nn`` / ``repro.index`` / ``repro.embedding``):
 
 All four are warnings (perf hygiene, not correctness); deliberate
 exceptions are suppressed inline with ``# repro: noqa[REP50x]`` plus a
-justification, or frozen in the committed baseline.  ``repro.nn.gradcheck``
-is exempt wholesale — numerical differentiation is elementwise by design.
+justification.  ``repro.nn.gradcheck`` is exempt wholesale — numerical
+differentiation is elementwise by design.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis import dataflow
-from repro.analysis.dataflow import KIND_NDARRAY, KIND_SCALAR
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.rules import (
+from . import dataflow
+from .dataflow import KIND_NDARRAY, KIND_SCALAR
+from .findings import Finding, Severity
+from .rules import (
     HOT_PACKAGES,
     LintContext,
     LintRule,

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from collections.abc import Sequence
 
-from repro.analysis.findings import Finding, Severity
+from .findings import Finding, Severity
 
 __all__ = ["render_json", "render_text", "summarize"]
 
@@ -18,21 +17,11 @@ def summarize(findings: Sequence[Finding]) -> dict[str, int]:
     return {"total": len(findings), "errors": errors, "warnings": warnings}
 
 
-def render_text(
-    findings: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-) -> str:
-    """Human-readable report, findings grouped by file.
-
-    ``baselined`` findings are not listed individually; only their count
-    appears in the footer, keeping the report focused on what is new.
-    """
+def render_text(findings: Sequence[Finding]) -> str:
+    """Human-readable report, findings grouped by file."""
     if not findings:
-        footer = "no new findings"
-        if baselined:
-            footer += f" ({len(baselined)} baselined)"
-        return footer
-    by_file: OrderedDict[str, list[Finding]] = OrderedDict()
+        return "no findings"
+    by_file: dict[str, list[Finding]] = {}
     for finding in findings:
         by_file.setdefault(finding.path, []).append(finding)
     blocks: list[str] = []
@@ -44,24 +33,18 @@ def render_text(
             )
         blocks.append("\n".join(lines))
     counts = summarize(findings)
-    footer = (
-        f"{counts['total']} new finding(s): "
+    blocks.append(
+        f"{counts['total']} finding(s): "
         f"{counts['errors']} error(s), {counts['warnings']} warning(s)"
     )
-    if baselined:
-        footer += f"; {len(baselined)} baselined finding(s) suppressed"
-    blocks.append(footer)
     return "\n\n".join(blocks)
 
 
-def render_json(
-    findings: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-) -> str:
-    """Machine-readable report: summary plus one record per new finding."""
+def render_json(findings: Sequence[Finding]) -> str:
+    """Machine-readable report: summary plus one record per finding."""
     document = {
         "version": 1,
-        "summary": {**summarize(findings), "baselined": len(baselined)},
+        "summary": summarize(findings),
         "findings": [f.to_dict() for f in findings],
     }
     return json.dumps(document, indent=2)

@@ -1,23 +1,19 @@
 """Lint rules enforcing this reproduction's correctness invariants.
 
-Rule families (ids are stable and documented in DESIGN.md §8):
+Rule families (ids are stable; DESIGN.md §8 has the audit that kept them):
 
 - **R1 dtype discipline** — ``REP101`` (numpy constructor without an
   explicit ``dtype``) and ``REP102`` (float64 leaking into a hot path).
   The paper's 64-d → 8 B product quantization assumes 256 B float32
   vectors; implicit float64 silently doubles memory and changes hashes.
-- **R2 autograd safety** — ``REP201``: in-place mutation of
-  ``Tensor.data`` / ``Tensor.grad`` outside the engine-internal modules
-  invalidates recorded backward closures that captured the old payload.
-- **R3 RNG determinism** — ``REP301``: direct ``np.random.*`` /
-  stdlib-``random`` usage bypasses the seeded generators in
-  ``repro.utils.rng`` and breaks bit-reproducible triplet mining.
 - **R4 API hygiene** — ``REP401`` bare ``except:``, ``REP402`` mutable
   default argument, ``REP403`` ``print()`` in library code.
+- **R5 hot-path performance** — ``REP501``–``REP504``, in
+  :mod:`lint.perf_rules` on top of :mod:`lint.dataflow`.
 
 Each rule is registered in :data:`RULES` and consumed by
-:mod:`repro.analysis.engine`; paths are matched on their ``repro/...``
-tail so test fixtures can emulate any package layout.
+:mod:`lint.engine`; paths are matched on their ``repro/...`` tail so test
+fixtures can emulate any package layout.
 """
 
 from __future__ import annotations
@@ -26,36 +22,15 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.analysis.findings import Finding, Severity
+from .findings import Finding, Severity
 
-__all__ = [
-    "LintContext",
-    "LintRule",
-    "PROJECT_RULES",
-    "ProjectRule",
-    "RULES",
-    "register",
-    "register_project",
-]
+__all__ = ["LintContext", "LintRule", "RULES", "register"]
 
 #: Packages where dtype discipline is enforced (embedding hot paths).
 HOT_PACKAGES: tuple[str, ...] = ("repro/nn", "repro/index", "repro/embedding")
 
 #: Modules allowed to use float64 explicitly (numerical gradient checking).
 FLOAT64_ALLOWLIST: tuple[str, ...] = ("repro/nn/gradcheck.py",)
-
-#: Engine-internal modules allowed to mutate tensor payloads in place.
-MUTATION_ALLOWLIST: tuple[str, ...] = (
-    "repro/nn/tensor.py",
-    "repro/nn/functional.py",
-    "repro/nn/layers.py",
-    "repro/nn/optim.py",
-    "repro/nn/gradcheck.py",
-    "repro/nn/serialization.py",
-)
-
-#: The one module allowed to touch raw numpy / stdlib randomness.
-RNG_ALLOWLIST: tuple[str, ...] = ("repro/utils/rng.py",)
 
 #: Entry-point modules where ``print`` is the intended output channel.
 PRINT_ALLOWLIST: tuple[str, ...] = ("repro/cli.py", "repro/__main__.py")
@@ -84,8 +59,6 @@ class LintContext:
 
     path: str
     tree: ast.Module
-    source: str
-    lines: tuple[str, ...]
 
     def finding(
         self, rule: "LintRule", node: ast.AST, message: str
@@ -122,19 +95,6 @@ def _in_modules(path: str, modules: tuple[str, ...]) -> bool:
     return module_tail(path) in modules
 
 
-def _dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain; ``None`` for anything else."""
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
 class LintRule:
     """Base class: one registered rule with a stable id and severity."""
 
@@ -152,45 +112,16 @@ class LintRule:
         raise NotImplementedError
 
 
-class ProjectRule(LintRule):
-    """A rule that needs the whole project (import/call graph) at once.
-
-    Instead of :meth:`LintRule.check`, subclasses implement
-    :meth:`check_project` against a
-    :class:`~repro.analysis.graph.ProjectContext`; ``applies_to`` still
-    scopes which files' findings are kept.
-    """
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:  # pragma: no cover
-        raise TypeError(f"{self.rule_id} is a project rule; use check_project")
-
-    def check_project(self, project) -> Iterator[Finding]:
-        """Yield findings across the whole project (subclass hook)."""
-        raise NotImplementedError
-
-
-#: Registry of all known per-file rules, keyed by rule id.
+#: Registry of all known rules, keyed by rule id.
 RULES: dict[str, LintRule] = {}
-
-#: Registry of project-scoped rules, keyed by rule id.
-PROJECT_RULES: dict[str, ProjectRule] = {}
 
 
 def register(rule_cls: type[LintRule]) -> type[LintRule]:
     """Class decorator adding an instance of ``rule_cls`` to :data:`RULES`."""
     instance = rule_cls()
-    if instance.rule_id in RULES or instance.rule_id in PROJECT_RULES:
+    if instance.rule_id in RULES:
         raise ValueError(f"duplicate rule id {instance.rule_id}")
     RULES[instance.rule_id] = instance
-    return rule_cls
-
-
-def register_project(rule_cls: type[ProjectRule]) -> type[ProjectRule]:
-    """Class decorator adding an instance to :data:`PROJECT_RULES`."""
-    instance = rule_cls()
-    if instance.rule_id in RULES or instance.rule_id in PROJECT_RULES:
-        raise ValueError(f"duplicate rule id {instance.rule_id}")
-    PROJECT_RULES[instance.rule_id] = instance
     return rule_cls
 
 
@@ -243,7 +174,7 @@ class Float64LeakRule(LintRule):
     The PQ compression story (64-d float32 = 256 B → 8 B codes) and the
     index memory model assume float32 end-to-end; float64 is reserved for
     ``gradcheck`` numerics.  Deliberate float64 accumulation sites (e.g.
-    k-means distance kernels) are carried in the committed baseline.
+    k-means distance kernels) carry an inline ``noqa`` with the reason.
     """
 
     rule_id = "REP102"
@@ -278,130 +209,6 @@ class Float64LeakRule(LintRule):
                             kw.value,
                             'dtype="float64" used in a float32 hot path',
                         )
-
-
-@register
-class TensorMutationRule(LintRule):
-    """REP201: in-place mutation of ``Tensor.data`` / ``Tensor.grad``.
-
-    Backward closures capture array references at forward time; writing
-    through ``t.data[...]``, ``t.data += ...`` or ``t.grad = ...`` outside
-    the engine invalidates the recorded graph silently.  Engine-internal
-    modules (tensor/optim/layers/serialization/gradcheck) are allowlisted.
-    """
-
-    rule_id = "REP201"
-    name = "tensor-mutation"
-    severity = Severity.ERROR
-    description = "in-place mutation of Tensor.data/.grad outside the engine"
-
-    _ATTRS = ("data", "grad")
-
-    def applies_to(self, path: str) -> bool:
-        """Everywhere except the allowlisted engine internals."""
-        return not _in_modules(path, MUTATION_ALLOWLIST)
-
-    def _mutated_attr(self, target: ast.AST) -> str | None:
-        node = target
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Attribute) and node.attr in self._ATTRS:
-            return node.attr
-        return None
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Flag assignments/aug-assignments/deletes through ``.data``/``.grad``."""
-        for node in ast.walk(ctx.tree):
-            targets: list[ast.AST]
-            verb = "assignment to"
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, ast.AugAssign):
-                targets = [node.target]
-                verb = "augmented assignment to"
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = list(node.targets)
-                verb = "deletion of"
-            else:
-                continue
-            for target in targets:
-                attr = self._mutated_attr(target)
-                if attr is not None:
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"{verb} .{attr} mutates an autograd payload "
-                        "outside the engine (breaks recorded backward "
-                        "closures)",
-                    )
-
-
-@register
-class RawRandomRule(LintRule):
-    """REP301: raw randomness outside ``repro.utils.rng``.
-
-    Seeded, stream-derived generators are the only sanctioned randomness
-    source; ``np.random.*`` module calls and the stdlib ``random`` module
-    draw from hidden global state and break run-to-run reproducibility of
-    triplet mining and noise injection.
-    """
-
-    rule_id = "REP301"
-    name = "raw-random"
-    severity = Severity.ERROR
-    description = "direct np.random.* / stdlib random usage outside repro.utils.rng"
-
-    def applies_to(self, path: str) -> bool:
-        """Everywhere except the rng helper module itself."""
-        return not _in_modules(path, RNG_ALLOWLIST)
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Flag np.random calls and stdlib-random imports/calls."""
-        stdlib_random_imported = False
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith(
-                        "numpy.random"
-                    ):
-                        stdlib_random_imported |= alias.name == "random"
-                        yield ctx.finding(
-                            self,
-                            node,
-                            f"import of {alias.name!r}: use repro.utils.rng "
-                            "generators instead",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module == "random" or module.startswith("numpy.random"):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"import from {module!r}: use repro.utils.rng "
-                        "generators instead",
-                    )
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted_name(node.func)
-            if dotted is None:
-                continue
-            if dotted.startswith(("np.random.", "numpy.random.")):
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"{dotted}() draws from numpy global/unmanaged state; "
-                    "route through repro.utils.rng",
-                )
-            elif stdlib_random_imported and dotted.startswith("random."):
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"{dotted}() draws from stdlib global state; "
-                    "route through repro.utils.rng",
-                )
 
 
 @register

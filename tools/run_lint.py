@@ -1,22 +1,18 @@
 #!/usr/bin/env python
-"""CI entry point for the repro static-analysis pass.
+"""The repository's lint gate: rules and layer contract in one run.
 
-Runs the lint rule set over ``src/repro`` against the committed baseline
-and exits non-zero on any *new* finding.  Equivalent to::
+Runs the ``tools/lint`` rule set over ``src/repro`` and checks the import
+graph of the same files against ``tools/arch_contract.toml``.  A finding
+is fixed or carries an inline ``# repro: noqa[RULE]`` with its reason;
+there is no other way to accept one.
 
-    python -m repro lint src/repro --baseline tools/lint_baseline.json
+Exit codes:
 
-Refresh the baseline after deliberately accepting findings with::
-
-    python tools/run_lint.py --update-baseline
-
-Exit codes (shared with ``python -m repro lint``):
-
-* ``0`` -- no new findings (baselined findings do not fail the run, and
-  ``--update-baseline`` always exits 0 after rewriting the baseline)
-* ``1`` -- at least one finding not covered by the baseline
+* ``0`` -- no findings
+* ``1`` -- at least one finding (a REPxxx rule or an ARC00x contract
+  violation)
 * ``2`` -- usage or configuration error (unknown rule id, missing path,
-  ``--profile`` combined with ``--select``)
+  missing or malformed contract)
 """
 
 from __future__ import annotations
@@ -25,44 +21,35 @@ import argparse
 import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import lint  # the package beside this script (tools/ is sys.path[0])
 
-DEFAULT_BASELINE = REPO_ROOT / "tools" / "lint_baseline.json"
-DEFAULT_PATHS = [str(REPO_ROOT / "src" / "repro")]
+TOOLS = Path(__file__).resolve().parent
+DEFAULT_PATHS = [str(TOOLS.parent / "src" / "repro")]
+CONTRACT = TOOLS / "arch_contract.toml"
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the linter; returns the process exit code."""
+    """Run the gate; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=DEFAULT_PATHS)
-    parser.add_argument("--baseline", default=str(DEFAULT_BASELINE))
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--select", default=None)
     parser.add_argument(
-        "--profile",
-        choices=["all", "grad", "perf"],
-        default=None,
-        help="named rule family shortcut (mutually exclusive with --select)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="re-write the baseline from the current findings",
+        "--select", default=None, help="comma-separated rule ids/prefixes"
     )
     args = parser.parse_args(argv)
-
-    from repro.cli import main as repro_main
-
-    forwarded = ["lint", *args.paths, "--baseline", args.baseline]
-    forwarded += ["--format", args.format]
-    if args.select:
-        forwarded += ["--select", args.select]
-    if args.profile:
-        forwarded += ["--profile", args.profile]
-    if args.update_baseline:
-        forwarded.append("--write-baseline")
-    return repro_main(forwarded)
+    try:
+        findings = lint.check_paths(
+            args.paths,
+            contract=lint.load_contract(CONTRACT),
+            select=args.select.split(",") if args.select else None,
+        )
+    except (FileNotFoundError, KeyError, ValueError) as exc:
+        # str(KeyError) wraps the message in quotes; print the bare text.
+        print(exc.args[0] if isinstance(exc, KeyError) else exc, file=sys.stderr)
+        return 2
+    render = lint.render_json if args.format == "json" else lint.render_text
+    print(render(findings))
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":
