@@ -392,6 +392,38 @@ class RowStore(VectorIndex):
         """
         raise NotImplementedError
 
+    @property
+    def retrains_on_compact(self) -> bool:
+        """Whether :meth:`compact` re-codes the surviving rows, which
+        changes their distances (a verbatim store keeps them)."""
+        return self._rebuild is not None
+
+    @array_contract("queries: (..., d) num::any, ids: any -> (nq, s) f64")
+    def pair_distances(
+        self, queries: np.ndarray, ids, snapshot: IndexSnapshot | None = None
+    ) -> np.ndarray:
+        """The distance of every ``(query, row id)`` pair under
+        ``snapshot`` (default: the current one), from the family's exact
+        kernel: pair-pure, so bit for bit what any search over that
+        snapshot reports for the row.  Tombstoned rows are scored too, a
+        repeated id twice; an id outside the snapshot is a ``ValueError``."""
+        queries = self._check_vectors(queries, "queries")
+        snap = snapshot if snapshot is not None else self._snap
+        row_ids = np.asarray(ids, dtype=np.int64).ravel()
+        if not row_ids.size or not len(queries):
+            # No pairs; float64 like the kernels' output.
+            return np.empty((len(queries), row_ids.size), dtype=np.float64)  # repro: noqa[REP102]
+        # Not check_row_ids: its sort (for duplicates, harmless here) runs
+        # under the cache lock of a publishing write.
+        if row_ids.min() < 0 or row_ids.max() >= snap.rows:
+            raise ValueError(
+                f"row ids must be in [0, {snap.rows}), got {row_ids.tolist()}"
+            )
+        cand = np.empty((len(queries), row_ids.size), dtype=np.int64)
+        cand[:] = row_ids
+        _, exact = self._scan_kernels(queries, snap, 1)
+        return exact(snap.data, cand)
+
     @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(
         self,

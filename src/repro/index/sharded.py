@@ -415,6 +415,33 @@ class ShardedIndex(VectorIndex):
             remap[live_ids] = np.arange(len(live_ids), dtype=np.int64)
             return remap
 
+    @property
+    def retrains_on_compact(self) -> bool:
+        """Whether :meth:`compact` re-codes rows (any shard's family does)."""
+        return any(shard.retrains_on_compact for shard in self._view.shards)
+
+    @array_contract("queries: (..., d) num::any, ids: any -> (nq, s) f64")
+    def pair_distances(
+        self, queries: np.ndarray, ids, snapshot: _IndexView | None = None
+    ) -> np.ndarray:
+        """:meth:`RowStore.pair_distances` over global row ids: each pair
+        is scored by the shard that holds the row, on the coordinator's
+        copy of it (what a worker scans is the same bytes).  The shards
+        validate: round-robin striping makes a global id valid exactly
+        when its local id is."""
+        queries = self._check_vectors(queries, "queries")
+        view = snapshot if snapshot is not None else self._view
+        row_ids = np.asarray(ids, dtype=np.int64).ravel()
+        # float64 like the shards' exact kernels.
+        out = np.empty((len(queries), len(row_ids)), dtype=np.float64)  # repro: noqa[REP102]
+        lanes = row_ids % self.num_shards
+        for s in set(lanes.tolist()):
+            cols = np.flatnonzero(lanes == s)
+            out[:, cols] = view.shards[s].pair_distances(
+                queries, row_ids[cols] // self.num_shards, snapshot=view.snaps[s]
+            )
+        return out
+
     # -- executors -------------------------------------------------------------
 
     def resolved_executor(self) -> str:

@@ -21,9 +21,11 @@ given, under one hold of the lock per call.
 
 from __future__ import annotations
 
+import math
 import threading
+from array import array
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
@@ -84,16 +86,69 @@ class _LRUStore:
         self.stats.hits += 1  # guarded by QueryCache._lock
         return entry
 
-    def put(self, key: Any, value: Any) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+    def put(self, key: Any, value: Any) -> tuple[Any, Any] | None:
+        """Store ``value`` as the most recent entry.  Returns the
+        ``(key, value)`` this displaced — the entry ``key`` held before,
+        or the least recent one when the store overflowed — or ``None``."""
+        entries = self._entries
+        old = entries.pop(key, None)
+        entries[key] = value
+        if old is not None:
+            return key, old
+        if len(entries) > self.capacity:
             self.stats.evictions += 1  # guarded by QueryCache._lock
+            return entries.popitem(last=False)
+        return None
+
+    def pop(self, key: Any) -> Any | None:
+        """Remove ``key`` (not an eviction); its value, or ``None``."""
+        return self._entries.pop(key, None)
 
     def clear(self) -> None:
         self._entries.clear()
+
+
+class _Scored:
+    """The scored answers of one tier, in parallel columns: answer ``i``
+    is ``keys[i]``, filed with ``evidence[i]``, and a row that scores
+    ``bars[i]`` or more against it strands it.  A write judges the whole
+    tier in one batch over these columns (``bars`` is an ``array`` of
+    doubles: one contiguous read, not one object per answer); an answer
+    leaves by the last one taking its slot."""
+
+    __slots__ = ("slots", "keys", "evidence", "bars")
+
+    def __init__(self) -> None:
+        self.slots: dict[tuple, int] = {}
+        self.keys: list[tuple] = []
+        self.evidence: list = []
+        self.bars = array("d")
+
+    def add(self, key: tuple, evidence: Any, bar: float) -> None:
+        self.slots[key] = len(self.keys)
+        self.keys.append(key)
+        self.evidence.append(evidence)
+        self.bars.append(bar)
+
+    def discard(self, key: tuple) -> None:
+        slot = self.slots.pop(key)
+        last, evidence, bar = self.keys.pop(), self.evidence.pop(), self.bars.pop()
+        if slot < len(self.keys):
+            self.keys[slot], self.evidence[slot], self.bars[slot] = (
+                last,
+                evidence,
+                bar,
+            )
+            self.slots[last] = slot
+
+    def reached(self, scores: Sequence[float]) -> list[tuple]:
+        """Keys of the answers a row with these best ``scores`` (one per
+        answer) can enter: ``not <`` — a tie strands, and so does a NaN."""
+        # A view of the array, gone before it is resized again.
+        below = np.asarray(scores, dtype=np.float64) < np.frombuffer(
+            self.bars, dtype=np.float64
+        )
+        return [self.keys[i] for i in np.flatnonzero(~below)]
 
 
 class QueryCache:
@@ -102,19 +157,41 @@ class QueryCache:
     Two stores share one capacity budget *each* and one counter block:
 
     - the **embedding store** maps a query to its embedding vector,
-      short-circuiting the model's forward pass;
-    - the optional **result store** maps ``(query, k)`` to the final
-      candidate list, short-circuiting the index scan as well.  Result
-      keys carry a *generation* counter: :meth:`bump_generation` (called
-      by the serving engine at the end of every index mutation) makes
-      every previously stored result unreachable in O(1), so a cached
-      hit can never resurrect a removed entity; stale-generation entries
-      age out of the LRU naturally.  A caller that pinned a generation
-      before computing an answer passes it back as ``generation=`` so
-      the answer is filed under the state it was computed from, not
-      under whatever is current by the time it is stored.  The embedding
-      store survives mutations — an embedding depends only on the model,
-      not on the entity set.
+      short-circuiting the model's forward pass.  It survives every write
+      — an embedding depends only on the model, not on the entity set;
+    - the optional **result store** maps ``(query, k, scope)`` to the
+      final candidate list, short-circuiting the index scan as well.
+
+    **Invalidation is as narrow as the write.**  The serving engine ends
+    every mutation and compaction with one :meth:`publish`, which strands
+    — under one hold of the lock — exactly the stored answers the write
+    can change, and leaves the rest being served.  What lets it tell is
+    the *evidence* an answer is filed with (:meth:`put_results`):
+
+    - no evidence — the answer is a function of its key alone (an
+      exact-tier hit: the entities whose label *is* the query).  It
+      changes only when a label equal to its query appears or goes, so
+      the writer names those query strings (``keys``) and filing such
+      an answer keeps no bookkeeping at all;
+    - ``(tier, evidence)`` — the answer is the best ``k`` of a *scored*
+      tier (q-gram Jaccard, vector distance).  A removed entity changes
+      it only if the answer names that entity (found through an
+      ``entity -> keys`` map kept on fill and eviction, so a remove
+      costs what it touches).  Appended rows change it only if it is
+      short of ``k`` candidates or one of them scores at least its
+      ``k``-th candidate's score under the tier that produced it — a
+      lower-scoring row sorts after that candidate's row in ``(score
+      desc, row asc)`` order, so the first ``k`` distinct entities stay
+      what they were, over-fetch and de-duplication included
+      (DESIGN.md §12).  The writer hands :meth:`publish` one batch
+      scorer per tier; a tier it cannot score is stranded whole.
+    - answers filed under a ``scope`` (a ``type_filter``) are stranded
+      together by any write.
+
+    ``generation`` counts publishes and gates work in flight, nothing
+    else: a probe or a fill that pinned an older generation (the
+    ``generation=`` argument) misses / is dropped, because the answer it
+    carries was computed from a state ``publish`` has since judged.
 
     All methods are thread-safe; the serving engine calls into one cache
     from every thread that serves a batch, concurrently.
@@ -124,7 +201,7 @@ class QueryCache:
     capacity:
         Max entries per store (must be positive).
     cache_results:
-        Also cache final candidate lists keyed by ``(query, k)``.
+        Also cache final candidate lists keyed by ``(query, k, scope)``.
     """
 
     #: The one normalization function cache keys pass through — shared
@@ -140,6 +217,22 @@ class QueryCache:
         self._embeddings = _LRUStore(capacity, self.stats)
         self._results = _LRUStore(capacity, self.stats) if cache_results else None
         self._generation = 0
+        # Bookkeeping of the result store, all guarded by _lock.
+        #: tier -> the scored answers filed under it.
+        self._scored: dict[str, _Scored] = {}
+        #: key of a scored answer -> the ``_scored`` entry that holds it.
+        self._tier_of: dict[tuple, _Scored] = {}
+        #: entity id -> keys of the scored answers that name it.
+        self._named: dict[str, set[tuple]] = {}
+        #: keys filed under a scope.
+        self._scoped: set[tuple] = set()
+        #: booked ``(key, row)`` pairs a fill displaced, not yet forgotten.
+        self._displaced: list[tuple[tuple, list]] = []
+        #: every ``k`` an unscoped answer was filed under: with a query
+        #: string they enumerate its possible keys.
+        self._ks: set[int] = set()
+        self._stranded = 0
+        self._fallbacks = 0
 
     @property
     def caches_results(self) -> bool:
@@ -148,20 +241,8 @@ class QueryCache:
 
     @property
     def generation(self) -> int:
-        """The result store's current generation (bumped per mutation)."""
+        """How many times :meth:`publish` ran (one per engine write)."""
         with self._lock:
-            return self._generation
-
-    def bump_generation(self) -> int:
-        """Invalidate every cached *result* (not embeddings) in O(1).
-
-        Result keys embed the generation, so bumping it strands all
-        entries written under older generations; the LRU evicts them as
-        fresh traffic arrives.  Call after any index mutation.  Returns
-        the new generation.
-        """
-        with self._lock:
-            self._generation += 1
             return self._generation
 
     # -- embedding store --------------------------------------------------------
@@ -228,23 +309,10 @@ class QueryCache:
         scope: str | None = None,
         generation: int | None = None,
     ) -> list | None:
-        """Cached candidate list for ``(query, k, scope)`` or ``None``.
-
-        ``scope`` isolates result namespaces that answer differently for
-        the same query — the serving engine passes the active
-        ``type_filter`` so a type-constrained answer can never be served
-        to (or poisoned by) an unconstrained lookup.  ``generation``
-        (default: the current one) is the generation the caller pinned.
-        """
-        if self._results is None:
-            return None
-        with self._lock:
-            if generation is None:
-                generation = self._generation
-            cached = self._results.get(
-                (self._normalize(query), k, scope, generation)
-            )
-            return list(cached) if cached is not None else None
+        """:meth:`get_results` for one query, normalized here."""
+        return self.get_results(
+            [self._normalize(query)], k, scope, generation
+        )[0]
 
     def put_result(
         self,
@@ -254,21 +322,11 @@ class QueryCache:
         scope: str | None = None,
         generation: int | None = None,
     ) -> None:
-        """Store a candidate list for ``(query, k, scope)`` (no-op when disabled).
-
-        Pass the ``generation`` pinned *before* the answer was computed:
-        stored under an older generation it is simply unreachable, stored
-        under the current one it would outlive the mutation it missed.
-        """
-        if self._results is None:
-            return
-        with self._lock:
-            if generation is None:
-                generation = self._generation
-            self._results.put(
-                (self._normalize(query), k, scope, generation),
-                list(candidates),
-            )
+        """:meth:`put_results` for one query, normalized here, filed
+        without evidence."""
+        self.put_results(
+            [self._normalize(query)], k, [candidates], scope, generation
+        )
 
     def get_results(
         self,
@@ -277,22 +335,30 @@ class QueryCache:
         scope: str | None = None,
         generation: int | None = None,
     ) -> list[list | None]:
-        """Batch :meth:`get_result`: one slot per query, ``None`` on miss.
+        """Cached candidate lists for ``(query, k, scope)``, ``None`` on miss.
 
         ``normalized`` strings are the keys, taken as given, and the
-        whole probe is one hold of the lock.  When the result store is
-        disabled this is all-``None`` without touching the counters, so
-        callers can use it unconditionally.
+        whole probe is one hold of the lock.  ``scope`` isolates result
+        namespaces that answer differently for the same query — the
+        serving engine passes the active ``type_filter`` so a
+        type-constrained answer can never be served to (or poisoned by)
+        an unconstrained lookup.  ``generation`` is the one the caller
+        pinned (default: the current one): a probe pinned before the last
+        :meth:`publish` misses everything, so its lookup is served from
+        the state it pinned.  When the result store is disabled this is
+        all-``None`` without touching the counters, so callers can use it
+        unconditionally.
         """
         if self._results is None:
             return [None] * len(normalized)
         get = self._results.get
         out: list[list | None] = []
         with self._lock:
-            if generation is None:
-                generation = self._generation
+            if generation is not None and generation != self._generation:
+                self.stats.misses += len(normalized)
+                return [None] * len(normalized)
             for query in normalized:
-                cached = get((query, k, scope, generation))
+                cached = get((query, k, scope))
                 out.append(list(cached) if cached is not None else None)
         return out
 
@@ -303,46 +369,218 @@ class QueryCache:
         rows: list[list],
         scope: str | None = None,
         generation: int | None = None,
+        evidence: list | None = None,
     ) -> None:
-        """Batch :meth:`put_result` (no-op when the result store is disabled).
+        """Store candidate lists (no-op when the result store is disabled).
 
         ``normalized`` strings are the keys, taken as given; one hold of
-        the lock for the whole fill.
+        the lock for the whole fill.  Pass the ``generation`` pinned
+        *before* the answers were computed: if a :meth:`publish` ran
+        since, its rule never saw them and the fill is dropped.
+
+        ``evidence[i]`` says what can change ``rows[i]`` (class
+        docstring): ``None`` — also the meaning of no list at all — for
+        an answer only its own key can change, else ``(tier, evidence)``
+        with whatever the tier's scorer in :meth:`publish` re-scores the
+        answer from; the row then holds ``(entity id, score)`` pairs,
+        best first.  Scoped answers need none.
         """
         if self._results is None:
             return
-        put = self._results.put
         with self._lock:
-            if generation is None:
-                generation = self._generation
-            for query, row in zip(normalized, rows):
-                put((query, k, scope, generation), list(row))
+            if generation is not None and generation != self._generation:
+                return
+            if scope is None:
+                self._ks.add(k)
+            put, booked = self._results.put, self._tier_of
+            for i, query in enumerate(normalized):
+                key = (query, k, scope)
+                row = list(rows[i])
+                displaced = put(key, row)
+                # An unscoped answer filed without evidence has no
+                # bookkeeping: storing or displacing one is the dict work.
+                # One that displaces a booked answer leaves the un-booking
+                # (k cold dict and set entries, several us) to the next
+                # slow path (``_settle``), not to this fill — the
+                # exact-tier fill is the median lookup.
+                if displaced is not None:
+                    gone = displaced[0]
+                    if gone[2] is not None:
+                        self._scoped.discard(gone)
+                    elif gone in booked:
+                        self._displaced.append(displaced)
+                if scope is not None:
+                    self._scoped.add(key)
+                elif evidence is not None and evidence[i] is not None:
+                    self._note(key, row, *evidence[i])
+
+    def _settle(self) -> None:
+        """Forget the booked answers displaced since the last call —
+        before anything reads or extends the bookkeeping (a scored fill,
+        a publish); caller holds ``_lock``."""
+        if self._displaced:
+            for key, row in self._displaced:
+                self._forget(key, row)
+            self._displaced.clear()
+
+    def _note(self, key: tuple, row: list, tier: str, evidence: Any) -> None:
+        """Book a scored answer just stored; caller holds ``_lock``."""
+        self._settle()
+        scored = self._scored.get(tier)
+        if scored is None:
+            scored = self._scored[tier] = _Scored()
+        # The k-th candidate's score; any score reaches a short answer.
+        scored.add(
+            key, evidence, row[-1][1] if len(row) >= key[1] else -math.inf
+        )
+        self._tier_of[key] = scored
+        named = self._named
+        for entity_id, _ in row:
+            keys = named.get(entity_id)
+            if keys is None:
+                named[entity_id] = {key}
+            else:
+                keys.add(key)
+
+    def _forget(self, key: tuple, row: list) -> None:
+        """Drop the bookkeeping of an unscoped answer that left the store
+        (none if it was filed without evidence)."""
+        scored = self._tier_of.pop(key, None)
+        if scored is not None:
+            scored.discard(key)
+            named = self._named
+            for entity_id, _ in row:
+                keys = named.get(entity_id)  # None: named twice by ``row``
+                if keys is not None:
+                    keys.discard(key)
+                    if not keys:
+                        del named[entity_id]
+
+    def _strand(self, key: tuple) -> int:
+        """Remove one answer a write can change (caller holds ``_lock``);
+        how many that was, 0 when the key held none."""
+        row = self._results.pop(key)
+        if row is None:
+            return 0
+        self._forget(key, row)
+        return 1
+
+    def _clear_results(self) -> None:
+        self._results.clear()
+        self._displaced.clear()
+        self._scored.clear()
+        self._tier_of.clear()
+        self._named.clear()
+        self._scoped.clear()
+        self._ks.clear()
+
+    def publish(
+        self,
+        keys: Sequence[str] = (),
+        entities: Sequence[str] = (),
+        entering: dict[str, Callable[[list], Sequence[float]]] | None = None,
+        whole: bool = False,
+    ) -> int:
+        """End a write: strand the answers it can change, then advance
+        :attr:`generation` (returned) — one hold of the lock, so no probe
+        sees the new generation with an answer the write made stale.
+
+        ``keys`` are the (normalized) query strings whose exact answer
+        changed: the labels of a removed entity, the mentions of an added
+        one.  ``entities`` are the entity ids removed.  ``entering`` is
+        ``None`` unless rows were appended, and then maps a tier to its
+        scorer: called once with the evidence of every answer of that
+        tier, it returns per answer the best score any appended row
+        reaches against it, and the answer is stranded unless that is
+        below its ``k``-th score.  A tier without a scorer is stranded
+        whole, as are the scoped answers by any write, and the entire
+        result store by ``whole=True`` (for a writer that cannot say what
+        it changed); each of those is counted as a fallback.  With no
+        argument — a compaction, which changes no answer — nothing is
+        stranded.
+        """
+        with self._lock:
+            self._generation += 1
+            if self._results is None:
+                return self._generation
+            if whole:
+                self._clear_results()
+                self._fallbacks += 1
+                return self._generation
+            self._settle()
+            if self._scoped and (keys or entities or entering is not None):
+                for key in self._scoped:
+                    self._results.pop(key)
+                self._scoped.clear()
+                self._fallbacks += 1
+            stranded = 0
+            for query in keys:
+                for k in self._ks:
+                    stranded += self._strand((query, k, None))
+            for entity_id in entities:
+                for key in list(self._named.get(entity_id, ())):
+                    stranded += self._strand(key)
+            if entering is not None:
+                for tier, scored in self._scored.items():
+                    if scored.keys:
+                        stranded += self._strand_entered(
+                            scored, entering.get(tier)
+                        )
+            self._stranded += stranded
+            return self._generation
+
+    def _strand_entered(
+        self, scored: _Scored, scorer: Callable[[list], Sequence[float]] | None
+    ) -> int:
+        """The appended-rows clause over one tier; how many answers it
+        stranded narrowly (0 for the whole-tier fallback)."""
+        if scorer is None:
+            self._fallbacks += 1
+            for key in list(scored.keys):
+                self._strand(key)
+            return 0
+        reached = scored.reached(scorer(scored.evidence))
+        for key in reached:
+            self._strand(key)
+        return len(reached)
+
+    def invalidation_counts(self) -> dict[str, int]:
+        """``results_stranded`` — answers :meth:`publish` stranded by its
+        narrow clauses — and ``cache_fallback_clears`` — times it
+        stranded a whole tier, the scoped answers or the entire store
+        instead."""
+        with self._lock:
+            return {
+                "results_stranded": self._stranded,
+                "cache_fallback_clears": self._fallbacks,
+            }
 
     def read_through(
         self,
         normalized: list[str],
         k: int,
-        serve: Callable[[list[str]], list[list]],
+        serve: Callable[[list[str]], tuple[list[list], list | None]],
         scope: str | None = None,
         generation: int | None = None,
     ) -> list[list]:
         """Memoized batch lookup: probe, ``serve`` only the misses, fill.
 
         ``serve`` receives the miss queries (in input order) and returns
-        one candidate list per query; it runs outside the cache lock.
-        Probe and fill use the same ``scope`` / ``generation``, so a
-        caller that pinned a generation files the answer under the state
-        it was computed from (see :meth:`put_result`).  With the result
-        store disabled this is ``serve(normalized)``.
+        one candidate list per query plus their ``evidence`` list (or
+        ``None``; see :meth:`put_results`); it runs outside the cache
+        lock.  Probe and fill use the same ``scope`` / ``generation``, so
+        an answer computed from a state a :meth:`publish` has since
+        replaced is returned but not stored.  With the result store
+        disabled this is ``serve(normalized)[0]``.
         """
         out = self.get_results(normalized, k, scope, generation)
         miss_positions = [i for i, row in enumerate(out) if row is None]
         if miss_positions:
             misses = [normalized[i] for i in miss_positions]
-            fresh = serve(misses)
+            fresh, evidence = serve(misses)
             for i, row in zip(miss_positions, fresh):
                 out[i] = row
-            self.put_results(misses, k, fresh, scope, generation)
+            self.put_results(misses, k, fresh, scope, generation, evidence)
         return out
 
     # -- maintenance ------------------------------------------------------------
@@ -355,11 +593,12 @@ class QueryCache:
             )
 
     def clear(self) -> None:
-        """Drop every entry; invalidate after the index changes."""
+        """Drop every entry of both stores (the generation stays: no
+        state changed, so work in flight may still be filed)."""
         with self._lock:
             self._embeddings.clear()
             if self._results is not None:
-                self._results.clear()
+                self._clear_results()
 
     def stats_dict(self) -> dict[str, float]:
         """Counter snapshot (hits/misses/evictions/hit_rate) for benches.

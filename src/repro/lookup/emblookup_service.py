@@ -65,7 +65,8 @@ class EmbLookupService(LookupService):
         return self.cache.read_through(
             [normalize(q) for q in queries],
             k,
-            lambda misses: self._lookup_uncached(misses, k),
+            # The index is static: no write ever has to judge an answer.
+            lambda misses: (self._lookup_uncached(misses, k), None),
         )
 
     def _lookup_uncached(

@@ -7,6 +7,8 @@ approximate string matcher.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.lookup.rows import RowTableLookup
@@ -58,7 +60,7 @@ class QGramLookup(RowTableLookup):
             )
         rows_of: dict[str, list[int]] = {}
         for row in range(start, stop):
-            grams = set(qgrams(self.rows.labels[row], self.q))
+            grams = self.grams(self.rows.labels[row])
             gram_count[row] = len(grams)
             live[row] = True
             for gram in grams:
@@ -72,8 +74,32 @@ class QGramLookup(RowTableLookup):
     def _unindex_rows(self, rows: list[int]) -> None:
         self._columns[1][rows] = False
 
+    def grams(self, text: str) -> frozenset[str]:
+        """The gram set a (normalized) label is indexed and queried by."""
+        return frozenset(qgrams(text, self.q))
+
+    @staticmethod
+    def best_pair_scores(
+        queries: Sequence[frozenset[str]], labels: Sequence[frozenset[str]]
+    ) -> list[float]:
+        """Per query gram set, the best score any of ``labels`` (gram
+        sets of rows) reaches against it — each the value :meth:`_ranked`
+        gives that (query, row) pair, from the same integer arithmetic.
+        0.0 where no label shares a gram: such a row is never offered."""
+        out = []
+        for grams in queries:
+            best = 0.0
+            for label in labels:
+                if not grams.isdisjoint(label):
+                    shared = len(grams & label)
+                    score = shared / (len(grams) + len(label) - shared)
+                    if score > best:
+                        best = score
+            out.append(best)
+        return out
+
     def _ranked(self, query: str, k: int) -> list[tuple[float, int]]:
-        grams = set(qgrams(query, self.q))
+        grams = self.grams(query)
         postings = self._postings
         hit = [rows for rows in map(postings.get, grams) if rows is not None]
         if not hit:

@@ -118,6 +118,12 @@ class LabelHashTable:
             self._bytes -= len(key.encode()) + len(entity_id.encode()) + 16
         return len(keys)
 
+    def keys_of(self, entity_id: str) -> tuple[str, ...]:
+        """The normalized surface forms ``entity_id`` is indexed under —
+        exactly the queries whose exact answer dropping it changes.  Read
+        on the mutation thread, like the reverse map it copies."""
+        return tuple(self._keys_of.get(entity_id, ()))
+
     def get(self, normalized: str) -> tuple[str, ...]:
         """Entity ids whose label/alias normalizes to ``normalized``."""
         return self._entries.get(normalized, ())
@@ -406,15 +412,18 @@ class LookupRouter(LookupService):
         normalized: list[str],
         k: int,
         type_filter: str | None = None,
-    ) -> list[list[Candidate] | None]:
+    ) -> tuple[list[list[Candidate] | None], list[str]]:
         """Answer what the exact/fuzzy tiers can; ``None`` marks ANN work.
 
         ``normalized`` must already be passed through
         :func:`repro.lookup.normalize` (both the router's public path and
-        the serving engine do).  Slots left as ``None`` are the caller's
-        to serve through its ANN path; they are counted as ``ann_routed``
-        here, so the counters reflect routing decisions regardless of
-        which component executes the fallback.
+        the serving engine do).  Returns the answers and, per answer, the
+        tier it was routed to (``"exact"`` / ``"fuzzy"`` / ``"ann"``) —
+        what a cache needs to know which writes can change it.  Slots
+        left as ``None`` (tier ``"ann"``) are the caller's to serve
+        through its ANN path; they are counted as ``ann_routed`` here, so
+        the counters reflect routing decisions regardless of which
+        component executes the fallback.
         """
         allowed: frozenset[str] | None = None
         if type_filter is not None:
@@ -425,6 +434,7 @@ class LookupRouter(LookupService):
                 )
             allowed = self.type_map.allowed(type_filter)
         out: list[list[Candidate] | None] = [None] * len(normalized)
+        tiers = ["ann"] * len(normalized)
         exact_hits = 0
         start = time.perf_counter()
         for qi, query in enumerate(normalized):
@@ -433,6 +443,7 @@ class LookupRouter(LookupService):
                 hits = tuple(e for e in hits if e in allowed)
             if hits:
                 out[qi] = [Candidate(e, 1.0) for e in hits[:k]]
+                tiers[qi] = "exact"
                 exact_hits += 1
         self.tier_times["exact"].add(time.perf_counter() - start)
         fuzzy_positions = [
@@ -450,6 +461,7 @@ class LookupRouter(LookupService):
                 if allowed is not None:
                     row = [c for c in row if c.entity_id in allowed][:k]
                 out[qi] = row
+                tiers[qi] = "fuzzy"
             self.tier_times["fuzzy"].add(time.perf_counter() - start)
         with self._stats_lock:
             self._exact_hits += exact_hits
@@ -457,7 +469,7 @@ class LookupRouter(LookupService):
             self._ann_routed += (
                 len(normalized) - exact_hits - len(fuzzy_positions)
             )
-        return out
+        return out, tiers
 
     # -- LookupService hooks -----------------------------------------------------
 
@@ -475,7 +487,7 @@ class LookupRouter(LookupService):
         self, queries: list[str], k: int, type_filter: str | None
     ) -> list[list[Candidate]]:
         normalized = [normalize(q) for q in queries]
-        out = self.serve_local(normalized, k, type_filter)
+        out, _ = self.serve_local(normalized, k, type_filter)
         ann_positions = [qi for qi, row in enumerate(out) if row is None]
         if ann_positions:
             if self.ann is None:

@@ -44,27 +44,28 @@ Mutations serialize on the engine's mutation lock and propagate to every
 structure that answers queries: the vector index, the row->entity map,
 the router's exact, fuzzy and type-filter tiers (through
 :meth:`~repro.lookup.router.LookupRouter.add_entity` /
-``remove_entity``), and the result cache.
-:meth:`LookupEngine.compact` reclaims tombstoned rows and re-keys the
-row->entity map through the remap the index returns.
+``remove_entity``), and the result cache — which loses exactly the
+answers the write can change, not the rest (:meth:`~repro.lookup.cache.
+QueryCache.publish`).  :meth:`LookupEngine.compact` reclaims tombstoned
+rows and re-keys the row->entity map through the remap the index returns.
 
 Consistency is the index family's mechanism one level up (see
 :mod:`repro.index.mutation`): everything a lookup's ANN path reads is
 held by one immutable :class:`EngineSnapshot`, published by one attribute
 swap at the end of every mutation and compaction.  A lookup reads it
-once: it probes and fills the cache under that generation, scans the
+once: it probes and fills the cache pinned to that generation, scans the
 index under that index snapshot and resolves row ids through that list,
 so it never retries and can neither resolve post-compaction row ids
-through the old map nor file a pre-mutation answer under the
-post-mutation cache generation.
+through the old map nor get a pre-mutation answer into the cache after
+the mutation's publish judged what was there.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,7 +111,9 @@ class EngineSnapshot:
     ``impure_rows`` memoizes, per type filter, how many scanned rows
     resolve to inadmissible entities; readers fill it (racing duplicates
     store the same value) and it is dropped with the snapshot, which
-    keeps it current.  ``generation`` keys the result cache.
+    keeps it current.  ``generation`` is the result cache's as of the
+    publish: a probe or fill pinned to it is void once the next publish
+    has run.
     """
 
     index: object
@@ -118,6 +121,26 @@ class EngineSnapshot:
     has_alias_rows: bool
     impure_rows: dict[str, int]
     generation: int
+
+
+@dataclass(eq=False)
+class _Write:
+    """What one mutation did so far, in the terms of the cache's
+    invalidation rule (:meth:`~repro.lookup.cache.QueryCache.publish`)."""
+
+    #: normalized query strings whose exact answer changed
+    keys: list[str] = field(default_factory=list)
+    #: entity ids removed
+    entities: list[str] = field(default_factory=list)
+    #: index row ids appended (``None``: none were)
+    rows: np.ndarray | None = None
+    #: the fuzzy tier's gram set of each mention appended
+    grams: list[frozenset[str]] = field(default_factory=list)
+
+    @property
+    def touched(self) -> bool:
+        """Whether anything a lookup reads has been changed."""
+        return bool(self.entities) or self.rows is not None
 
 
 class PendingLookup:
@@ -575,16 +598,26 @@ class LookupEngine(LookupService):
         concurrent lookup's ANN path observes either the pre- or the
         post-mutation entity set, never a mixture: it keeps reading the
         :class:`EngineSnapshot` it pinned until this call's last step
-        publishes the next one (new index snapshot, bumped cache
-        generation), and an answer it computed meanwhile is cached under
-        the generation it pinned, where no later lookup can reach it.
+        publishes the next one (new index snapshot, next cache
+        generation), and an answer it computed meanwhile is returned to
+        its caller but dropped by the cache, whose generation has moved.
+
+        That publish also strands the cached answers this record can
+        change — those that name a removed entity, those whose query is
+        one of its labels or of the added mentions, those an added row
+        scores into (:meth:`~repro.lookup.cache.QueryCache.publish` has
+        the rule) — and no others.
 
         Raises :class:`ValueError` for semantically invalid records —
         adding an entity that already exists, removing or updating one
         that does not, an empty mention list — and for any record when
         the router's fuzzy tier cannot follow mutations (it would go
         stale), which is exactly what the ingestion consumer's
-        dead-letter lane catches.
+        dead-letter lane catches.  A record that fails *part-way* (an
+        update whose removal ran but whose re-add raised) still
+        publishes what it did — with the whole result store stranded,
+        since the rule's inputs are incomplete — before it re-raises, so
+        the served snapshot and the cache never lag the router.
         """
         kind = mutation.kind
         entity_id = mutation.entity_id
@@ -593,15 +626,29 @@ class LookupEngine(LookupService):
         with self._mutation_lock:
             if self.router is not None:
                 self.router.require_mutable()
-            if kind == "remove":
-                self._mutate_remove(entity_id)
-            elif kind in ("add", "update"):
-                if kind == "add" and entity_id in self._entity_rows:
-                    raise ValueError(f"entity {entity_id!r} already indexed")
-                self._mutate_add(entity_id, mentions, types, kind == "update")
-            else:
-                raise ValueError(f"unknown mutation kind {kind!r}")
-            self._publish()
+            write = _Write()
+            try:
+                if kind == "remove":
+                    self._mutate_remove(entity_id, write)
+                elif kind in ("add", "update"):
+                    if kind == "add" and entity_id in self._entity_rows:
+                        raise ValueError(
+                            f"entity {entity_id!r} already indexed"
+                        )
+                    self._mutate_add(
+                        entity_id, mentions, types, kind == "update", write
+                    )
+                else:
+                    raise ValueError(f"unknown mutation kind {kind!r}")
+            except BaseException:
+                if write.touched:
+                    self._publish(whole=True)
+                raise
+            self._publish(
+                keys=write.keys,
+                entities=write.entities,
+                entering=self._entering(write),
+            )
             with self._stats_lock:
                 self._mutations_applied += 1
 
@@ -627,12 +674,60 @@ class LookupEngine(LookupService):
             generation,
         )
 
-    def _publish(self) -> None:
+    def _publish(self, **changed) -> None:
         """Swap in the next snapshot; caller holds ``_mutation_lock`` and
-        has finished every write the snapshot describes."""
+        has finished every write the snapshot describes.  ``changed`` is
+        what those writes can change of a cached answer, as the arguments
+        of :meth:`~repro.lookup.cache.QueryCache.publish` (none: nothing).
+        The cache moves first: a lookup that still pins the old snapshot
+        then misses and is not filed, one that pins the new snapshot
+        finds only answers the rule let stand."""
         self._snap = self._freeze(
-            self.cache.bump_generation() if self.cache is not None else 0
+            self.cache.publish(**changed) if self.cache is not None else 0
         )
+
+    def _entering(
+        self, write: _Write
+    ) -> dict[str, Callable[[list], Sequence[float]]] | None:
+        """The scorers :meth:`~repro.lookup.cache.QueryCache.publish`
+        judges the rows ``write`` appended with (``None``: it appended
+        none): per tier this engine can re-score, the best score a new
+        row reaches against each cached query — the fuzzy tier's own pair
+        score over the gram sets, the index family's exact kernel over
+        the query vectors, so both are bit for bit what a lookup would
+        compute.  A fuzzy service or an index without one (e.g. a
+        :class:`TypePartitionedIndex`) leaves its tier out, and the cache
+        strands that tier whole."""
+        if write.rows is None:
+            return None
+        scorers: dict[str, Callable[[list], Sequence[float]]] = {}
+        if write.grams:
+            pair_scores = self.router.fuzzy.best_pair_scores
+            scorers["fuzzy"] = lambda grams: pair_scores(grams, write.grams)
+        pair_distances = getattr(self._index, "pair_distances", None)
+        if pair_distances is not None:
+            snapshot = self._index.snapshot()
+
+            def nearest(vectors: list[bytes]) -> np.ndarray:
+                # One batched kernel call over the vectors the answers
+                # hold; as bytes they join into its matrix in one copy.
+                queries = np.frombuffer(b"".join(vectors), dtype=np.float32)
+                distances = pair_distances(
+                    queries.reshape(len(vectors), -1),
+                    write.rows,
+                    snapshot=snapshot,
+                )
+                return -distances.min(axis=1)
+
+            scorers["ann"] = nearest
+        return scorers
+
+    def _fuzzy_grams(self) -> Callable[[str], frozenset[str]] | None:
+        """The fuzzy tier's gram-set function — what its cached answers
+        are re-scored by — or ``None`` when it has none (no fuzzy tier,
+        or a service that is not gram-based)."""
+        fuzzy = self.router.fuzzy if self.router is not None else None
+        return getattr(fuzzy, "grams", None)
 
     def _mutate_add(
         self,
@@ -640,6 +735,7 @@ class LookupEngine(LookupService):
         mentions: list[str],
         types: tuple[str, ...],
         replace: bool,
+        write: _Write,
     ) -> None:
         """Embed and index an entity's mentions; register router entries.
 
@@ -649,41 +745,57 @@ class LookupEngine(LookupService):
         old rows or the new ones, never neither — and the entity may
         change partition (primary type) on a
         :class:`TypePartitionedIndex`.  Caller holds ``_mutation_lock``.
-        The row map is extended in place: the published snapshot shares
-        the list, but its index snapshot cannot return the new row ids.
+        The row map is extended in place — before the index publishes
+        the rows, so a reader that gets a new row id can resolve it — and
+        cut back if the index refuses them: left one entity longer than
+        the index, it would hand the next added entity's rows to this one.
+        ``write`` records what was done, step by step.
         """
         if not mentions:
             raise ValueError(f"entity {entity_id!r} has no mentions")
         # Embed before touching anything: a model failure changes nothing.
         vectors = self.pipeline.embed_queries(mentions)
         if replace:
-            self._mutate_remove(entity_id)
+            self._mutate_remove(entity_id, write)
         base = self._index.ntotal
         self._row_to_entity.extend([entity_id] * len(mentions))
         if len(mentions) > 1:
             self._has_alias_rows = True
-        if isinstance(self._index, TypePartitionedIndex):
-            primary = (types[0] if types else None) or DEFAULT_PARTITION
-            self._index.add(vectors, [primary] * len(mentions))
-        else:
-            self._index.add(vectors)
+        try:
+            if isinstance(self._index, TypePartitionedIndex):
+                primary = (types[0] if types else None) or DEFAULT_PARTITION
+                self._index.add(vectors, [primary] * len(mentions))
+            else:
+                self._index.add(vectors)
+        except BaseException:
+            del self._row_to_entity[base:]
+            raise
+        keys = [normalize(mention) for mention in mentions]
+        write.rows = np.arange(base, base + len(mentions), dtype=np.int64)
+        write.keys += keys
+        grams = self._fuzzy_grams()
+        if grams is not None:
+            write.grams = [grams(key) for key in keys]
         self._entity_rows[entity_id] = list(range(base, base + len(mentions)))
         if self.router is not None:
             self.router.add_entity(entity_id, mentions, types)
         if self._own_type_map is not None and types:
             self._own_type_map.add_entity(entity_id, types, types[0])
 
-    def _mutate_remove(self, entity_id: str) -> None:
+    def _mutate_remove(self, entity_id: str, write: _Write) -> None:
         """Tombstone an entity's rows and retract its router entries.
 
         Caller holds ``_mutation_lock``.  Router/type-map entries drop
         first (an exact hit on a half-removed entity would resurrect
-        it); the index tombstone publish is last.
+        it); the index tombstone publish is last.  ``write`` learns the
+        entity and the labels it answered exactly, before they go.
         """
         if entity_id not in self._entity_rows:
             raise ValueError(f"entity {entity_id!r} is not indexed")
         rows = self._entity_rows.pop(entity_id)
+        write.entities.append(entity_id)
         if self.router is not None:
+            write.keys += self.router.label_table.keys_of(entity_id)
             self.router.remove_entity(entity_id)
         if self._own_type_map is not None:
             self._own_type_map.remove_entity(entity_id)
@@ -697,6 +809,11 @@ class LookupEngine(LookupService):
         :class:`EngineSnapshot`: a lookup that pinned the old one keeps
         scanning the old index snapshot (the index never mutates what a
         published snapshot holds) and resolving through the old list.
+        No cached answer changes — entity ids, the order of the surviving
+        rows and their pair-pure distances all stay — so none is
+        stranded, unless the index re-codes its rows when it compacts (a
+        PQ store re-trains its codebooks): distances move then, and the
+        whole result store goes.
 
         Returns ``True`` when a swap happened, ``False`` when there was
         nothing to reclaim (or the index family has no ``compact``).
@@ -714,7 +831,10 @@ class LookupEngine(LookupService):
                 if new_row >= 0:
                     new_map[int(new_row)] = old_map[old_row]
             self._adopt_rows(new_map)
-            self._publish()
+            if getattr(self._index, "retrains_on_compact", True):
+                self._publish(whole=True)
+            else:
+                self._publish()
             with self._stats_lock:
                 self._compactions += 1
             return True
@@ -751,17 +871,17 @@ class LookupEngine(LookupService):
         snap = self._snap
         normalized = [normalize(q) for q in queries]
         if self.cache is None:
-            return self._serve(normalized, k, type_filter, snap, deadline)
+            return self._serve(normalized, k, type_filter, snap, deadline)[0]
         # The cache stage is the probe and the fill, not the work
         # between them: ``served`` comes off its clock.
         served = 0.0
 
-        def serve(misses: list[str]) -> list[list[Candidate]]:
+        def serve(misses: list[str]) -> tuple[list[list[Candidate]], list]:
             nonlocal served
             start = time.perf_counter()
-            rows = self._serve(misses, k, type_filter, snap, deadline)
+            answers = self._serve(misses, k, type_filter, snap, deadline)
             served = time.perf_counter() - start
-            return rows
+            return answers
 
         # type_filter scopes the result keys: a filtered answer must
         # never serve an unfiltered lookup.
@@ -792,32 +912,54 @@ class LookupEngine(LookupService):
         type_filter: str | None,
         snap: EngineSnapshot,
         deadline: float | None,
-    ) -> list[list[Candidate]]:
+    ) -> tuple[list[list[Candidate]], list[tuple | None] | None]:
         """Route -> embed -> search -> rank for result-cache misses.
 
         With a router attached, the exact/fuzzy tiers answer what they
         can *before* the embed stage; only the remainder pays for the
         model forward pass and the index scan.
+
+        Returns the answers and the evidence list the cache files them
+        with (:meth:`~repro.lookup.cache.QueryCache.put_results`):
+        nothing for an exact hit, the query's gram set for a fuzzy
+        answer, its float32 embedding (as bytes) for an ANN one; ``None``
+        when no answer has any.
         """
         if self.fault_hook is not None:
             self.fault_hook(normalized)
         out: list[list[Candidate] | None] = [None] * len(normalized)
+        # Only a cache wants evidence; a type_filter scopes the answers,
+        # which are filed without; an exact hit has none to give.
+        wanted = self.cache is not None and type_filter is None
+        evidence: list[tuple | None] | None = None
         if self.router is not None:
             start = time.perf_counter()
-            out = self.router.serve_local(normalized, k, type_filter)
+            out, tiers = self.router.serve_local(normalized, k, type_filter)
+            if wanted and "fuzzy" in tiers:
+                grams = self._fuzzy_grams()
+                evidence = [
+                    (tier, grams(query) if grams is not None else None)
+                    if tier == "fuzzy"
+                    else None
+                    for query, tier in zip(normalized, tiers)
+                ]
             self.stage_times["route"].add(time.perf_counter() - start)
         ann_positions = [qi for qi, row in enumerate(out) if row is None]
         if ann_positions:
-            rows = self._serve_ann(
+            rows, vectors = self._serve_ann(
                 [normalized[qi] for qi in ann_positions],
                 k,
                 type_filter,
                 snap,
                 deadline,
             )
-            for qi, row in zip(ann_positions, rows):
+            if wanted and evidence is None:
+                evidence = [None] * len(normalized)
+            for i, (qi, row) in enumerate(zip(ann_positions, rows)):
                 out[qi] = row
-        return out
+                if wanted:
+                    evidence[qi] = ("ann", vectors[i].tobytes())
+        return out, evidence
 
     def _serve_ann(
         self,
@@ -826,9 +968,10 @@ class LookupEngine(LookupService):
         type_filter: str | None,
         snap: EngineSnapshot,
         deadline: float | None,
-    ) -> list[list[Candidate]]:
+    ) -> tuple[list[list[Candidate]], np.ndarray]:
         """The embedding path: model forward pass + index scan + dedup,
-        all against the caller's pinned snapshot."""
+        all against the caller's pinned snapshot.  Returns the answers
+        and the query embeddings they were scanned with."""
         clock, stages = time.perf_counter, self.stage_times
         if deadline is not None:
             self._check_deadline(deadline, "embed")
@@ -856,7 +999,7 @@ class LookupEngine(LookupService):
             result.ids, -result.distances, snap.rows, k, Candidate, allowed
         )
         stages["rank"].add(clock() - start)
-        return rows
+        return rows, vectors
 
     def _search(
         self,
@@ -965,14 +1108,19 @@ class LookupEngine(LookupService):
         search stage scanned under a ``type_filter`` (partition sums for
         a :class:`TypePartitionedIndex`, ``ntotal`` per scan otherwise).
         The online-mutation path adds ``mutations_applied`` (change-feed
-        records applied via :meth:`apply_mutation`) and ``compactions``
-        (successful :meth:`compact` swaps).
+        records applied via :meth:`apply_mutation`), ``compactions``
+        (successful :meth:`compact` swaps), and how selective cache
+        invalidation was: ``results_stranded`` counts the cached answers
+        the narrow rule stranded, one by one, ``cache_fallback_clears``
+        the times a whole tier, the scoped answers or the entire result
+        store went instead (both 0 without a cache).
 
         The engine counters are copied in one ``_stats_lock`` hold, so
         the snapshot is atomic with respect to concurrent serving
-        threads.  The index's ``health_stats()`` and the router's
-        ``router_stats()`` are read *before* the engine lock (each takes
-        its own stats lock internally), so no two locks ever nest.
+        threads.  The index's ``health_stats()``, the router's
+        ``router_stats()`` and the cache's ``invalidation_counts()`` are
+        read *before* the engine lock (each takes its own lock
+        internally), so no two locks ever nest.
         """
         respawns = 0
         health = getattr(self._index, "health_stats", None)
@@ -986,6 +1134,10 @@ class LookupEngine(LookupService):
                 "fuzzy_routed": 0,
                 "ann_routed": 0,
             }
+        if self.cache is not None:
+            invalidation = self.cache.invalidation_counts()
+        else:
+            invalidation = {"results_stranded": 0, "cache_fallback_clears": 0}
         with self._stats_lock:
             return {
                 "partial_results": self._partial_results,
@@ -999,6 +1151,7 @@ class LookupEngine(LookupService):
                 "mutations_applied": self._mutations_applied,
                 "compactions": self._compactions,
                 **router_stats,
+                **invalidation,
             }
 
     def reset_timers(self) -> None:

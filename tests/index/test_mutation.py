@@ -13,7 +13,7 @@ re-export path).  The concurrent old-or-new property lives in
 import os
 import subprocess
 import sys
-from contextlib import closing
+from contextlib import closing, nullcontext
 
 import numpy as np
 import pytest
@@ -41,6 +41,11 @@ def make_store(seed, n=120, dim=DIM):
         rng.standard_normal((n, dim)).astype(np.float32),
         rng.standard_normal((7, dim)).astype(np.float32),
     )
+
+
+def closing_index(index):
+    """``with`` for any index: sharded ones own a pool, the others nothing."""
+    return closing(index) if hasattr(index, "close") else nullcontext(index)
 
 
 def live_oracle(vectors, removed, queries, k):
@@ -257,6 +262,68 @@ class TestPQMutation:
             ]
         )
         assert overlap >= 0.6, f"post-compaction neighbourhood drifted: {overlap}"
+
+
+class TestPairDistances:
+    """``pair_distances`` is the family's exact kernel on named rows: bit
+    for bit what a search reports for them (the cache's invalidation rule
+    compares it with stored k-th scores, exactly)."""
+
+    @staticmethod
+    def builders():
+        def pq(d):
+            return PQIndex(d, m=4, nbits=4, seed=0)
+
+        return {
+            "flat": lambda: FlatIndex(DIM),
+            "pq": lambda: pq(DIM),
+            "sharded_flat": lambda: ShardedIndex(DIM, 3, factory=FlatIndex),
+            "sharded_pq": lambda: ShardedIndex(DIM, 2, factory=pq),
+        }
+
+    @pytest.mark.parametrize(
+        "family", ["flat", "pq", "sharded_flat", "sharded_pq"]
+    )
+    def test_equals_what_a_search_reports(self, family):
+        vectors, queries = make_store(41)
+        with closing_index(self.builders()[family]()) as index:
+            index.train(vectors)
+            index.add(vectors[:100])
+            pinned = index.snapshot()
+            index.add(vectors[100:])
+            index.remove([3, 117])
+            found = index.search(queries, 30)
+            for qi in range(len(queries)):
+                pairs = index.pair_distances(queries, found.ids[qi])
+                np.testing.assert_array_equal(pairs[qi], found.distances[qi])
+            # A pinned snapshot scores its own rows; tombstones are scored.
+            old = index.pair_distances(queries[:2], [3, 99], snapshot=pinned)
+            new = index.pair_distances(queries[:2], [3, 99])
+            np.testing.assert_array_equal(old, new)
+            assert index.pair_distances(queries, []).shape == (7, 0)
+            for bad in ([-1], [len(vectors)]):
+                with pytest.raises(ValueError):
+                    index.pair_distances(queries, bad)
+            with pytest.raises(ValueError):
+                index.pair_distances(queries, [100], snapshot=pinned)
+
+    def test_only_a_codec_retrains_on_compact(self):
+        built = {name: build() for name, build in self.builders().items()}
+        try:
+            assert {
+                name: index.retrains_on_compact
+                for name, index in built.items()
+            } == {
+                "flat": False,
+                "pq": True,
+                "sharded_flat": False,
+                "sharded_pq": True,
+            }
+        finally:
+            for index in built.values():
+                close = getattr(index, "close", None)
+                if close:
+                    close()
 
 
 class TestShardedMutation:

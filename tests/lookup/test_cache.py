@@ -93,6 +93,172 @@ class TestQueryCache:
         }
 
 
+def scored_row(scores):
+    """A full answer: one ``(entity id, score)`` pair per score, best first."""
+    return [(f"e{i}", score) for i, score in enumerate(scores)]
+
+
+class TestNarrowInvalidation:
+    """``publish`` strands an answer iff the write can change it — one
+    test per clause of the rule."""
+
+    def cache(self):
+        return QueryCache(8, cache_results=True)
+
+    def test_publish_counts_generations_and_a_bare_one_strands_nothing(self):
+        cache = self.cache()
+        cache.put_results(
+            ["exact", "scored"],
+            2,
+            [scored_row([1.0]), scored_row([0.9, 0.5])],
+            evidence=[None, ("t", "ev")],
+        )
+        cache.put_results(["typed"], 2, [scored_row([1.0])], scope="country")
+        before = cache.generation
+        assert cache.publish() == before + 1 == cache.generation
+        assert cache.get_result("exact", 2) == scored_row([1.0])
+        assert cache.get_result("scored", 2) == scored_row([0.9, 0.5])
+        assert cache.get_result("typed", 2, scope="country") is not None
+        assert cache.invalidation_counts() == {
+            "results_stranded": 0,
+            "cache_fallback_clears": 0,
+        }
+
+    def test_a_probe_and_a_fill_pinned_to_an_older_generation(self):
+        cache = self.cache()
+        pinned = cache.generation
+        cache.put_results(["q"], 1, [scored_row([1.0])], generation=pinned)
+        assert cache.get_results(["q"], 1, generation=pinned) != [None]
+        cache.publish()
+        misses = cache.stats.misses
+        assert cache.get_results(["q"], 1, generation=pinned) == [None]
+        assert cache.stats.misses == misses + 1
+        cache.put_results(["late"], 1, [scored_row([1.0])], generation=pinned)
+        assert cache.get_result("late", 1) is None, "stale fill was stored"
+        # Unpinned, and pinned to the current generation, still work.
+        assert cache.get_result("q", 1) == scored_row([1.0])
+        assert cache.get_results(["q"], 1, generation=cache.generation) != [None]
+
+    def test_keys_strand_every_k_of_that_query_and_nothing_else(self):
+        cache = self.cache()
+        for k in (1, 3):
+            cache.put_results(
+                ["gone", "stays"], k, [scored_row([1.0]), scored_row([1.0])]
+            )
+        cache.publish(keys=["gone", "never cached"])
+        for k in (1, 3):
+            assert cache.get_result("gone", k) is None
+            assert cache.get_result("stays", k) is not None
+        assert cache.invalidation_counts()["results_stranded"] == 2
+
+    def test_a_removed_entity_strands_the_scored_answers_that_name_it(self):
+        cache = self.cache()
+        cache.put_results(
+            ["names e1", "names e0 only"],
+            2,
+            [scored_row([0.9, 0.8]), scored_row([0.9])],
+            evidence=[("t", 1), ("t", 2)],
+        )
+        cache.publish(entities=["e1"])
+        assert cache.get_result("names e1", 2) is None
+        assert cache.get_result("names e0 only", 2) is not None
+        cache.publish(entities=["e1", "unknown"])  # nothing left to strand
+        assert cache.invalidation_counts()["results_stranded"] == 1
+
+    def test_appended_rows_tie_strands_below_stays_short_strands(self):
+        cache = self.cache()
+        cache.put_results(
+            ["tie", "below", "short", "nan"],
+            2,
+            [
+                scored_row([0.9, 0.5]),
+                scored_row([0.9, 0.6]),
+                scored_row([0.9]),
+                scored_row([0.9, 0.1]),
+            ],
+            evidence=[("t", "tie"), ("t", "below"), ("t", "short"), ("t", "nan")],
+        )
+        best = {"tie": 0.5, "below": 0.5, "short": -1e300, "nan": float("nan")}
+        seen = []
+
+        def scorer(evidence):
+            seen.append(list(evidence))
+            return [best[e] for e in evidence]
+
+        cache.publish(entering={"t": scorer})
+        assert len(seen) == 1 and sorted(seen[0]) == sorted(best)  # one batch
+        assert cache.get_result("tie", 2) is None
+        assert cache.get_result("below", 2) == scored_row([0.9, 0.6])
+        assert cache.get_result("short", 2) is None
+        assert cache.get_result("nan", 2) is None
+        assert cache.invalidation_counts() == {
+            "results_stranded": 3,
+            "cache_fallback_clears": 0,
+        }
+
+    def test_a_tier_without_a_scorer_goes_whole_and_is_a_fallback(self):
+        cache = self.cache()
+        cache.put_results(
+            ["a", "b", "exact"],
+            1,
+            [scored_row([0.9]), scored_row([0.8]), scored_row([1.0])],
+            evidence=[("scored", 1), ("unscored", 2), None],
+        )
+        cache.publish(entering={"scored": lambda evidence: [0.0] * len(evidence)})
+        assert cache.get_result("a", 1) is not None
+        assert cache.get_result("b", 1) is None
+        assert cache.get_result("exact", 1) is not None
+        assert cache.invalidation_counts() == {
+            "results_stranded": 0,
+            "cache_fallback_clears": 1,
+        }
+
+    def test_any_write_strands_the_scoped_answers_whole(self):
+        cache = self.cache()
+        cache.put_results(["q"], 1, [scored_row([1.0])], scope="country")
+        cache.put_results(["q"], 1, [scored_row([1.0])])
+        cache.publish(entities=["unrelated"])
+        assert cache.get_result("q", 1, scope="country") is None
+        assert cache.get_result("q", 1) is not None
+        assert cache.invalidation_counts()["cache_fallback_clears"] == 1
+
+    def test_whole_clears_results_but_not_embeddings(self):
+        cache = self.cache()
+        cache.put_embedding("q", np.ones(3))
+        cache.put_results(["q"], 1, [scored_row([1.0])], evidence=[("t", 1)])
+        cache.publish(whole=True)
+        assert cache.get_result("q", 1) is None
+        assert cache.get_embedding("q") is not None
+        assert cache.invalidation_counts()["cache_fallback_clears"] == 1
+        # Nothing is left behind for a later write to trip over.
+        cache.publish(entities=["e0"], entering={})
+
+    def test_eviction_and_refill_keep_the_bookkeeping_exact(self):
+        cache = QueryCache(2, cache_results=True)
+        cache.put_results(["a"], 1, [scored_row([0.9])], evidence=[("t", "a")])
+        # Refilled without evidence: the old bookkeeping must go with it.
+        cache.put_results(["a"], 1, [scored_row([0.7])])
+        cache.publish(entities=["e0"], entering={})
+        assert cache.get_result("a", 1) == scored_row([0.7])
+        # Evicted: nothing may still name e0 or be offered to a scorer.
+        cache.put_results(["b"], 1, [scored_row([0.9])], evidence=[("t", "b")])
+        cache.put_results(["c", "d"], 1, [scored_row([1.0])] * 2)
+        assert cache.get_result("b", 1) is None
+        cache.publish(
+            entities=["e0"],
+            entering={"t": lambda evidence: pytest.fail("evicted answer scored")},
+        )
+        assert cache.invalidation_counts()["results_stranded"] == 0
+
+    def test_a_refilled_scoped_answer_is_still_stranded_by_a_write(self):
+        cache = self.cache()
+        for score in (0.9, 0.8):  # the second fill displaces the first
+            cache.put_results(["q"], 1, [scored_row([score])], scope="country")
+        cache.put_results(["s"], 1, [scored_row([0.5])], evidence=[("t", 0)])
+        cache.publish(entities=["unrelated"])
+        assert cache.get_result("q", 1, scope="country") is None
+
+
 class TestEmbedderServiceCache:
     def test_repeated_queries_skip_the_embedder(self, tiny_kg):
         embedder = CountingEmbedder()

@@ -239,3 +239,88 @@ class TestEngineConcurrency:
         assert (
             sharded_engine.serving_stats()["failed_queries"] == failed
         )
+
+
+class TestNarrowInvalidationUnderTraffic:
+    def test_no_stale_answer_survives_writes_racing_lookups(
+        self, trained_service, tiny_kg
+    ):
+        """Readers keep a routed engine's cache full while a writer adds,
+        updates and removes an entity whose mentions are among the
+        queries (and near them).  The cache drops only what each write
+        can change, so a lost invalidation — or a pre-write answer filed
+        after the write's publish — leaves a stale answer behind: after
+        every remove no answer may name the entity, and once everyone is
+        done every cached answer must equal what the engine computes
+        with its cache emptied."""
+        import sys
+        import time
+
+        from repro.serving import IndexMutation
+
+        seen = [m for e in tiny_kg.entities() for m in e.mentions]
+        racing = ["race alpha", "race alphx", "race alphy", "rcb", "rc#"]
+        queries = (
+            seen[:10]
+            + [m[:-1] + "x" for m in seen[:10] if len(m) >= 6]
+            + [m[:-1] + "#" for m in seen if len(m) < 4][:6]
+            + racing * 4
+        )
+        k = 4
+        cycles = 40
+        stop = threading.Event()
+        deadline = time.monotonic() + 30.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        with LookupEngine.from_pipeline(
+            trained_service, router=True, cache_size=256
+        ) as engine:
+
+            def write():
+                for seq in range(0, 3 * cycles, 3):
+                    engine.apply_mutation(
+                        IndexMutation(
+                            seq, "add", "race", mentions=("race alpha", "rcb")
+                        )
+                    )
+                    engine.apply_mutation(
+                        IndexMutation(
+                            seq + 1, "update", "race", mentions=("race alphx",)
+                        )
+                    )
+                    engine.apply_mutation(
+                        IndexMutation(seq + 2, "remove", "race")
+                    )
+                    for _ in range(3):
+                        for query in racing:
+                            assert "race" not in [
+                                c.entity_id for c in engine.lookup(query, k)
+                            ], f"{query!r} names the removed entity"
+                    if seq % 30 == 27:
+                        engine.compact()
+
+            def worker(ti):
+                if ti == 0:
+                    try:
+                        write()
+                    finally:
+                        stop.set()
+                    return
+                rng = case_rng(17, ti)
+                while not stop.is_set():
+                    assert time.monotonic() < deadline, "writer never finished"
+                    query = queries[int(rng.integers(0, len(queries)))]
+                    engine.lookup(query, k)
+
+            try:
+                hammer(worker)
+            finally:
+                sys.setswitchinterval(interval)
+            assert engine.serving_stats()["mutations_applied"] == 3 * cycles
+            for query in queries:
+                engine.lookup(query, k)  # fill what is not cached
+            routed = sum(engine.router.router_stats().values())
+            cached = [engine.lookup(query, k) for query in queries]
+            assert sum(engine.router.router_stats().values()) == routed
+            engine.cache.clear()
+            assert cached == [engine.lookup(query, k) for query in queries]

@@ -212,18 +212,21 @@ class EngineModel:
         self.owners = [self.owners[r] for r in live]
         self.dead = set()
 
-    def twin(self) -> LookupEngine:
-        """A routed engine built in one shot over the current state."""
+    def twin(self, routed: bool = True) -> LookupEngine:
+        """An uncached engine (routed, unless told otherwise) built in
+        one shot over the current state."""
         matrix = np.concatenate(self.blocks, axis=0)
         index = FlatIndex(matrix.shape[1])
         index.add(matrix)
         if self.dead:
             index.remove(np.asarray(sorted(self.dead), dtype=np.int64))
-        router = LookupRouter(
-            LabelHashTable(), fuzzy=QGramLookup(include_aliases=True)
-        )
-        for entity_id, mentions in self.surface.items():
-            router.add_entity(entity_id, mentions)
+        router = None
+        if routed:
+            router = LookupRouter(
+                LabelHashTable(), fuzzy=QGramLookup(include_aliases=True)
+            )
+            for entity_id, mentions in self.surface.items():
+                router.add_entity(entity_id, mentions)
         return LookupEngine(
             self.pipeline, index, list(self.owners), router=router
         )
@@ -364,6 +367,49 @@ class TestReplayEquivalence:
         run_cases(prop, MutationStrategy(), cases=3, name="process_replay")
         assert owned_segment_names() == []
 
+    def check_engine(
+        self, pipeline, case, engine_kwargs: dict, passes: int
+    ) -> None:
+        """Replay ``case`` on an engine and, after every op, ask a query
+        list that follows the ops ``passes`` times over: each answer must
+        equal an uncached twin built once over the resulting state.
+
+        One pass is one batched lookup.  Several passes ask query by
+        query, twin included: a cache changes which queries share an
+        embedding batch, and the model's float32 GEMM is not
+        batch-invariant to the last bit — scores are compared exactly."""
+        seen = [m for e in pipeline.kg.entities() for m in e.mentions]
+        short = [m for m in seen if len(m) < 4]
+        # Exact hits, short strings and their typos (fuzzy tier), and
+        # typo'd long labels (ANN tier) — of entities the ops may remove.
+        queries = (
+            seen[:12]
+            + short
+            + [m[:-1] + "#" for m in short]
+            + [m[:-1] + "x" for m in seen[:12] if len(m) >= 6]
+        )
+        routed = engine_kwargs.get("router", True)
+        model = EngineModel(pipeline)
+        with LookupEngine.from_pipeline(pipeline, **engine_kwargs) as engine:
+            for step, op in enumerate(case.ops):
+                apply_engine_op(engine, model, step, op)
+                added = model.surface.get(f"N{step}", ())
+                queries += [*added, *(m[:-1] + "#" for m in added)]
+                if routed:
+                    assert any(engine.router.wants_fuzzy(q) for q in queries)
+
+                def ask(service):
+                    if passes == 1:
+                        return service.lookup_batch(queries, case.k)
+                    return [service.lookup(q, case.k) for q in queries]
+
+                with model.twin(routed) as twin:
+                    want = ask(twin)
+                for asked in range(passes):
+                    assert ask(engine) == want, (
+                        f"after op {step} ({op[0]}), pass {asked}"
+                    )
+
     @pytest.mark.parametrize(
         "index_kwargs",
         [{}, {"partition_by_type": True, "num_shards": 2}],
@@ -376,37 +422,47 @@ class TestReplayEquivalence:
         each op the exact, fuzzy and ANN answers equal a twin whose
         router and index were built once over the resulting state —
         whatever served index the engine holds."""
-        kg = trained_service.kg
-        seen = [m for e in kg.entities() for m in e.mentions]
-        short = [m for m in seen if len(m) < 4]
-        # Exact hits, short strings and their typos (fuzzy tier), and
-        # typo'd long labels (ANN tier) — of entities the ops may remove.
-        base_queries = (
-            seen[:12]
-            + short
-            + [m[:-1] + "#" for m in short]
-            + [m[:-1] + "x" for m in seen[:12] if len(m) >= 6]
-        )
 
         def prop(case):
-            model = EngineModel(trained_service)
-            with LookupEngine.from_pipeline(
-                trained_service, router=True, cache_size=0, **index_kwargs
-            ) as engine:
-                queries = list(base_queries)
-                for step, op in enumerate(case.ops):
-                    apply_engine_op(engine, model, step, op)
-                    added = model.surface.get(f"N{step}", ())
-                    queries += [*added, *(m[:-1] + "#" for m in added)]
-                    assert any(engine.router.wants_fuzzy(q) for q in queries)
-                    with model.twin() as twin:
-                        assert engine.lookup_batch(
-                            queries, case.k
-                        ) == twin.lookup_batch(queries, case.k), (
-                            f"after op {step} ({op[0]})"
-                        )
+            self.check_engine(
+                trained_service,
+                case,
+                {"router": True, "cache_size": 0, **index_kwargs},
+                passes=1,
+            )
 
         run_cases(prop, MutationStrategy(), cases=10, name="routed_replay")
+
+    @pytest.mark.parametrize(
+        "engine_kwargs",
+        [
+            {"router": True},
+            {"router": True, "num_shards": 2},
+            {"router": True, "partition_by_type": True, "num_shards": 2},
+            {"router": False},
+        ],
+        ids=["flat", "sharded", "sharded_partitions", "no_router"],
+    )
+    def test_cached_engine_replay_equivalence(
+        self, trained_service, engine_kwargs
+    ):
+        """The same property with the result cache on: it is never
+        cleared, so after each op the first pass is served partly by
+        answers cached before the op — exactly those the invalidation
+        rule let stand — and the second pass wholly from the cache.
+        ``sharded_partitions`` has no pair kernel (its ANN tier is
+        stranded whole by every add), ``no_router`` serves everything
+        from the ANN tier."""
+
+        def prop(case):
+            self.check_engine(
+                trained_service,
+                case,
+                {"cache_size": 512, **engine_kwargs},
+                passes=2,
+            )
+
+        run_cases(prop, MutationStrategy(), cases=10, name="cached_replay")
 
 
 # -- old-or-new under concurrency -------------------------------------------------

@@ -226,6 +226,270 @@ class TestStaleCacheRegression:
             engine.close()
 
 
+def fail_next_index_add(engine):
+    """Make the engine's next ``index.add`` raise (once), like a dead
+    shard worker would."""
+    index = engine.index
+
+    def failing_add(*args, **kwargs):
+        del index.add  # the instance attribute: the method is back
+        raise RuntimeError("injected index.add failure")
+
+    index.add = failing_add
+
+
+def ann_query_naming(engine, kg, k):
+    """A typo'd label the ANN tier answers with its entity, and the entity."""
+    for entity in kg.entities():
+        query = entity.label[:-1] + "x"
+        if (
+            len(query) >= 6
+            and not engine.router.label_table.lookup(query)
+            and any(
+                c.entity_id == entity.entity_id
+                for c in engine.lookup_batch([query], k)[0]
+            )
+        ):
+            return query, entity
+    pytest.fail("no typo'd label resolves to its entity")
+
+
+class TestPartWayFailures:
+    """A mutation that raises part-way leaves every structure agreeing."""
+
+    def test_failed_index_add_leaves_the_row_map_as_long_as_the_index(
+        self, trained_service
+    ):
+        """The row map grows before ``index.add`` (readers need it first);
+        when the add raises it must shrink back, or the next entity's
+        rows resolve to the one that was never added."""
+        engine = fresh_engine(trained_service, router=False, cache_size=0)
+        try:
+            fail_next_index_add(engine)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.apply_mutation(
+                    IndexMutation(0, "add", "lost", mentions=("lost label",))
+                )
+            engine.apply_mutation(
+                IndexMutation(1, "add", "kept", mentions=("kept label",))
+            )
+            best = engine.lookup("kept label", 3)[0]
+            assert best.entity_id == "kept"
+            assert "lost" not in [
+                c.entity_id for c in engine.lookup("lost label", 10)
+            ]
+            assert engine.serving_stats()["mutations_applied"] == 1
+        finally:
+            engine.close()
+
+    def test_update_failing_in_its_re_add_still_publishes_the_removal(
+        self, trained_service, tiny_kg
+    ):
+        """The removal half ran (router, tombstones), so the served
+        snapshot and the cache must follow — with the whole-store
+        fallback, since the write is incomplete — before the error
+        reaches the feed's retry / dead-letter lane."""
+        engine = fresh_engine(trained_service)
+        try:
+            query, victim = ann_query_naming(engine, tiny_kg, 5)
+            engine.lookup_batch([victim.label, query], 5)  # both cached now
+            generation = engine.cache.generation
+            fail_next_index_add(engine)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.apply_mutation(
+                    IndexMutation(
+                        0, "update", victim.entity_id, mentions=("renamed",)
+                    )
+                )
+            assert engine.cache.generation == generation + 1
+            stats = engine.serving_stats()
+            assert stats["cache_fallback_clears"] == 1
+            assert stats["mutations_applied"] == 0
+            for asked in (victim.label, query):
+                assert victim.entity_id not in [
+                    c.entity_id for c in engine.lookup(asked, 5)
+                ], f"{asked!r} still answered with the half-updated entity"
+            # The engine is consistent enough to take the next record.
+            engine.apply_mutation(
+                IndexMutation(
+                    1, "add", victim.entity_id, mentions=(victim.label,)
+                )
+            )
+            assert engine.lookup(victim.label, 1)[0].entity_id == victim.entity_id
+        finally:
+            engine.close()
+
+    def test_a_rejected_record_publishes_nothing(self, trained_service):
+        engine = fresh_engine(trained_service)
+        try:
+            engine.lookup("germany", 3)
+            generation = engine.cache.generation
+            with pytest.raises(ValueError, match="not indexed"):
+                engine.apply_mutation(IndexMutation(0, "remove", "nope"))
+            assert engine.cache.generation == generation
+            assert engine.serving_stats()["cache_fallback_clears"] == 0
+        finally:
+            engine.close()
+
+
+class TestNarrowInvalidation:
+    """The engine's side of the rule: what it tells the cache per write
+    (``QueryCache.publish`` has the clause-by-clause tests)."""
+
+    def served_from_cache(self, engine, queries, k):
+        """Look ``queries`` up; assert every one was a result-cache hit."""
+        routed = sum(engine.router.router_stats().values())
+        rows = engine.lookup_batch(queries, k)
+        assert sum(engine.router.router_stats().values()) == routed
+        return rows
+
+    def test_a_write_far_from_every_cached_answer_strands_none(
+        self, trained_service, tiny_kg
+    ):
+        """A new mention that shares no gram with a cached fuzzy query and
+        whose vector is beyond a cached ANN answer's k-th distance can
+        enter neither: both stay cached, and stay right."""
+        engine = fresh_engine(trained_service)
+        try:
+            k = 2
+            ann_query, _ = ann_query_naming(engine, tiny_kg, k)
+            fuzzy_query = next(
+                m[:-1] + "#"
+                for e in tiny_kg.entities()
+                for m in e.mentions
+                if len(m) == 3 and m.isalpha()
+            )
+            engine.cache.clear()
+            queries = [ann_query, fuzzy_query, "germany"]
+            before = engine.lookup_batch(queries, k)
+            assert [len(row) for row in before[:2]] == [k, k]
+            # Far from the ANN answer: beyond its k-th distance.
+            fuzzy = engine.router.fuzzy
+            vector = trained_service.embed_queries([ann_query])
+            for mention in ("qqqq jjjj zzzz", "wwwwwwww", "0000 1111 2222"):
+                distance = float(
+                    (
+                        (trained_service.embed_queries([mention]) - vector) ** 2
+                    ).sum()
+                )
+                if distance > -before[0][-1].score * 1.01 and fuzzy.grams(
+                    mention
+                ).isdisjoint(fuzzy.grams(fuzzy_query)):
+                    break
+            else:
+                pytest.fail("no far-away mention among the candidates")
+            engine.apply_mutation(
+                IndexMutation(0, "add", "far-away", mentions=(mention,))
+            )
+            stats = engine.serving_stats()
+            assert stats["results_stranded"] == 0
+            assert stats["cache_fallback_clears"] == 0
+            assert self.served_from_cache(engine, queries, k) == before
+            engine.cache.clear()
+            assert engine.lookup_batch(queries, k) == before
+        finally:
+            engine.close()
+
+    def test_an_added_mention_strands_the_answers_it_enters(
+        self, trained_service, tiny_kg
+    ):
+        """The same three cached answers; the new entity's mentions are
+        the fuzzy query, the ANN query and the exact label themselves."""
+        engine = fresh_engine(trained_service)
+        try:
+            k = 2
+            ann_query, _ = ann_query_naming(engine, tiny_kg, k)
+            engine.cache.clear()
+            engine.lookup_batch([ann_query, "germany", "france"], k)
+            engine.apply_mutation(
+                IndexMutation(
+                    0, "add", "intruder", mentions=(ann_query, "Germany")
+                )
+            )
+            assert engine.serving_stats()["results_stranded"] == 2
+            assert engine.lookup(ann_query, k)[0].entity_id == "intruder"
+            assert "intruder" in [
+                c.entity_id for c in engine.lookup("germany", k)
+            ]
+            routed = sum(engine.router.router_stats().values())
+            engine.lookup("france", k)  # untouched: still cached
+            assert sum(engine.router.router_stats().values()) == routed
+        finally:
+            engine.close()
+
+    def test_compact_keeps_the_entries_and_they_equal_a_fresh_lookup(
+        self, trained_service, tiny_kg
+    ):
+        engine = fresh_engine(trained_service)
+        try:
+            k = 3
+            ann_query, keeper = ann_query_naming(engine, tiny_kg, k)
+            short = next(
+                m
+                for e in tiny_kg.entities()
+                for m in e.mentions
+                if len(m) == 3 and m.isalpha() and e is not keeper
+            )
+            queries = [ann_query, short[:-1] + "#", keeper.label]
+            victim = next(
+                e
+                for e in tiny_kg.entities()
+                if e is not keeper and short not in e.mentions
+            )
+            engine.apply_mutation(IndexMutation(0, "remove", victim.entity_id))
+            before = engine.lookup_batch(queries, k)
+            counts = engine.cache.invalidation_counts()
+            generation = engine.cache.generation
+            assert engine.compact() is True
+            assert engine.cache.generation == generation + 1
+            assert engine.cache.invalidation_counts() == counts
+            assert self.served_from_cache(engine, queries, k) == before
+            engine.cache.clear()
+            assert engine.lookup_batch(queries, k) == before
+        finally:
+            engine.close()
+
+    def test_compacting_an_index_that_retrains_clears_the_store(
+        self, trained_service
+    ):
+        """PQ re-trains its codebooks when it compacts: distances move,
+        so no cached ANN answer can be vouched for."""
+        from repro.index.pq import PQIndex
+
+        mentions, owners = trained_service.index_rows()
+        vectors = trained_service.embed_queries(mentions)
+        index = PQIndex(vectors.shape[1], m=4, nbits=4, seed=0)
+        index.train(vectors)
+        index.add(vectors)
+        engine = LookupEngine(
+            trained_service,
+            index,
+            owners,
+            cache=QueryCache(16, cache_results=True),
+        )
+        try:
+            engine.lookup("germany", 3)
+            engine.apply_mutation(IndexMutation(0, "remove", owners[-1]))
+            engine.lookup("germany", 3)
+            assert engine.serving_stats()["cache_fallback_clears"] == 0
+            assert engine.compact() is True
+            assert engine.serving_stats()["cache_fallback_clears"] == 1
+            assert engine.cache.get_result("germany", 3) is None
+        finally:
+            engine.close()
+
+    def test_selectivity_counters_exist_without_a_cache_too(
+        self, trained_service
+    ):
+        engine = fresh_engine(trained_service, cache_size=0)
+        try:
+            stats = engine.serving_stats()
+            assert stats["results_stranded"] == 0
+            assert stats["cache_fallback_clears"] == 0
+        finally:
+            engine.close()
+
+
 class TestConsumerApply:
     def test_feed_applies_and_advances_watermark(
         self, mutable_engine

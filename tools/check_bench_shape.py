@@ -13,7 +13,11 @@ so it holds on any host speed.  The record's workload name picks them:
   below ``embed.us_per_query + index.search_us_per_query``, what the
   same query would have cost on the ANN path;
 * a remove costs what it touches — ``ingest.remove_us_p50`` below
-  ``4 x ingest.add_us_p50`` (no table scan hides in a router-side drop).
+  ``4 x ingest.add_us_p50`` (no table scan hides in a router-side drop);
+* a write strands what it can change, not the result cache —
+  ``cache.result_hit_rate`` at least 0.2 (hits / probes, two counts: exact
+  for the seed, no time in them; 0.04 when every write emptied the store,
+  0.31 since PR 24, 0.39 with no invalidation at all).
 
 ``bulk_pq_sharded`` has no check here.  Until PR 20 it was
 ``index.search_us_per_call < 4.5 x embed.us_per_call``; every other figure
@@ -40,9 +44,11 @@ def churn_closed(metrics: dict) -> list[tuple[str, bool]]:
     ann = metrics["embed.us_per_query"] + metrics["index.search_us_per_query"]
     remove = metrics["ingest.remove_us_p50"]
     add = metrics["ingest.add_us_p50"]
+    hit_rate = metrics["cache.result_hit_rate"]
     return [
         (f"fuzzy {fuzzy:.0f} us/routed < embed + search {ann:.0f} us/query", fuzzy < ann),
         (f"remove p50 {remove:.0f} us < 4 x add p50 {add:.0f} us", remove < 4 * add),
+        (f"result-cache hit rate {hit_rate:.3f} >= 0.2 beside the writes", hit_rate >= 0.2),
     ]
 
 
