@@ -5,8 +5,8 @@ Measurement families, matching the router's design levers:
 
 1. **Mixed-workload latency** — per-query wall times over a realistic
    annotation mix (exact label hits, short/symbolic strings, typo'd
-   labels) served one query at a time, for the pure-embedding engine and
-   the routed engine.  The headline number is the p50: the router's
+   and shuffled labels) served one query at a time, for the
+   pure-embedding engine and the routed engine.  The headline number is the p50: the router's
    exact tier answers the head of the mix in hash-probe time, so its p50
    must sit *strictly below* the pure-embedding baseline (asserted).
 2. **Per-tier costs** — seconds per query for the exact probe, the fuzzy
@@ -62,9 +62,11 @@ def build_workload(kg, num_queries: int, seed: int):
     """A heavy-tailed annotation mix over ``kg``'s entities.
 
     Returns ``(queries, truth, kinds)``: 50% verbatim labels/aliases
-    (exact-tier food), 25% typo'd labels (ANN-tier food), 25% short
-    prefixes (fuzzy-tier food).  Every query keeps its source entity as
-    ground truth so both engines are scored on the same workload.
+    (exact-tier food), 20% typo'd labels and 20% short prefixes (fuzzy-tier
+    food: the q-gram tier is confident on a typo), 10% labels with their
+    letters shuffled (ANN-tier food: they share few grams with any label).
+    Every query keeps its source entity as ground truth so both engines
+    are scored on the same workload.
     """
     rng = np.random.default_rng(seed)
     entities = list(kg.entities())
@@ -77,12 +79,15 @@ def build_workload(kg, num_queries: int, seed: int):
             mentions = entity.mentions
             queries.append(mentions[int(rng.integers(0, len(mentions)))])
             kinds.append("exact")
-        elif roll < 0.75:
+        elif roll < 0.7:
             queries.append(noise.corrupt(entity.label))
             kinds.append("typo")
-        else:
+        elif roll < 0.9:
             queries.append(entity.label[:3])
             kinds.append("short")
+        else:
+            queries.append("".join(rng.permutation(list(entity.label))))
+            kinds.append("shuffled")
         truth.append(entity.entity_id)
     return queries, truth, kinds
 
@@ -239,7 +244,7 @@ def main(argv=None) -> int:
     pipeline = EmbLookup(config)
     pipeline.fit(kg)
     queries, truth, kinds = build_workload(kg, num_queries, args.seed)
-    mix = {kind: kinds.count(kind) for kind in ("exact", "typo", "short")}
+    mix = {kind: kinds.count(kind) for kind in dict.fromkeys(kinds)}
     print(
         f"workload: {len(queries)} queries over {num_entities} entities "
         f"(mix={mix})"
@@ -271,7 +276,11 @@ def main(argv=None) -> int:
         f"(ann/exact={tiers['ann_over_exact']:.0f}x)"
     )
 
-    type_filter = bench_type_filter(pipeline, routed, queries[:32])
+    # Eight shuffled labels: the queries the cascade sends to the ANN scan.
+    shuffled = [q for q, kind in zip(queries, kinds) if kind == "shuffled"]
+    type_filter = bench_type_filter(
+        pipeline, routed, queries[:24] + shuffled[:8]
+    )
     for tid, row in type_filter["per_type"].items():
         print(
             f"  type_filter={tid}: scans {row['rows_scanned_per_query']} of "

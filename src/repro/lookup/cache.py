@@ -25,7 +25,7 @@ import math
 import threading
 from array import array
 from collections import OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
 from typing import Any
 
 import numpy as np
@@ -33,7 +33,12 @@ import numpy as np
 from repro.lookup.normalize import normalize
 from repro.utils.contracts import array_contract
 
-__all__ = ["CacheStats", "QueryCache"]
+__all__ = ["UNFILED", "CacheStats", "QueryCache"]
+
+#: The ``evidence`` entry of an answer :meth:`QueryCache.put_results` must
+#: not store: a degraded one (a sharded search that lost a shard), which
+#: the next lookup of its query should compute afresh.
+UNFILED = object()
 
 
 class CacheStats:
@@ -111,44 +116,96 @@ class _LRUStore:
 class _Scored:
     """The scored answers of one tier, in parallel columns: answer ``i``
     is ``keys[i]``, filed with ``evidence[i]``, and a row that scores
-    ``bars[i]`` or more against it strands it.  A write judges the whole
-    tier in one batch over these columns (``bars`` is an ``array`` of
-    doubles: one contiguous read, not one object per answer); an answer
-    leaves by the last one taking its slot."""
+    ``bars[i]`` or more against it strands it.  A write judges the tier
+    in one batch over these columns (``bars`` is an ``array`` of doubles:
+    one contiguous read, not one object per answer); an answer leaves by
+    the last one taking its slot.
 
-    __slots__ = ("slots", "keys", "evidence", "bars")
+    ``gates[i]`` is ``None`` or a token set only a row sharing one of its
+    tokens can enter answer ``i`` through (a q-gram answer: the grams of
+    its query — a row sharing none is never offered).  ``sharing`` lists
+    the gated keys under each of their tokens and ``open`` holds the
+    ungated ones, so a write is judged against the answers it can reach,
+    not against all of them."""
+
+    __slots__ = (
+        "slots", "keys", "evidence", "bars", "gates", "sharing", "open"
+    )
 
     def __init__(self) -> None:
         self.slots: dict[tuple, int] = {}
         self.keys: list[tuple] = []
         self.evidence: list = []
         self.bars = array("d")
+        self.gates: list[frozenset[str] | None] = []
+        self.sharing: dict[str, set[tuple]] = {}
+        self.open: set[tuple] = set()
 
-    def add(self, key: tuple, evidence: Any, bar: float) -> None:
+    def add(
+        self,
+        key: tuple,
+        evidence: Any,
+        bar: float,
+        gate: frozenset[str] | None,
+    ) -> None:
         self.slots[key] = len(self.keys)
         self.keys.append(key)
         self.evidence.append(evidence)
         self.bars.append(bar)
+        self.gates.append(gate)
+        if gate is None:
+            self.open.add(key)
+            return
+        sharing = self.sharing
+        for token in gate:
+            keys = sharing.get(token)
+            if keys is None:
+                sharing[token] = {key}
+            else:
+                keys.add(key)
 
     def discard(self, key: tuple) -> None:
         slot = self.slots.pop(key)
-        last, evidence, bar = self.keys.pop(), self.evidence.pop(), self.bars.pop()
+        gate = self.gates[slot]
+        if gate is None:
+            self.open.discard(key)
+        else:
+            for token in gate:
+                keys = self.sharing[token]
+                keys.discard(key)
+                if not keys:
+                    del self.sharing[token]
+        columns = (self.keys, self.evidence, self.bars, self.gates)
+        last = [column.pop() for column in columns]
         if slot < len(self.keys):
-            self.keys[slot], self.evidence[slot], self.bars[slot] = (
-                last,
-                evidence,
-                bar,
-            )
-            self.slots[last] = slot
+            for column, value in zip(columns, last):
+                column[slot] = value
+            self.slots[last[0]] = slot
 
-    def reached(self, scores: Sequence[float]) -> list[tuple]:
-        """Keys of the answers a row with these best ``scores`` (one per
-        answer) can enter: ``not <`` — a tie strands, and so does a NaN."""
+    def reachable(self, tokens: Collection[str] | None) -> Sequence[int]:
+        """Slots of the answers a row holding one of ``tokens`` can enter:
+        the ungated ones and the gated ones sharing a token (every answer
+        when ``tokens`` is ``None``)."""
+        if tokens is None or len(self.open) == len(self.keys):
+            return range(len(self.keys))
+        keys = set(self.open)
+        sharing = self.sharing
+        for token in tokens:
+            keys.update(sharing.get(token, ()))
+        slots = self.slots
+        return [slots[key] for key in keys]
+
+    def reached(
+        self, slots: Sequence[int], scores: Sequence[float]
+    ) -> list[tuple]:
+        """Keys of the answers at ``slots`` a row with these best ``scores``
+        (one per slot) can enter: ``not <`` — a tie strands, and so does a
+        NaN."""
+        index = np.asarray(slots, dtype=np.intp)
         # A view of the array, gone before it is resized again.
-        below = np.asarray(scores, dtype=np.float64) < np.frombuffer(
-            self.bars, dtype=np.float64
-        )
-        return [self.keys[i] for i in np.flatnonzero(~below)]
+        bars = np.frombuffer(self.bars, dtype=np.float64)[index]
+        below = np.asarray(scores, dtype=np.float64) < bars
+        return [self.keys[index[i]] for i in np.flatnonzero(~below)]
 
 
 class QueryCache:
@@ -184,9 +241,19 @@ class QueryCache:
       desc, row asc)`` order, so the first ``k`` distinct entities stay
       what they were, over-fetch and de-duplication included
       (DESIGN.md §12).  The writer hands :meth:`publish` one batch
-      scorer per tier; a tier it cannot score is stranded whole.
+      scorer per tier; a tier it cannot score is stranded whole.  A
+      scorer may also report a row that moves an answer to another
+      *tier* as reaching it: under the router's cascade a new mention
+      whose q-gram score against an ANN-answered query reaches τ makes
+      the fuzzy tier answer that query from now on, so the engine's ANN
+      scorer reports such a mention as reaching every bar.  An answer
+      filed with a *gate* (a q-gram answer's grams) is handed to the
+      scorer only when an appended row shares a token with it — a
+      ``gram -> keys`` map kept on fill and eviction like
+      ``entity -> keys`` — since no other row can enter it.
     - answers filed under a ``scope`` (a ``type_filter``) are stranded
       together by any write.
+    - a degraded answer (:data:`UNFILED`) is not filed at all.
 
     ``generation`` counts publishes and gates work in flight, nothing
     else: a probe or a fill that pinned an older generation (the
@@ -382,8 +449,10 @@ class QueryCache:
         docstring): ``None`` — also the meaning of no list at all — for
         an answer only its own key can change, else ``(tier, evidence)``
         with whatever the tier's scorer in :meth:`publish` re-scores the
-        answer from; the row then holds ``(entity id, score)`` pairs,
-        best first.  Scoped answers need none.
+        answer from, or ``(tier, evidence, gate)`` for an answer only a
+        row sharing a token of the ``gate`` set can enter; the row then
+        holds ``(entity id, score)`` pairs, best first.  Scoped answers
+        need none.  :data:`UNFILED` marks an answer not to store.
         """
         if self._results is None:
             return
@@ -394,6 +463,8 @@ class QueryCache:
                 self._ks.add(k)
             put, booked = self._results.put, self._tier_of
             for i, query in enumerate(normalized):
+                if evidence is not None and evidence[i] is UNFILED:
+                    continue
                 key = (query, k, scope)
                 row = list(rows[i])
                 displaced = put(key, row)
@@ -423,7 +494,14 @@ class QueryCache:
                 self._forget(key, row)
             self._displaced.clear()
 
-    def _note(self, key: tuple, row: list, tier: str, evidence: Any) -> None:
+    def _note(
+        self,
+        key: tuple,
+        row: list,
+        tier: str,
+        evidence: Any,
+        gate: frozenset[str] | None = None,
+    ) -> None:
         """Book a scored answer just stored; caller holds ``_lock``."""
         self._settle()
         scored = self._scored.get(tier)
@@ -431,7 +509,10 @@ class QueryCache:
             scored = self._scored[tier] = _Scored()
         # The k-th candidate's score; any score reaches a short answer.
         scored.add(
-            key, evidence, row[-1][1] if len(row) >= key[1] else -math.inf
+            key,
+            evidence,
+            row[-1][1] if len(row) >= key[1] else -math.inf,
+            gate,
         )
         self._tier_of[key] = scored
         named = self._named
@@ -479,6 +560,7 @@ class QueryCache:
         keys: Sequence[str] = (),
         entities: Sequence[str] = (),
         entering: dict[str, Callable[[list], Sequence[float]]] | None = None,
+        tokens: Collection[str] | None = None,
         whole: bool = False,
     ) -> int:
         """End a write: strand the answers it can change, then advance
@@ -490,9 +572,12 @@ class QueryCache:
         one.  ``entities`` are the entity ids removed.  ``entering`` is
         ``None`` unless rows were appended, and then maps a tier to its
         scorer: called once with the evidence of every answer of that
-        tier, it returns per answer the best score any appended row
-        reaches against it, and the answer is stranded unless that is
-        below its ``k``-th score.  A tier without a scorer is stranded
+        tier the rows can reach, it returns per answer the best score any
+        appended row reaches against it, and the answer is stranded
+        unless that is below its ``k``-th score.  ``tokens`` are those of
+        the appended rows (``None``: unknown): an answer filed with a
+        gate it shares none of is out of their reach and is not scored.
+        A tier without a scorer is stranded
         whole, as are the scoped answers by any write, and the entire
         result store by ``whole=True`` (for a writer that cannot say what
         it changed); each of those is counted as a fallback.  With no
@@ -524,13 +609,16 @@ class QueryCache:
                 for tier, scored in self._scored.items():
                     if scored.keys:
                         stranded += self._strand_entered(
-                            scored, entering.get(tier)
+                            scored, entering.get(tier), tokens
                         )
             self._stranded += stranded
             return self._generation
 
     def _strand_entered(
-        self, scored: _Scored, scorer: Callable[[list], Sequence[float]] | None
+        self,
+        scored: _Scored,
+        scorer: Callable[[list], Sequence[float]] | None,
+        tokens: Collection[str] | None,
     ) -> int:
         """The appended-rows clause over one tier; how many answers it
         stranded narrowly (0 for the whole-tier fallback)."""
@@ -539,7 +627,11 @@ class QueryCache:
             for key in list(scored.keys):
                 self._strand(key)
             return 0
-        reached = scored.reached(scorer(scored.evidence))
+        slots = scored.reachable(tokens)
+        if not slots:
+            return 0
+        evidence = scored.evidence
+        reached = scored.reached(slots, scorer([evidence[i] for i in slots]))
         for key in reached:
             self._strand(key)
         return len(reached)

@@ -1,25 +1,37 @@
-"""Tiered lookup router: exact hash hits -> fuzzy strings -> ANN fallback.
+"""Tiered lookup router: a cascade of exact hash -> q-gram -> ANN.
 
 The paper serves *every* lookup through the embedding model plus ANN
 index, but production annotation traffic (bbw, JenTab, DoSeR) is a
-heavy-tailed mix where many queries are exact label hits or short
-symbolic strings for which the dual-tower forward pass is pure waste.
-:class:`LookupRouter` dispatches each query to the cheapest tier that can
-answer it, the shape of KAZU's SapBERT linking step (``ignore_high_conf``
-plus ``min_string_length_to_trigger`` per entity class) and of NSEEN's
-cheap-similarity front tier:
+heavy-tailed mix where many queries are exact label hits or noisy
+strings a cheap string matcher already answers.  :class:`LookupRouter`
+asks the cheap tiers first and pays for the dual tower only when they are
+not confident — KAZU's SapBERT linking step (``ignore_high_conf``: "if a
+perfect match has already been found, don't run sapbert", generalised
+from perfect to confident) and NSEEN's cheap-similarity front tier:
 
 1. **exact** — an O(1) probe of :class:`LabelHashTable`, a hash of
    *normalized* labels/aliases sharing :func:`repro.lookup.normalize`
    with the query cache, so a cache key and an exact-hit key can never
    diverge.  Hits short-circuit without touching the embedding model.
-2. **fuzzy** — queries too short (``min_string_length_to_trigger``) or
-   insufficiently alphabetic (``min_alpha_ratio``) for the character
-   embedding tower route to a cheap string service (q-gram Jaccard).
-3. **ann** — everything else falls through to the embedding + vector
+2. **fuzzy** — every other query is asked of a cheap string service
+   (q-gram Jaccard).  Its answer is kept when its best score is at least
+   :data:`TAU`, or when the query is one the character tower cannot
+   help: shorter than ``min_string_length_to_trigger`` or less
+   alphabetic than ``min_alpha_ratio`` (3-character prefixes and typos
+   of ≤ 3 characters, where the tower's recall is ≈ 0 and q-gram's is
+   not).
+3. **ann** — only the rest falls through to the embedding + vector
    index path (any :class:`~repro.lookup.base.LookupService`, typically
    :class:`~repro.lookup.emblookup_service.EmbLookupService` or the
    serving :class:`~repro.serving.engine.LookupEngine`).
+
+There is one predicate: :meth:`LookupRouter.wants_fuzzy` is the decision
+:meth:`LookupRouter.serve_local` takes, for one query.  τ is a constant,
+not an option: ``benchmarks/bench_router_cascade.py`` sweeps it per query
+kind on two models (``BENCH_cascade.json``) and it is the largest value
+whose recall stays within 0.01 of each cell's best.  At the sizes this
+repository measures, the string tier beats the tower in every cell; the
+tower is left the queries the string tier has no confident answer for.
 
 Type-constrained lookups (``type_filter=``) filter the exact tier
 through :class:`TypeFilterMap` and delegate typed ANN search to tiers
@@ -44,7 +56,14 @@ from repro.lookup.normalize import normalize
 from repro.lookup.qgram import QGramLookup
 from repro.utils.timing import Stopwatch
 
-__all__ = ["LabelHashTable", "LookupRouter", "TypeFilterMap"]
+__all__ = ["TAU", "LabelHashTable", "LookupRouter", "TypeFilterMap"]
+
+#: τ: the fuzzy tier's answer is kept when its best score is at least
+#: this (a tie is kept), else the query falls through to the ANN tier.
+#: From the checked-in sweep ``BENCH_cascade.json``: the largest grid value
+#: within 0.01 of the best recall in every cell on both models (0.2 costs
+#: 0.018 of typo'd 4-7-character labels on the Table V budget model).
+TAU = 0.15
 
 #: Tier names in dispatch order.
 _TIERS = ("exact", "fuzzy", "ann")
@@ -246,9 +265,9 @@ def alpha_ratio(text: str) -> float:
     """Fraction of alphabetic characters among non-space characters.
 
     Low-ratio strings ("B-52", "740.22", "#1") are the symbolic surface
-    forms the character embedding tower handles worst; the router sends
-    them to the fuzzy tier instead.  Empty/whitespace-only strings score
-    0.0 (maximally non-alphabetic).
+    forms the character embedding tower handles worst; the router keeps
+    the fuzzy tier's answer for them whatever its score.
+    Empty/whitespace-only strings score 0.0 (maximally non-alphabetic).
     """
     meat = "".join(text.split())
     if not meat:
@@ -257,30 +276,32 @@ def alpha_ratio(text: str) -> float:
 
 
 class LookupRouter(LookupService):
-    """Tiered dispatcher over exact / fuzzy / ANN lookup services.
+    """Cascade over exact / fuzzy / ANN lookup services (module docstring).
 
     Parameters
     ----------
     label_table:
         The exact tier's :class:`LabelHashTable`.
     ann:
-        Fallback service for embedding-worthy queries.  May be ``None``
-        when the router is embedded *inside* the serving engine (the
-        engine itself is the ANN tier and only calls
+        Fallback service for the queries the cheap tiers leave.  May be
+        ``None`` when the router is embedded *inside* the serving engine
+        (the engine itself is the ANN tier and only calls
         :meth:`serve_local`); a standalone router with ``ann=None``
         raises on the first query that needs the tier.
     fuzzy:
-        Service for short / low-alphabetic queries, or ``None`` to send
-        them to the ANN tier too.  :meth:`add_entity` /
+        String service asked for every query the exact tier misses (its
+        answer kept at a best score of at least :data:`TAU`), or
+        ``None`` to send them all to the ANN tier.  :meth:`add_entity` /
         :meth:`remove_entity` need it to have the ``add`` /
         ``drop_entity`` pair of :class:`LabelHashTable` (every
         :class:`~repro.lookup.rows.RowTableLookup` does).
     min_string_length_to_trigger:
         Normalized queries shorter than this never reach the embedding
-        model (KAZU's knob of the same name).
+        model (KAZU's knob of the same name): the fuzzy tier's answer is
+        kept whatever its score.
     min_alpha_ratio:
-        Queries whose :func:`alpha_ratio` is below this are routed to
-        the fuzzy tier regardless of length.
+        Likewise for queries whose :func:`alpha_ratio` is below this,
+        regardless of length.
     type_map:
         :class:`TypeFilterMap` enabling ``type_filter=`` lookups.
     """
@@ -397,11 +418,22 @@ class LookupRouter(LookupService):
     # -- tier classification -----------------------------------------------------
 
     def wants_fuzzy(self, normalized: str) -> bool:
-        """Whether a (non-exact-hit) query belongs to the fuzzy tier."""
+        """Whether the string tiers answer a (non-exact-hit) query: the
+        decision :meth:`serve_local` takes for it without a type filter,
+        by asking the fuzzy tier."""
         if self.fuzzy is None:
             return False
+        row = self.fuzzy.lookup_batch([normalized], 1)[0]
+        return self._keeps(normalized, row)
+
+    def _keeps(self, normalized: str, row: list[Candidate]) -> bool:
+        """Whether the fuzzy tier's ``row`` answers ``normalized``: its best
+        score reaches :data:`TAU`, or the query is one the tower cannot
+        help (too short or too symbolic to embed)."""
         return (
-            len(normalized) < self.min_string_length_to_trigger
+            bool(row)
+            and row[0].score >= TAU
+            or len(normalized) < self.min_string_length_to_trigger
             or alpha_ratio(normalized) < self.min_alpha_ratio
         )
 
@@ -417,13 +449,16 @@ class LookupRouter(LookupService):
 
         ``normalized`` must already be passed through
         :func:`repro.lookup.normalize` (both the router's public path and
-        the serving engine do).  Returns the answers and, per answer, the
-        tier it was routed to (``"exact"`` / ``"fuzzy"`` / ``"ann"``) —
-        what a cache needs to know which writes can change it.  Slots
-        left as ``None`` (tier ``"ann"``) are the caller's to serve
-        through its ANN path; they are counted as ``ann_routed`` here, so
-        the counters reflect routing decisions regardless of which
-        component executes the fallback.
+        the serving engine do).  Every exact-tier miss is asked of the
+        fuzzy tier in one batch, and its answer kept as :meth:`_keeps`
+        says — under a ``type_filter``, the answer as filtered.  Returns
+        the answers and, per answer, the tier it was routed to
+        (``"exact"`` / ``"fuzzy"`` / ``"ann"``) — what a cache needs to
+        know which writes can change it.  Slots left as ``None`` (tier
+        ``"ann"``) are the caller's to serve through its ANN path; they
+        are counted as ``ann_routed`` here, so the counters reflect
+        routing decisions regardless of which component executes the
+        fallback.
         """
         allowed: frozenset[str] | None = None
         if type_filter is not None:
@@ -446,29 +481,26 @@ class LookupRouter(LookupService):
                 tiers[qi] = "exact"
                 exact_hits += 1
         self.tier_times["exact"].add(time.perf_counter() - start)
-        fuzzy_positions = [
-            qi
-            for qi, row in enumerate(out)
-            if row is None and self.wants_fuzzy(normalized[qi])
-        ]
-        if fuzzy_positions:
+        misses = [qi for qi, row in enumerate(out) if row is None]
+        fuzzy_hits = 0
+        if misses and self.fuzzy is not None:
             start = time.perf_counter()
             fetch = k if allowed is None else k * _TYPE_OVERFETCH
             rows = self.fuzzy.lookup_batch(
-                [normalized[qi] for qi in fuzzy_positions], fetch
+                [normalized[qi] for qi in misses], fetch
             )
-            for qi, row in zip(fuzzy_positions, rows):
+            for qi, row in zip(misses, rows):
                 if allowed is not None:
                     row = [c for c in row if c.entity_id in allowed][:k]
-                out[qi] = row
-                tiers[qi] = "fuzzy"
+                if self._keeps(normalized[qi], row):
+                    out[qi] = row
+                    tiers[qi] = "fuzzy"
+                    fuzzy_hits += 1
             self.tier_times["fuzzy"].add(time.perf_counter() - start)
         with self._stats_lock:
             self._exact_hits += exact_hits
-            self._fuzzy_routed += len(fuzzy_positions)
-            self._ann_routed += (
-                len(normalized) - exact_hits - len(fuzzy_positions)
-            )
+            self._fuzzy_routed += fuzzy_hits
+            self._ann_routed += len(misses) - fuzzy_hits
         return out, tiers
 
     # -- LookupService hooks -----------------------------------------------------

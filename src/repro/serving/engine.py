@@ -35,7 +35,9 @@ exercises every branch):
   finish in time.
 - **Degradation** -- a sharded index may return ``partial=True`` results
   when shards fail; the engine serves them (and counts them in
-  :meth:`LookupEngine.serving_stats`) instead of erroring.
+  :meth:`LookupEngine.serving_stats`) instead of erroring, and does not
+  cache them: the next lookup of the query is served in full once the
+  shard is back.
 
 Online mutation -- :meth:`LookupEngine.apply_mutation` applies one
 change-feed record (add/remove/update of a whole entity, see
@@ -66,6 +68,7 @@ import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -76,9 +79,9 @@ from repro.index.mutation import served_snapshot
 from repro.index.partitioned import DEFAULT_PARTITION, TypePartitionedIndex
 from repro.index.sharded import ShardedIndex
 from repro.lookup.base import Candidate, LookupService
-from repro.lookup.cache import QueryCache
+from repro.lookup.cache import UNFILED, QueryCache
 from repro.lookup.normalize import normalize
-from repro.lookup.router import LookupRouter, TypeFilterMap
+from repro.lookup.router import TAU, LookupRouter, TypeFilterMap
 from repro.utils.contracts import array_contract
 from repro.utils.ranking import fetch_size, resolve_hits
 from repro.utils.timing import Stopwatch
@@ -141,6 +144,12 @@ class _Write:
     def touched(self) -> bool:
         """Whether anything a lookup reads has been changed."""
         return bool(self.entities) or self.rows is not None
+
+    @property
+    def tokens(self) -> frozenset[str] | None:
+        """Every gram of the mentions appended (``None``: no gram sets),
+        the only grams a gated cached answer can be entered through."""
+        return frozenset().union(*self.grams) if self.grams else None
 
 
 class PendingLookup:
@@ -648,6 +657,7 @@ class LookupEngine(LookupService):
                 keys=write.keys,
                 entities=write.entities,
                 entering=self._entering(write),
+                tokens=write.tokens,
             )
             with self._stats_lock:
                 self._mutations_applied += 1
@@ -695,29 +705,41 @@ class LookupEngine(LookupService):
         row reaches against each cached query — the fuzzy tier's own pair
         score over the gram sets, the index family's exact kernel over
         the query vectors, so both are bit for bit what a lookup would
-        compute.  A fuzzy service or an index without one (e.g. a
-        :class:`TypePartitionedIndex`) leaves its tier out, and the cache
-        strands that tier whole."""
+        compute.  An ANN answer is also reached — scored ``inf`` — when a
+        new mention's pair score against its query's grams reaches
+        :data:`~repro.lookup.router.TAU`: the fuzzy tier answers that
+        query from now on.  A fuzzy service without gram sets or an index
+        without a pair kernel (e.g. a :class:`TypePartitionedIndex`)
+        leaves its tier out, and the cache strands that tier whole; with
+        a fuzzy tier, so does the ANN tier when the flip cannot be
+        judged."""
         if write.rows is None:
             return None
         scorers: dict[str, Callable[[list], Sequence[float]]] = {}
-        if write.grams:
+        mentions = write.grams
+        if mentions:
             pair_scores = self.router.fuzzy.best_pair_scores
-            scorers["fuzzy"] = lambda grams: pair_scores(grams, write.grams)
+            scorers["fuzzy"] = lambda grams: pair_scores(grams, mentions)
         pair_distances = getattr(self._index, "pair_distances", None)
-        if pair_distances is not None:
+        cascade = self.router is not None and self.router.fuzzy is not None
+        if pair_distances is not None and (mentions or not cascade):
             snapshot = self._index.snapshot()
 
-            def nearest(vectors: list[bytes]) -> np.ndarray:
+            def nearest(evidence: list[tuple[bytes, Any]]) -> np.ndarray:
                 # One batched kernel call over the vectors the answers
                 # hold; as bytes they join into its matrix in one copy.
-                queries = np.frombuffer(b"".join(vectors), dtype=np.float32)
+                vectors = b"".join(vector for vector, _ in evidence)
+                queries = np.frombuffer(vectors, dtype=np.float32)
                 distances = pair_distances(
-                    queries.reshape(len(vectors), -1),
+                    queries.reshape(len(evidence), -1),
                     write.rows,
                     snapshot=snapshot,
                 )
-                return -distances.min(axis=1)
+                scores = -distances.min(axis=1)
+                if mentions:
+                    fuzzy = pair_scores([g for _, g in evidence], mentions)
+                    scores[np.asarray(fuzzy) >= TAU] = np.inf
+                return scores
 
             scorers["ann"] = nearest
         return scorers
@@ -921,9 +943,11 @@ class LookupEngine(LookupService):
 
         Returns the answers and the evidence list the cache files them
         with (:meth:`~repro.lookup.cache.QueryCache.put_results`):
-        nothing for an exact hit, the query's gram set for a fuzzy
-        answer, its float32 embedding (as bytes) for an ANN one; ``None``
-        when no answer has any.
+        nothing for an exact hit; for a fuzzy answer the query's gram
+        set, which is also its gate; for an ANN one its float32 embedding
+        (as bytes) beside its gram set, which an add can move to the
+        fuzzy tier; :data:`~repro.lookup.cache.UNFILED` for a degraded
+        (partial) ANN answer; ``None`` when no answer has any.
         """
         if self.fault_hook is not None:
             self.fault_hook(normalized)
@@ -931,34 +955,45 @@ class LookupEngine(LookupService):
         # Only a cache wants evidence; a type_filter scopes the answers,
         # which are filed without; an exact hit has none to give.
         wanted = self.cache is not None and type_filter is None
-        evidence: list[tuple | None] | None = None
+        grams = self._fuzzy_grams() if wanted else None
+        evidence: list | None = None
         if self.router is not None:
             start = time.perf_counter()
             out, tiers = self.router.serve_local(normalized, k, type_filter)
             if wanted and "fuzzy" in tiers:
-                grams = self._fuzzy_grams()
-                evidence = [
-                    (tier, grams(query) if grams is not None else None)
-                    if tier == "fuzzy"
-                    else None
-                    for query, tier in zip(normalized, tiers)
-                ]
+                evidence = [None] * len(normalized)
+                for qi, tier in enumerate(tiers):
+                    if tier == "fuzzy":
+                        # The gram set is also the gate: the fuzzy tier
+                        # never offers a row that shares no gram with it.
+                        gate = None if grams is None else grams(normalized[qi])
+                        evidence[qi] = ("fuzzy", gate, gate)
             self.stage_times["route"].add(time.perf_counter() - start)
         ann_positions = [qi for qi, row in enumerate(out) if row is None]
         if ann_positions:
-            rows, vectors = self._serve_ann(
+            rows, vectors, partial = self._serve_ann(
                 [normalized[qi] for qi in ann_positions],
                 k,
                 type_filter,
                 snap,
                 deadline,
             )
-            if wanted and evidence is None:
+            if (wanted or partial) and evidence is None:
                 evidence = [None] * len(normalized)
             for i, (qi, row) in enumerate(zip(ann_positions, rows)):
                 out[qi] = row
-                if wanted:
-                    evidence[qi] = ("ann", vectors[i].tobytes())
+                if partial:
+                    # The next lookup of the query computes it in full.
+                    evidence[qi] = UNFILED
+                elif wanted:
+                    query = normalized[qi]
+                    evidence[qi] = (
+                        "ann",
+                        (
+                            vectors[i].tobytes(),
+                            None if grams is None else grams(query),
+                        ),
+                    )
         return out, evidence
 
     def _serve_ann(
@@ -968,10 +1003,11 @@ class LookupEngine(LookupService):
         type_filter: str | None,
         snap: EngineSnapshot,
         deadline: float | None,
-    ) -> tuple[list[list[Candidate]], np.ndarray]:
+    ) -> tuple[list[list[Candidate]], np.ndarray, bool]:
         """The embedding path: model forward pass + index scan + dedup,
-        all against the caller's pinned snapshot.  Returns the answers
-        and the query embeddings they were scanned with."""
+        all against the caller's pinned snapshot.  Returns the answers,
+        the query embeddings they were scanned with and whether the scan
+        was partial (a sharded search that lost a shard)."""
         clock, stages = time.perf_counter, self.stage_times
         if deadline is not None:
             self._check_deadline(deadline, "embed")
@@ -988,7 +1024,7 @@ class LookupEngine(LookupService):
         start = clock()
         result = self._search(vectors, k, type_filter, allowed, snap)
         stages["search"].add(clock() - start)
-        if getattr(result, "partial", False):
+        if result.partial:
             with self._stats_lock:
                 self._partial_results += 1
         # Closest row of an entity wins; ``allowed`` drops entities outside
@@ -999,7 +1035,7 @@ class LookupEngine(LookupService):
             result.ids, -result.distances, snap.rows, k, Candidate, allowed
         )
         stages["rank"].add(clock() - start)
-        return rows, vectors
+        return rows, vectors, result.partial
 
     def _search(
         self,

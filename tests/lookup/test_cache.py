@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.lookup.cache import QueryCache
+from repro.lookup.cache import UNFILED, QueryCache
 from repro.lookup.embedder_service import EmbedderLookupService
 from repro.lookup.emblookup_service import EmbLookupService
 
@@ -249,6 +249,74 @@ class TestNarrowInvalidation:
             entering={"t": lambda evidence: pytest.fail("evicted answer scored")},
         )
         assert cache.invalidation_counts()["results_stranded"] == 0
+
+    def test_a_gated_answer_is_scored_only_by_rows_sharing_a_token(self):
+        """A row that shares no token with a gated answer's gate cannot
+        enter it — not even one short of ``k`` — so it is not scored."""
+        cache = self.cache()
+        cache.put_results(
+            ["near", "far", "short far", "open"],
+            2,
+            [
+                scored_row([0.9, 0.5]),
+                scored_row([0.9, 0.5]),
+                scored_row([0.9]),
+                scored_row([0.9, 0.5]),
+            ],
+            evidence=[
+                ("t", "near", frozenset({"ab", "xy"})),
+                ("t", "far", frozenset({"zz"})),
+                ("t", "short far", frozenset({"zz", "qq"})),
+                ("t", "open"),
+            ],
+        )
+        seen = []
+
+        def scorer(evidence):
+            seen.extend(evidence)
+            return [1.0] * len(evidence)
+
+        cache.publish(entering={"t": scorer}, tokens={"ab", "cd"})
+        assert sorted(seen) == ["near", "open"]
+        assert cache.get_result("near", 2) is None
+        assert cache.get_result("open", 2) is None
+        assert cache.get_result("far", 2) is not None
+        assert cache.get_result("short far", 2) == scored_row([0.9])
+        assert cache.invalidation_counts()["results_stranded"] == 2
+        # Without tokens every answer is within reach.
+        seen.clear()
+        cache.publish(entering={"t": scorer})
+        assert sorted(seen) == ["far", "short far"]
+
+    def test_an_evicted_gated_answer_leaves_no_token_behind(self):
+        cache = QueryCache(1, cache_results=True)
+        cache.put_results(
+            ["a"], 1, [scored_row([0.9])], evidence=[("t", "a", frozenset("x"))]
+        )
+        cache.put_results(["b"], 1, [scored_row([1.0])])  # evicts "a"
+        cache.put_results(
+            ["c"], 1, [scored_row([0.9])], evidence=[("t", "c", frozenset("y"))]
+        )  # evicts "b", settles "a"
+        cache.publish(
+            entering={"t": lambda evidence: pytest.fail("evicted answer scored")},
+            tokens={"x"},
+        )
+        assert cache.get_result("c", 1) is not None
+
+    def test_an_unfiled_answer_is_not_stored(self):
+        cache = self.cache()
+        cache.put_results(
+            ["degraded", "whole"],
+            2,
+            [scored_row([0.9]), scored_row([0.9, 0.5])],
+            evidence=[UNFILED, ("t", 1)],
+        )
+        cache.put_results(
+            ["typed"], 2, [scored_row([0.9])], scope="c", evidence=[UNFILED]
+        )
+        assert cache.get_result("degraded", 2) is None
+        assert cache.get_result("typed", 2, scope="c") is None
+        assert cache.get_result("whole", 2) == scored_row([0.9, 0.5])
 
     def test_a_refilled_scoped_answer_is_still_stranded_by_a_write(self):
         cache = self.cache()

@@ -1,5 +1,6 @@
 """LookupRouter tiers, LabelHashTable, TypeFilterMap, normalization unity."""
 
+import numpy as np
 import pytest
 
 from repro.lookup import (
@@ -15,7 +16,8 @@ from repro.index.partitioned import DEFAULT_PARTITION
 from repro.lookup.base import Candidate
 from repro.lookup.levenshtein import LevenshteinLookup
 from repro.lookup.qgram import QGramLookup
-from repro.lookup.router import alpha_ratio
+from repro.lookup.router import TAU, alpha_ratio
+from repro.text.noise import NoiseModel
 from repro.text.tokenize import normalize as text_normalize
 
 
@@ -32,6 +34,25 @@ class StubService(LookupService):
     def _lookup_batch(self, queries, k):
         self.calls.append(list(queries))
         return [list(self.rows)[:k] for _ in queries]
+
+
+class ScoredFuzzy(LookupService):
+    """A fuzzy tier with a given best score per query: one candidate at
+    that score, or ``rows[query]`` verbatim, or nothing."""
+
+    name = "scored-stub"
+
+    def __init__(self, scores=None, rows=None):
+        super().__init__()
+        self.calls: list[list[str]] = []
+        self.rows = {
+            q: [Candidate(f"fuzzy:{q}", s)] for q, s in (scores or {}).items()
+        }
+        self.rows.update(rows or {})
+
+    def _lookup_batch(self, queries, k):
+        self.calls.append(list(queries))
+        return [list(self.rows.get(q, []))[:k] for q in queries]
 
 
 @pytest.fixture(scope="module")
@@ -148,14 +169,22 @@ class TestRouting:
         assert fuzzy.calls and not ann.calls
 
     def test_long_alphabetic_queries_route_to_ann(self, router_parts):
+        """A low-confidence long query goes to ANN; a confident one does
+        not — the fuzzy tier is asked first either way."""
         _, table, _ = router_parts
-        ann, fuzzy = StubService(), StubService()
+        unsure, sure = "an unindexed alphabetic query", "a confident long query"
+        ann = StubService()
+        fuzzy = ScoredFuzzy({unsure: TAU / 2, sure: TAU * 2})
         router = LookupRouter(table, ann=ann, fuzzy=fuzzy)
-        query = "an unindexed alphabetic query"
-        row = router.lookup(query, 5)
-        assert row == [Candidate("stub:answer", 0.5)]
-        assert ann.calls == [[query]] and not fuzzy.calls
-        assert router.router_stats()["ann_routed"] == 1
+        assert router.lookup(unsure, 5) == [Candidate("stub:answer", 0.5)]
+        assert ann.calls == [[unsure]] and fuzzy.calls == [[unsure]]
+        assert router.lookup(sure, 5) == [Candidate(f"fuzzy:{sure}", TAU * 2)]
+        assert ann.calls == [[unsure]] and fuzzy.calls[-1] == [sure]
+        assert router.router_stats() == {
+            "exact_hits": 0,
+            "fuzzy_routed": 1,
+            "ann_routed": 1,
+        }
 
     def test_without_fuzzy_tier_short_queries_fall_to_ann(self, router_parts):
         _, table, _ = router_parts
@@ -258,6 +287,98 @@ class TestRouting:
             router.index_bytes()
             >= router.label_table.index_bytes() + router.fuzzy.index_bytes()
         )
+
+
+class TestCascade:
+    """``serve_local`` keeps the fuzzy tier's answer iff its best score
+    reaches τ or the query is too short / symbolic for the tower, and
+    ``wants_fuzzy`` is that same decision for one query."""
+
+    LONG = "a long alphabetic query"
+
+    def route(self, router, query, type_filter=None):
+        """``serve_local``'s answer and tier for ``query``; unfiltered,
+        ``wants_fuzzy`` must have taken the same decision."""
+        out, tiers = router.serve_local([query], 5, type_filter)
+        if type_filter is None:
+            assert router.wants_fuzzy(query) == (tiers[0] == "fuzzy")
+        return out[0], tiers[0]
+
+    def test_best_score_below_tau_goes_to_ann(self, router_parts):
+        _, table, _ = router_parts
+        below = float(np.nextafter(TAU, 0.0))
+        router = LookupRouter(table, fuzzy=ScoredFuzzy({self.LONG: below}))
+        assert self.route(router, self.LONG) == (None, "ann")
+        empty = LookupRouter(table, fuzzy=ScoredFuzzy())
+        assert self.route(empty, self.LONG) == (None, "ann")
+
+    def test_best_score_at_tau_stays_on_the_fuzzy_tier(self, router_parts):
+        _, table, _ = router_parts
+        router = LookupRouter(table, fuzzy=ScoredFuzzy({self.LONG: TAU}))
+        row, tier = self.route(router, self.LONG)
+        assert tier == "fuzzy"
+        assert row == [Candidate(f"fuzzy:{self.LONG}", TAU)]
+
+    @pytest.mark.parametrize("score", [None, 0.0, TAU / 2, 1.0])
+    @pytest.mark.parametrize("query", ["zq", "zqx", "b-52 #7", "740.22"])
+    def test_short_or_symbolic_query_stays_whatever_its_score(
+        self, router_parts, query, score
+    ):
+        _, table, _ = router_parts
+        fuzzy = ScoredFuzzy({} if score is None else {query: score})
+        router = LookupRouter(table, fuzzy=fuzzy)
+        row, tier = self.route(router, query)
+        assert tier == "fuzzy" and row == fuzzy.rows.get(query, [])
+
+    def test_the_typed_row_is_judged_after_filtering(self, router_parts):
+        _, table, _ = router_parts
+        type_map = TypeFilterMap(
+            {"t": frozenset({"inside"})}, {"t": (DEFAULT_PARTITION,)}
+        )
+        best = Candidate("outside", 1.0)
+        rows = {
+            "outside first": [best, Candidate("inside", TAU / 2)],
+            "inside at tau": [best, Candidate("inside", TAU)],
+        }
+        router = LookupRouter(
+            table, fuzzy=ScoredFuzzy(rows=rows), type_map=type_map
+        )
+        # Unfiltered, both are confident; filtered, only the second is.
+        for query in rows:
+            assert self.route(router, query)[1] == "fuzzy"
+        assert self.route(router, "outside first", "t") == (None, "ann")
+        assert self.route(router, "inside at tau", "t") == (
+            [Candidate("inside", TAU)],
+            "fuzzy",
+        )
+
+    def test_wants_fuzzy_agrees_with_serve_local_on_a_trace_sample(
+        self, tiny_kg
+    ):
+        """500 queries mixed as ``benchmarks/e2e``'s ``trace_open``: half
+        verbatim mentions, a quarter typo'd labels, a quarter 3-character
+        prefixes — plus strings no label is near."""
+        router = LookupRouter.build(tiny_kg, ann=StubService())
+        rng = np.random.default_rng(25)
+        noise = NoiseModel(max_edits=2, seed=26)
+        entities = list(tiny_kg.entities())
+        queries = []
+        for i in range(500):
+            entity = entities[int(rng.integers(0, len(entities)))]
+            roll = i % 4
+            if roll < 2:
+                queries.append(entity.mentions[0])
+            elif roll == 2:
+                queries.append(noise.corrupt(entity.label))
+            else:
+                queries.append(entity.label[:3])
+        queries += ["qqqq jjjj zzzz", "wwwwwwwwwwww", "xylophonic vortex"]
+        normalized = [normalize(q) for q in queries]
+        _, tiers = router.serve_local(normalized, 10)
+        for query, tier in zip(normalized, tiers):
+            if tier != "exact":
+                assert router.wants_fuzzy(query) == (tier == "fuzzy"), query
+        assert {"exact", "fuzzy", "ann"} <= set(tiers)
 
 
 class TestTypeFilter:

@@ -410,3 +410,40 @@ class TestEngineFaults:
             assert engine.serving_stats()["partial_results"] == 1
         finally:
             engine.close()
+
+    def test_a_partial_answer_is_not_cached(self, trained_service):
+        """A shard times out and the degraded answer is served — but not
+        filed: once the shard recovers, the same query is answered in
+        full (by the index, not from the result cache)."""
+        from repro.index.flat import FlatIndex
+        from repro.lookup.cache import QueryCache
+        from repro.serving.engine import LookupEngine
+
+        mentions, row_to_entity = trained_service.index_rows()
+        vectors = trained_service.embed_queries(mentions)
+        plan = FaultPlan.parse("s1:c0:delay:0.2")
+        index = ShardedIndex(
+            trained_service.config.embedding_dim,
+            2,
+            factory=FlatIndex,
+            fault_hook=plan,
+            shard_timeout=0.05,
+            max_retries=0,
+        )
+        index.add(vectors)
+        cache = QueryCache(16, cache_results=True)
+        engine = LookupEngine(trained_service, index, row_to_entity, cache=cache)
+        reference = LookupEngine.from_pipeline(trained_service)
+        try:
+            query = "zzz unknown query xyz"
+            degraded = engine.lookup(query, 5)
+            assert engine.serving_stats()["partial_results"] == 1
+            assert cache.get_result(query, 5) is None
+            full = engine.lookup(query, 5)
+            assert plan.calls(1) == 2, "served from the cache, not the index"
+            assert engine.serving_stats()["partial_results"] == 1
+            assert full == reference.lookup(query, 5) != degraded
+            assert cache.get_result(query, 5) == full  # complete: filed
+        finally:
+            engine.close()
+            reference.close()

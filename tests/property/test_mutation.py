@@ -32,7 +32,7 @@ from repro.index.flat import FlatIndex
 from repro.index.sharded import ShardedIndex
 from repro.index.shm import owned_segment_names
 from repro.lookup.qgram import QGramLookup
-from repro.lookup.router import LabelHashTable, LookupRouter
+from repro.lookup.router import TAU, LabelHashTable, LookupRouter
 from repro.serving import IndexMutation, LookupEngine
 from repro.testing import (
     FaultInjected,
@@ -463,6 +463,52 @@ class TestReplayEquivalence:
             )
 
         run_cases(prop, MutationStrategy(), cases=10, name="cached_replay")
+
+    def test_cached_engine_replay_equivalence_tier_flip(self, trained_service):
+        """The cached-vs-uncached property on a case built to flip the
+        tier: an ANN answer is cached, then an entity is added whose
+        mention reaches τ against its query while its vector stays beyond
+        the answer's k-th distance — only the tier-flip clause can strand
+        the answer, and the fuzzy tier answers the query from then on."""
+        query = "qqqq jjjj zzzz vvvv"
+        pipeline = trained_service
+        seen = [m for e in pipeline.kg.entities() for m in e.mentions]
+        queries = [query, *seen[:8]] + [
+            m[:-1] + "x" for m in seen[:12] if len(m) >= 6
+        ]
+        model = EngineModel(pipeline)
+        with LookupEngine.from_pipeline(
+            pipeline, router=True, cache_size=512
+        ) as engine:
+            router, fuzzy = engine.router, engine.router.fuzzy
+            assert not router.wants_fuzzy(query)
+            cached = [engine.lookup(q, K) for q in queries]
+            kth = -cached[0][-1].score
+            vector = pipeline.embed_queries([query])
+            words = query.split()
+            for mention in (f"{a} {b}" for a in words for b in words if a != b):
+                jaccard = fuzzy.best_pair_scores(
+                    [fuzzy.grams(query)], [fuzzy.grams(mention)]
+                )[0]
+                distance = float(
+                    ((pipeline.embed_queries([mention]) - vector) ** 2).sum()
+                )
+                if jaccard >= TAU and distance > 1.01 * kth:
+                    break
+            else:
+                pytest.fail("no mention reaches τ from beyond the k-th distance")
+            engine.apply_mutation(
+                IndexMutation(0, "add", "flip", mentions=(mention,))
+            )
+            model.add("flip", (mention,))
+            assert router.wants_fuzzy(query)
+            assert engine.serving_stats()["results_stranded"] >= 1
+            with model.twin() as twin:
+                want = [twin.lookup(q, K) for q in queries]
+            assert want[0][0].entity_id == "flip"
+            for asked in range(2):
+                got = [engine.lookup(q, K) for q in queries]
+                assert got == want, f"pass {asked}"
 
 
 # -- old-or-new under concurrency -------------------------------------------------

@@ -386,7 +386,20 @@ class TestRouterIntegration:
     def test_ann_queries_still_match_unrouted_engine(self, routed, trained_service):
         """Queries no cheap tier claims answer exactly like the plain
         flat engine (the router==pure-ANN acceptance property)."""
-        queries = ["germaby republik", "unversity of oxfort"]
+        router = routed.router
+        queries = [
+            query
+            for query in (
+                "germaby republik",
+                "unversity of oxfort",
+                "zzz unknown query xyz",
+                "qqqq jjjj zzzz",
+                "wwwwwwwwwwww",
+            )
+            if not router.label_table.get(query)
+            and not router.wants_fuzzy(query)
+        ]
+        assert queries, "every candidate query was claimed by a cheap tier"
         plain = LookupEngine.from_pipeline(trained_service)
         assert_candidate_rows_agree(
             routed.lookup_batch(queries, 5), plain.lookup_batch(queries, 5)

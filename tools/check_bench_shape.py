@@ -17,7 +17,12 @@ so it holds on any host speed.  The record's workload name picks them:
 * a write strands what it can change, not the result cache —
   ``cache.result_hit_rate`` at least 0.2 (hits / probes, two counts: exact
   for the seed, no time in them; 0.04 when every write emptied the store,
-  0.31 since PR 24, 0.39 with no invalidation at all).
+  0.31 with narrow invalidation, 0.39 with no invalidation at all);
+* the router routes by confidence, not by string shape —
+  ``router.ann_share`` below ``router.fuzzy_share`` (two counts: the
+  q-gram tier answers every query it is confident on, so the embedding
+  path gets ≈ 0.004 of the lookups against ≈ 0.44; under the old
+  length / alphabet rule it got 0.33 against 0.12).
 
 ``bulk_pq_sharded`` has no check here.  Until PR 20 it was
 ``index.search_us_per_call < 4.5 x embed.us_per_call``; every other figure
@@ -45,10 +50,16 @@ def churn_closed(metrics: dict) -> list[tuple[str, bool]]:
     remove = metrics["ingest.remove_us_p50"]
     add = metrics["ingest.add_us_p50"]
     hit_rate = metrics["cache.result_hit_rate"]
+    ann_share = metrics["router.ann_share"]
+    fuzzy_share = metrics["router.fuzzy_share"]
     return [
         (f"fuzzy {fuzzy:.0f} us/routed < embed + search {ann:.0f} us/query", fuzzy < ann),
         (f"remove p50 {remove:.0f} us < 4 x add p50 {add:.0f} us", remove < 4 * add),
         (f"result-cache hit rate {hit_rate:.3f} >= 0.2 beside the writes", hit_rate >= 0.2),
+        (
+            f"ANN share {ann_share:.3f} < fuzzy share {fuzzy_share:.3f}",
+            ann_share < fuzzy_share,
+        ),
     ]
 
 
