@@ -225,11 +225,6 @@ class QueryCache:
     can change, and leaves the rest being served.  What lets it tell is
     the *evidence* an answer is filed with (:meth:`put_results`):
 
-    - no evidence — the answer is a function of its key alone (an
-      exact-tier hit: the entities whose label *is* the query).  It
-      changes only when a label equal to its query appears or goes, so
-      the writer names those query strings (``keys``) and filing such
-      an answer keeps no bookkeeping at all;
     - ``(tier, evidence)`` — the answer is the best ``k`` of a *scored*
       tier (q-gram Jaccard, vector distance).  A removed entity changes
       it only if the answer names that entity (found through an
@@ -254,6 +249,11 @@ class QueryCache:
     - answers filed under a ``scope`` (a ``type_filter``) are stranded
       together by any write.
     - a degraded answer (:data:`UNFILED`) is not filed at all.
+
+    An unscoped answer filed *without* evidence is one no write can judge
+    (only ``whole=True`` removes it): for a cache no write is published
+    to, such as :class:`~repro.lookup.emblookup_service.EmbLookupService`'s.
+    The serving engine files none: the label table answers exact hits.
 
     ``generation`` counts publishes and gates work in flight, nothing
     else: a probe or a fill that pinned an older generation (the
@@ -293,11 +293,6 @@ class QueryCache:
         self._named: dict[str, set[tuple]] = {}
         #: keys filed under a scope.
         self._scoped: set[tuple] = set()
-        #: booked ``(key, row)`` pairs a fill displaced, not yet forgotten.
-        self._displaced: list[tuple[tuple, list]] = []
-        #: every ``k`` an unscoped answer was filed under: with a query
-        #: string they enumerate its possible keys.
-        self._ks: set[int] = set()
         self._stranded = 0
         self._fallbacks = 0
 
@@ -446,53 +441,37 @@ class QueryCache:
         since, its rule never saw them and the fill is dropped.
 
         ``evidence[i]`` says what can change ``rows[i]`` (class
-        docstring): ``None`` — also the meaning of no list at all — for
-        an answer only its own key can change, else ``(tier, evidence)``
-        with whatever the tier's scorer in :meth:`publish` re-scores the
-        answer from, or ``(tier, evidence, gate)`` for an answer only a
-        row sharing a token of the ``gate`` set can enter; the row then
-        holds ``(entity id, score)`` pairs, best first.  Scoped answers
-        need none.  :data:`UNFILED` marks an answer not to store.
+        docstring): ``(tier, evidence)`` with whatever the tier's scorer
+        in :meth:`publish` re-scores the answer from, or ``(tier,
+        evidence, gate)`` for an answer only a row sharing a token of the
+        ``gate`` set can enter; the row then holds ``(entity id, score)``
+        pairs, best first.  Scoped answers need none.  ``None`` — also
+        the meaning of no list at all — files an answer no write can
+        judge, for a cache no write is published to.  :data:`UNFILED`
+        marks an answer not to store.
         """
         if self._results is None:
             return
         with self._lock:
             if generation is not None and generation != self._generation:
                 return
-            if scope is None:
-                self._ks.add(k)
-            put, booked = self._results.put, self._tier_of
+            put = self._results.put
             for i, query in enumerate(normalized):
                 if evidence is not None and evidence[i] is UNFILED:
                     continue
                 key = (query, k, scope)
                 row = list(rows[i])
                 displaced = put(key, row)
-                # An unscoped answer filed without evidence has no
-                # bookkeeping: storing or displacing one is the dict work.
-                # One that displaces a booked answer leaves the un-booking
-                # (k cold dict and set entries, several us) to the next
-                # slow path (``_settle``), not to this fill — the
-                # exact-tier fill is the median lookup.
                 if displaced is not None:
                     gone = displaced[0]
                     if gone[2] is not None:
                         self._scoped.discard(gone)
-                    elif gone in booked:
-                        self._displaced.append(displaced)
+                    else:
+                        self._forget(*displaced)
                 if scope is not None:
                     self._scoped.add(key)
                 elif evidence is not None and evidence[i] is not None:
                     self._note(key, row, *evidence[i])
-
-    def _settle(self) -> None:
-        """Forget the booked answers displaced since the last call —
-        before anything reads or extends the bookkeeping (a scored fill,
-        a publish); caller holds ``_lock``."""
-        if self._displaced:
-            for key, row in self._displaced:
-                self._forget(key, row)
-            self._displaced.clear()
 
     def _note(
         self,
@@ -503,7 +482,6 @@ class QueryCache:
         gate: frozenset[str] | None = None,
     ) -> None:
         """Book a scored answer just stored; caller holds ``_lock``."""
-        self._settle()
         scored = self._scored.get(tier)
         if scored is None:
             scored = self._scored[tier] = _Scored()
@@ -537,27 +515,20 @@ class QueryCache:
                     if not keys:
                         del named[entity_id]
 
-    def _strand(self, key: tuple) -> int:
-        """Remove one answer a write can change (caller holds ``_lock``);
-        how many that was, 0 when the key held none."""
-        row = self._results.pop(key)
-        if row is None:
-            return 0
-        self._forget(key, row)
-        return 1
+    def _strand(self, key: tuple) -> None:
+        """Remove one booked answer a write can change (caller holds
+        ``_lock``)."""
+        self._forget(key, self._results.pop(key))
 
     def _clear_results(self) -> None:
         self._results.clear()
-        self._displaced.clear()
         self._scored.clear()
         self._tier_of.clear()
         self._named.clear()
         self._scoped.clear()
-        self._ks.clear()
 
     def publish(
         self,
-        keys: Sequence[str] = (),
         entities: Sequence[str] = (),
         entering: dict[str, Callable[[list], Sequence[float]]] | None = None,
         tokens: Collection[str] | None = None,
@@ -567,9 +538,7 @@ class QueryCache:
         :attr:`generation` (returned) — one hold of the lock, so no probe
         sees the new generation with an answer the write made stale.
 
-        ``keys`` are the (normalized) query strings whose exact answer
-        changed: the labels of a removed entity, the mentions of an added
-        one.  ``entities`` are the entity ids removed.  ``entering`` is
+        ``entities`` are the entity ids removed.  ``entering`` is
         ``None`` unless rows were appended, and then maps a tier to its
         scorer: called once with the evidence of every answer of that
         tier the rows can reach, it returns per answer the best score any
@@ -592,19 +561,17 @@ class QueryCache:
                 self._clear_results()
                 self._fallbacks += 1
                 return self._generation
-            self._settle()
-            if self._scoped and (keys or entities or entering is not None):
+            if self._scoped and (entities or entering is not None):
                 for key in self._scoped:
                     self._results.pop(key)
                 self._scoped.clear()
                 self._fallbacks += 1
             stranded = 0
-            for query in keys:
-                for k in self._ks:
-                    stranded += self._strand((query, k, None))
             for entity_id in entities:
-                for key in list(self._named.get(entity_id, ())):
-                    stranded += self._strand(key)
+                named = list(self._named.get(entity_id, ()))
+                for key in named:
+                    self._strand(key)
+                stranded += len(named)
             if entering is not None:
                 for tier, scored in self._scored.items():
                     if scored.keys:

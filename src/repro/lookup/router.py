@@ -12,7 +12,8 @@ from perfect to confident) and NSEEN's cheap-similarity front tier:
 1. **exact** — an O(1) probe of :class:`LabelHashTable`, a hash of
    *normalized* labels/aliases sharing :func:`repro.lookup.normalize`
    with the query cache, so a cache key and an exact-hit key can never
-   diverge.  Hits short-circuit without touching the embedding model.
+   diverge.  Hits skip the embedding model and, in the serving engine,
+   the result cache too (:meth:`LookupRouter.serve_exact`).
 2. **fuzzy** — every other query is asked of a cheap string service
    (q-gram Jaccard).  Its answer is kept when its best score is at least
    :data:`TAU`, or when the query is one the character tower cannot
@@ -136,12 +137,6 @@ class LabelHashTable:
             # Mirror of the per-add accounting in :meth:`add`.
             self._bytes -= len(key.encode()) + len(entity_id.encode()) + 16
         return len(keys)
-
-    def keys_of(self, entity_id: str) -> tuple[str, ...]:
-        """The normalized surface forms ``entity_id`` is indexed under —
-        exactly the queries whose exact answer dropping it changes.  Read
-        on the mutation thread, like the reverse map it copies."""
-        return tuple(self._keys_of.get(entity_id, ()))
 
     def get(self, normalized: str) -> tuple[str, ...]:
         """Entity ids whose label/alias normalizes to ``normalized``."""
@@ -439,6 +434,43 @@ class LookupRouter(LookupService):
 
     # -- local tiers (shared by standalone and engine-embedded use) --------------
 
+    def _allowed(self, type_filter: str | None) -> frozenset[str] | None:
+        """The entity ids ``type_filter`` admits (``None``: no filter)."""
+        if type_filter is None:
+            return None
+        if self.type_map is None:
+            raise RuntimeError(
+                "router has no TypeFilterMap; build() it from a KG to use "
+                "type_filter"
+            )
+        return self.type_map.allowed(type_filter)
+
+    def serve_exact(
+        self,
+        normalized: list[str],
+        k: int,
+        type_filter: str | None = None,
+    ) -> list[list[Candidate] | None]:
+        """The exact tier alone: one :class:`LabelHashTable` probe per
+        normalized query (under a ``type_filter``, of the entities it
+        admits); ``None`` marks a miss.  Counts ``exact_hits``, not time
+        (:meth:`serve_local` and the serving engine time their calls).
+        The engine asks it ahead of its result cache."""
+        allowed = self._allowed(type_filter)
+        out: list[list[Candidate] | None] = [None] * len(normalized)
+        exact_hits = 0
+        for qi, query in enumerate(normalized):
+            hits = self.label_table.get(query)
+            if allowed is not None:
+                hits = tuple(e for e in hits if e in allowed)
+            if hits:
+                out[qi] = [Candidate(e, 1.0) for e in hits[:k]]
+                exact_hits += 1
+        if exact_hits:
+            with self._stats_lock:
+                self._exact_hits += exact_hits
+        return out
+
     def serve_local(
         self,
         normalized: list[str],
@@ -449,38 +481,22 @@ class LookupRouter(LookupService):
 
         ``normalized`` must already be passed through
         :func:`repro.lookup.normalize` (both the router's public path and
-        the serving engine do).  Every exact-tier miss is asked of the
-        fuzzy tier in one batch, and its answer kept as :meth:`_keeps`
-        says — under a ``type_filter``, the answer as filtered.  Returns
-        the answers and, per answer, the tier it was routed to
-        (``"exact"`` / ``"fuzzy"`` / ``"ann"``) — what a cache needs to
-        know which writes can change it.  Slots left as ``None`` (tier
-        ``"ann"``) are the caller's to serve through its ANN path; they
-        are counted as ``ann_routed`` here, so the counters reflect
+        the serving engine do).  Every :meth:`serve_exact` miss is asked
+        of the fuzzy tier in one batch, and its answer kept as
+        :meth:`_keeps` says — under a ``type_filter``, the answer as
+        filtered.  Returns the answers and, per answer, the tier it was
+        routed to (``"exact"`` / ``"fuzzy"`` / ``"ann"``) — what a cache
+        needs to know which writes can change it.  Slots left as ``None``
+        (tier ``"ann"``) are the caller's to serve through its ANN path;
+        they are counted as ``ann_routed`` here, so the counters reflect
         routing decisions regardless of which component executes the
         fallback.
         """
-        allowed: frozenset[str] | None = None
-        if type_filter is not None:
-            if self.type_map is None:
-                raise RuntimeError(
-                    "router has no TypeFilterMap; build() it from a KG to "
-                    "use type_filter"
-                )
-            allowed = self.type_map.allowed(type_filter)
-        out: list[list[Candidate] | None] = [None] * len(normalized)
-        tiers = ["ann"] * len(normalized)
-        exact_hits = 0
         start = time.perf_counter()
-        for qi, query in enumerate(normalized):
-            hits = self.label_table.get(query)
-            if allowed is not None:
-                hits = tuple(e for e in hits if e in allowed)
-            if hits:
-                out[qi] = [Candidate(e, 1.0) for e in hits[:k]]
-                tiers[qi] = "exact"
-                exact_hits += 1
+        out = self.serve_exact(normalized, k, type_filter)
         self.tier_times["exact"].add(time.perf_counter() - start)
+        allowed = self._allowed(type_filter)
+        tiers = ["ann" if row is None else "exact" for row in out]
         misses = [qi for qi, row in enumerate(out) if row is None]
         fuzzy_hits = 0
         if misses and self.fuzzy is not None:
@@ -497,10 +513,10 @@ class LookupRouter(LookupService):
                     tiers[qi] = "fuzzy"
                     fuzzy_hits += 1
             self.tier_times["fuzzy"].add(time.perf_counter() - start)
-        with self._stats_lock:
-            self._exact_hits += exact_hits
-            self._fuzzy_routed += fuzzy_hits
-            self._ann_routed += len(misses) - fuzzy_hits
+        if misses:
+            with self._stats_lock:
+                self._fuzzy_routed += fuzzy_hits
+                self._ann_routed += len(misses) - fuzzy_hits
         return out, tiers
 
     # -- LookupService hooks -----------------------------------------------------
@@ -549,8 +565,10 @@ class LookupRouter(LookupService):
     # -- introspection -----------------------------------------------------------
 
     def tier_seconds(self) -> dict[str, float]:
-        """Cumulative seconds per tier (the ann entry covers only the
-        standalone fallback; an embedding engine times its own stages)."""
+        """Cumulative seconds per tier, as :meth:`serve_local` sees them
+        (the ann entry covers only the standalone fallback; an embedding
+        engine times its own stages, its exact probe ahead of the result
+        cache included)."""
         return {tier: watch.total for tier, watch in self.tier_times.items()}
 
     def router_stats(self) -> dict[str, int]:

@@ -16,8 +16,8 @@ submit that reaches either cap serves the queue on its own thread
 instead of waiting for the flusher -- and :meth:`LookupEngine.flush`
 serves whatever is queued, now.
 
-Each flush runs the full serving pipeline -- LRU cache probe, embedding
-of the misses, (sharded) blockwise index scan, duplicate-row ranking --
+Each flush runs the full serving pipeline -- exact probe, LRU cache,
+string tiers, embedding, (sharded) blockwise scan, duplicate-row ranking --
 with a dedicated :class:`~repro.utils.timing.Stopwatch` per stage, on top
 of the whole-call ``query_time`` every :class:`LookupService` keeps.
 
@@ -94,9 +94,9 @@ __all__ = [
 ]
 
 #: Stage names, in pipeline order, that the engine times per flush.
-#: ``route`` is the router's exact/fuzzy short-circuit pass (0 when no
-#: router is attached); the router additionally times each tier in its
-#: own ``tier_times``.
+#: ``route`` is the router's exact probe ahead of the cache and its
+#: string tiers behind it (0 without a router); the router also times
+#: each tier of its string-tier pass in its own ``tier_times``.
 _STAGES = ("cache", "route", "embed", "search", "rank")
 
 
@@ -131,8 +131,6 @@ class _Write:
     """What one mutation did so far, in the terms of the cache's
     invalidation rule (:meth:`~repro.lookup.cache.QueryCache.publish`)."""
 
-    #: normalized query strings whose exact answer changed
-    keys: list[str] = field(default_factory=list)
     #: entity ids removed
     entities: list[str] = field(default_factory=list)
     #: index row ids appended (``None``: none were)
@@ -247,9 +245,10 @@ class LookupEngine(LookupService):
         imports ``repro.testing``.
     router:
         Optional :class:`~repro.lookup.router.LookupRouter` whose exact
-        and fuzzy tiers short-circuit queries *before* the embed stage
-        (its ``ann`` tier should be ``None`` — this engine is the ANN
-        path).  Tier counters surface in :meth:`serving_stats`.
+        and fuzzy tiers short-circuit queries *before* the embed stage —
+        the exact tier before the result cache, too (its ``ann`` tier
+        should be ``None`` — this engine is the ANN path).  Tier counters
+        surface in :meth:`serving_stats`.
     type_map:
         :class:`~repro.lookup.router.TypeFilterMap` enabling
         ``type_filter=`` lookups; defaults to the router's map.  With a
@@ -612,8 +611,7 @@ class LookupEngine(LookupService):
         its caller but dropped by the cache, whose generation has moved.
 
         That publish also strands the cached answers this record can
-        change — those that name a removed entity, those whose query is
-        one of its labels or of the added mentions, those an added row
+        change — those that name a removed entity, those an added row
         scores into (:meth:`~repro.lookup.cache.QueryCache.publish` has
         the rule) — and no others.
 
@@ -654,7 +652,6 @@ class LookupEngine(LookupService):
                     self._publish(whole=True)
                 raise
             self._publish(
-                keys=write.keys,
                 entities=write.entities,
                 entering=self._entering(write),
                 tokens=write.tokens,
@@ -792,12 +789,10 @@ class LookupEngine(LookupService):
         except BaseException:
             del self._row_to_entity[base:]
             raise
-        keys = [normalize(mention) for mention in mentions]
         write.rows = np.arange(base, base + len(mentions), dtype=np.int64)
-        write.keys += keys
         grams = self._fuzzy_grams()
         if grams is not None:
-            write.grams = [grams(key) for key in keys]
+            write.grams = [grams(normalize(mention)) for mention in mentions]
         self._entity_rows[entity_id] = list(range(base, base + len(mentions)))
         if self.router is not None:
             self.router.add_entity(entity_id, mentions, types)
@@ -810,14 +805,13 @@ class LookupEngine(LookupService):
         Caller holds ``_mutation_lock``.  Router/type-map entries drop
         first (an exact hit on a half-removed entity would resurrect
         it); the index tombstone publish is last.  ``write`` learns the
-        entity and the labels it answered exactly, before they go.
+        entity.
         """
         if entity_id not in self._entity_rows:
             raise ValueError(f"entity {entity_id!r} is not indexed")
         rows = self._entity_rows.pop(entity_id)
         write.entities.append(entity_id)
         if self.router is not None:
-            write.keys += self.router.label_table.keys_of(entity_id)
             self.router.remove_entity(entity_id)
         if self._own_type_map is not None:
             self._own_type_map.remove_entity(entity_id)
@@ -892,30 +886,43 @@ class LookupEngine(LookupService):
         # and fill, index scan, row resolution — uses this.
         snap = self._snap
         normalized = [normalize(q) for q in queries]
-        if self.cache is None:
-            return self._serve(normalized, k, type_filter, snap, deadline)[0]
-        # The cache stage is the probe and the fill, not the work
-        # between them: ``served`` comes off its clock.
-        served = 0.0
-
-        def serve(misses: list[str]) -> tuple[list[list[Candidate]], list]:
-            nonlocal served
+        out = None
+        if self.router is not None:
+            # The label table is the exact tier's cache: its hits are
+            # answered here, ahead of the result cache, which never
+            # probes for nor stores them.
             start = time.perf_counter()
-            answers = self._serve(misses, k, type_filter, snap, deadline)
-            served = time.perf_counter() - start
-            return answers
+            out = self.router.serve_exact(normalized, k, type_filter)
+            self.stage_times["route"].add(time.perf_counter() - start)
+            if None not in out:
+                return out
+            misses = [qi for qi, row in enumerate(out) if row is None]
+            normalized = [normalized[qi] for qi in misses]
+        if self.cache is None:
+            rows = self._serve(normalized, k, type_filter, snap, deadline)[0]
+        else:
+            # The cache stage is the probe and the fill, not the work
+            # between them: ``served`` comes off its clock.
+            served = 0.0
 
-        # type_filter scopes the result keys: a filtered answer must
-        # never serve an unfiltered lookup.
-        start = time.perf_counter()
-        out = self.cache.read_through(
-            normalized,
-            k,
-            serve,
-            scope=type_filter,
-            generation=snap.generation,
-        )
-        self.stage_times["cache"].add(time.perf_counter() - start - served)
+            def serve(misses: list[str]) -> tuple[list[list[Candidate]], list]:
+                nonlocal served
+                start = time.perf_counter()
+                answers = self._serve(misses, k, type_filter, snap, deadline)
+                served = time.perf_counter() - start
+                return answers
+
+            # type_filter scopes the result keys: a filtered answer must
+            # never serve an unfiltered lookup.
+            start = time.perf_counter()
+            rows = self.cache.read_through(
+                normalized, k, serve, type_filter, snap.generation
+            )
+            self.stage_times["cache"].add(time.perf_counter() - start - served)
+        if out is None:
+            return rows
+        for qi, row in zip(misses, rows):
+            out[qi] = row
         return out
 
     def _check_deadline(self, deadline: float, stage: str) -> None:
@@ -942,28 +949,35 @@ class LookupEngine(LookupService):
         model forward pass and the index scan.
 
         Returns the answers and the evidence list the cache files them
-        with (:meth:`~repro.lookup.cache.QueryCache.put_results`):
-        nothing for an exact hit; for a fuzzy answer the query's gram
-        set, which is also its gate; for an ANN one its float32 embedding
-        (as bytes) beside its gram set, which an add can move to the
-        fuzzy tier; :data:`~repro.lookup.cache.UNFILED` for a degraded
-        (partial) ANN answer; ``None`` when no answer has any.
+        with (:meth:`~repro.lookup.cache.QueryCache.put_results`): for a
+        fuzzy answer the query's gram set, which is also its gate; for an
+        ANN one its float32 embedding (as bytes) beside its gram set,
+        which an add can move to the fuzzy tier;
+        :data:`~repro.lookup.cache.UNFILED` for a degraded (partial) ANN
+        answer and for an exact one; ``None`` when no answer has any.
         """
         if self.fault_hook is not None:
             self.fault_hook(normalized)
         out: list[list[Candidate] | None] = [None] * len(normalized)
         # Only a cache wants evidence; a type_filter scopes the answers,
-        # which are filed without; an exact hit has none to give.
+        # which are filed without.
         wanted = self.cache is not None and type_filter is None
         grams = self._fuzzy_grams() if wanted else None
         evidence: list | None = None
         if self.router is not None:
             start = time.perf_counter()
             out, tiers = self.router.serve_local(normalized, k, type_filter)
-            if wanted and "fuzzy" in tiers:
+            if self.cache is not None and (
+                "exact" in tiers or wanted and "fuzzy" in tiers
+            ):
                 evidence = [None] * len(normalized)
                 for qi, tier in enumerate(tiers):
-                    if tier == "fuzzy":
+                    if tier == "exact":
+                        # A label added since _lookup's probe missed.  Filed
+                        # without evidence, no write could judge the answer;
+                        # the next lookup finds it in the label table.
+                        evidence[qi] = UNFILED
+                    elif tier == "fuzzy" and wanted:
                         # The gram set is also the gate: the fuzzy tier
                         # never offers a row that shares no gram with it.
                         gate = None if grams is None else grams(normalized[qi])

@@ -139,18 +139,6 @@ class TestNarrowInvalidation:
         assert cache.get_result("q", 1) == scored_row([1.0])
         assert cache.get_results(["q"], 1, generation=cache.generation) != [None]
 
-    def test_keys_strand_every_k_of_that_query_and_nothing_else(self):
-        cache = self.cache()
-        for k in (1, 3):
-            cache.put_results(
-                ["gone", "stays"], k, [scored_row([1.0]), scored_row([1.0])]
-            )
-        cache.publish(keys=["gone", "never cached"])
-        for k in (1, 3):
-            assert cache.get_result("gone", k) is None
-            assert cache.get_result("stays", k) is not None
-        assert cache.invalidation_counts()["results_stranded"] == 2
-
     def test_a_removed_entity_strands_the_scored_answers_that_name_it(self):
         cache = self.cache()
         cache.put_results(

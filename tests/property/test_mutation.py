@@ -510,6 +510,47 @@ class TestReplayEquivalence:
                 got = [engine.lookup(q, K) for q in queries]
                 assert got == want, f"pass {asked}"
 
+    def test_cached_engine_replay_equivalence_query_becomes_a_label(
+        self, trained_service
+    ):
+        """The cached-vs-uncached property on the case no key clause
+        guards any more: a fuzzy answer is cached for ``query``, then an
+        entity whose mention *is* ``query`` is added (the label table
+        answers it from then on, ahead of the cache) and removed again
+        (the fuzzy tier answers it again).  After every step the cached
+        engine equals an uncached twin, each query asked twice."""
+        pipeline = trained_service
+        seen = [m for e in pipeline.kg.entities() for m in e.mentions]
+        query = next(m for m in seen if len(m) == 3 and m.isalpha())[:-1] + "#"
+        queries = [query, *seen[:8]] + [
+            m[:-1] + "x" for m in seen[:12] if len(m) >= 6
+        ]
+        model = EngineModel(pipeline)
+        with LookupEngine.from_pipeline(
+            pipeline, router=True, cache_size=512
+        ) as engine:
+            assert not engine.router.label_table.get(query)
+            assert engine.router.wants_fuzzy(query)
+
+            def check(step: str) -> None:
+                with model.twin() as twin:
+                    want = [twin.lookup(q, K) for q in queries]
+                for asked in range(2):
+                    got = [engine.lookup(q, K) for q in queries]
+                    assert got == want, f"{step}, pass {asked}"
+
+            check("fuzzy answer cached")
+            assert engine.cache.get_result(query, K) is not None
+            engine.apply_mutation(
+                IndexMutation(0, "add", "shadow", mentions=(query,))
+            )
+            model.add("shadow", (query,))
+            check("query is a label")
+            assert engine.lookup(query, K) == [("shadow", 1.0)]
+            engine.apply_mutation(IndexMutation(1, "remove", "shadow"))
+            model.remove("shadow")
+            check("label removed")
+
 
 # -- old-or-new under concurrency -------------------------------------------------
 

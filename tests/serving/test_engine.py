@@ -483,3 +483,52 @@ class TestRouterIntegration:
         assert stats["fuzzy_routed"] == 0
         assert stats["ann_routed"] == 0
         assert stats["type_filtered_rows_scanned"] == 0
+
+
+class TestExactTierAheadOfCache:
+    """The label table is the exact tier's cache: a routed engine answers
+    an exact hit before its result cache, which holds only scored
+    answers."""
+
+    @pytest.fixture()
+    def cached(self, trained_service):
+        engine = LookupEngine.from_pipeline(
+            trained_service, router=True, cache_size=16
+        )
+        yield engine
+        engine.close()
+
+    @pytest.mark.parametrize("typed", [False, True], ids=["all", "typed"])
+    def test_an_exact_hit_neither_probes_nor_fills_the_result_store(
+        self, cached, trained_service, typed
+    ):
+        entity = next(e for e in trained_service.kg.entities() if e.type_ids)
+        type_filter = entity.primary_type if typed else None
+        cached.lookup_batch(["zzz unknown query xyz"], 5, type_filter=type_filter)
+        cache = cached.cache
+        stats, size = cache.stats_dict(), len(cache)
+        before = cached.serving_stats()["exact_hits"]
+        row = cached.lookup_batch([entity.label], 5, type_filter=type_filter)[0]
+        assert entity.entity_id in [c.entity_id for c in row]
+        assert row[0].score == 1.0
+        assert cache.stats_dict() == stats
+        assert len(cache) == size
+        assert cached.serving_stats()["exact_hits"] == before + 1
+
+    def test_a_label_added_between_the_probes_is_not_cached(
+        self, cached, trained_service
+    ):
+        """A label that appears after the engine's exact probe missed is
+        found by the router's second one; that answer has no evidence a
+        later write could judge it by, so it is returned, not filed."""
+        query = "zorbletron quux"
+        entity_id = next(trained_service.kg.entities()).entity_id
+
+        def label_lands(normalized):
+            for key in normalized:
+                cached.router.label_table.add(key, entity_id)
+
+        cached.fault_hook = label_lands
+        row = cached.lookup_batch([query], 5)[0]
+        assert row == [(entity_id, 1.0)]
+        assert cached.cache.get_results([query], 5) == [None]

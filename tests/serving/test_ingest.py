@@ -92,12 +92,13 @@ class TestStaleCacheRegression:
     ):
         """The satellite regression: with result caching on, a lookup
         after ``remove()`` must not return the tombstoned entity from
-        the ``(query, k)`` cache — the generation bump makes the cached
-        entry unreachable."""
+        the ``(query, k)`` cache.  The query is a typo of the victim's
+        label, so its answer is a scored one the cache stores (an exact
+        hit is answered by the label table and never cached)."""
         engine = fresh_engine(trained_service)
-        victim = next(iter(tiny_kg.entities()))
-        query = victim.label
         try:
+            query, victim = ann_query_naming(engine, tiny_kg, 5)
+            engine.cache.clear()
             before = engine.lookup_batch([query], 5)[0]
             assert any(c.entity_id == victim.entity_id for c in before)
             # Same lookup again: now served from the result cache.
@@ -116,7 +117,7 @@ class TestStaleCacheRegression:
             ), "cache served a tombstoned entity"
             # The exact-hit tier must have dropped it too.
             assert victim.entity_id not in engine.router.label_table.lookup(
-                query
+                victim.label
             )
         finally:
             engine.close()
@@ -254,6 +255,13 @@ def ann_query_naming(engine, kg, k):
     pytest.fail("no typo'd label resolves to its entity")
 
 
+def scored_routes(engine):
+    """Lookups the router has sent to a scored tier (fuzzy or ANN): the
+    ones whose answers the result cache files."""
+    stats = engine.router.router_stats()
+    return stats["fuzzy_routed"] + stats["ann_routed"]
+
+
 class TestPartWayFailures:
     """A mutation that raises part-way leaves every structure agreeing."""
 
@@ -337,10 +345,12 @@ class TestNarrowInvalidation:
     (``QueryCache.publish`` has the clause-by-clause tests)."""
 
     def served_from_cache(self, engine, queries, k):
-        """Look ``queries`` up; assert every one was a result-cache hit."""
-        routed = sum(engine.router.router_stats().values())
+        """Look ``queries`` up; assert none reached a scored tier — each
+        was a result-cache hit, or an exact one, which the label table
+        answers ahead of the cache."""
+        routed = scored_routes(engine)
         rows = engine.lookup_batch(queries, k)
-        assert sum(engine.router.router_stats().values()) == routed
+        assert scored_routes(engine) == routed
         return rows
 
     def test_a_write_far_from_every_cached_answer_strands_none(
@@ -393,27 +403,37 @@ class TestNarrowInvalidation:
     def test_an_added_mention_strands_the_answers_it_enters(
         self, trained_service, tiny_kg
     ):
-        """The same three cached answers; the new entity's mentions are
-        the fuzzy query, the ANN query and the exact label themselves."""
+        """Two cached scored answers; the new entity's mentions are the
+        first one's query and an exact label.  The first is stranded (its
+        query is now an exact key, which the label table answers), the
+        one sharing no gram with either mention stays cached."""
         engine = fresh_engine(trained_service)
         try:
             k = 2
             ann_query, _ = ann_query_naming(engine, tiny_kg, k)
-            engine.cache.clear()
-            engine.lookup_batch([ann_query, "germany", "france"], k)
-            engine.apply_mutation(
-                IndexMutation(
-                    0, "add", "intruder", mentions=(ann_query, "Germany")
-                )
+            mentions = (ann_query, "Germany")
+            fuzzy = engine.router.fuzzy
+            grams = fuzzy.grams(ann_query) | fuzzy.grams("germany")
+            untouched = next(
+                query
+                for query in (e.label[:-1] + "z" for e in tiny_kg.entities())
+                if not engine.router.label_table.lookup(query)
+                and engine.router.wants_fuzzy(query)
+                and fuzzy.grams(query).isdisjoint(grams)
             )
-            assert engine.serving_stats()["results_stranded"] == 2
+            engine.cache.clear()
+            engine.lookup_batch([ann_query, "germany", untouched], k)
+            engine.apply_mutation(
+                IndexMutation(0, "add", "intruder", mentions=mentions)
+            )
+            assert engine.serving_stats()["results_stranded"] == 1
             assert engine.lookup(ann_query, k)[0].entity_id == "intruder"
             assert "intruder" in [
                 c.entity_id for c in engine.lookup("germany", k)
             ]
-            routed = sum(engine.router.router_stats().values())
-            engine.lookup("france", k)  # untouched: still cached
-            assert sum(engine.router.router_stats().values()) == routed
+            routed = scored_routes(engine)
+            engine.lookup(untouched, k)  # untouched: still cached
+            assert scored_routes(engine) == routed
         finally:
             engine.close()
 

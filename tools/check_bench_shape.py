@@ -16,13 +16,17 @@ so it holds on any host speed.  The record's workload name picks them:
   ``4 x ingest.add_us_p50`` (no table scan hides in a router-side drop);
 * a write strands what it can change, not the result cache —
   ``cache.result_hit_rate`` at least 0.2 (hits / probes, two counts: exact
-  for the seed, no time in them; 0.04 when every write emptied the store,
-  0.31 with narrow invalidation, 0.39 with no invalidation at all);
+  for the seed, no time in them).  Exact hits are answered by the label
+  table ahead of the cache and never probe it, so the base is the
+  non-exact lookups only: 0.264 on the default-seed 2-second smoke, 0.38
+  at 10 s.  Over every lookup, exact ones cached too, the same smoke read
+  0.319 (0.04 when every write emptied the store);
 * the router routes by confidence, not by string shape —
   ``router.ann_share`` below ``router.fuzzy_share`` (two counts: the
   q-gram tier answers every query it is confident on, so the embedding
-  path gets ≈ 0.004 of the lookups against ≈ 0.44; under the old
-  length / alphabet rule it got 0.33 against 0.12).
+  path gets ≈ 0.003 of the routing decisions against ≈ 0.33 — 0.004
+  against 0.44 while exact lookups the cache answered went uncounted;
+  under the old length / alphabet rule it got 0.33 against 0.12).
 
 ``bulk_pq_sharded`` has no check here.  Until PR 20 it was
 ``index.search_us_per_call < 4.5 x embed.us_per_call``; every other figure
