@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.contracts import array_contract
-
 __all__ = ["SearchResult", "VectorIndex"]
 
 
@@ -65,21 +63,18 @@ class VectorIndex:
         """Number of indexed vectors."""
         raise NotImplementedError
 
-    # Boundary contracts are deliberately lenient ((..., d) num::any):
-    # every implementation funnels through _check_vectors, which promotes
-    # 1-D inputs and coerces to float32 C-contiguous exactly once.  The
-    # strict f32/C contracts live on the kernels behind the boundary.
-    @array_contract("vectors: (..., d) num::any -> None")
+    # The doors take any numeric (..., d) array: every implementation
+    # funnels through _check_vectors, which promotes 1-D inputs, coerces
+    # to float32 C-contiguous exactly once and rejects a wrong width, so
+    # the kernels behind the door see only (n, d) float32 C rows.
     def train(self, vectors: np.ndarray) -> None:
         """Learn index parameters (codebooks, coarse centroids) from data."""
         # Default: training-free index.
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def add(self, vectors: np.ndarray) -> None:
         """Append vectors; their ids are assigned sequentially."""
         raise NotImplementedError
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(self, queries: np.ndarray, k: int) -> SearchResult:
         """Return the ``k`` nearest indexed vectors for each query row."""
         raise NotImplementedError

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.contracts import array_contract
-
 __all__ = ["GrowBuffer"]
 
 
@@ -52,7 +50,6 @@ class GrowBuffer:
         self._len = 0
 
     @classmethod
-    @array_contract("rows: (n, cols) any::any -> any")
     def wrap(cls, rows: np.ndarray) -> "GrowBuffer":
         """Zero-copy buffer over an existing ``(n, cols)`` matrix.
 
@@ -85,7 +82,6 @@ class GrowBuffer:
         """Zero-copy view of the appended rows, ``(len(self), cols)``."""
         return self._data[: self._len]
 
-    @array_contract("rows: (n, cols) any::any -> None")
     def append(self, rows: np.ndarray) -> None:
         """Append ``(n, cols)`` rows, doubling capacity when exhausted."""
         if rows.ndim != 2 or rows.shape[1] != self._data.shape[1]:

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.index.mutation import IndexSnapshot, RowStore
 from repro.index.topk import DEFAULT_BLOCK_BUDGET_BYTES
-from repro.utils.contracts import array_contract
 
 __all__ = ["FlatIndex"]
 
@@ -48,10 +47,6 @@ _EPS32 = np.finfo(np.float32).eps
 _TINY32 = np.finfo(np.float32).tiny
 
 
-@array_contract(
-    "queries: (nq, d) f32, block: (b, d) f32, dead: any, k: int, metric: str"
-    " -> (nq, b) bool"
-)
 def _survivors(
     queries: np.ndarray,
     block: np.ndarray,
@@ -59,7 +54,9 @@ def _survivors(
     k: int,
     metric: str,
 ) -> np.ndarray:
-    """Rows of ``block`` not *provably* outside each query's top ``k``.
+    """Rows of ``block`` not *provably* outside each query's top ``k``: an
+    ``(nq, b)`` bool keep-mask for float32 ``(nq, d)`` queries against a
+    float32 ``(b, d)`` block.
 
     ``coarse = ||x||^2 - 2 q.x`` (``-q.x`` for ``"ip"``) in float32, with
     the ``dead`` (tombstoned) columns masked out.  Every float32 operation
@@ -107,14 +104,12 @@ def _survivors(
     return keep
 
 
-@array_contract(
-    "q64: (nq, d) f64, block: (b, d) f32, cand: (nq, s) i64, metric: str"
-    " -> (nq, s) f64"
-)
 def _exact_distances(
     q64: np.ndarray, block: np.ndarray, cand: np.ndarray, metric: str
 ) -> np.ndarray:
-    """Float64 distance of every ``(query, candidate row)`` pair.
+    """Float64 distance of every ``(query, candidate row)`` pair: ``(nq,
+    s)`` for float64 ``(nq, d)`` queries, a float32 ``(b, d)`` block and
+    ``(nq, s)`` int64 ``cand``.
 
     *Pair-pure*: each output is ``sum_j (q_j - x_j)^2`` (``-sum_j q_j x_j``
     for ``"ip"``) accumulated by einsum's fixed-order loop over the ``d``
@@ -211,7 +206,6 @@ class FlatIndex(RowStore):
             lambda block, cand: _exact_distances(q64, block, cand, metric),
         )
 
-    @array_contract("idx: int -> (d,) f32")
     def reconstruct(self, idx: int) -> np.ndarray:
         """Return the stored vector for row ``idx``."""
         return self.vectors[idx].copy()

@@ -20,7 +20,6 @@ import numpy as np
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.buffer import GrowBuffer
 from repro.utils.rng import as_rng
-from repro.utils.contracts import array_contract
 
 __all__ = ["HNSWIndex"]
 
@@ -82,7 +81,6 @@ class HNSWIndex(VectorIndex):
 
     # -- insertion -----------------------------------------------------------------
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def add(self, vectors: np.ndarray) -> None:
         vectors = self._check_vectors(vectors, "vectors")
         if len(vectors) == 0:
@@ -221,7 +219,6 @@ class HNSWIndex(VectorIndex):
 
     # -- query -----------------------------------------------------------------------
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(
         self, queries: np.ndarray, k: int, ef: int | None = None
     ) -> SearchResult:

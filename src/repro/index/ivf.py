@@ -11,7 +11,6 @@ import numpy as np
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.buffer import GrowBuffer
 from repro.index.kmeans import KMeans, _squared_distances
-from repro.utils.contracts import array_contract
 from repro.utils.rng import as_rng
 
 __all__ = ["IVFFlatIndex"]
@@ -63,12 +62,10 @@ class IVFFlatIndex(VectorIndex):
     def _vectors(self) -> np.ndarray:
         return self._store.view
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
         vectors = self._check_vectors(vectors, "training vectors")
         self._quantizer = KMeans(self.nlist, seed=self.rng).fit(vectors)
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def add(self, vectors: np.ndarray) -> None:
         if self._quantizer is None:
             raise RuntimeError("IVFFlatIndex.add called before train()")
@@ -79,7 +76,6 @@ class IVFFlatIndex(VectorIndex):
             self._lists[int(cell)].append(start + offset)
         self._store.append(vectors)
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(
         self, queries: np.ndarray, k: int, nprobe: int | None = None
     ) -> SearchResult:

@@ -12,7 +12,6 @@ import numpy as np
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.kmeans import KMeans
 from repro.index.pq import ProductQuantizer
-from repro.utils.contracts import array_contract
 from repro.utils.rng import as_rng
 
 __all__ = ["IVFPQIndex"]
@@ -52,7 +51,6 @@ class IVFPQIndex(VectorIndex):
     def ntotal(self) -> int:
         return self._ntotal
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
         vectors = self._check_vectors(vectors, "training vectors")
         self._quantizer = KMeans(self.nlist, seed=self.rng).fit(vectors)
@@ -60,7 +58,6 @@ class IVFPQIndex(VectorIndex):
         residuals = vectors - self._quantizer.centroids[cells]
         self.pq.train(residuals)
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def add(self, vectors: np.ndarray) -> None:
         if not self.is_trained:
             raise RuntimeError("IVFPQIndex.add called before train()")
@@ -75,7 +72,6 @@ class IVFPQIndex(VectorIndex):
             self._list_codes[cell].append(codes[offset])
         self._ntotal += len(vectors)
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(
         self, queries: np.ndarray, k: int, nprobe: int | None = None
     ) -> SearchResult:

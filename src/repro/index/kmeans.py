@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.contracts import array_contract
 from repro.utils.rng import as_rng
 
 __all__ = ["KMeans"]
@@ -46,7 +45,6 @@ class KMeans:
         self.centroids: np.ndarray | None = None
         self.inertia: float = float("inf")
 
-    @array_contract("points: (n, d) num::any -> any")
     def fit(self, points: np.ndarray) -> "KMeans":
         """Fit centroids to ``points`` of shape ``(n, d)``."""
         points = np.asarray(points, dtype=np.float32)
@@ -77,9 +75,8 @@ class KMeans:
         self.inertia = previous_inertia
         return self
 
-    @array_contract("points: (n, d) num::any -> (n,) i64")
     def predict(self, points: np.ndarray) -> np.ndarray:
-        """Nearest-centroid id for each point."""
+        """Nearest-centroid id for each point, ``(n,)`` int64."""
         if self.centroids is None:
             raise RuntimeError("KMeans.predict called before fit")
         assignments, _ = self._assign(
@@ -87,9 +84,9 @@ class KMeans:
         )
         return assignments
 
-    @array_contract("points: (n, d) num::any -> (n, nlist) f64")
     def transform(self, points: np.ndarray) -> np.ndarray:
-        """Squared distance from each point to every centroid, ``(n, k)``."""
+        """Squared distance from each point to every centroid, ``(n, k)``
+        float64."""
         if self.centroids is None:
             raise RuntimeError("KMeans.transform called before fit")
         return _squared_distances(

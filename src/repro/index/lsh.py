@@ -14,7 +14,6 @@ import numpy as np
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.buffer import GrowBuffer
 from repro.index.kmeans import _squared_distances
-from repro.utils.contracts import array_contract
 from repro.utils.rng import as_rng
 
 __all__ = ["LSHIndex"]
@@ -65,7 +64,6 @@ class LSHIndex(VectorIndex):
             sigs[:, t] = bits @ self._bit_weights
         return sigs
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def add(self, vectors: np.ndarray) -> None:
         vectors = self._check_vectors(vectors, "vectors")
         start = self.ntotal
@@ -75,7 +73,6 @@ class LSHIndex(VectorIndex):
                 self._tables[t][int(sigs[offset, t])].append(start + offset)
         self._store.append(vectors)
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(self, queries: np.ndarray, k: int) -> SearchResult:
         queries = self._check_vectors(queries, "queries")
         self._check_k(k)

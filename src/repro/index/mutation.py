@@ -39,7 +39,6 @@ import numpy as np
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.buffer import GrowBuffer
 from repro.index.topk import _left_pack, _pad_topk, auto_block_size, merge_topk
-from repro.utils.contracts import array_contract
 
 __all__ = [
     "IndexSnapshot",
@@ -82,7 +81,6 @@ class IndexSnapshot:
         """Rows visible to a search pinned on this snapshot."""
         return self.rows - self.tombstone_count
 
-    @array_contract("-> any")
     def live(self) -> tuple[np.ndarray, np.ndarray]:
         """``(row ids, float32 vectors)`` of the live rows; coded rows
         come back decoded (what a compaction re-trains from)."""
@@ -132,7 +130,6 @@ def served_snapshot(index: VectorIndex) -> object:
     return snap
 
 
-@array_contract("ids: any, rows: int -> (_,) i64")
 def check_row_ids(ids, rows: int) -> np.ndarray:
     """Validate a caller-supplied row-id batch against ``rows`` stored rows.
 
@@ -159,7 +156,6 @@ def check_row_ids(ids, rows: int) -> np.ndarray:
     return out
 
 
-@array_contract("tombstones: any, extra: int -> any")
 def extend_tombstones(
     tombstones: np.ndarray | None, extra: int
 ) -> np.ndarray | None:
@@ -169,7 +165,6 @@ def extend_tombstones(
     return np.concatenate([tombstones, np.zeros(extra, dtype=bool)])
 
 
-@array_contract("tombstones: any, ids: (_,) i64::any -> None")
 def validate_removable(tombstones: np.ndarray | None, ids: np.ndarray) -> None:
     """Raise ``ValueError`` when any id is already tombstoned."""
     if tombstones is None or ids.size == 0:
@@ -179,11 +174,10 @@ def validate_removable(tombstones: np.ndarray | None, ids: np.ndarray) -> None:
         raise ValueError(f"row ids already removed: {dead.tolist()}")
 
 
-@array_contract("tombstones: any, rows: int, ids: (_,) i64::any -> (rows,) bool")
 def bury(
     tombstones: np.ndarray | None, rows: int, ids: np.ndarray
 ) -> np.ndarray:
-    """New bitmap over ``rows`` with ``ids`` tombstoned (copy-on-write).
+    """New ``(rows,)`` bool bitmap with ``ids`` tombstoned (copy-on-write).
 
     ``ids`` must already be validated by :func:`check_row_ids`; a
     double-remove raises ``ValueError`` before anything is written.
@@ -238,7 +232,6 @@ class RowStore(VectorIndex):
         self._write_lock = threading.Lock()
         self._snap = IndexSnapshot(self._buf.view, codec, 0, None, 0)
 
-    @array_contract("rows: (n, cols) any::any -> None")
     def _wrap(self, rows: np.ndarray) -> None:
         """Serve an existing (possibly read-only, shared-memory) matrix
         zero-copy; see :meth:`GrowBuffer.wrap`.  Shard-worker set-up,
@@ -302,7 +295,6 @@ class RowStore(VectorIndex):
         self._buf.append(vectors if codec is None else codec.encode(vectors))
         return vectors
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def add(self, vectors: np.ndarray) -> None:
         """Append rows (new row ids are ``[ntotal, ntotal + n)``)."""
         with self._write_lock:
@@ -312,7 +304,6 @@ class RowStore(VectorIndex):
                 extend_tombstones(snap.tombstones, len(vectors)), snap.codec
             )
 
-    @array_contract("ids: any -> None")
     def remove(self, ids) -> None:
         """Tombstone the given row ids (all-or-nothing; ids stay stable).
 
@@ -324,7 +315,6 @@ class RowStore(VectorIndex):
             row_ids = check_row_ids(ids, snap.rows)
             self._publish(bury(snap.tombstones, snap.rows, row_ids), snap.codec)
 
-    @array_contract("ids: any, vectors: (..., d) num::any -> (_,) i64")
     def update(self, ids, vectors: np.ndarray) -> np.ndarray:
         """Atomically replace rows: tombstone ``ids``, append ``vectors``.
 
@@ -345,7 +335,6 @@ class RowStore(VectorIndex):
             self._publish(tombstones, snap.codec)
             return snap.rows + np.arange(len(vectors), dtype=np.int64)
 
-    @array_contract("-> any")
     def compact(self) -> np.ndarray | None:
         """Rebuild the buffer without tombstoned rows; reset the bitmap.
 
@@ -398,13 +387,13 @@ class RowStore(VectorIndex):
         changes their distances (a verbatim store keeps them)."""
         return self._rebuild is not None
 
-    @array_contract("queries: (..., d) num::any, ids: any -> (nq, s) f64")
     def pair_distances(
         self, queries: np.ndarray, ids, snapshot: IndexSnapshot | None = None
     ) -> np.ndarray:
         """The distance of every ``(query, row id)`` pair under
-        ``snapshot`` (default: the current one), from the family's exact
-        kernel: pair-pure, so bit for bit what any search over that
+        ``snapshot`` (default: the current one), ``(nq, s)`` float64 for
+        ``s`` ids, from the family's exact kernel: pair-pure, so bit for
+        bit what any search over that
         snapshot reports for the row.  Tombstoned rows are scored too, a
         repeated id twice; an id outside the snapshot is a ``ValueError``."""
         queries = self._check_vectors(queries, "queries")
@@ -424,7 +413,6 @@ class RowStore(VectorIndex):
         _, exact = self._scan_kernels(queries, snap, 1)
         return exact(snap.data, cand)
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(
         self,
         queries: np.ndarray,

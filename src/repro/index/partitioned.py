@@ -56,7 +56,6 @@ from repro.index.buffer import GrowBuffer
 from repro.index.flat import FlatIndex
 from repro.index.mutation import check_row_ids, served_snapshot
 from repro.index.topk import _pad_topk, _rank_topk
-from repro.utils.contracts import array_contract
 
 __all__ = ["DEFAULT_PARTITION", "PartitionSnapshot", "TypePartitionedIndex"]
 
@@ -134,9 +133,9 @@ class PartitionSnapshot:
             return self.rows
         return sum(len(self.parts[key].ids) for key in self.select(partitions))
 
-    @array_contract("key: str -> (n,) i64::any")
     def global_ids(self, key: str) -> np.ndarray:
-        """Global row ids stored in partition ``key`` (read-only view)."""
+        """Global row ids stored in partition ``key``: a read-only
+        ``(n,)`` int64 view."""
         if key not in self.parts:
             raise KeyError(f"unknown partition key {key!r}")
         return self.parts[key].ids
@@ -207,9 +206,9 @@ class TypePartitionedIndex(VectorIndex):
         """Rows stored per partition key."""
         return {key: len(p.ids) for key, p in self._snap.parts.items()}
 
-    @array_contract("key: str -> (n,) i64::any")
     def partition_global_ids(self, key: str) -> np.ndarray:
-        """Global row ids stored in partition ``key`` (read-only view)."""
+        """Global row ids stored in partition ``key``: a read-only
+        ``(n,)`` int64 view."""
         return self._snap.global_ids(key)
 
     def rows_in(self, partitions: Sequence[str] | None = None) -> int:
@@ -237,7 +236,6 @@ class TypePartitionedIndex(VectorIndex):
             rows,
         )
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
         """Forward training to every existing partition.
 
@@ -250,7 +248,6 @@ class TypePartitionedIndex(VectorIndex):
         for part in self._snap.parts.values():
             part.index.train(vectors)
 
-    @array_contract("vectors: (..., d) num::any, partitions: any -> None")
     def add(self, vectors: np.ndarray, partitions: Sequence[str]) -> None:
         """Append rows, routing row ``i`` to partition ``partitions[i]``.
 
@@ -279,7 +276,6 @@ class TypePartitionedIndex(VectorIndex):
                 self._ids[key].append(global_ids[:, None])
             self._publish(snap.rows + len(vectors), indexes)
 
-    @array_contract("ids: any -> None")
     def remove(self, ids) -> None:
         """Tombstone global row ids in their partitions (all-or-nothing,
         see :meth:`PartitionSnapshot.check_removable`)."""
@@ -294,7 +290,6 @@ class TypePartitionedIndex(VectorIndex):
 
     # -- search ----------------------------------------------------------------
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(
         self,
         queries: np.ndarray,
@@ -332,10 +327,6 @@ class TypePartitionedIndex(VectorIndex):
         return SearchResult(ids=run_ids, distances=run_d)
 
     @staticmethod
-    @array_contract(
-        "local_ids: (nq, k) i64::any, global_ids: (n,) i64::any"
-        " -> (nq, k) i64"
-    )
     def _remap(local_ids: np.ndarray, global_ids: np.ndarray) -> np.ndarray:
         """Map a partition's local result ids into the global id space."""
         # np.where evaluates both branches, so pad ids (-1) index the

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.contracts import array_contract
-
 __all__ = ["PCATransform"]
 
 
@@ -30,7 +28,6 @@ class PCATransform:
     def is_trained(self) -> bool:
         return self.components is not None
 
-    @array_contract("vectors: (n, d) num::any -> any")
     def train(self, vectors: np.ndarray) -> "PCATransform":
         """Fit on ``(n, d)`` data via SVD of the centred matrix.
 
@@ -58,7 +55,6 @@ class PCATransform:
         )
         return self
 
-    @array_contract("vectors: (n, d) num::any -> (n, ncomp) f32")
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Project ``(n, d)`` vectors to ``(n, n_components)`` float32."""
         if self.components is None or self.mean is None:
@@ -67,9 +63,9 @@ class PCATransform:
         vectors = np.asarray(vectors, dtype=np.float64)  # repro: noqa[REP102] f64 projection, f32 output
         return ((vectors - self.mean) @ self.components.T).astype(np.float32)
 
-    @array_contract("projected: (n, ncomp) num::any -> (n, d) f32")
     def inverse(self, projected: np.ndarray) -> np.ndarray:
-        """Best-effort reconstruction back to the original space."""
+        """Best-effort reconstruction back to the original space:
+        ``(n, n_components)`` in, ``(n, d)`` float32 out."""
         if self.components is None or self.mean is None:
             raise RuntimeError("PCATransform.inverse called before train()")
         # Reconstruct in float64 to match the training numerics, return f32.

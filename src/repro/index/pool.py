@@ -30,7 +30,6 @@ import numpy as np
 from repro.index.base import VectorIndex
 from repro.index.mutation import IndexSnapshot
 from repro.index.shm import AttachedSegments, ShmRegistry
-from repro.utils.contracts import array_contract
 
 __all__ = ["ProcessShardPool", "ShardTimeoutError", "WorkerCrashedError"]
 
@@ -156,7 +155,7 @@ class ProcessShardPool:
             "fork" if "fork" in methods else "spawn"
         )
         self.shards = shards
-        self.num_workers = max(1, min(num_workers, len(shards)))
+        self.num_workers = min(num_workers, len(shards))
         self._on_respawn = on_respawn
         self._registry: ShmRegistry | None = None
         self._payloads: dict[int, tuple] = {}
@@ -259,10 +258,6 @@ class ProcessShardPool:
                 worker.process.join(timeout=5.0)
                 worker.injected_kill = True
 
-    @array_contract(
-        "shard: int, queries: (nq, d) f32, k: int, deadline: any, snap: any"
-        " -> any"
-    )
     def request(
         self,
         shard: int,
@@ -273,6 +268,7 @@ class ProcessShardPool:
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """One shard search on its worker; ``(ids, distances, seconds)``.
 
+        ``queries`` are the coordinator's checked ``(nq, d)`` float32 rows.
         ``snap`` is the caller's pinned snapshot of the shard; only its
         ``(rows, tombstones)`` pair rides the request — the rows
         themselves are already mapped by the worker — so removes are

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.index.kmeans import KMeans
 from repro.index.mutation import IndexSnapshot, RowStore
-from repro.utils.contracts import array_contract
 from repro.utils.rng import as_rng
 
 __all__ = ["PQIndex", "ProductQuantizer"]
@@ -73,7 +72,6 @@ class ProductQuantizer:
         """Bytes per encoded vector (one byte per sub-code)."""
         return self.m
 
-    @array_contract("vectors: (n, d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
         """Learn one k-means codebook per sub-space."""
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -92,7 +90,6 @@ class ProductQuantizer:
             codebooks[j] = km.centroids
         self.codebooks = codebooks
 
-    @array_contract("vectors: (n, d) num::any -> (n, m) u8")
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """Quantize ``(n, dim)`` vectors into ``(n, m)`` uint8 codes."""
         self._require_trained()
@@ -105,9 +102,9 @@ class ProductQuantizer:
             codes[:, j] = _nearest_codes(sub, self.codebooks[j])
         return codes
 
-    @array_contract("codes: (n, m) int::any -> (n, d) f32")
     def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Reconstruct approximate vectors from codes."""
+        """Reconstruct approximate vectors from codes: ``(n, m)`` integer
+        codes in, ``(n, dim)`` float32 out."""
         self._require_trained()
         codes = np.asarray(codes)  # repro: noqa[REP101] -- keep caller's integer code dtype
         if codes.ndim != 2 or codes.shape[1] != self.m:
@@ -119,19 +116,17 @@ class ProductQuantizer:
             ]
         return out
 
-    @array_contract("queries: (nq, d) num::any -> (nq, m, ksub) f64")
     def distance_tables(self, queries: np.ndarray) -> np.ndarray:
-        """ADC lookup tables: ``(n_queries, m, ksub)`` squared distances
-        (:meth:`scan_tables`, query-major)."""
+        """ADC lookup tables: ``(n_queries, m, ksub)`` float64 squared
+        distances (:meth:`scan_tables`, query-major)."""
         # ADC tables are float64 by contract (precision of the m-sum).
         return np.ascontiguousarray(
             self.scan_tables(queries).transpose(2, 0, 1),
             dtype=np.float64,  # repro: noqa[REP102]
         )
 
-    @array_contract("queries: (nq, d) num::any -> (m, ksub, nq) f64")
     def scan_tables(self, queries: np.ndarray) -> np.ndarray:
-        """ADC tables in scan orientation: contiguous ``(m, ksub, nq)``.
+        """ADC tables in scan orientation: float64 ``(m, ksub, nq)``, C order.
 
         Entry ``[j, c, q]`` is the squared distance of query ``q``'s
         ``j``-th sub-vector to centroid ``c`` of sub-quantizer ``j``, never
@@ -162,17 +157,12 @@ class ProductQuantizer:
         )
         return np.maximum(tables, 0.0, out=tables)
 
-    @array_contract(
-        "queries: (nq, d) num::any, codes: (n, m) int::any -> (nq, n) f64::any"
-    )
     def adc_distances(self, queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Asymmetric squared distances queries x codes, ``(nq, n)``."""
+        """Asymmetric squared distances queries x codes, ``(nq, n)``
+        float64 for ``(nq, dim)`` queries and ``(n, m)`` codes."""
         return self.scan_codes(self.scan_tables(queries), codes)
 
     @staticmethod
-    @array_contract(
-        "tables_t: (m, ksub, nq) num, codes: (n, m) int::any -> (nq, n) num::any"
-    )
     def scan_codes(tables_t: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """ADC distances of a block of codes, ``(nq, n)``, accumulated in
         the dtype of ``tables_t``.
@@ -215,14 +205,12 @@ class ProductQuantizer:
             raise RuntimeError("ProductQuantizer used before train()")
 
 
-@array_contract(
-    "tables32: (m, ksub, nq) f32, codes: (b, m) int::any, dead: any, k: int"
-    " -> (nq, b) bool"
-)
 def _adc_survivors(
     tables32: np.ndarray, codes: np.ndarray, dead: np.ndarray | None, k: int
 ) -> np.ndarray:
-    """Rows of ``codes`` not *provably* outside each query's top ``k``.
+    """Rows of ``codes`` not *provably* outside each query's top ``k``: an
+    ``(nq, b)`` bool keep-mask over the ``(b, m)`` block, from float32
+    ``(m, ksub, nq)`` tables.
 
     ``coarse`` is :meth:`ProductQuantizer.scan_codes` — the fixed-order
     gather and add — on the float32 cast of the tables, half the bytes of
@@ -282,14 +270,12 @@ def _adc_survivors(
     return keep
 
 
-@array_contract(
-    "tables_t: (m, ksub, nq) f64, codes: (b, m) int::any, cand: (nq, s) i64"
-    " -> (nq, s) f64"
-)
 def _adc_exact(
     tables_t: np.ndarray, codes: np.ndarray, cand: np.ndarray
 ) -> np.ndarray:
-    """Float64 ADC distance of every ``(query, candidate row)`` pair.
+    """Float64 ADC distance of every ``(query, candidate row)`` pair:
+    ``(nq, s)`` for float64 ``(m, ksub, nq)`` tables and ``(nq, s)`` int64
+    ``cand``.
 
     The same fold as :meth:`ProductQuantizer.scan_codes` — float64 table
     entries added in ``j = 0..m-1`` order onto zero — for the candidates
@@ -380,7 +366,6 @@ class PQIndex(RowStore):
         """The stored code matrix (read-only view; re-fetch after ``add``)."""
         return self._snap.data
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
         self.pq.train(self._check_vectors(vectors, "training vectors"))
 
@@ -428,7 +413,6 @@ class PQIndex(RowStore):
             lambda block, cand: _adc_exact(tables_t, block, cand),
         )
 
-    @array_contract("idx: int -> (d,) f32")
     def reconstruct(self, idx: int) -> np.ndarray:
         """Approximate stored vector for row ``idx`` (decoded from codes)."""
         snap = self._snap

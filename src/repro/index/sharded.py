@@ -79,7 +79,6 @@ from repro.index.pool import (
     WorkerCrashedError,
 )
 from repro.index.topk import _pad_topk, _rank_topk
-from repro.utils.contracts import array_contract
 
 __all__ = [
     "AllShardsFailedError",
@@ -180,8 +179,9 @@ class ShardedIndex(VectorIndex):
         model (module docstring).
     num_workers:
         Worker processes for the process executor (shards are assigned
-        round-robin when fewer workers than shards).  Defaults to
-        ``num_shards``; unused by the inline executor.
+        round-robin when fewer workers than shards).  ``None`` (the
+        default) means ``num_shards``; below 1 is a ``ValueError``.
+        Unused by the inline executor.
     shard_timeout:
         Seconds one search waits for its shard fan-out (one deadline
         shared by the concurrently-running shards; the inline executor
@@ -223,6 +223,10 @@ class ShardedIndex(VectorIndex):
             )
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if num_workers is not None and num_workers < 1:
+            raise ValueError(
+                f"num_workers must be >= 1 or None, got {num_workers}"
+            )
         self.dim = dim
         self.num_shards = num_shards
         self._factory = factory if factory is not None else FlatIndex
@@ -235,7 +239,7 @@ class ShardedIndex(VectorIndex):
         self._write_lock = threading.Lock()
         self._view = _IndexView(shards, tuple(map(served_snapshot, shards)), 0, 0)
         self.executor = executor
-        self._num_workers = num_workers or num_shards
+        self._num_workers = num_shards if num_workers is None else num_workers
         self._executor: ThreadPoolExecutor | None = None
         self._process_pool: ProcessShardPool | None = None
         self.shard_timeout = shard_timeout
@@ -299,7 +303,6 @@ class ShardedIndex(VectorIndex):
             if len(rows):
                 shard.add(rows)
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def train(self, vectors: np.ndarray) -> None:
         """Train every shard on the full matrix (identical quantizers)."""
         vectors = self._check_vectors(vectors, "training vectors")
@@ -309,7 +312,6 @@ class ShardedIndex(VectorIndex):
                 shard.train(vectors)
             self._publish(self._view.rows)
 
-    @array_contract("vectors: (..., d) num::any -> None")
     def add(self, vectors: np.ndarray) -> None:
         """Stripe a batch round-robin by global arrival order."""
         vectors = self._check_vectors(vectors, "vectors")
@@ -321,7 +323,6 @@ class ShardedIndex(VectorIndex):
             self._stripe(view.shards, vectors, view.rows)
             self._publish(view.rows + len(vectors))
 
-    @array_contract("ids: any -> None")
     def remove(self, ids) -> None:
         """Tombstone global row ids across shards (all-or-nothing).
 
@@ -335,7 +336,6 @@ class ShardedIndex(VectorIndex):
                 view.shards[s].remove(local)
             self._publish(view.rows)
 
-    @array_contract("ids: any, vectors: (..., d) num::any -> (_,) i64")
     def update(self, ids, vectors: np.ndarray) -> np.ndarray:
         """Atomically replace global rows: tombstone ``ids``, append rows.
 
@@ -372,7 +372,6 @@ class ShardedIndex(VectorIndex):
         order = np.argsort(ids, kind="stable")
         return ids[order], np.concatenate(all_vecs)[order]
 
-    @array_contract("-> any")
     def compact(self) -> np.ndarray | None:
         """Rebuild the shard set without tombstoned rows; swap atomically.
 
@@ -420,7 +419,6 @@ class ShardedIndex(VectorIndex):
         """Whether :meth:`compact` re-codes rows (any shard's family does)."""
         return any(shard.retrains_on_compact for shard in self._view.shards)
 
-    @array_contract("queries: (..., d) num::any, ids: any -> (nq, s) f64")
     def pair_distances(
         self, queries: np.ndarray, ids, snapshot: _IndexView | None = None
     ) -> np.ndarray:
@@ -585,7 +583,6 @@ class ShardedIndex(VectorIndex):
                 outcomes.append((result, False, None))
         return outcomes
 
-    @array_contract("queries: (..., d) num::any, k: int -> SearchResult")
     def search(
         self,
         queries: np.ndarray,

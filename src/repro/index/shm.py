@@ -47,8 +47,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.utils.contracts import array_contract
-
 __all__ = [
     "AttachedSegments",
     "ShmArraySpec",
@@ -96,7 +94,6 @@ class ShmRegistry:
         """Payload bytes across all owned segments."""
         return sum(seg.size for seg in self._segments.values())
 
-    @array_contract("array: (...) any::any -> any")
     def share(self, array: np.ndarray) -> ShmArraySpec:
         """Copy ``array`` into a fresh owned segment; return its spec."""
         if self._closed:
@@ -121,7 +118,6 @@ class ShmRegistry:
             name=name, shape=tuple(array.shape), dtype=array.dtype.str
         )
 
-    @array_contract("spec: any -> (...) any")
     def view(self, spec: ShmArraySpec) -> np.ndarray:
         """Owner-side read-only view of a segment this registry created."""
         seg = self._segments[spec.name]
@@ -163,7 +159,6 @@ class AttachedSegments:
     def __init__(self) -> None:
         self._segments: list[shared_memory.SharedMemory] = []
 
-    @array_contract("spec: any -> (...) any")
     def attach(self, spec: ShmArraySpec) -> np.ndarray:
         """Map ``spec``'s segment and return a read-only ndarray view.
 
@@ -198,7 +193,6 @@ class AttachedSegments:
         _warn_unclosed(self, "maps")
 
 
-@array_contract("spec: any -> any")
 def attach(spec: ShmArraySpec) -> tuple[np.ndarray, AttachedSegments]:
     """One-spec convenience: mapped read-only array + its detach handle."""
     holder = AttachedSegments()

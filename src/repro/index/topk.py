@@ -53,8 +53,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.contracts import array_contract
-
 __all__ = ["DEFAULT_BLOCK_BUDGET_BYTES", "auto_block_size", "merge_topk"]
 
 #: Per-block score-tile budget for :func:`auto_block_size`.  8 MiB is the
@@ -135,10 +133,10 @@ def _rank_topk(
     return ids[rows, order], distances[rows, order]
 
 
-@array_contract("keep: (nq, b) bool -> (nq, _) i64")
 def _left_pack(keep: np.ndarray) -> np.ndarray:
-    """Column numbers of the ``True`` cells of each row, ascending and
-    left-aligned; rows with fewer than the widest are padded with ``-1``."""
+    """Column numbers of the ``True`` cells of each row of an ``(nq, b)``
+    bool mask, ascending and left-aligned in an ``(nq, widest)`` int64
+    array; rows with fewer than the widest are padded with ``-1``."""
     # flatnonzero + divmod: 10x faster than the 2-D np.nonzero at 32 x 5000.
     row, col = np.divmod(np.flatnonzero(keep), keep.shape[1])
     counts = np.bincount(row, minlength=len(keep))
@@ -164,11 +162,6 @@ def _pad_topk(
     return pad_ids, pad_d
 
 
-@array_contract(
-    "ids_a: (nq, ka) i64::any, d_a: (nq, ka) num::any,"
-    " ids_b: (nq, kb) i64::any, d_b: (nq, kb) num::any, k: int"
-    " -> (nq, _) i64, (nq, _) num"
-)
 def merge_topk(
     ids_a: np.ndarray,
     d_a: np.ndarray,

@@ -31,7 +31,6 @@ from typing import Any
 import numpy as np
 
 from repro.lookup.normalize import normalize
-from repro.utils.contracts import array_contract
 
 __all__ = ["UNFILED", "CacheStats", "QueryCache"]
 
@@ -309,7 +308,6 @@ class QueryCache:
 
     # -- embedding store --------------------------------------------------------
 
-    @array_contract("query: str -> any")
     def get_embedding(self, query: str) -> np.ndarray | None:
         """Cached embedding for ``query`` or ``None`` (counts hit/miss).
 
@@ -319,7 +317,6 @@ class QueryCache:
         with self._lock:
             return self._embeddings.get(self._normalize(query))
 
-    @array_contract("query: str, vector: (d,) num::any -> None")
     def put_embedding(self, query: str, vector: np.ndarray) -> None:
         """Store ``query``'s embedding (copied and frozen read-only)."""
         entry = np.array(vector, copy=True)
@@ -327,7 +324,6 @@ class QueryCache:
         with self._lock:
             self._embeddings.put(self._normalize(query), entry)
 
-    @array_contract("normalized: any, embed_fn: callable -> (n, d) f32::any")
     def get_embeddings(
         self,
         normalized: list[str],
@@ -339,9 +335,10 @@ class QueryCache:
         hold for the probe, one for the fill).  ``embed_fn`` receives the
         miss queries (in input order) and must return one vector row per
         query; it runs *outside* the cache lock, so other threads keep
-        hitting the cache while a model forward pass is in flight.  This
-        is the shared serving-path helper used by the engine and the
-        embedder services.
+        hitting the cache while a model forward pass is in flight.  The
+        result is ``(n, d)`` rows of ``embed_fn``'s dtype: float32 and
+        C-contiguous for every served embedder.  This is the shared
+        serving-path helper used by the engine and the embedder services.
         """
         get = self._embeddings.get
         with self._lock:

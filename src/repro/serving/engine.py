@@ -82,7 +82,6 @@ from repro.lookup.base import Candidate, LookupService
 from repro.lookup.cache import UNFILED, QueryCache
 from repro.lookup.normalize import normalize
 from repro.lookup.router import TAU, LookupRouter, TypeFilterMap
-from repro.utils.contracts import array_contract
 from repro.utils.ranking import fetch_size, resolve_hits
 from repro.utils.timing import Stopwatch
 
@@ -1115,9 +1114,10 @@ class LookupEngine(LookupService):
             snap.impure_rows[type_filter] = count
         return count
 
-    @array_contract("normalized: any -> (n, d) f32::any")
     def _embed(self, normalized: list[str]) -> np.ndarray:
-        """Embed normalized queries, memoizing repeats when cache enabled."""
+        """Embed normalized queries, memoizing repeats when cache enabled:
+        ``(n, d)`` float32, C-contiguous (:meth:`_entering` reads the
+        rows' bytes back as float32)."""
         if self.cache is None:
             return self.pipeline.embed_queries(normalized)
         return self.cache.get_embeddings(

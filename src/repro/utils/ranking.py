@@ -16,8 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.utils.contracts import array_contract
-
 __all__ = ["BestRows", "best_rows", "fetch_size", "resolve_hits", "resolve_rows"]
 
 
@@ -52,13 +50,13 @@ class BestRows:
         return [(score, -neg) for score, neg in sorted(self._heap, reverse=True)]
 
 
-@array_contract("scores: (n,) f64, rows: (n,) int, k: int -> any")
 def best_rows(scores, rows, k: int) -> list[tuple[float, int]]:
     """:class:`BestRows` for a scorer that has every pair at once.
 
-    ``scores[i]`` belongs to ``rows[i]`` (distinct rows, any order);
-    returns what ``k`` offers followed by ``ranked()`` would: the best
-    ``k`` pairs, best first.
+    ``scores[i]`` (an ``(n,)`` float64 array) belongs to ``rows[i]`` (an
+    ``(n,)`` integer array of distinct rows, any order); returns what
+    ``k`` offers followed by ``ranked()`` would: the best ``k`` pairs,
+    best first.
     """
     cut = len(scores) - k
     if cut > 0:
@@ -112,10 +110,6 @@ def fetch_size(k: int, has_alias_rows: bool, available: int, extra: int = 0) -> 
     return min((k * 3 if has_alias_rows else k) + extra, available) or k
 
 
-@array_contract(
-    "ids: (nq, kr) i64::any, values: (nq, kr) num::any, entity_of: any, "
-    "k: int -> any"
-)
 def resolve_hits(
     ids,
     values,
@@ -126,8 +120,8 @@ def resolve_hits(
 ) -> list[list]:
     """:func:`resolve_rows` per query of an index search.
 
-    ``ids`` / ``values`` are the ``(nq, fetched)`` arrays of a
-    ``SearchResult``, already best first; pass ``-distances`` as
+    ``ids`` / ``values`` are the ``(nq, fetched)`` int64 / numeric arrays
+    of a ``SearchResult``, already best first; pass ``-distances`` as
     ``values`` for a relevance score.
     """
     return [

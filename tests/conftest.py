@@ -14,11 +14,10 @@ When ``REPRO_SANITIZER=1`` the runtime lock-order sanitizer
 every ``threading.Lock`` created in repro or test code is tracked and
 each test fails if it introduced a lock-order inversion.
 
-When ``REPRO_ARRAYCHECK=1`` the runtime array-contract validator
-(:mod:`repro.utils.contracts`) is installed the same way: every
-``@array_contract``-decorated call validates its arrays' shape, dtype,
-and contiguity against the declared contract, and each test fails if it
-recorded a new REP80x violation.
+Array shape, dtype and layout have no runtime hook of their own: every
+index door coerces through ``VectorIndex._check_vectors``, and the
+boundary-coercion, top-k layout and differential suites pin what comes
+back out (DESIGN.md §8 "Runtime nets").
 """
 
 from __future__ import annotations
@@ -34,17 +33,11 @@ from repro.kg import KnowledgeGraph, SyntheticKGConfig, generate_kg
 from repro.tables import BenchmarkConfig, TabularDataset, generate_benchmark
 
 SANITIZE = os.environ.get("REPRO_SANITIZER") == "1"
-ARRAYCHECK = os.environ.get("REPRO_ARRAYCHECK") == "1"
 
 if SANITIZE:
     from repro.testing import sanitizer as _sanitizer
 
     _sanitizer.install()
-
-if ARRAYCHECK:
-    from repro.utils import contracts as _contracts
-
-    _contracts.install()
 
 
 @pytest.fixture(autouse=SANITIZE)
@@ -60,23 +53,6 @@ def _lock_order_sanitizer():
     new = after[before:]
     assert not new, (
         f"{len(new)} lock-order violation(s) introduced by this test:\n"
-        + "\n".join(f"  - {message}" for message in new)
-    )
-
-
-@pytest.fixture(autouse=ARRAYCHECK)
-def _array_contract_validator():
-    """Fail any test that recorded a new array-contract violation."""
-    if not ARRAYCHECK:
-        yield
-        return
-    tracker = _contracts.current_tracker()
-    before = len(tracker.violations())
-    yield
-    after = tracker.violations()
-    new = after[before:]
-    assert not new, (
-        f"{len(new)} array-contract violation(s) recorded by this test:\n"
         + "\n".join(f"  - {message}" for message in new)
     )
 

@@ -77,6 +77,9 @@ class TestLiveWeights:
 
         queries = ["germany", "germony", "federal republic", "x"]
         want = trained_service.embed_queries(queries)
+        # The serving engine reads these rows' bytes back as float32.
+        assert want.dtype == np.float32 and want.flags.c_contiguous
+        assert want.shape == (len(queries), trained_service.config.embedding_dim)
         trained_service.save(tmp_path)
         restored = EmbLookup.load(tmp_path, tiny_kg)
         np.testing.assert_array_equal(restored.embed_queries(queries), want)

@@ -1,14 +1,15 @@
 """Dtype/layout coercion at the index ``add()``/``search()`` boundary.
 
-The public entry points declare ``(..., d) num::any`` contracts: callers
+The public entry points take any numeric ``(..., d)`` array: callers
 may hand over float64, Fortran-ordered, or single-row 1-D arrays, and
 :meth:`VectorIndex._check_vectors` coerces them to contiguous float32
-exactly once at the boundary.  Strict f32/i64 contracts then hold on
-everything behind it.  These tests pin the coercion down bit-for-bit:
-every variant input is generated as float32 first and then upcast or
-re-laid-out, so the coerced array is *identical* to the reference and
-the search results must match exactly — any drift means a kernel saw
-the uncoerced array.
+exactly once at the boundary, so every kernel behind it sees float32 C
+rows.  These tests pin the coercion down bit-for-bit: every variant
+input is generated as float32 first and then upcast or re-laid-out, so
+the coerced array is *identical* to the reference and the search
+results must match exactly — any drift means a kernel saw the uncoerced
+array.  What comes back out is pinned too: on every served family a
+search returns int64 ids and float64 distances, both ``(nq, k)``.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
 from repro.index.ivfpq import IVFPQIndex
 from repro.index.lsh import LSHIndex
+from repro.index.partitioned import TypePartitionedIndex
 from repro.index.pq import PQIndex
 from repro.index.sharded import ShardedIndex
 
@@ -51,6 +53,15 @@ FACTORIES = {
     "lsh": lambda: LSHIndex(DIM, nbits=8, ntables=4, seed=7),
     "hnsw": lambda: HNSWIndex(DIM, m=4, ef_construction=16, seed=7),
     "sharded": lambda: ShardedIndex(DIM, 4, executor="inline"),
+}
+
+# The families the serving stack holds (repro.index.mutation.served_snapshot).
+SERVED = {
+    "flat": FACTORIES["flat"],
+    "pq": FACTORIES["pq"],
+    "sharded_inline": lambda: ShardedIndex(DIM, 2, executor="inline"),
+    "sharded_process": lambda: ShardedIndex(DIM, 2, executor="process"),
+    "type_partitioned": lambda: TypePartitionedIndex(DIM),
 }
 
 VARIANTS = {
@@ -98,13 +109,25 @@ class TestBoundaryShape:
         np.testing.assert_array_equal(got.distances, expected.distances)
         assert got.ids.shape == (1, K)
 
-    def test_ids_are_int64_after_f64_add(self):
-        data = make_data(n=32)
-        index = FlatIndex(DIM)
-        index.add(data.astype(np.float64))
-        result = index.search(data[:4].astype(np.float64), K)
+    @pytest.mark.parametrize("name", sorted(SERVED))
+    def test_ids_are_int64_after_f64_add(self, name):
+        # assert_array_equal ignores dtype, so the equivalence suites do
+        # not pin what a served search hands the rank stage.
+        data = make_data(n=32).astype(np.float64)
+        index = SERVED[name]()
+        try:
+            if not index.is_trained:
+                index.train(data)
+            if isinstance(index, TypePartitionedIndex):
+                index.add(data, ["a", "b"] * 16)
+            else:
+                index.add(data)
+            result = index.search(data[:4], K)
+        finally:
+            getattr(index, "close", lambda: None)()
         assert result.ids.dtype == np.int64
-        assert np.issubdtype(result.distances.dtype, np.floating)
+        assert result.distances.dtype == np.float64
+        assert result.ids.shape == result.distances.shape == (4, K)
 
     def test_storage_coerced_to_float32(self):
         # reconstruct() exposes the stored row: an f64 add must land as

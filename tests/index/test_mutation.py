@@ -60,6 +60,9 @@ class TestMutationHelpers:
     def test_check_row_ids_validates(self):
         assert check_row_ids([], 5).dtype == np.int64
         assert list(check_row_ids([3, 0], 5)) == [3, 0]
+        # Narrow caller ids are widened before any id arithmetic.
+        narrow = check_row_ids(np.array([3, 0], dtype=np.int32), 5)
+        assert narrow.dtype == np.int64
         with pytest.raises(ValueError, match="must be in"):
             check_row_ids([5], 5)
         with pytest.raises(ValueError, match="must be in"):

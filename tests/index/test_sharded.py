@@ -35,6 +35,9 @@ class TestBasics:
             ShardedIndex(0, 2)
         with pytest.raises(ValueError):
             ShardedIndex(4, 0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="num_workers"):
+                ShardedIndex(4, 2, executor="process", num_workers=workers)
 
     def test_round_robin_striping(self):
         data, _ = make_data(n=10, d=4)

@@ -1,6 +1,6 @@
 """The top-k merge under mixed dtypes and non-contiguous layouts.
 
-``merge_topk`` declares ``num::any`` input contracts: distances may
+``merge_topk`` takes any numeric dtype and any layout: distances may
 arrive as float64 (the scans' re-scored survivors) or as views — Fortran
 blocks, transposed score matrices, strided slices.  These tests assert
 the merge is *value*-driven: the same scores in any dtype/layout must

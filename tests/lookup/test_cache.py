@@ -327,6 +327,11 @@ class TestEmbedderServiceCache:
         second = service.lookup_batch(queries, 5)
         assert embedder.strings_embedded == before  # all three cached
         assert first == second
+        # A hit interleaved with a miss: the engine reads these rows' bytes
+        # back as float32 (LookupEngine._entering).
+        vectors = service.cache.get_embeddings(["germany", "spain"], embedder.embed)
+        assert vectors.dtype == np.float32 and vectors.flags.c_contiguous
+        assert vectors.shape == (2, embedder.dim)
 
     def test_cache_disabled_by_default(self, tiny_kg):
         service = EmbedderLookupService.build(

@@ -1,9 +1,9 @@
 """Runtime-net fixtures: seeded good/bad drivers for the lock-order
-sanitizer (``lockorder_*``) and the array-contract validator (``arrays_*``).
+sanitizer (``lockorder_*``).
 
-Each ``*_violations.py`` makes its net fire and the paired ``*_clean.py``
-does the same work correctly and must leave it silent; the tests execute
-them (``tests/testing/test_sanitizer.py``, ``test_contract_validator.py``).
+``lockorder_violations.py`` makes the sanitizer fire and
+``lockorder_clean.py`` does the same work correctly and must leave it
+silent; ``tests/testing/test_sanitizer.py`` executes them.
 """
 
 from pathlib import Path
