@@ -14,6 +14,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.index.base import VectorIndex
 from repro.index.kmeans import KMeans
 from repro.index.mutation import IndexSnapshot, RowStore
 from repro.utils.rng import as_rng
@@ -368,6 +369,16 @@ class PQIndex(RowStore):
 
     def train(self, vectors: np.ndarray) -> None:
         self.pq.train(self._check_vectors(vectors, "training vectors"))
+
+    def train_like(self, trained: VectorIndex, vectors: np.ndarray) -> None:
+        """Copy ``trained``'s codebooks instead of fitting k-means again,
+        when they have this quantizer's shape (otherwise :meth:`train`)."""
+        codebooks = trained.pq.codebooks if isinstance(trained, PQIndex) else None
+        shape = (self.pq.m, self.pq.ksub, self.pq.dsub)
+        if codebooks is None or codebooks.shape != shape:
+            self.train(vectors)
+        else:
+            self.pq.codebooks = codebooks.copy()
 
     def to_shared(self, share: Callable) -> dict:
         """Constructor arguments plus codes and codebooks passed through

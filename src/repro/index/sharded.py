@@ -94,6 +94,16 @@ class AllShardsFailedError(RuntimeError):
     """Every shard of a sharded search failed or timed out."""
 
 
+def _train_shards(shards: list[VectorIndex], vectors: np.ndarray) -> None:
+    """One fit per fan-out: the first shard trains on ``vectors``, every
+    other shard takes its trained quantizer (``VectorIndex.train_like``),
+    so all shards encode against the same codebooks."""
+    first, *rest = shards
+    first.train(vectors)
+    for shard in rest:
+        shard.train_like(first, vectors)
+
+
 class _IndexView(NamedTuple):
     """One immutable cross-shard state, published by one attribute swap.
 
@@ -171,9 +181,9 @@ class ShardedIndex(VectorIndex):
         (:func:`repro.index.mutation.served_snapshot`; ``TypeError``
         otherwise) — a :class:`~repro.index.mutation.RowStore`, whose
         ``to_shared`` / ``live`` the process executor and :meth:`compact`
-        use.  For trained families the factory must produce
-        identically-seeded indexes so all shards learn the same quantizer
-        (``train`` feeds every shard the full training matrix).
+        use.  Every shard must be built alike: ``train`` and
+        :meth:`compact` fit the first shard's quantizer on the full
+        matrix and hand it to the others, seeded factory or not.
     executor:
         ``"inline"`` (default) | ``"process"`` — the fan-out execution
         model (module docstring).
@@ -304,12 +314,12 @@ class ShardedIndex(VectorIndex):
                 shard.add(rows)
 
     def train(self, vectors: np.ndarray) -> None:
-        """Train every shard on the full matrix (identical quantizers)."""
+        """Train on the full matrix: one fit, every shard the same
+        quantizer (:func:`_train_shards`)."""
         vectors = self._check_vectors(vectors, "training vectors")
         with self._write_lock:
             self._invalidate_workers()
-            for shard in self._view.shards:
-                shard.train(vectors)
+            _train_shards(self._view.shards, vectors)
             self._publish(self._view.rows)
 
     def add(self, vectors: np.ndarray) -> None:
@@ -376,8 +386,9 @@ class ShardedIndex(VectorIndex):
         """Rebuild the shard set without tombstoned rows; swap atomically.
 
         The expensive rebuild — gathering live vectors, re-training PQ
-        codebooks on them, re-striping — runs *off-lock* against a pinned
-        view, so serving traffic (and other mutators) proceed meanwhile.
+        codebooks on them (one fit for the whole shard set), re-striping —
+        runs *off-lock* against a pinned view, so serving traffic (and
+        other mutators) proceed meanwhile.
         The swap is all-or-nothing: it is abandoned (returning ``None``)
         when any mutation was published during the rebuild, and searches
         pinned on the old view keep scanning the old shard objects, which
@@ -397,8 +408,7 @@ class ShardedIndex(VectorIndex):
         live_ids, live_vecs = self._gather_live(view)
         new_shards = [self._factory(self.dim) for _ in range(self.num_shards)]
         if any(not shard.is_trained for shard in new_shards) and len(live_vecs):
-            for shard in new_shards:
-                shard.train(live_vecs)
+            _train_shards(new_shards, live_vecs)
         self._stripe(new_shards, live_vecs, 0)
         if on_compaction is not None:
             on_compaction("swap")

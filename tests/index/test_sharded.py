@@ -16,6 +16,7 @@ import pytest
 
 from repro.index import shm
 from repro.index.flat import FlatIndex
+from repro.index.kmeans import KMeans
 from repro.index.pq import PQIndex
 from repro.index.sharded import ShardedIndex
 
@@ -352,6 +353,66 @@ class TestPQEquivalence:
             got = sharded.search(queries, 10)
         assert got.ids.tobytes() == want.ids.tobytes()
         assert got.distances.tobytes() == want.distances.tobytes()
+
+
+class TestOneFitPerFanOut:
+    """``train`` and ``compact`` fit the quantizer once, whatever the shard
+    count, and every shard encodes against those codebooks."""
+
+    M = 4
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        real_fit = KMeans.fit
+
+        def spy(self, points):
+            calls.append(len(points))
+            return real_fit(self, points)
+
+        monkeypatch.setattr(KMeans, "fit", spy)
+        return calls
+
+    def _factory(self, seed=13):
+        return lambda dim: PQIndex(dim, m=self.M, nbits=4, seed=seed)
+
+    @staticmethod
+    def _codebooks_equal(index):
+        first, *rest = [shard.pq.codebooks for shard in index.shards]
+        return all(np.array_equal(first, other) for other in rest)
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_one_fit_per_train_and_per_compact(self, fits, num_shards):
+        data, _ = make_data(n=300, seed=11)
+        with ShardedIndex(16, num_shards, factory=self._factory()) as index:
+            index.train(data)
+            assert len(fits) == self.M
+            assert self._codebooks_equal(index)
+            index.add(data)
+            index.remove(np.arange(0, 300, 5))
+            fits.clear()
+            assert index.compact() is not None
+            assert len(fits) == self.M
+            assert fits == [240] * self.M  # the live rows, once
+            assert self._codebooks_equal(index)
+
+    def test_unseeded_factory_yields_identical_shards(self):
+        data, queries = make_data(n=300, seed=12)
+        with ShardedIndex(16, 3, factory=self._factory(seed=None)) as index:
+            index.train(data)
+            index.add(data)
+            assert self._codebooks_equal(index)
+            # One quantizer: the sharded scan is the unsharded scan over it.
+            plain = PQIndex(16, m=self.M, nbits=4)
+            plain.pq.codebooks = index.shards[0].pq.codebooks
+            plain.add(data)
+            want = plain.search(queries, 10)
+            got = index.search(queries, 10)
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.distances.tobytes() == want.distances.tobytes()
+            index.remove(np.arange(0, 300, 7))
+            assert index.compact() is not None
+            assert self._codebooks_equal(index)
 
 
 class TestScanSeconds:
