@@ -24,7 +24,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.config import EmbLookupConfig
-from repro.embedding.emblookup_model import EmbLookupModel
+from repro.embedding.emblookup_model import EmbLookupModel, MentionInputs
 from repro.embedding.fasttext import FastTextConfig, FastTextModel
 from repro.index.base import VectorIndex
 from repro.index.flat import FlatIndex
@@ -129,6 +129,19 @@ class EmbLookup:
             return
         cfg = self.config
         optimizer = Adam(list(self.model.parameters()), lr=cfg.learning_rate)
+        # Per-fit constants: every distinct mention is encoded (codes, and
+        # the frozen fastText vectors) once, and each batch gathers its
+        # rows; a row depends on its own string only, so this is bit-equal
+        # to encoding the batch afresh.
+        names: dict[str, int] = {}
+        rows = np.array(
+            [
+                [names.setdefault(m, len(names)) for m in triplet]
+                for triplet in triplets
+            ],
+            dtype=np.intp,
+        ).reshape(len(triplets), 3)
+        inputs = self.model.mention_inputs(list(names))
         order = np.arange(len(triplets))
         hard_from = int(cfg.hard_mining_start * cfg.epochs)
         self.model.train()
@@ -139,8 +152,7 @@ class EmbLookup:
             steps = 0
             for start in range(0, len(order), cfg.batch_size):
                 chunk = order[start : start + cfg.batch_size]
-                batch = [triplets[i] for i in chunk]
-                loss = self._batch_loss(batch, online=online)
+                loss = self._batch_loss(inputs, rows[chunk], online=online)
                 if loss is None:
                     continue
                 optimizer.zero_grad()
@@ -151,13 +163,19 @@ class EmbLookup:
             self.training_history.append(epoch_loss / max(steps, 1))
         self.model.eval()
 
-    def _batch_loss(self, batch: list[Triplet], online: bool) -> Tensor | None:
-        """Triplet loss for one batch; in online mode easy triplets are
-        masked out so only hard / semi-hard examples contribute."""
+    def _batch_loss(
+        self, inputs: MentionInputs, batch: np.ndarray, online: bool
+    ) -> Tensor | None:
+        """Triplet loss for one batch — ``(B, 3)`` rows of ``inputs``, one
+        (anchor, positive, negative) per line; in online mode easy triplets
+        are masked out so only hard / semi-hard examples contribute."""
         assert self.model is not None
-        anchors = self.model.forward_mentions([t.anchor for t in batch])
-        positives = self.model.forward_mentions([t.positive for t in batch])
-        negatives = self.model.forward_mentions([t.negative for t in batch])
+        size = len(batch)
+        # One forward over the anchors, then the positives, then the negatives.
+        out = self.model.forward_rows(inputs, batch.T.ravel())
+        anchors, positives, negatives = (
+            out[i * size : (i + 1) * size] for i in range(3)
+        )
         loss_fn = (
             contrastive_losses
             if self.config.loss == "contrastive"
@@ -264,6 +282,17 @@ class EmbLookup:
         if self.model is None:
             raise RuntimeError("EmbLookup.embed_queries called before fit()")
         return self._embed_in_batches([normalize(q) for q in queries])
+
+    def embed_normalized(self, normalized: Sequence[str]) -> np.ndarray:
+        """:meth:`embed_queries` for strings that are already ``normalize``d.
+
+        Same result; the strings are embedded as given instead of being
+        folded a second time (the serving engine normalizes every query
+        once, on entry).
+        """
+        if self.model is None:
+            raise RuntimeError("EmbLookup.embed_normalized called before fit()")
+        return self._embed_in_batches(list(normalized))
 
     def lookup(self, query: str, k: int = 10) -> list[LookupResult]:
         """Top-``k`` candidate entities for one query string."""

@@ -24,7 +24,7 @@ __all__ = ["CharCNNEncoder"]
 
 
 class CharCNNEncoder(Module):
-    """5-layer character CNN: one-hot ``(N, |A|, L)`` -> ``(N, out_dim)``.
+    """5-layer character CNN: codes ``(N, L)`` -> ``(N, out_dim)``.
 
     Parameters
     ----------
@@ -92,10 +92,25 @@ class CharCNNEncoder(Module):
         """Per conv layer: whether a stride-2 max-pool follows it."""
         return self._pool_after
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Encode one-hot batches ``(N, |A|, L)`` to embeddings ``(N, out_dim)``."""
-        for conv, pool in zip(self._convs, self._pool_after):
-            x = conv(x).relu()
+    def forward(self, codes: np.ndarray) -> Tensor:
+        """Encode ``(N, L)`` code matrices to embeddings ``(N, out_dim)``.
+
+        ``codes`` is :meth:`OneHotEncoder.encode_codes` of the mentions —
+        the index form of the one-hot input, which layer 1 convolves as a
+        gather (:func:`repro.nn.functional.conv1d_codes`).
+        """
+        codes = np.asarray(codes, dtype=np.intp)
+        if codes.ndim != 2 or codes.shape[1] != self.encoder.max_length:
+            raise ValueError(
+                f"expected (N, {self.encoder.max_length}) codes from "
+                f"OneHotEncoder.encode_codes, got shape {codes.shape}"
+            )
+        first = self._convs[0]
+        x = F.conv1d_codes(codes, first.weight, first.bias)
+        for layer, (conv, pool) in enumerate(zip(self._convs, self._pool_after)):
+            if layer:
+                x = conv(x)
+            x = x.relu()
             if pool:
                 x = F.max_pool1d(x, kernel=2, stride=2)
         n = x.shape[0]

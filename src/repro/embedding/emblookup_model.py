@@ -10,6 +10,7 @@ and optionally fine-tuned).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,19 @@ from repro.text.encoding import OneHotEncoder
 from repro.text.tokenize import normalize
 from repro.utils.rng import as_rng
 
-__all__ = ["EmbLookupModel"]
+__all__ = ["EmbLookupModel", "MentionInputs"]
+
+
+class MentionInputs(NamedTuple):
+    """Per-string inputs of :meth:`EmbLookupModel.forward_rows`.
+
+    ``codes`` is the ``(n, L)`` code matrix of the CNN tower.  ``semantic``
+    is the fastText tower's input: its frozen ``(n, dim)`` vectors, or,
+    when it is fine-tuned, each mention's subword bucket ids.
+    """
+
+    codes: np.ndarray
+    semantic: np.ndarray | list[list[int]]
 
 
 class EmbLookupModel(Module):
@@ -82,12 +95,32 @@ class EmbLookupModel(Module):
 
     def forward_mentions(self, mentions: Sequence[str]) -> Tensor:
         """Differentiable forward pass over raw mention strings."""
-        onehot = Tensor(self.encoder.encode_batch(mentions))
-        syntactic = self.cnn(onehot)
+        return self.forward_rows(
+            self.mention_inputs(mentions), np.arange(len(mentions), dtype=np.intp)
+        )
+
+    def mention_inputs(self, mentions: Sequence[str]) -> MentionInputs:
+        """What the forward computes from each string on its own.
+
+        Row ``i`` depends on ``mentions[i]`` alone, so a table built once
+        over every distinct training mention and gathered per batch
+        (:meth:`forward_rows`) is bit-equal to encoding each batch afresh.
+        """
+        codes = self.encoder.encode_codes(mentions)
         if self.finetune_fasttext:
-            semantic = self.fasttext.embed_tensor(mentions)
+            return MentionInputs(
+                codes, self.fasttext.bags([normalize(m) for m in mentions])
+            )
+        return MentionInputs(codes, self.fasttext.embed(mentions))
+
+    def forward_rows(self, inputs: MentionInputs, rows: np.ndarray) -> Tensor:
+        """Differentiable forward pass over rows ``rows`` of ``inputs``."""
+        syntactic = self.cnn(inputs.codes[rows])
+        if self.finetune_fasttext:
+            bags = inputs.semantic
+            semantic = self.fasttext.bag.forward_bags([bags[i] for i in rows])
         else:
-            semantic = Tensor(self.fasttext.embed(mentions))
+            semantic = Tensor(inputs.semantic[rows])
         fused = concatenate([syntactic, semantic], axis=1)
         out = self.fuse2(self.fuse1(fused).relu())
         if self.normalize_output:

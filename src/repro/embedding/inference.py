@@ -14,7 +14,9 @@ The CNN runs channels-last, ``(N, L, C)``:
   ``x[:, l] = T0[c[l-1]] + T1[c[l]] + T2[c[l+1]] + b`` where ``c`` is the
   ``(N, L)`` code matrix of :meth:`OneHotEncoder.encode_codes` and
   ``Tk = W[:, :, k].T`` with one zero row appended for the pad code — the
-  dense ``(N, |A|, L)`` tensor is never built;
+  dense ``(N, |A|, L)`` tensor is never built.  The kernel is
+  :func:`repro.nn.functional.conv3_gather`, which training's
+  ``conv1d_codes`` runs too;
 - **layers 2+ are one GEMM each**: three shifted slices of the
   activations side by side in a zeroed ``(N·L, 3C)`` buffer against the
   kernel laid out as ``(3C, C)``, bias and ReLU in place, stride-2
@@ -34,6 +36,8 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.nn.functional import conv3_gather
 
 if TYPE_CHECKING:
     from repro.embedding.cnn import CharCNNEncoder
@@ -90,7 +94,7 @@ def _bias_relu(x: np.ndarray, bias: np.ndarray) -> None:
 def _conv_tower(cnn: CharCNNEncoder, mentions: Sequence[str]) -> np.ndarray:
     """Kernel-3, pad-1 conv stack + linear head, channels-last."""
     codes = cnn.encoder.encode_codes(mentions)
-    x = _conv3_onehot(codes, cnn.conv_layers[0].weight.data)
+    x = conv3_gather(codes, cnn.conv_layers[0].weight.data)
     for layer, (conv, pool) in enumerate(zip(cnn.conv_layers, cnn.pool_after)):
         if layer:
             x = _conv3(x, conv.weight.data)
@@ -104,17 +108,6 @@ def _conv_tower(cnn: CharCNNEncoder, mentions: Sequence[str]) -> np.ndarray:
     out = flat @ cnn.head.weight.data.T
     out += cnn.head.bias.data
     return out
-
-
-def _conv3_onehot(codes: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Layer 1 on ``(N, L)`` codes: a conv over one-hot columns is a gather."""
-    out_channels, alphabet, _ = weight.shape
-    taps = np.zeros((3, alphabet + 1, out_channels), dtype=weight.dtype)
-    taps[:, :-1] = weight.transpose(2, 1, 0)         # row |A| stays 0: the pad
-    x = taps[1][codes]                               # (N, L, C)
-    x[:, 1:] += taps[0][codes[:, :-1]]
-    x[:, :-1] += taps[2][codes[:, 1:]]
-    return x
 
 
 def _conv3(x: np.ndarray, weight: np.ndarray) -> np.ndarray:

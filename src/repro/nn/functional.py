@@ -1,8 +1,12 @@
 """Functional ops built on the autograd tensor: conv1d, pooling, softmax.
 
-The 1-D convolution implements the paper's syntactic CNN tower: inputs are
-``(batch, channels, length)`` one-hot mention matrices.  Convolution is
-realised with an im2col transform so the heavy lifting is a single matmul.
+The 1-D convolutions implement the paper's syntactic CNN tower.  Its first
+layer reads one-hot mention matrices, which :func:`conv1d_codes` takes in
+index form — ``(batch, length)`` alphabet positions — and convolves as a
+gather of kernel columns (:func:`conv3_gather`, the same kernel the
+inference forward runs).  The deeper layers take ``(batch, channels,
+length)`` activations through :func:`conv1d`, an im2col transform whose
+forward and weight gradient are one matmul each.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from repro.nn.tensor import Tensor
 
 __all__ = [
     "conv1d",
+    "conv1d_codes",
+    "conv3_gather",
     "dropout",
     "global_max_pool1d",
     "log_softmax",
@@ -66,20 +72,19 @@ def conv1d(
     if padding:
         x_data = np.pad(x_data, ((0, 0), (0, 0), (padding, padding)))
     cols = _im2col_1d(x_data, kernel, stride)          # (N, out_len, C*K)
+    out_len = cols.shape[1]
+    cols = cols.reshape(n * out_len, c_in * kernel)
     w2d = weight.data.reshape(c_out, c_in * kernel)    # (Co, C*K)
-    out = cols @ w2d.T                                 # (N, out_len, Co)
+    out = (cols @ w2d.T).reshape(n, out_len, c_out)    # one GEMM
     out = out.transpose(0, 2, 1)                       # (N, Co, out_len)
     if bias is not None:
         out = out + bias.data[None, :, None]
-    out_len = out.shape[2]
 
     def backward(grad: np.ndarray):
-        # grad: (N, Co, out_len)
-        grad_out = grad.transpose(0, 2, 1)             # (N, out_len, Co)
-        grad_w2d = np.einsum("nlo,nlk->ok", grad_out, cols)
-        grad_weight = grad_w2d.reshape(weight.data.shape)
-        grad_cols = grad_out @ w2d                     # (N, out_len, C*K)
-        grad_cols = grad_cols.reshape(n, out_len, c_in, kernel)
+        # grad: (N, Co, out_len) -> rows of (N * out_len, Co)
+        grad_out = grad.transpose(0, 2, 1).reshape(n * out_len, c_out)
+        grad_weight = (grad_out.T @ cols).reshape(weight.data.shape)
+        grad_cols = (grad_out @ w2d).reshape(n, out_len, c_in, kernel)
         grad_x_padded = np.zeros(
             (n, c_in, length + 2 * padding), dtype=grad.dtype
         )
@@ -106,6 +111,68 @@ def conv1d(
     return x._make(out, parents, backward)
 
 
+def conv3_gather(codes: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Kernel-3, padding-1 conv of one-hot columns, channels-last, no bias.
+
+    ``codes`` is ``(N, L)``: the row that is 1 in each column, or ``|A|``
+    for an all-zero column (:meth:`OneHotEncoder.encode_codes`).  A conv
+    over one-hot columns picks kernel columns, so with ``Tk = W[:, :, k].T``
+    and a zero row appended for the pad code,
+    ``out[:, l] = T0[c[l-1]] + T1[c[l]] + T2[c[l+1]]`` — three gathers,
+    ``(N, L, Co)``, and the dense ``(N, |A|, L)`` tensor is never built.
+    """
+    out_channels, alphabet, _ = weight.shape
+    taps = np.zeros((3, alphabet + 1, out_channels), dtype=weight.dtype)
+    taps[:, :-1] = weight.transpose(2, 1, 0)         # row |A| stays 0: the pad
+    x = taps[1][codes]                               # (N, L, Co)
+    x[:, 1:] += taps[0][codes[:, :-1]]
+    x[:, :-1] += taps[2][codes[:, 1:]]
+    return x
+
+
+def conv1d_codes(
+    codes: np.ndarray, weight: Tensor, bias: Tensor | None = None
+) -> Tensor:
+    """``conv1d(one_hot(codes), weight, bias, padding=1)`` for a 3-wide kernel.
+
+    The forward is :func:`conv3_gather`; the input is a constant, so the
+    backward only scatters the output gradient into the three taps it
+    gathered from — per output channel, one ``bincount`` over flattened
+    ``(tap, code)`` ids.  Returns ``(N, Co, L)`` like
+    :func:`conv1d` (a transposed view of channels-last data).
+    """
+    if codes.ndim != 2:
+        raise ValueError(f"conv1d_codes expects (N, L) codes, got shape {codes.shape}")
+    if weight.ndim != 3 or weight.shape[2] != 3:
+        raise ValueError(f"conv1d_codes expects a (Co, |A|, 3) weight, got {weight.shape}")
+    out_channels, alphabet, _ = weight.shape
+    n, length = codes.shape
+    out = conv3_gather(codes, weight.data)
+    if bias is not None:
+        out += bias.data
+
+    def backward(grad: np.ndarray):
+        # Output column l reads input column l - 1 + k through tap k: with
+        # the codes padded by one pad code each side, padded column l + k.
+        padded = np.full((n, length + 2), alphabet, dtype=np.intp)
+        padded[:, 1:-1] = codes
+        ids = np.stack([padded[:, k : k + length] for k in range(3)])
+        ids += (np.arange(3, dtype=np.intp) * (alphabet + 1))[:, None, None]
+        ids = ids.ravel()                              # (tap, code) per (k, n, l)
+        sums = np.empty((out_channels, 3 * (alphabet + 1)), dtype=weight.data.dtype)
+        for channel in range(out_channels):
+            taken = np.broadcast_to(grad[:, channel], (3, n, length)).ravel()
+            sums[channel] = np.bincount(ids, weights=taken, minlength=sums.shape[1])
+        grad_weight = sums.reshape(out_channels, 3, alphabet + 1)[:, :, :alphabet]
+        grad_weight = grad_weight.transpose(0, 2, 1)   # (Co, |A|, 3)
+        if bias is None:
+            return (grad_weight,)
+        return grad_weight, grad.sum(axis=(0, 2))
+
+    parents = (weight,) if bias is None else (weight, bias)
+    return weight._make(out.transpose(0, 2, 1), parents, backward)
+
+
 def max_pool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling over the time axis of a ``(N, C, L)`` tensor."""
     if x.ndim != 3:
@@ -123,6 +190,12 @@ def max_pool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
     def backward(grad: np.ndarray):
         grad_x = np.zeros((n, c, length), dtype=grad.dtype)
+        if stride == kernel:
+            # Windows do not overlap: each input takes at most one gradient,
+            # so the fold is a plain scatter into the window blocks.
+            blocks = grad_x[:, :, : out_len * kernel].reshape(n, c, out_len, kernel)
+            np.put_along_axis(blocks, argmax[..., None], grad[..., None], axis=3)
+            return (grad_x,)
         n_idx, c_idx, o_idx = np.indices((n, c, out_len))
         positions = o_idx * stride + argmax
         np.add.at(grad_x, (n_idx, c_idx, positions), grad)

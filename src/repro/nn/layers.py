@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -28,10 +29,6 @@ __all__ = [
     "Sequential",
     "Tanh",
 ]
-
-#: Shared read-only placeholder for empty bags (never written through).
-_EMPTY_BAG = np.empty(0, dtype=np.int64)
-
 
 class Module:
     """Base class: tracks parameters and sub-modules by attribute name."""
@@ -294,32 +291,60 @@ class EmbeddingBag(Module):
         )
 
     def forward_bags(self, bags: Sequence[Sequence[int]]) -> Tensor:
-        """Embed a batch of index bags into a ``(batch, dim)`` tensor."""
-        batch = len(bags)
-        out = np.zeros((batch, self.embedding_dim), dtype=self.weight.data.dtype)
+        """Embed a batch of index bags into a ``(batch, dim)`` tensor.
+
+        Forward and backward are one row scatter each over every
+        ``(bag, id)`` pair (:func:`_scatter_rows`), so the floats are those
+        of ``weight[bag].mean(axis=0)`` and of one ``np.add.at`` per bag.
+        """
+        sizes = np.fromiter(map(len, bags), dtype=np.intp, count=len(bags))
+        ids = np.fromiter(
+            chain.from_iterable(bags), dtype=np.intp, count=int(sizes.sum())
+        )
+        if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
+            raise IndexError(f"bag indices out of range [0, {self.num_embeddings})")
+        filled = sizes.nonzero()[0]                  # empty bags stay zero
+        counts = sizes[filled]
         weight = self.weight
-        flat_rows: list[np.ndarray] = []
-        for b, bag in enumerate(bags):
-            if len(bag) == 0:
-                flat_rows.append(_EMPTY_BAG)
-                continue
-            rows = np.asarray(bag, dtype=np.int64)
-            if rows.max(initial=-1) >= self.num_embeddings or rows.min(initial=0) < 0:
-                raise IndexError(
-                    f"bag indices out of range [0, {self.num_embeddings})"
-                )
-            flat_rows.append(rows)
-            out[b] = weight.data[rows].mean(axis=0)
+        out = np.zeros((len(bags), self.embedding_dim), dtype=weight.data.dtype)
+        bag_of = np.repeat(np.arange(len(bags), dtype=np.intp), sizes)
+        _scatter_rows(out, bag_of, weight.data[ids])
+        out[filled] /= counts.astype(out.dtype)[:, None]
 
         def backward(grad: np.ndarray):
+            shares = grad[filled] / counts.astype(grad.dtype)[:, None]
             grad_weight = np.zeros_like(weight.data)
-            for b, rows in enumerate(flat_rows):
-                if rows.size == 0:
-                    continue
-                np.add.at(grad_weight, rows, grad[b] / rows.size)
+            _scatter_rows(grad_weight, ids, np.repeat(shares, counts, axis=0))
             return (grad_weight,)
 
         return weight._make(out, (weight,), backward)
 
     def forward(self, *args: Tensor) -> Tensor:  # pragma: no cover - use forward_bags
         raise TypeError("EmbeddingBag requires forward_bags(bags)")
+
+
+def _scatter_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(target, rows, values)``: the same floats, in rounds.
+
+    Each target row takes its terms in the order they come, so round ``r``
+    adds every row's ``r``-th term — the rows of one round are distinct, so
+    a fancy-indexed add does it.  A row taking ``k`` terms is done after
+    ``k`` rounds, and there are as many rounds as the busiest row has
+    terms.  ``np.add.at`` itself walks the terms one element at a time, and
+    ~10x slower still when ``values`` is float64 over a float32 table (the
+    fastText pre-training regresses onto float64 targets).
+    """
+    if not rows.size:
+        return
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = first.nonzero()[0]
+    rank = np.arange(rows.size, dtype=np.intp) - starts[first.cumsum() - 1]
+    by_rank = order[np.argsort(rank, kind="stable")]
+    bounds = np.bincount(rank).cumsum()
+    for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+        terms = by_rank[lo:hi]
+        hit = rows[terms]
+        target[hit] = target[hit] + values[terms]

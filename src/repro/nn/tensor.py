@@ -482,10 +482,20 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> tuple[np.ndarray]:
             full = np.zeros(shape, dtype=grad.dtype)
-            np.add.at(full, index, grad)
+            if _is_basic(index):
+                full[index] = grad       # a view: no element is picked twice
+            else:
+                np.add.at(full, index, grad)
             return (full,)
 
         return self._make(data, (self,), backward)
+
+
+def _is_basic(index: Any) -> bool:
+    """Whether ``index`` is basic indexing (ints and slices): it selects
+    each element at most once."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(p, (int, slice)) or p is None or p is Ellipsis for p in parts)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

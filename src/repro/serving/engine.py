@@ -1119,9 +1119,9 @@ class LookupEngine(LookupService):
         ``(n, d)`` float32, C-contiguous (:meth:`_entering` reads the
         rows' bytes back as float32)."""
         if self.cache is None:
-            return self.pipeline.embed_queries(normalized)
+            return self.pipeline.embed_normalized(normalized)
         return self.cache.get_embeddings(
-            normalized, self.pipeline.embed_queries
+            normalized, self.pipeline.embed_normalized
         )
 
     # -- introspection ---------------------------------------------------------

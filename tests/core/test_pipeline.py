@@ -130,6 +130,65 @@ class TestTrainingBehaviour:
         assert service.index is not None
 
 
+class TestPerFitMentionTable:
+    """``_train`` encodes every distinct triplet mention once and gathers
+    per batch; the reference loop below encodes each batch's strings
+    afresh (``forward_mentions``), and must train to the same weights and
+    losses, bit for bit."""
+
+    @staticmethod
+    def reference_train(self, triplets):
+        from repro.nn.loss import triplet_margin_losses
+        from repro.nn.optim import Adam
+        from repro.nn.tensor import Tensor
+
+        cfg = self.config
+        optimizer = Adam(list(self.model.parameters()), lr=cfg.learning_rate)
+        order = np.arange(len(triplets))
+        hard_from = int(cfg.hard_mining_start * cfg.epochs)
+        self.model.train()
+        for epoch in range(cfg.epochs):
+            self.rng.shuffle(order)
+            epoch_loss, steps = 0.0, 0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [triplets[i] for i in order[start : start + cfg.batch_size]]
+                size = len(batch)
+                out = self.model.forward_mentions([t[j] for j in range(3) for t in batch])
+                losses = triplet_margin_losses(
+                    *(out[j * size : (j + 1) * size] for j in range(3)),
+                    margin=cfg.margin,
+                )
+                if epoch < hard_from:
+                    loss = losses.mean()
+                else:
+                    mask = (losses.data > 0).astype(losses.data.dtype)
+                    if mask.sum() == 0:
+                        continue
+                    loss = (losses * Tensor(mask)).sum() * (1.0 / mask.sum())
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+                epoch_loss += loss.item()
+                steps += 1
+            self.training_history.append(epoch_loss / max(steps, 1))
+        self.model.eval()
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_bit_equal_to_encoding_every_batch(self, tiny_kg, monkeypatch, finetune):
+        cfg = EmbLookupConfig(
+            epochs=2, triplets_per_entity=3, fasttext_epochs=1, batch_size=32,
+            compression="none", finetune_fasttext=finetune, seed=4,
+        )
+        table = EmbLookup(cfg).fit(tiny_kg)
+        monkeypatch.setattr(EmbLookup, "_train", self.reference_train)
+        twin = EmbLookup(cfg).fit(tiny_kg)
+
+        assert table.training_history == twin.training_history
+        want = twin.model.state_dict()
+        for name, value in table.model.state_dict().items():
+            np.testing.assert_array_equal(value, want[name], err_msg=name)
+
+
 class TestPersistence:
     def test_save_load_roundtrip(self, trained_service, tiny_kg, tmp_path):
         trained_service.save(tmp_path / "model")

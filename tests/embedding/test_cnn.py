@@ -6,7 +6,6 @@ import pytest
 from repro.embedding.cnn import CharCNNEncoder
 from repro.nn.loss import triplet_margin_loss
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.text.alphabet import Alphabet
 from repro.text.encoding import OneHotEncoder
 
@@ -59,9 +58,9 @@ class TestSyntacticInductiveBias:
                 anchors.append(word)
                 positives.append(typos[word])
                 negatives.append(words[int(rng.integers(0, len(words)))])
-            a = cnn(Tensor(ENCODER.encode_batch(anchors)))
-            p = cnn(Tensor(ENCODER.encode_batch(positives)))
-            n = cnn(Tensor(ENCODER.encode_batch(negatives)))
+            a = cnn(ENCODER.encode_codes(anchors))
+            p = cnn(ENCODER.encode_codes(positives))
+            n = cnn(ENCODER.encode_codes(negatives))
             loss = triplet_margin_loss(a, p, n, margin=1.0)
             optimizer.zero_grad()
             loss.backward()

@@ -90,3 +90,33 @@ class TestGradientFlow:
         optimizer.step()
         after = model.embed(["berlin"])
         assert not np.allclose(before, after)
+
+
+class TestMentionInputs:
+    """Each row of ``mention_inputs`` is a pure function of its string:
+    gathered rows are what encoding those strings alone gives."""
+
+    MENTIONS = ["berlin", "Berlin!", "", "new york", "berlin", "a much longer label"]
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_rows_are_bit_equal_to_encoding_the_batch(self, finetune):
+        from repro.text.tokenize import normalize
+
+        model = make_model(finetune=finetune)
+        inputs = model.mention_inputs(self.MENTIONS)
+        for rows in ([0], [3, 1, 3], [5, 2, 0, 4]):
+            batch = [self.MENTIONS[i] for i in rows]
+            np.testing.assert_array_equal(inputs.codes[rows], ENCODER.encode_codes(batch))
+            if finetune:
+                assert [inputs.semantic[i] for i in rows] == model.fasttext.bags(
+                    [normalize(m) for m in batch]
+                )
+            else:
+                np.testing.assert_array_equal(
+                    inputs.semantic[rows], model.fasttext.embed(batch)
+                )
+            np.testing.assert_array_equal(
+                model.forward_rows(inputs, np.array(rows)).data,
+                model.forward_mentions(batch).data,
+            )
+

@@ -122,3 +122,65 @@ class TestFastTextModel:
         model.fit([["alpha", "beta"]])
         out = model.embed(["never seen before zzz"])
         assert np.isfinite(out).all()
+
+
+class TestAnchoredFitExactness:
+    """The bucket table ``fit_anchored`` trains — row-restricted Adam over a
+    one-scatter ``EmbeddingBag`` — is the one the dense reference trains
+    (a per-bag ``mean`` / ``np.add.at`` layer and an every-row Adam step),
+    bit for bit."""
+
+    GROUPS = [
+        ["germany", "deutschland", "frg", "federal republic of germany"],
+        ["france", "french republic"],
+        ["new york city", "nyc", "big apple"],
+        ["x"],
+        [""],
+        ["berlin", "berlin city", "berlín"],
+    ]
+
+    def test_bit_equal_to_the_dense_reference(self, monkeypatch):
+        from repro.nn import layers, optim
+
+        def config():
+            return FastTextConfig(dim=8, buckets=2**9, epochs=4, batch_size=5, seed=3)
+
+        fast = FastTextModel(config()).fit_anchored(self.GROUPS)
+
+        def per_bag(self, bags):
+            weight = self.weight
+            out = np.zeros((len(bags), self.embedding_dim), dtype=weight.data.dtype)
+            rows = [np.asarray(bag, dtype=np.int64) for bag in bags]
+            for b, ids in enumerate(rows):
+                if ids.size:
+                    out[b] = weight.data[ids].mean(axis=0)
+
+            def backward(grad):
+                grad_weight = np.zeros_like(weight.data)
+                for b, ids in enumerate(rows):
+                    if ids.size:
+                        np.add.at(grad_weight, ids, grad[b] / ids.size)
+                return (grad_weight,)
+
+            return weight._make(out, (weight,), backward)
+
+        def dense_step(self):
+            self._step_count += 1
+            t = self._step_count
+            for param, m, v in zip(self.parameters, self._m, self._v):
+                grad = param.grad
+                m *= self.beta1
+                m += (1.0 - self.beta1) * grad
+                v *= self.beta2
+                v += (1.0 - self.beta2) * grad * grad
+                m_hat = m / (1.0 - self.beta1**t)
+                v_hat = v / (1.0 - self.beta2**t)
+                param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+        monkeypatch.setattr(layers.EmbeddingBag, "forward_bags", per_bag)
+        monkeypatch.setattr(optim.Adam, "step", dense_step)
+        reference = FastTextModel(config()).fit_anchored(self.GROUPS)
+        moved = (fast.bag.weight.data != FastTextModel(config()).bag.weight.data).any(axis=1)
+        assert 0 < moved.sum() < 2**9            # some rows trained, most untouched
+        np.testing.assert_array_equal(fast.bag.weight.data, reference.bag.weight.data)
+

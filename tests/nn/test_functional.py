@@ -80,6 +80,68 @@ class TestConv1dGradients:
         )
 
 
+class TestConv1dCodes:
+    """Layer 1 of the CNN tower: ``conv1d_codes`` on index codes against
+    ``conv1d`` on the one-hot tensor the codes stand for."""
+
+    #: float32, different summation order: the gather adds three table rows
+    #: where the reference multiplies a mostly-zero one-hot tensor.
+    FORWARD_ATOL = 1e-6
+    GRAD_RTOL = 1e-5
+
+    def _case(self, seed=0, dtype=np.float32):
+        from repro.text.alphabet import Alphabet
+        from repro.text.encoding import OneHotEncoder
+
+        encoder = OneHotEncoder(Alphabet("abcdefghij "), max_length=9)
+        # Truncated, padded, empty, and an unknown character (row 0).
+        mentions = ["abc", "jihgfedcbaabc", "", "a b", "xaj", "bbbbbbbbb"]
+        rng = np.random.default_rng(seed)
+        weight = Tensor(rng.normal(size=(4, encoder.alphabet.size, 3)).astype(dtype), requires_grad=True)
+        bias = Tensor(rng.normal(size=4).astype(dtype), requires_grad=True)
+        probe = rng.normal(size=(len(mentions), 4, 9)).astype(dtype)
+        return encoder, mentions, weight, bias, probe
+
+    def test_forward_matches_conv1d_on_one_hots(self):
+        encoder, mentions, weight, bias, _ = self._case()
+        got = F.conv1d_codes(encoder.encode_codes(mentions), weight, bias).data
+        want = F.conv1d(Tensor(encoder.encode_batch(mentions)), weight, bias, padding=1).data
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=self.FORWARD_ATOL)
+
+    def test_gradients_match_conv1d_on_one_hots(self):
+        encoder, mentions, weight, bias, probe = self._case(seed=1)
+        (F.conv1d_codes(encoder.encode_codes(mentions), weight, bias) * Tensor(probe)).sum().backward()
+        got = weight.grad.copy(), bias.grad.copy()
+        weight.zero_grad(), bias.zero_grad()
+        onehot = Tensor(encoder.encode_batch(mentions))
+        (F.conv1d(onehot, weight, bias, padding=1) * Tensor(probe)).sum().backward()
+        np.testing.assert_allclose(got[0], weight.grad, rtol=self.GRAD_RTOL, atol=1e-6)
+        np.testing.assert_allclose(got[1], bias.grad, rtol=self.GRAD_RTOL, atol=1e-6)
+
+    def test_gradcheck_float64(self):
+        encoder, mentions, weight, bias, probe = self._case(seed=2, dtype=np.float64)
+        codes = encoder.encode_codes(mentions)
+        assert gradcheck(
+            lambda: (F.conv1d_codes(codes, weight, bias) * Tensor(probe)).sum(),
+            [weight, bias],
+        )
+
+    def test_no_gradient_for_the_codes(self):
+        """The input is a constant: the op has no tensor parent but the
+        kernel and bias."""
+        encoder, mentions, weight, bias, _ = self._case()
+        out = F.conv1d_codes(encoder.encode_codes(mentions), weight, bias)
+        assert out._parents == (weight, bias)
+
+    def test_rejects_wrong_shapes(self):
+        encoder, mentions, weight, bias, _ = self._case()
+        with pytest.raises(ValueError):
+            F.conv1d_codes(encoder.encode_codes(mentions)[0], weight, bias)
+        with pytest.raises(ValueError):
+            F.conv1d_codes(encoder.encode_codes(mentions), Tensor(np.zeros((4, 11, 5))))
+
+
 class TestMaxPool:
     def test_forward_values(self):
         x = Tensor(np.array([[[1.0, 3.0, 2.0, 5.0]]]))
@@ -94,6 +156,24 @@ class TestMaxPool:
     def test_gradcheck(self):
         x = leaf((2, 3, 8), seed=7)
         assert gradcheck(lambda: F.max_pool1d(x, kernel=2).sum(), [x])
+
+    @pytest.mark.parametrize("length", [8, 9])
+    def test_scatter_backward_matches_add_at(self, length):
+        """Non-overlapping windows are a plain scatter; an odd length leaves
+        the last column out of every window."""
+        x = leaf((3, 4, length), seed=8)
+        grad = np.random.default_rng(9).normal(size=(3, 4, length // 2))
+        F.max_pool1d(x, kernel=2, stride=2).backward(grad)
+        windows = x.data[:, :, : length // 2 * 2].reshape(3, 4, length // 2, 2)
+        want = np.zeros_like(x.data)
+        n, c, o = np.indices(grad.shape)
+        np.add.at(want, (n, c, 2 * o + windows.argmax(axis=3)), grad)
+        np.testing.assert_array_equal(x.grad, want)
+
+    def test_overlapping_windows_accumulate(self):
+        x = Tensor(np.array([[[1.0, 5.0, 2.0, 0.0]]]), requires_grad=True)
+        F.max_pool1d(x, kernel=2, stride=1).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[[0.0, 2.0, 1.0, 0.0]]])
 
     def test_global_max_pool(self):
         x = Tensor(np.arange(12.0).reshape(1, 2, 6))

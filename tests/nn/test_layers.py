@@ -157,6 +157,65 @@ class TestEmbeddingBag:
         )
 
 
+def per_bag_forward_backward(weight, bags, grad):
+    """The per-bag reference: ``mean(axis=0)`` forward, one ``np.add.at``
+    per bag backward."""
+    out = np.zeros((len(bags), weight.shape[1]), dtype=weight.dtype)
+    grad_weight = np.zeros_like(weight)
+    for b, bag in enumerate(bags):
+        rows = np.asarray(bag, dtype=np.int64)
+        if rows.size:
+            out[b] = weight[rows].mean(axis=0)
+            np.add.at(grad_weight, rows, grad[b] / rows.size)
+    return out, grad_weight
+
+
+class TestEmbeddingBagScatter:
+    """``forward_bags`` / its backward are one scatter each; the floats must
+    be the per-bag loop's, bit for bit."""
+
+    BAGS = [[3, 1, 3, 3], [], [7], [1, 1], [], [0, 3, 7, 2, 2, 2, 9]]
+
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    def test_bit_equal_to_the_per_bag_loop(self, grad_dtype):
+        """Duplicate ids inside a bag and across bags, empty bags, and a
+        float64 upstream gradient over the float32 table (what the fastText
+        pre-training's float64 targets produce)."""
+        bag = EmbeddingBag(10, 5, rng=2)
+        grad = np.random.default_rng(5).normal(size=(len(self.BAGS), 5)).astype(grad_dtype)
+        out = bag.forward_bags(self.BAGS)
+        # Through a product, so a float64 gradient reaches the layer as is
+        # (``backward(grad)`` would cast it to the output's float32).
+        (out * Tensor(grad)).sum().backward()
+        want_out, want_grad = per_bag_forward_backward(bag.weight.data, self.BAGS, grad)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(bag.weight.grad, want_grad)
+
+    def test_busy_rows_over_many_bags(self):
+        """Many terms per row (the scatter's rounds) on random bags."""
+        rng = np.random.default_rng(6)
+        bags = [list(rng.integers(0, 12, size=rng.integers(0, 30))) for _ in range(40)]
+        bag = EmbeddingBag(12, 4, rng=3)
+        grad = rng.normal(size=(40, 4))
+        out = bag.forward_bags(bags)
+        (out * Tensor(grad)).sum().backward()
+        want_out, want_grad = per_bag_forward_backward(bag.weight.data, bags, grad)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(bag.weight.grad, want_grad)
+
+    @pytest.mark.parametrize("bad", [[[0, 10]], [[], [-1]], [[2], [3, 11, 1]]])
+    def test_out_of_range_ids_raise(self, bad):
+        with pytest.raises(IndexError):
+            EmbeddingBag(10, 2, rng=0).forward_bags(bad)
+
+    def test_all_bags_empty(self):
+        bag = EmbeddingBag(4, 3, rng=0)
+        out = bag.forward_bags([[], []])
+        out.backward(np.ones((2, 3), dtype=np.float32))
+        np.testing.assert_array_equal(out.data, 0.0)
+        np.testing.assert_array_equal(bag.weight.grad, 0.0)
+
+
 class TestDropoutLayer:
     def test_inert_in_eval(self):
         drop = Dropout(0.9, rng=0)

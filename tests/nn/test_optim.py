@@ -95,3 +95,79 @@ class TestAdam:
             loss.backward()
             opt.step()
         assert loss.item() < first * 0.05
+
+
+def dense_adam_step(params, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    """The dense Adam step, every row every time: the reference."""
+    beta1, beta2 = betas
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for param, m_i, v_i in zip(params, m, v):
+        grad = param.grad
+        if weight_decay:
+            grad = grad + weight_decay * param.data
+        m_i *= beta1
+        m_i += (1.0 - beta1) * grad
+        v_i *= beta2
+        v_i += (1.0 - beta2) * grad * grad
+        param.data -= lr * (m_i / bias1) / (np.sqrt(v_i / bias2) + eps)
+
+
+class TestRowRestrictedAdam:
+    """``Adam.step`` updates only rows that have ever had a nonzero gradient;
+    the result must be the dense step's, bit for bit."""
+
+    #: Per step, the rows of an (8, 4) table that get a gradient: row 0
+    #: every step, row 1 once and then idle, row 5 late, rows 2-4 and 6-7
+    #: never until the last step touches everything.
+    SCHEDULE = ([0, 1], [0], [0, 5], [0], [0, 5], list(range(8)))
+
+    def _run(self, step, weight_decay):
+        rng = np.random.default_rng(3)
+        table = Tensor(rng.normal(size=(8, 4)).astype(np.float32), requires_grad=True)
+        bias = Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True)
+        grads = np.random.default_rng(4)
+        snapshots = []
+        for t, rows in enumerate(self.SCHEDULE, start=1):
+            table.grad = np.zeros_like(table.data)
+            table.grad[rows] = grads.normal(size=(len(rows), 4))
+            bias.grad = grads.normal(size=4).astype(np.float32)
+            step([table, bias], t)
+            snapshots.append((table.data.copy(), bias.data.copy()))
+        return snapshots
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_equal_to_the_dense_step(self, weight_decay):
+        optimizers = {}
+
+        def restricted(params, t):
+            if "opt" not in optimizers:
+                optimizers["opt"] = Adam(params, lr=0.05, weight_decay=weight_decay)
+            optimizers["opt"].step()
+
+        state = {}
+
+        def dense(params, t):
+            if not state:
+                state["m"] = [np.zeros_like(p.data) for p in params]
+                state["v"] = [np.zeros_like(p.data) for p in params]
+            dense_adam_step(params, state["m"], state["v"], t, lr=0.05, weight_decay=weight_decay)
+
+        got = self._run(restricted, weight_decay)
+        want = self._run(dense, weight_decay)
+        for step, ((g_table, g_bias), (w_table, w_bias)) in enumerate(zip(got, want)):
+            np.testing.assert_array_equal(g_table, w_table, err_msg=f"step {step + 1}")
+            np.testing.assert_array_equal(g_bias, w_bias, err_msg=f"step {step + 1}")
+
+    def test_untouched_rows_stay_put_and_idle_rows_keep_moving(self):
+        """The two facts the restriction rests on, stated directly."""
+        table = Tensor(np.ones((8, 4), dtype=np.float32), requires_grad=True)
+        opt = Adam([table], lr=0.1)
+        table.grad = np.zeros_like(table.data)
+        table.grad[1] = 1.0
+        opt.step()
+        table.grad = np.zeros_like(table.data)       # row 1 idle from now on
+        before = table.data.copy()
+        opt.step()
+        assert (table.data[1] != before[1]).all()    # momentum still moves it
+        np.testing.assert_array_equal(table.data[[0, *range(2, 8)]], 1.0)

@@ -170,6 +170,19 @@ class TestGradcheck:
         a = leaf((4, 4), seed=9)
         assert gradcheck(lambda: (a[1:3, ::2] ** 2).sum(), [a])
 
+    @pytest.mark.parametrize(
+        "index", [slice(1, 3), (slice(None), 2), 3, (Ellipsis, slice(0, 4, 2)), ([0, 2, 0],)]
+    )
+    def test_getitem_backward_equals_add_at(self, index):
+        """Basic indices write the gradient in place, fancy ones accumulate
+        repeats: both are the ``np.add.at`` fold."""
+        a = leaf((4, 5), seed=10)
+        grad = np.random.default_rng(11).normal(size=a.data[index].shape)
+        a[index].backward(grad)
+        want = np.zeros_like(a.data)
+        np.add.at(want, index, grad)
+        np.testing.assert_array_equal(a.grad, want)
+
     def test_concatenate(self):
         a = leaf((2, 3), seed=10)
         b = leaf((2, 2), seed=11)

@@ -737,7 +737,7 @@ class TestInferenceForwardDifferential:
 
     def test_towers_match_their_autograd_forwards(self):
         """The two single-tower ``embed`` methods share the kernels."""
-        from repro.nn.tensor import Tensor, no_grad
+        from repro.nn.tensor import no_grad
         from repro.text.tokenize import normalize
 
         model = self._model(False, True)
@@ -745,9 +745,7 @@ class TestInferenceForwardDifferential:
         for index in range(5):
             mentions = strategy.generate(case_rng(1, index))
             with no_grad():
-                cnn = model.cnn(
-                    Tensor(model.encoder.encode_batch(mentions))
-                ).data
+                cnn = model.cnn(model.encoder.encode_codes(mentions)).data
                 bags = model.fasttext.embed_tensor(mentions).data
             np.testing.assert_allclose(
                 model.cnn.embed(mentions), cnn, rtol=0, atol=self.ATOL

@@ -341,6 +341,34 @@ class TestEngineCache:
         engine.lookup_batch(["  germany  "], 4)
         assert cache.stats.hits > hits_before
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_ann_path_normalizes_each_query_once(
+        self, trained_service, monkeypatch, cached
+    ):
+        """The engine folds a query on entry; the embedder takes the folded
+        string as is, with and without the embedding cache between them."""
+        import repro.core.pipeline
+        import repro.serving.engine
+        from repro.text.tokenize import normalize
+
+        engine = LookupEngine.from_pipeline(trained_service)
+        if cached:
+            engine.cache = QueryCache(16)
+        queries = ["Germny ", "FRANCE x", "berlni"]
+        want = engine.lookup_batch(queries, 4)
+        folded: list[str] = []
+
+        def spy(text):
+            folded.append(text)
+            return normalize(text)
+
+        monkeypatch.setattr(repro.serving.engine, "normalize", spy)
+        monkeypatch.setattr(repro.core.pipeline, "normalize", spy)
+        if cached:
+            engine.cache.clear()
+        assert engine.lookup_batch(queries, 4) == want
+        assert sorted(folded) == sorted(queries)
+
 
 def assert_candidate_rows_agree(got, want):
     """Same ranked entities, scores equal within tolerance."""
