@@ -1,4 +1,4 @@
-"""Tiered-router benchmark: mixed-workload latency, tier costs, type filters.
+"""Tiered-router benchmark: mixed-workload latency, tier costs, accuracy.
 
 Writes ``BENCH_router.json`` at the repo root (override with ``--out``).
 Measurement families, matching the router's design levers:
@@ -13,12 +13,7 @@ Measurement families, matching the router's design levers:
    tier, and the full embed+search+rank ANN path, from the router's tier
    stopwatches and the engine's stage stopwatches.  The exact tier must
    be >= 10x cheaper per query than the ANN path (asserted).
-3. **Type-constrained lookups** — rows scanned under ``type_filter`` on
-   a :class:`TypePartitionedIndex` versus the full index, plus an
-   identity check: partition-restricted results must match a full-scan
-   engine's post-filtered results (same entities, scores to float
-   tolerance — asserted).
-4. **Accuracy** — top-10 recall of both engines on the ground-truthed
+3. **Accuracy** — top-10 recall of both engines on the ground-truthed
    part of the mix; the router must not lose accuracy (asserted).
 
 ``--smoke`` shrinks the workload to CI scale; the checked-in
@@ -48,7 +43,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.core.config import EmbLookupConfig  # noqa: E402
 from repro.core.pipeline import EmbLookup  # noqa: E402
 from repro.evaluation.metrics import candidate_recall_at_k  # noqa: E402
-from repro.index.partitioned import TypePartitionedIndex  # noqa: E402
 from repro.kg import SyntheticKGConfig, generate_kg  # noqa: E402
 from repro.serving.engine import LookupEngine  # noqa: E402
 from repro.text.noise import NoiseModel  # noqa: E402
@@ -150,66 +144,6 @@ def bench_tiers(routed, queries):
     }
 
 
-def bench_type_filter(pipeline, routed, queries):
-    """Partition-scan savings and the full-scan identity check."""
-    kg = pipeline.kg
-    type_map = routed._type_map
-    index = routed.index
-    assert isinstance(index, TypePartitionedIndex)
-    # The narrowest and the widest populated types bracket the savings.
-    coverage = sorted(
-        (index.rows_in(type_map.partitions_for(t.type_id)), t.type_id)
-        for t in kg.types()
-        if type_map.allowed(t.type_id)
-    )
-    fallback = LookupEngine.from_pipeline(pipeline, router=True)
-    rows_by_type = {}
-    identical = True
-    for rows_in, tid in (coverage[0], coverage[-1]):
-        before = routed.serving_stats()
-        # One query per call: every ANN-routed query then maps to exactly
-        # one typed search (exact/fuzzy-tier hits never scan the index).
-        got = [
-            routed.lookup_batch([query], K, type_filter=tid)[0]
-            for query in queries
-        ]
-        after = routed.serving_stats()
-        scanned = (
-            after["type_filtered_rows_scanned"]
-            - before["type_filtered_rows_scanned"]
-        )
-        ann_routed = after["ann_routed"] - before["ann_routed"]
-        assert ann_routed > 0, "typed workload never reached the ANN scan"
-        assert scanned == rows_in * ann_routed, (
-            "typed scan must touch exactly the matching partitions' rows"
-        )
-        want = fallback.lookup_batch(queries, K, type_filter=tid)
-        for got_row, want_row in zip(got, want):
-            if [c.entity_id for c in got_row] != [
-                c.entity_id for c in want_row
-            ]:
-                identical = False
-            elif not np.allclose(
-                [c.score for c in got_row],
-                [c.score for c in want_row],
-                rtol=1e-6,
-                atol=1e-9,
-            ):
-                identical = False
-        rows_by_type[tid] = {
-            "rows_scanned_per_query": rows_in,
-            "fraction_of_index": rows_in / index.ntotal,
-        }
-    assert identical, (
-        "partition-restricted results diverged from post-filtered full scan"
-    )
-    return {
-        "index_rows": index.ntotal,
-        "per_type": rows_by_type,
-        "identical_to_post_filtered_full_scan": identical,
-    }
-
-
 def main(argv=None) -> int:
     """Run the router benchmark and write BENCH_router.json."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -251,9 +185,7 @@ def main(argv=None) -> int:
     )
 
     baseline = LookupEngine.from_pipeline(pipeline)
-    routed = LookupEngine.from_pipeline(
-        pipeline, partition_by_type=True, router=True
-    )
+    routed = LookupEngine.from_pipeline(pipeline, router=True)
 
     # Warm both engines (first call pays numpy/BLAS one-time costs).
     baseline.lookup_batch(queries[:8], K)
@@ -276,18 +208,6 @@ def main(argv=None) -> int:
         f"(ann/exact={tiers['ann_over_exact']:.0f}x)"
     )
 
-    # Eight shuffled labels: the queries the cascade sends to the ANN scan.
-    shuffled = [q for q, kind in zip(queries, kinds) if kind == "shuffled"]
-    type_filter = bench_type_filter(
-        pipeline, routed, queries[:24] + shuffled[:8]
-    )
-    for tid, row in type_filter["per_type"].items():
-        print(
-            f"  type_filter={tid}: scans {row['rows_scanned_per_query']} of "
-            f"{type_filter['index_rows']} rows "
-            f"({row['fraction_of_index']:.1%})"
-        )
-
     metrics = {
         "smoke": args.smoke,
         "workload": {
@@ -300,7 +220,6 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count() or 1,
         "latency": latency,
         "tier_costs": tiers,
-        "type_filter": type_filter,
     }
     path = write_bench_json(args.out, "router", metrics)
     print(f"wrote {path}")

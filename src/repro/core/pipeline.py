@@ -28,7 +28,6 @@ from repro.embedding.emblookup_model import EmbLookupModel, MentionInputs
 from repro.embedding.fasttext import FastTextConfig, FastTextModel
 from repro.index.base import VectorIndex
 from repro.index.flat import FlatIndex
-from repro.index.partitioned import DEFAULT_PARTITION
 from repro.index.pq import PQIndex
 from repro.kg.graph import KnowledgeGraph
 from repro.nn.loss import contrastive_losses, triplet_margin_losses
@@ -209,23 +208,6 @@ class EmbLookup:
             self._require_kg(kg).mention_rows(self.config.index_entity_aliases)
         )
         return [m for m, _ in rows], [entity_id for _, entity_id in rows]
-
-    def index_row_types(self, kg: KnowledgeGraph | None = None) -> list[str]:
-        """Partition key (primary entity type) of each index row.
-
-        Aligned with :meth:`index_rows`: row ``i`` belongs to the primary
-        type of the entity it resolves to (alias rows share their
-        entity's key; untyped entities map to
-        :data:`repro.index.partitioned.DEFAULT_PARTITION`).  This is what
-        the serving engine feeds a
-        :class:`~repro.index.partitioned.TypePartitionedIndex` so
-        type-constrained lookups scan only matching partitions.
-        """
-        kg = self._require_kg(kg)
-        return [
-            kg.entity(entity_id).primary_type or DEFAULT_PARTITION
-            for _, entity_id in kg.mention_rows(self.config.index_entity_aliases)
-        ]
 
     def _require_kg(self, kg: KnowledgeGraph | None) -> KnowledgeGraph:
         kg = kg or self._kg

@@ -1,9 +1,9 @@
 """Vector similarity-search library (the reproduction's FAISS substitute).
 
-**Served families** — what a :class:`ShardedIndex`, a
-:class:`TypePartitionedIndex` and the serving engine accept: each
-publishes immutable snapshots and supports ``add`` / ``remove`` /
-``update`` under live searches (the contract is
+**Served families** — what a :class:`ShardedIndex` and the serving
+engine accept: each publishes immutable snapshots, supports ``add`` /
+``remove`` / ``update`` / ``compact`` under live searches and scores
+``(query, row)`` pairs with its exact kernel (the contract is
 :func:`repro.index.mutation.served_snapshot`).
 
 - :class:`FlatIndex` — exact brute-force L2 / inner-product search
@@ -13,9 +13,6 @@ publishes immutable snapshots and supports ``add`` / ``remove`` /
   default 256 B -> 8 B compression (Section III-D).
 - :class:`ShardedIndex` — serving-scale fan-out striping a flat or PQ
   store across N shards (scanned inline or by worker processes).
-- :class:`TypePartitionedIndex` — one flat, PQ or sharded sub-index per
-  string partition key (per entity type in serving), so type-constrained
-  lookups scan only the selected partitions' rows.
 
 **Offline baselines** — build-once :class:`VectorIndex` families for the
 index-family benchmark and the differential suite; the served containers
@@ -45,14 +42,12 @@ from repro.index.ivf import IVFFlatIndex
 from repro.index.ivfpq import IVFPQIndex
 from repro.index.kmeans import KMeans
 from repro.index.lsh import LSHIndex
-from repro.index.partitioned import DEFAULT_PARTITION, TypePartitionedIndex
 from repro.index.pca import PCATransform
 from repro.index.pq import PQIndex, ProductQuantizer
 from repro.index.sharded import ShardedIndex
 from repro.index.topk import auto_block_size, merge_topk
 
 __all__ = [
-    "DEFAULT_PARTITION",
     "FlatIndex",
     "GrowBuffer",
     "HNSWIndex",
@@ -65,7 +60,6 @@ __all__ = [
     "ProductQuantizer",
     "SearchResult",
     "ShardedIndex",
-    "TypePartitionedIndex",
     "VectorIndex",
     "auto_block_size",
     "merge_topk",

@@ -19,10 +19,10 @@ retries and never takes a lock.
 The result is the *old-or-new* invariant ``tests/property/
 test_mutation.py`` enforces: a lookup concurrent with a mutation equals
 the brute-force oracle over either the pre- or the post-mutation entity
-set, never a torn mixture.  The fan-out indexes (:mod:`repro.index.
-sharded`, :mod:`repro.index.partitioned`) and the serving engine publish
-their own snapshots the same way, each holding those of the level below —
-which is why every level *requires* the level below to have one:
+set, never a torn mixture.  The fan-out index (:mod:`repro.index.
+sharded`) and the serving engine publish their own snapshots the same
+way, each holding those of the level below — which is why every level
+*requires* the level below to have one:
 :func:`served_snapshot` is the single statement of what the serving stack
 may hold, checked where an index enters it.
 """
@@ -101,16 +101,17 @@ def served_snapshot(index: VectorIndex) -> object:
     class, when ``index`` is not something the serving stack may hold.
 
     The stack (:class:`~repro.index.sharded.ShardedIndex`,
-    :class:`~repro.index.partitioned.TypePartitionedIndex`,
     :class:`~repro.serving.engine.LookupEngine`) holds an index only if
     ``index.snapshot()`` returns an immutable object with ``rows`` (the
     row-id space it pins), ``tombstone_count`` and ``check_removable(ids)``
     (``ValueError`` when an id of that space, already validated by
     :func:`check_row_ids`, is removed — a fan-out level asks every child
-    before it touches any), and ``index.search`` scans a pinned one handed
-    back as ``snapshot=``.  Each container calls this on what enters it,
-    before anything is spawned or edited, and afterwards pins
-    ``index.snapshot()`` without asking again.
+    before it touches any), ``index.search`` scans a pinned one handed
+    back as ``snapshot=``, and the index has ``compact``,
+    ``retrains_on_compact`` and ``pair_distances`` (what
+    :class:`RowStore` gives).  Each container calls this on what enters
+    it, before anything is spawned or edited, and afterwards pins
+    ``index.snapshot()`` and calls those three without asking again.
     """
     snapshot = getattr(index, "snapshot", None)
     snap = snapshot() if callable(snapshot) else None
@@ -121,6 +122,11 @@ def served_snapshot(index: VectorIndex) -> object:
     ]
     if "snapshot" not in inspect.signature(type(index).search).parameters:
         missing.append("search(snapshot=)")
+    missing += [
+        name
+        for name in ("compact", "retrains_on_compact", "pair_distances")
+        if not hasattr(type(index), name)
+    ]
     if missing:
         raise TypeError(
             f"{type(index).__name__} cannot be served: it has no "

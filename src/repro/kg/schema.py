@@ -51,10 +51,8 @@ class Entity:
     def primary_type(self) -> str | None:
         """First declared type id, or ``None`` for untyped entities.
 
-        This is the partitioning key used by the type-partitioned serving
-        index: every entity lives in exactly one partition even when it
-        declares several types (membership checks still consult the full
-        ``type_ids`` tuple).
+        Type membership (``type_filter=``) consults the full ``type_ids``
+        tuple, never this alone.
         """
         return self.type_ids[0] if self.type_ids else None
 

@@ -36,8 +36,8 @@ tower is left the queries the string tier has no confident answer for.
 
 Type-constrained lookups (``type_filter=``) filter the exact tier
 through :class:`TypeFilterMap` and delegate typed ANN search to tiers
-that support it (the serving engine scans only the matching partitions of
-a :class:`~repro.index.partitioned.TypePartitionedIndex`).
+that support it (the serving engine over-fetches its full scan and
+filters at rank time).
 
 Every tier keeps a :class:`~repro.utils.timing.Stopwatch` and a routing
 counter; :meth:`LookupRouter.router_stats` snapshots the counters
@@ -51,7 +51,6 @@ import threading
 import time
 
 from repro.kg.graph import KnowledgeGraph
-from repro.index.partitioned import DEFAULT_PARTITION
 from repro.lookup.base import Candidate, LookupService
 from repro.lookup.normalize import normalize
 from repro.lookup.qgram import QGramLookup
@@ -157,57 +156,37 @@ class LabelHashTable:
 
 
 class TypeFilterMap:
-    """Per-type membership sets and partition lists for ``type_filter``.
+    """Per-type membership sets for ``type_filter``.
 
-    For every type id the map precomputes (a) the *allowed* entity-id
-    set — entities declaring the type or any of its subtypes, matching
-    :meth:`KnowledgeGraph.entities_of_type` with ``transitive=True`` —
-    and (b) the partition keys (primary types) whose rows can contain an
-    allowed entity, which is what a
-    :class:`~repro.index.partitioned.TypePartitionedIndex` scan needs.
+    For every type id the map precomputes the *allowed* entity-id set —
+    entities declaring the type or any of its subtypes, matching
+    :meth:`KnowledgeGraph.entities_of_type` with ``transitive=True``.
 
-    Both structures follow the single-writer copy-on-write discipline of
-    the online-mutation path: values are immutable (frozensets and
-    tuples) and :meth:`add_entity` / :meth:`remove_entity` — serialized
-    by the serving engine's mutation lock — install *new* values with
-    GIL-atomic dict assignments, so lock-free concurrent readers see
-    either the old membership or the new one.
+    The sets follow the single-writer copy-on-write discipline of the
+    online-mutation path: values are immutable frozensets and
+    :meth:`add_entity` / :meth:`remove_entity` — serialized by the
+    serving engine's mutation lock — install *new* values with GIL-atomic
+    dict assignments, so lock-free concurrent readers see either the old
+    membership or the new one.
     """
 
-    def __init__(
-        self,
-        allowed: dict[str, frozenset[str]],
-        partitions: dict[str, tuple[str, ...]],
-    ) -> None:
+    def __init__(self, allowed: dict[str, frozenset[str]]) -> None:
         self._allowed = dict(allowed)
-        self._partitions = dict(partitions)
 
     @classmethod
     def from_kg(cls, kg: KnowledgeGraph) -> "TypeFilterMap":
-        """Precompute membership and partitions for every type in ``kg``."""
-        primary: dict[str, str] = {
-            e.entity_id: e.primary_type or DEFAULT_PARTITION
-            for e in kg.entities()
-        }
-        allowed: dict[str, frozenset[str]] = {}
-        partitions: dict[str, tuple[str, ...]] = {}
-        for entity_type in kg.types():
-            tid = entity_type.type_id
-            members = kg.entities_of_type(tid, transitive=True)
-            allowed[tid] = frozenset(members)
-            keys: list[str] = []
-            for eid in members:
-                key = primary[eid]
-                if key not in keys:
-                    keys.append(key)
-            partitions[tid] = tuple(keys)
-        return cls(allowed, partitions)
+        """Precompute membership for every type in ``kg``."""
+        return cls(
+            {
+                t.type_id: frozenset(
+                    kg.entities_of_type(t.type_id, transitive=True)
+                )
+                for t in kg.types()
+            }
+        )
 
     def add_entity(
-        self,
-        entity_id: str,
-        type_ids: tuple[str, ...] | list[str],
-        primary_type: str | None,
+        self, entity_id: str, type_ids: tuple[str, ...] | list[str]
     ) -> None:
         """Admit ``entity_id`` under every type in ``type_ids``.
 
@@ -217,30 +196,16 @@ class TypeFilterMap:
         filter entry, so a type introduced by the feed is immediately
         filterable.
         """
-        key = primary_type or DEFAULT_PARTITION
         for tid in type_ids:
             self._allowed[tid] = self._allowed.get(tid, frozenset()) | {
                 entity_id
             }
-            keys = self._partitions.get(tid, ())
-            if key not in keys:
-                self._partitions[tid] = keys + (key,)
 
     def remove_entity(self, entity_id: str) -> None:
-        """Retract ``entity_id`` from every type membership set.
-
-        Partition lists are left untouched: scanning one partition too
-        many is correctness-neutral (the membership filter still rejects
-        the entity) and keeping them monotone avoids recomputing primary
-        types for the surviving members.
-        """
+        """Retract ``entity_id`` from every type membership set."""
         for tid, members in list(self._allowed.items()):
             if entity_id in members:
                 self._allowed[tid] = members - {entity_id}
-
-    def known(self, type_id: str) -> bool:
-        """Whether ``type_id`` exists in the source KG."""
-        return type_id in self._allowed
 
     def allowed(self, type_id: str) -> frozenset[str]:
         """Entity ids admissible under ``type_filter=type_id``."""
@@ -248,12 +213,6 @@ class TypeFilterMap:
             return self._allowed[type_id]
         except KeyError:
             raise KeyError(f"unknown type id {type_id!r}") from None
-
-    def partitions_for(self, type_id: str) -> tuple[str, ...]:
-        """Partition keys whose rows can hold an allowed entity."""
-        if type_id not in self._allowed:
-            raise KeyError(f"unknown type id {type_id!r}")
-        return self._partitions.get(type_id, ())
 
 
 def alpha_ratio(text: str) -> float:
@@ -389,16 +348,15 @@ class LookupRouter(LookupService):
         types: tuple[str, ...] = (),
     ) -> None:
         """Make ``entity_id`` answerable by the exact and fuzzy tiers under
-        every mention, and admissible under ``types`` (full type set,
-        primary type first).  Serialized by the caller, like the tiers'
-        own mutators."""
+        every mention, and admissible under ``types`` (its full type
+        set).  Serialized by the caller, like the tiers' own mutators."""
         self.require_mutable()
         for mention in mentions:
             self.label_table.add(mention, entity_id)
             if self.fuzzy is not None:
                 self.fuzzy.add(mention, entity_id)
-        if self.type_map is not None and types:
-            self.type_map.add_entity(entity_id, types, types[0])
+        if self.type_map is not None:
+            self.type_map.add_entity(entity_id, types)
 
     def remove_entity(self, entity_id: str) -> None:
         """Retract ``entity_id`` from the exact tier, the fuzzy tier and

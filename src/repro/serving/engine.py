@@ -76,12 +76,11 @@ from repro.core.pipeline import EmbLookup
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.flat import FlatIndex
 from repro.index.mutation import served_snapshot
-from repro.index.partitioned import DEFAULT_PARTITION, TypePartitionedIndex
 from repro.index.sharded import ShardedIndex
 from repro.lookup.base import Candidate, LookupService
 from repro.lookup.cache import UNFILED, QueryCache
 from repro.lookup.normalize import normalize
-from repro.lookup.router import TAU, LookupRouter, TypeFilterMap
+from repro.lookup.router import TAU, LookupRouter
 from repro.utils.ranking import fetch_size, resolve_hits
 from repro.utils.timing import Stopwatch
 
@@ -247,14 +246,10 @@ class LookupEngine(LookupService):
         and fuzzy tiers short-circuit queries *before* the embed stage —
         the exact tier before the result cache, too (its ``ann`` tier
         should be ``None`` — this engine is the ANN path).  Tier counters
-        surface in :meth:`serving_stats`.
-    type_map:
-        :class:`~repro.lookup.router.TypeFilterMap` enabling
-        ``type_filter=`` lookups; defaults to the router's map.  With a
-        :class:`~repro.index.partitioned.TypePartitionedIndex` a typed
-        search scans only the matching partitions; with any other index
-        it over-fetches the full scan and filters at rank time (same
-        results, no scan savings).
+        surface in :meth:`serving_stats`.  Its
+        :class:`~repro.lookup.router.TypeFilterMap` enables
+        ``type_filter=`` lookups: a typed search over-fetches the full
+        scan and filters at rank time (:meth:`_search`).
     """
 
     name = "serving_engine"
@@ -270,7 +265,6 @@ class LookupEngine(LookupService):
         batch_deadline: float | None = None,
         fault_hook=None,
         router: LookupRouter | None = None,
-        type_map: TypeFilterMap | None = None,
     ):
         super().__init__()
         if pipeline.model is None:
@@ -296,18 +290,6 @@ class LookupEngine(LookupService):
         self.batch_deadline = batch_deadline
         self.fault_hook = fault_hook
         self.router = router
-        self._type_map = (
-            type_map
-            if type_map is not None
-            else (router.type_map if router is not None else None)
-        )
-        # The map the mutation path must update itself; the router
-        # updates its own, which is usually this same object.
-        self._own_type_map = (
-            None
-            if router is not None and router.type_map is self._type_map
-            else self._type_map
-        )
         self.stage_times: dict[str, Stopwatch] = {
             stage: Stopwatch() for stage in _STAGES
         }
@@ -341,7 +323,6 @@ class LookupEngine(LookupService):
         self._failed_queries = 0
         self._deadline_hits = 0
         self._isolation_retries = 0
-        self._type_rows_scanned = 0
         self._flushes = 0
         self._flushed_queries = 0
 
@@ -357,7 +338,6 @@ class LookupEngine(LookupService):
         executor: str = "inline",
         num_workers: int | None = None,
         shard_timeout: float | None = None,
-        partition_by_type: bool = False,
         router: "LookupRouter | bool | None" = None,
         **engine_kwargs,
     ) -> "LookupEngine":
@@ -376,11 +356,7 @@ class LookupEngine(LookupService):
         scans the shards on the calling thread (see
         :mod:`repro.index.sharded`).
 
-        ``partition_by_type=True`` builds a
-        :class:`~repro.index.partitioned.TypePartitionedIndex` keyed by
-        each entity's primary type (``num_shards > 1`` shards every
-        partition), so ``type_filter=`` lookups scan only matching
-        partitions.  ``router=True`` attaches a
+        ``router=True`` attaches a
         :class:`~repro.lookup.router.LookupRouter` built from the
         pipeline's KG (exact label-hash tier plus a q-gram fuzzy tier);
         pass a ready router for custom tiers.  ``engine_kwargs`` forward
@@ -407,29 +383,15 @@ class LookupEngine(LookupService):
                 shard_timeout=shard_timeout,
             )
 
-        index: VectorIndex
-        if partition_by_type:
-            index = TypePartitionedIndex(
-                dim, factory=flat if num_shards == 1 else sharded
-            )
-            index.train(vectors)
-            index.add(vectors, pipeline.index_row_types())
-        else:
-            index = flat(dim) if num_shards == 1 else sharded(dim)
-            index.train(vectors)
-            index.add(vectors)
+        index = flat(dim) if num_shards == 1 else sharded(dim)
+        index.train(vectors)
+        index.add(vectors)
         if router is True:
             if pipeline.kg is None:
                 raise ValueError("router=True requires the pipeline's KG")
             router = LookupRouter.build(pipeline.kg, ann=None, fuzzy="qgram")
         elif router is False:
             router = None
-        type_map = engine_kwargs.pop("type_map", None)
-        if type_map is None:
-            if router is not None:
-                type_map = router.type_map
-            elif partition_by_type and pipeline.kg is not None:
-                type_map = TypeFilterMap.from_kg(pipeline.kg)
         if cache_size is None:
             cache_size = pipeline.config.query_cache_size
         cache = (
@@ -443,7 +405,6 @@ class LookupEngine(LookupService):
             row_to_entity,
             cache=cache,
             router=router,
-            type_map=type_map,
             **engine_kwargs,
         )
 
@@ -704,11 +665,9 @@ class LookupEngine(LookupService):
         compute.  An ANN answer is also reached — scored ``inf`` — when a
         new mention's pair score against its query's grams reaches
         :data:`~repro.lookup.router.TAU`: the fuzzy tier answers that
-        query from now on.  A fuzzy service without gram sets or an index
-        without a pair kernel (e.g. a :class:`TypePartitionedIndex`)
-        leaves its tier out, and the cache strands that tier whole; with
-        a fuzzy tier, so does the ANN tier when the flip cannot be
-        judged."""
+        query from now on.  A fuzzy service without gram sets leaves its
+        tier out, and so the ANN tier too, since the flip cannot be
+        judged: the cache strands such a tier whole."""
         if write.rows is None:
             return None
         scorers: dict[str, Callable[[list], Sequence[float]]] = {}
@@ -716,9 +675,9 @@ class LookupEngine(LookupService):
         if mentions:
             pair_scores = self.router.fuzzy.best_pair_scores
             scorers["fuzzy"] = lambda grams: pair_scores(grams, mentions)
-        pair_distances = getattr(self._index, "pair_distances", None)
         cascade = self.router is not None and self.router.fuzzy is not None
-        if pair_distances is not None and (mentions or not cascade):
+        if mentions or not cascade:
+            pair_distances = self._index.pair_distances
             snapshot = self._index.snapshot()
 
             def nearest(evidence: list[tuple[bytes, Any]]) -> np.ndarray:
@@ -760,9 +719,8 @@ class LookupEngine(LookupService):
         ``replace`` first removes the entity's current rows (an update).
         Lookups keep reading the snapshot they pinned until
         :meth:`apply_mutation` publishes the next one, so they see the
-        old rows or the new ones, never neither — and the entity may
-        change partition (primary type) on a
-        :class:`TypePartitionedIndex`.  Caller holds ``_mutation_lock``.
+        old rows or the new ones, never neither.  Caller holds
+        ``_mutation_lock``.
         The row map is extended in place — before the index publishes
         the rows, so a reader that gets a new row id can resolve it — and
         cut back if the index refuses them: left one entity longer than
@@ -780,11 +738,7 @@ class LookupEngine(LookupService):
         if len(mentions) > 1:
             self._has_alias_rows = True
         try:
-            if isinstance(self._index, TypePartitionedIndex):
-                primary = (types[0] if types else None) or DEFAULT_PARTITION
-                self._index.add(vectors, [primary] * len(mentions))
-            else:
-                self._index.add(vectors)
+            self._index.add(vectors)
         except BaseException:
             del self._row_to_entity[base:]
             raise
@@ -795,16 +749,14 @@ class LookupEngine(LookupService):
         self._entity_rows[entity_id] = list(range(base, base + len(mentions)))
         if self.router is not None:
             self.router.add_entity(entity_id, mentions, types)
-        if self._own_type_map is not None and types:
-            self._own_type_map.add_entity(entity_id, types, types[0])
 
     def _mutate_remove(self, entity_id: str, write: _Write) -> None:
         """Tombstone an entity's rows and retract its router entries.
 
-        Caller holds ``_mutation_lock``.  Router/type-map entries drop
-        first (an exact hit on a half-removed entity would resurrect
-        it); the index tombstone publish is last.  ``write`` learns the
-        entity.
+        Caller holds ``_mutation_lock``.  Router entries (type map
+        included) drop first (an exact hit on a half-removed entity would
+        resurrect it); the index tombstone publish is last.  ``write``
+        learns the entity.
         """
         if entity_id not in self._entity_rows:
             raise ValueError(f"entity {entity_id!r} is not indexed")
@@ -812,8 +764,6 @@ class LookupEngine(LookupService):
         write.entities.append(entity_id)
         if self.router is not None:
             self.router.remove_entity(entity_id)
-        if self._own_type_map is not None:
-            self._own_type_map.remove_entity(entity_id)
         self._index.remove(np.asarray(rows, dtype=np.int64))
 
     def compact(self) -> bool:
@@ -831,13 +781,10 @@ class LookupEngine(LookupService):
         whole result store goes.
 
         Returns ``True`` when a swap happened, ``False`` when there was
-        nothing to reclaim (or the index family has no ``compact``).
+        nothing to reclaim.
         """
-        compact = getattr(self._index, "compact", None)
-        if not callable(compact):
-            return False
         with self._mutation_lock:
-            remap = compact()
+            remap = self._index.compact()
             if remap is None:
                 return False
             old_map = self._row_to_entity
@@ -846,10 +793,7 @@ class LookupEngine(LookupService):
                 if new_row >= 0:
                     new_map[int(new_row)] = old_map[old_row]
             self._adopt_rows(new_map)
-            if getattr(self._index, "retrains_on_compact", True):
-                self._publish(whole=True)
-            else:
-                self._publish()
+            self._publish(whole=self._index.retrains_on_compact)
             with self._stats_lock:
                 self._compactions += 1
             return True
@@ -862,11 +806,10 @@ class LookupEngine(LookupService):
     def _lookup_batch_typed(
         self, queries: list[str], k: int, type_filter: str
     ) -> list[list[Candidate]]:
-        if self._type_map is None:
+        if self.router is None or self.router.type_map is None:
             raise RuntimeError(
-                "engine has no TypeFilterMap; build it with router=True or "
-                "partition_by_type=True (or pass type_map=) to use "
-                "type_filter"
+                "engine has no TypeFilterMap; build it with router=True to "
+                "use type_filter"
             )
         return self._lookup(queries, k, type_filter)
 
@@ -1030,7 +973,7 @@ class LookupEngine(LookupService):
         if deadline is not None:
             self._check_deadline(deadline, "search")
         allowed = (
-            self._type_map.allowed(type_filter)
+            self.router.type_map.allowed(type_filter)
             if type_filter is not None
             else None
         )
@@ -1041,8 +984,8 @@ class LookupEngine(LookupService):
             with self._stats_lock:
                 self._partial_results += 1
         # Closest row of an entity wins; ``allowed`` drops entities outside
-        # the type filter (partitions mix types when entities declare
-        # several); ``snap.rows`` matches the scan that produced the ids.
+        # the type filter; ``snap.rows`` matches the scan that produced
+        # the ids.
         start = clock()
         rows = resolve_hits(
             result.ids, -result.distances, snap.rows, k, Candidate, allowed
@@ -1058,59 +1001,33 @@ class LookupEngine(LookupService):
         allowed: frozenset[str] | None,
         snap: EngineSnapshot,
     ) -> SearchResult:
-        """One index scan under ``snap``; type-constrained scans are
+        """One full index scan under ``snap``; a type-constrained one is
         exact by construction.
 
-        Over-fetching by the scanned set's *impure row count* (rows whose
-        entity is not admissible) guarantees the top-``fetch`` winners
-        contain every admissible row the post-filtered full scan would
-        return, so rank-stage filtering yields bit-identical results.  On
-        a :class:`TypePartitionedIndex` only the partitions that can hold
-        admissible entities are scanned; any other index scans everything
-        and only the rank filter applies.
+        Over-fetching by the *impure row count* (rows whose entity is not
+        admissible) guarantees the top-``fetch`` winners contain every
+        admissible row the post-filtered scan would return, so rank-stage
+        filtering yields bit-identical results.
         """
-        index = self._index
-        pinned = {"snapshot": snap.index}
         impure = 0
-        scanned = snap.index.rows
         if type_filter is not None:
-            partitions = None
-            if isinstance(index, TypePartitionedIndex):
-                partitions = self._type_map.partitions_for(type_filter)
-                pinned["partitions"] = partitions
-                scanned = snap.index.rows_in(partitions)
-            with self._stats_lock:
-                self._type_rows_scanned += scanned
-            impure = self._impure_row_count(
-                type_filter, allowed, partitions, scanned, snap
-            )
-        fetch = fetch_size(k, snap.has_alias_rows, scanned, extra=impure)
-        return index.search(vectors, fetch, **pinned)
+            impure = self._impure_row_count(type_filter, allowed, snap)
+        fetch = fetch_size(k, snap.has_alias_rows, snap.index.rows, extra=impure)
+        return self._index.search(vectors, fetch, snapshot=snap.index)
 
     def _impure_row_count(
-        self,
-        type_filter: str,
-        allowed: frozenset[str],
-        partitions: tuple[str, ...] | None,
-        scanned: int,
-        snap: EngineSnapshot,
+        self, type_filter: str, allowed: frozenset[str], snap: EngineSnapshot
     ) -> int:
-        """Rows in ``type_filter``'s scanned set resolving to other types.
+        """Rows of ``snap``'s index resolving to entities ``type_filter``
+        does not admit.
 
         Memoized per filter in the snapshot itself, so the memo is
         exactly as old as the entity set it was computed from.
         """
         count = snap.impure_rows.get(type_filter)
         if count is None:
-            if partitions is None:
-                rows = range(scanned)
-            else:
-                rows = (
-                    int(row)
-                    for key in partitions
-                    for row in snap.index.global_ids(key)
-                )
-            count = sum(1 for row in rows if snap.rows[row] not in allowed)
+            scanned = snap.rows[: snap.index.rows]
+            count = sum(1 for entity_id in scanned if entity_id not in allowed)
             snap.impure_rows[type_filter] = count
         return count
 
@@ -1153,12 +1070,9 @@ class LookupEngine(LookupService):
         or a timed-out request (0 for non-process executors).
 
         Router tiers add ``exact_hits`` / ``fuzzy_routed`` /
-        ``ann_routed`` (all 0 without a router) and type-constrained
-        scans add ``type_filtered_rows_scanned`` — the total rows the
-        search stage scanned under a ``type_filter`` (partition sums for
-        a :class:`TypePartitionedIndex`, ``ntotal`` per scan otherwise).
-        The online-mutation path adds ``mutations_applied`` (change-feed
-        records applied via :meth:`apply_mutation`), ``compactions``
+        ``ann_routed`` (all 0 without a router).  The online-mutation
+        path adds ``mutations_applied`` (change-feed records applied via
+        :meth:`apply_mutation`), ``compactions``
         (successful :meth:`compact` swaps), and how selective cache
         invalidation was: ``results_stranded`` counts the cached answers
         the narrow rule stranded, one by one, ``cache_fallback_clears``
@@ -1197,7 +1111,6 @@ class LookupEngine(LookupService):
                 "failed_queries": self._failed_queries,
                 "deadline_hits": self._deadline_hits,
                 "worker_respawns": respawns,
-                "type_filtered_rows_scanned": self._type_rows_scanned,
                 "mutations_applied": self._mutations_applied,
                 "compactions": self._compactions,
                 **router_stats,

@@ -1,24 +1,14 @@
-"""Shared utilities: seeded randomness, timing, and validation helpers."""
+"""Shared utilities: seeded randomness and timing."""
 
 from repro.utils.rng import RngMixin, as_rng, derive_rng, new_rng
 from repro.utils.timing import Stopwatch, Timer, format_duration
-from repro.utils.validation import (
-    check_positive,
-    check_probability,
-    check_type,
-    require,
-)
 
 __all__ = [
     "RngMixin",
     "Stopwatch",
     "Timer",
     "as_rng",
-    "check_positive",
-    "check_probability",
-    "check_type",
     "derive_rng",
     "format_duration",
     "new_rng",
-    "require",
 ]

@@ -20,7 +20,6 @@ from repro.index.hnsw import HNSWIndex
 from repro.index.ivf import IVFFlatIndex
 from repro.index.ivfpq import IVFPQIndex
 from repro.index.lsh import LSHIndex
-from repro.index.partitioned import TypePartitionedIndex
 from repro.index.pq import PQIndex
 from repro.index.sharded import ShardedIndex
 
@@ -61,7 +60,6 @@ SERVED = {
     "pq": FACTORIES["pq"],
     "sharded_inline": lambda: ShardedIndex(DIM, 2, executor="inline"),
     "sharded_process": lambda: ShardedIndex(DIM, 2, executor="process"),
-    "type_partitioned": lambda: TypePartitionedIndex(DIM),
 }
 
 VARIANTS = {
@@ -118,10 +116,7 @@ class TestBoundaryShape:
         try:
             if not index.is_trained:
                 index.train(data)
-            if isinstance(index, TypePartitionedIndex):
-                index.add(data, ["a", "b"] * 16)
-            else:
-                index.add(data)
+            index.add(data)
             result = index.search(data[:4], K)
         finally:
             getattr(index, "close", lambda: None)()

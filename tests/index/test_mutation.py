@@ -26,7 +26,6 @@ from repro.index.mutation import (
     extend_tombstones,
     validate_removable,
 )
-from repro.index.partitioned import TypePartitionedIndex
 from repro.index.pq import PQIndex
 from repro.index.sharded import ShardedIndex
 from repro.index.shm import owned_segment_names
@@ -422,49 +421,3 @@ class TestShardedMutation:
             proc.close()
             inline.close()
         assert owned_segment_names() == []
-
-
-class TestPartitionedMutation:
-    def test_remove_by_global_id(self):
-        rng = case_rng(31, 0)
-        vectors = rng.standard_normal((40, DIM)).astype(np.float32)
-        parts = ["even" if i % 2 == 0 else "odd" for i in range(40)]
-        index = TypePartitionedIndex(DIM, factory=lambda d: FlatIndex(d))
-        index.train(vectors)
-        index.add(vectors, parts)
-        index.remove([0, 1, 6])
-        assert index.tombstone_count == 3
-        assert index.nlive == 37
-        got = index.search(vectors[:4], 5)
-        assert not np.isin(got.ids, [0, 1, 6]).any()
-        with pytest.raises(ValueError):
-            index.remove([0])  # double remove
-        with pytest.raises(ValueError):
-            index.remove([400])  # out of range
-        assert index.tombstone_count == 3
-
-    def test_remove_is_all_or_nothing_across_sharded_partitions(self):
-        """Two fan-out levels, one pre-validation: an already-removed id
-        in one shard of one partition stops the batch before any shard of
-        any partition is touched."""
-        rng = case_rng(31, 1)
-        vectors = rng.standard_normal((40, DIM)).astype(np.float32)
-        parts = ["even" if i % 2 == 0 else "odd" for i in range(40)]
-        with closing(
-            TypePartitionedIndex(DIM, factory=lambda d: ShardedIndex(d, 2))
-        ) as index:
-            index.add(vectors, parts)
-            index.remove([4, 9])
-            counts = {
-                key: part.snap.tombstone_count
-                for key, part in index.snapshot().parts.items()
-            }
-            assert counts == {"even": 1, "odd": 1}
-            with pytest.raises(ValueError, match="already removed"):
-                index.remove([6, 11, 13, 4])  # 4 is gone; the rest are live
-            assert counts == {
-                key: part.snap.tombstone_count
-                for key, part in index.snapshot().parts.items()
-            }
-            got = index.search(vectors[[6, 11, 13]], 1)
-            np.testing.assert_array_equal(got.ids[:, 0], [6, 11, 13])

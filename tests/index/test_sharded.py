@@ -177,24 +177,18 @@ class TestExecutorEquivalence:
     ):
         """The served stack holds one kind of index.  An offline baseline
         (no snapshots, no ``remove``) is a ``TypeError`` naming its class
-        at each of the three doors — not a pickled shard, and not a
+        at each of the two doors — not a pickled shard, and not a
         mutation that fails half-applied later — and nothing was spawned
         or mapped on the way."""
         from repro.index.ivfpq import IVFPQIndex
         from repro.index.lsh import LSHIndex
-        from repro.index.partitioned import TypePartitionedIndex
         from repro.serving import LookupEngine
 
         def lsh(dim):
             return LSHIndex(dim, nbits=8, ntables=2, seed=0)
 
-        data, _ = make_data(n=6, d=8, seed=9)
         with pytest.raises(TypeError, match="LSHIndex"):
             ShardedIndex(8, 2, factory=lsh, executor="process")
-        partitioned = TypePartitionedIndex(8, factory=lsh)
-        with pytest.raises(TypeError, match="LSHIndex"):
-            partitioned.add(data, ["a", "b"] * 3)
-        assert partitioned.ntotal == 0 and partitioned.partition_keys() == ()
         dim = trained_service.config.embedding_dim
         with pytest.raises(TypeError, match="IVFPQIndex"):
             LookupEngine(trained_service, IVFPQIndex(dim), [])

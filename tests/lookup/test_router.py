@@ -12,7 +12,6 @@ from repro.lookup import (
     TypeFilterMap,
     normalize,
 )
-from repro.index.partitioned import DEFAULT_PARTITION
 from repro.lookup.base import Candidate
 from repro.lookup.levenshtein import LevenshteinLookup
 from repro.lookup.qgram import QGramLookup
@@ -332,9 +331,7 @@ class TestCascade:
 
     def test_the_typed_row_is_judged_after_filtering(self, router_parts):
         _, table, _ = router_parts
-        type_map = TypeFilterMap(
-            {"t": frozenset({"inside"})}, {"t": (DEFAULT_PARTITION,)}
-        )
+        type_map = TypeFilterMap({"t": frozenset({"inside"})})
         best = Candidate("outside", 1.0)
         rows = {
             "outside first": [best, Candidate("inside", TAU / 2)],
@@ -398,17 +395,6 @@ class TestTypeFilter:
             )
         with pytest.raises(KeyError, match="unknown type"):
             type_map.allowed("no-such-type")
-        with pytest.raises(KeyError, match="unknown type"):
-            type_map.partitions_for("no-such-type")
-
-    def test_partitions_cover_every_allowed_entity(self, router_parts):
-        kg, _, type_map = router_parts
-        for entity_type in kg.types():
-            tid = entity_type.type_id
-            partitions = set(type_map.partitions_for(tid))
-            for eid in type_map.allowed(tid):
-                entity = kg.entity(eid)
-                assert (entity.primary_type or DEFAULT_PARTITION) in partitions
 
     def test_exact_hit_filtered_by_type(self, router_parts):
         kg, table, type_map = router_parts

@@ -31,6 +31,7 @@ import pytest
 from repro.index.flat import FlatIndex
 from repro.index.sharded import ShardedIndex
 from repro.index.shm import owned_segment_names
+from repro.lookup.levenshtein import LevenshteinLookup
 from repro.lookup.qgram import QGramLookup
 from repro.lookup.router import TAU, LabelHashTable, LookupRouter
 from repro.serving import IndexMutation, LookupEngine
@@ -212,9 +213,10 @@ class EngineModel:
         self.owners = [self.owners[r] for r in live]
         self.dead = set()
 
-    def twin(self, routed: bool = True) -> LookupEngine:
-        """An uncached engine (routed, unless told otherwise) built in
-        one shot over the current state."""
+    def twin(self, routed: bool = True, fuzzy=QGramLookup) -> LookupEngine:
+        """An uncached engine (routed, unless told otherwise, with a
+        ``fuzzy`` string tier) built in one shot over the current
+        state."""
         matrix = np.concatenate(self.blocks, axis=0)
         index = FlatIndex(matrix.shape[1])
         index.add(matrix)
@@ -223,7 +225,7 @@ class EngineModel:
         router = None
         if routed:
             router = LookupRouter(
-                LabelHashTable(), fuzzy=QGramLookup(include_aliases=True)
+                LabelHashTable(), fuzzy=fuzzy(include_aliases=True)
             )
             for entity_id, mentions in self.surface.items():
                 router.add_entity(entity_id, mentions)
@@ -247,9 +249,6 @@ def apply_engine_op(engine, model: EngineModel, step: int, op) -> None:
     kind, op_seed, count = op
     rng = case_rng(op_seed, 0)
     if kind == "compact":
-        if not hasattr(engine.index, "compact"):  # TypePartitionedIndex
-            assert engine.compact() is False
-            return
         assert engine.compact() == bool(model.dead)
         model.compacted()
         return
@@ -368,11 +367,14 @@ class TestReplayEquivalence:
         assert owned_segment_names() == []
 
     def check_engine(
-        self, pipeline, case, engine_kwargs: dict, passes: int
-    ) -> None:
+        self, pipeline, case, engine_kwargs: dict, passes: int, fuzzy=None
+    ) -> dict[str, int]:
         """Replay ``case`` on an engine and, after every op, ask a query
         list that follows the ops ``passes`` times over: each answer must
         equal an uncached twin built once over the resulting state.
+        ``fuzzy`` replaces the routed engine's q-gram tier (a
+        :class:`~repro.lookup.rows.RowTableLookup` class, twin included).
+        Returns the engine's last ``serving_stats()``.
 
         One pass is one batched lookup.  Several passes ask query by
         query, twin included: a cache changes which queries share an
@@ -389,6 +391,14 @@ class TestReplayEquivalence:
             + [m[:-1] + "x" for m in seen[:12] if len(m) >= 6]
         )
         routed = engine_kwargs.get("router", True)
+        if fuzzy is not None:
+            engine_kwargs = dict(
+                engine_kwargs,
+                router=LookupRouter.build(
+                    pipeline.kg,
+                    fuzzy=fuzzy.build(pipeline.kg, include_aliases=True),
+                ),
+            )
         model = EngineModel(pipeline)
         with LookupEngine.from_pipeline(pipeline, **engine_kwargs) as engine:
             for step, op in enumerate(case.ops):
@@ -403,17 +413,18 @@ class TestReplayEquivalence:
                         return service.lookup_batch(queries, case.k)
                     return [service.lookup(q, case.k) for q in queries]
 
-                with model.twin(routed) as twin:
+                with model.twin(routed, fuzzy or QGramLookup) as twin:
                     want = ask(twin)
                 for asked in range(passes):
                     assert ask(engine) == want, (
                         f"after op {step} ({op[0]}), pass {asked}"
                     )
+            return engine.serving_stats()
 
     @pytest.mark.parametrize(
         "index_kwargs",
-        [{}, {"partition_by_type": True, "num_shards": 2}],
-        ids=["flat", "sharded_partitions"],
+        [{}, {"num_shards": 2}],
+        ids=["flat", "sharded"],
     )
     def test_routed_engine_replay_equivalence(
         self, trained_service, index_kwargs
@@ -438,10 +449,9 @@ class TestReplayEquivalence:
         [
             {"router": True},
             {"router": True, "num_shards": 2},
-            {"router": True, "partition_by_type": True, "num_shards": 2},
             {"router": False},
         ],
-        ids=["flat", "sharded", "sharded_partitions", "no_router"],
+        ids=["flat", "sharded", "no_router"],
     )
     def test_cached_engine_replay_equivalence(
         self, trained_service, engine_kwargs
@@ -450,19 +460,43 @@ class TestReplayEquivalence:
         cleared, so after each op the first pass is served partly by
         answers cached before the op — exactly those the invalidation
         rule let stand — and the second pass wholly from the cache.
-        ``sharded_partitions`` has no pair kernel (its ANN tier is
-        stranded whole by every add), ``no_router`` serves everything
-        from the ANN tier."""
+        ``no_router`` serves everything from the ANN tier.  Every served
+        index has a pair kernel, so no write strands a tier whole."""
 
         def prop(case):
-            self.check_engine(
+            stats = self.check_engine(
                 trained_service,
                 case,
                 {"cache_size": 512, **engine_kwargs},
                 passes=2,
             )
+            assert stats["cache_fallback_clears"] == 0
 
         run_cases(prop, MutationStrategy(), cases=10, name="cached_replay")
+
+    def test_cached_engine_replay_equivalence_gramless_fuzzy(
+        self, trained_service
+    ):
+        """The cached property behind a fuzzy tier without gram sets
+        (:class:`LevenshteinLookup`): an add can neither re-score its
+        answers nor judge the tier flip of an ANN answer, so it strands
+        both tiers whole — the one whole-tier fallback left, shown to
+        run by every case that appends rows after answers were cached."""
+
+        def prop(case):
+            stats = self.check_engine(
+                trained_service,
+                case,
+                {"cache_size": 512},
+                passes=2,
+                fuzzy=LevenshteinLookup,
+            )
+            if any(op[0] in ("add", "update") for op in case.ops[1:]):
+                assert stats["cache_fallback_clears"] > 0
+
+        run_cases(
+            prop, MutationStrategy(), cases=10, name="cached_gramless_replay"
+        )
 
     def test_cached_engine_replay_equivalence_tier_flip(self, trained_service):
         """The cached-vs-uncached property on a case built to flip the

@@ -1,6 +1,6 @@
 """Property tests for the tiered router (ISSUE 9 acceptance properties).
 
-Three acceptance properties, each over seeded generated cases:
+Two acceptance properties, each over seeded generated cases:
 
 - **passthrough** — with no exact entries and no fuzzy tier, the router
   is a transparent wrapper: its answers equal the ANN service's answers
@@ -8,12 +8,11 @@ Three acceptance properties, each over seeded generated cases:
 - **exact supremacy** — a query whose normalized form is indexed gets
   *every* entity sharing that surface form, all at rank-1 score 1.0 —
   a superset of what a hash-embedding ANN tier would return at distance
-  ~0 for the same string;
-- **partition invariance** — a :class:`TypePartitionedIndex` union scan
-  agrees with the brute-force oracle on adversarial stores, and with a
-  shared pre-trained quantizer a partition-restricted PQ search is
-  *bit*-identical to post-filtering the unpartitioned scan (the
-  ``type_filter`` exactness claim).
+  ~0 for the same string.
+
+The ``type_filter`` exactness claim (a typed lookup equals the
+brute-force reference over the admissible entities) is
+``tests/property/test_typed_lookup.py``.
 
 The ANN stub embeds queries by hashing the *normalized* string through
 ``zlib.crc32`` (stable across processes, unlike ``hash()``), so equal
@@ -23,29 +22,11 @@ surface forms land on identical vectors.
 import zlib
 
 import numpy as np
-import pytest
 
 from repro.index.flat import FlatIndex
-from repro.index.partitioned import TypePartitionedIndex
-from repro.index.pq import PQIndex
 from repro.lookup import LabelHashTable, LookupRouter, normalize
 from repro.lookup.base import Candidate, LookupService
-from repro.testing import (
-    LabelStrategy,
-    VectorStoreStrategy,
-    assert_topk_agrees,
-    assert_topk_equal,
-    assert_valid_topk,
-    brute_force_topk,
-    run_cases,
-)
-
-# Adversarial (unconditioned) stores contain ±inf on purpose; the flat
-# kernel's inf arithmetic warnings are the scenario, not a defect.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:invalid value encountered:RuntimeWarning",
-    "ignore:overflow encountered:RuntimeWarning",
-)
+from repro.testing import LabelStrategy, run_cases
 
 DIM = 12
 CASES = 40
@@ -140,72 +121,3 @@ class TestExactTier:
                 assert all(c.score == 1.0 for c in row)
 
         run_cases(prop, LabelStrategy(num_aliases=3), cases=CASES)
-
-
-def partition_keys(n: int) -> list[str]:
-    """Deterministic keys (round-robin over <=3 partitions) so the
-    VectorStoreStrategy's shrinking stays usable."""
-    p = min(3, max(1, n))
-    return [f"p{i % p}" for i in range(n)]
-
-
-class TestPartitionInvariance:
-    def test_flat_partition_union_agrees_with_oracle(self):
-        def prop(store):
-            n = len(store.vectors)
-            k = min(5, n)
-            index = TypePartitionedIndex(store.dim)
-            index.add(store.vectors, partition_keys(n))
-            got = index.search(store.queries, k)
-            assert_valid_topk(got, n, k, context=store.note)
-            oracle = brute_force_topk(store.vectors, store.queries, k)
-            assert_topk_agrees(
-                got, oracle, rtol=1e-6, atol=1e-9, context=store.note
-            )
-
-        run_cases(
-            prop, VectorStoreStrategy(conditioned=False), cases=CASES
-        )
-
-    def test_pq_partition_filter_bit_identical_to_post_filtering(self):
-        """Shared pre-trained codebooks make ADC distances independent
-        of partitioning, so restricting the scan to one partition is
-        bit-identical to post-filtering the full scan — the exactness
-        guarantee ``type_filter`` rides on."""
-
-        def prop(store):
-            n = len(store.vectors)
-            keys = partition_keys(n)
-            m = max(d for d in (4, 2, 1) if store.dim % d == 0)
-
-            def trained_pq(dim):
-                sub = PQIndex(dim, m=m, seed=7)
-                sub.train(store.vectors)
-                return sub
-
-            index = TypePartitionedIndex(store.dim, factory=trained_pq)
-            index.add(store.vectors, keys)
-            reference = trained_pq(store.dim)
-            reference.add(store.vectors)
-
-            k = min(4, n)
-            got = index.search(store.queries, k, partitions=["p0"])
-            full = reference.search(store.queries, n)
-            want_ids = np.full((len(store.queries), k), -1, dtype=np.int64)
-            want_d = np.full((len(store.queries), k), np.inf)
-            for qi, (irow, drow) in enumerate(
-                zip(full.ids, full.distances)
-            ):
-                kept = [
-                    (i, d)
-                    for i, d in zip(irow, drow)
-                    if keys[int(i)] == "p0"
-                ][:k]
-                for col, (i, d) in enumerate(kept):
-                    want_ids[qi, col] = i
-                    want_d[qi, col] = d
-            assert_topk_equal(got, (want_ids, want_d), context=store.note)
-
-        run_cases(
-            prop, VectorStoreStrategy(conditioned=True), cases=CASES
-        )

@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.index.partitioned import TypePartitionedIndex
+from repro.index.flat import FlatIndex
 from repro.index.sharded import ShardedIndex
 from repro.lookup.cache import QueryCache
-from repro.lookup.router import LookupRouter, TypeFilterMap
+from repro.lookup.router import LookupRouter
 from repro.serving.engine import LookupEngine
 from repro.testing import QueryPoison, held_flush
 
@@ -29,8 +29,6 @@ class TestConstruction:
             LookupEngine.from_pipeline(EmbLookup(trained_service.config))
 
     def test_row_count_validated(self, trained_service):
-        from repro.index.flat import FlatIndex
-
         with pytest.raises(ValueError):
             LookupEngine(trained_service, FlatIndex(64), ["only-one-row"])
 
@@ -384,18 +382,16 @@ def assert_candidate_rows_agree(got, want):
 
 
 class TestRouterIntegration:
-    """Router-in-engine tiers plus type_filter over partitioned indexes."""
+    """Router-in-engine tiers plus type_filter over the full scan."""
 
     @pytest.fixture(scope="class")
     def routed(self, trained_service):
-        engine = LookupEngine.from_pipeline(
-            trained_service, partition_by_type=True, router=True
-        )
+        engine = LookupEngine.from_pipeline(trained_service, router=True)
         yield engine
         engine.close()
 
-    def test_builds_partitioned_index_and_router(self, routed, trained_service):
-        assert isinstance(routed.index, TypePartitionedIndex)
+    def test_builds_index_and_router(self, routed, trained_service):
+        assert isinstance(routed.index, FlatIndex)
         assert routed.index.ntotal == len(trained_service.row_entity_ids)
         assert isinstance(routed.router, LookupRouter)
         assert routed.router.ann is None  # the engine IS the ann tier
@@ -433,47 +429,6 @@ class TestRouterIntegration:
             routed.lookup_batch(queries, 5), plain.lookup_batch(queries, 5)
         )
 
-    def test_typed_lookup_scans_only_matching_partitions(
-        self, routed, trained_service
-    ):
-        kg = trained_service.kg
-        # The narrowest populated type: its partitions must cover a
-        # strict subset of the index.
-        per_query, tid = min(
-            (
-                routed.index.rows_in(
-                    routed._type_map.partitions_for(t.type_id)
-                ),
-                t.type_id,
-            )
-            for t in kg.types()
-            if routed._type_map.allowed(t.type_id)
-        )
-        assert 0 < per_query < routed.index.ntotal
-        before = routed.serving_stats()["type_filtered_rows_scanned"]
-        rows = routed.lookup_batch(["zzz unknown query xyz"], 5, type_filter=tid)
-        scanned = routed.serving_stats()["type_filtered_rows_scanned"] - before
-        assert scanned == per_query
-        allowed = routed._type_map.allowed(tid)
-        assert rows[0] and all(c.entity_id in allowed for c in rows[0])
-
-    def test_partitioned_typed_results_match_full_scan_post_filtering(
-        self, routed, trained_service
-    ):
-        """The tentpole exactness claim end-to-end: partition-restricted
-        typed lookups are identical to type-filtering a full-index scan
-        (the fallback path a flat engine takes)."""
-        kg = trained_service.kg
-        fallback = LookupEngine.from_pipeline(trained_service, router=True)
-        assert not isinstance(fallback.index, TypePartitionedIndex)
-        queries = ["germaby", "zzz unknown", "uni of oxfort", "tokio"]
-        for entity_type in kg.types():
-            tid = entity_type.type_id
-            assert_candidate_rows_agree(
-                routed.lookup_batch(queries, 5, type_filter=tid),
-                fallback.lookup_batch(queries, 5, type_filter=tid),
-            )
-
     def test_typed_results_cached_per_scope(self, routed, trained_service):
         tid = next(trained_service.kg.types()).type_id
         cache = QueryCache(16, cache_results=True)
@@ -495,14 +450,9 @@ class TestRouterIntegration:
         with pytest.raises(KeyError, match="unknown type"):
             routed.lookup_batch(["x"], 3, type_filter="no-such-type")
 
-    def test_serving_stats_has_router_and_scan_counters(self, routed):
+    def test_serving_stats_has_router_counters(self, routed):
         stats = routed.serving_stats()
-        for key in (
-            "exact_hits",
-            "fuzzy_routed",
-            "ann_routed",
-            "type_filtered_rows_scanned",
-        ):
+        for key in ("exact_hits", "fuzzy_routed", "ann_routed"):
             assert key in stats
 
     def test_stats_counters_are_zero_without_router(self, engine):
@@ -510,7 +460,6 @@ class TestRouterIntegration:
         assert stats["exact_hits"] == 0
         assert stats["fuzzy_routed"] == 0
         assert stats["ann_routed"] == 0
-        assert stats["type_filtered_rows_scanned"] == 0
 
 
 class TestExactTierAheadOfCache:
