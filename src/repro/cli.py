@@ -6,7 +6,6 @@ Subcommands cover the full lifecycle a downstream user needs:
 - ``train``         — train an EmbLookup model over a KG and save it.
 - ``lookup``        — query a saved model interactively or one-shot.
 - ``evaluate``      — score the model's lookup success on noisy queries.
-- ``selftest``      — run seeded property diagnostics over the lookup stack.
 
 Example::
 
@@ -14,17 +13,13 @@ Example::
     python -m repro train --kg kg.json --out model/ --epochs 10
     python -m repro lookup --kg kg.json --model model/ germany germoney
     python -m repro evaluate --kg kg.json --model model/ --noise 0.5
-    python -m repro selftest --cases 25 --seed 1
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from collections.abc import Sequence
-
-import numpy as np
 
 from repro.core import EmbLookup, EmbLookupConfig
 from repro.evaluation.reporting import format_table
@@ -113,114 +108,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    """Run the embedded property-based diagnostics over the lookup stack.
-
-    Three properties, each over ``--cases`` seeded adversarial stores:
-    the blockwise flat scan agrees with the brute-force oracle, a
-    sharded index with one dead shard degrades to the exact survivor
-    merge with ``partial=True``, and an injected result corruption is
-    flagged by the differential comparator (the detectors detect).
-    Exit codes: 0 = all properties hold; 1 = a failure (the report
-    carries the ``REPRO_SEED``/``REPRO_CASE`` replay line).
-    """
-    # Lazy import: repro.testing may import every layer it exercises, so
-    # the CLI only pays for (and depends on) it when selftest runs.
-    from repro import testing
-    from repro.index.flat import FlatIndex
-    from repro.index.sharded import ShardedIndex
-
-    num_shards = 4
-    k = 5
-    strategy = testing.VectorStoreStrategy(conditioned=True)
-
-    def survivor_fanin(case, dead):
-        """Oracle for the degraded search: flat scan over the surviving
-        rows, with local ids mapped back to the striped global ids."""
-        surviving = np.flatnonzero(
-            np.arange(len(case.vectors)) % num_shards != dead
-        )
-        reference = FlatIndex(case.dim)
-        reference.add(case.vectors[surviving])
-        result = reference.search(case.queries, k)
-        return (
-            np.where(
-                result.ids >= 0, surviving[np.maximum(result.ids, 0)], -1
-            ),
-            result.distances,
-        )
-
-    def flat_matches_oracle(case):
-        index = FlatIndex(case.dim)
-        index.add(case.vectors)
-        got = index.search(case.queries, k)
-        want = testing.brute_force_topk(case.vectors, case.queries, k)
-        testing.assert_valid_topk(got, len(case.vectors), k)
-        testing.assert_topk_agrees(got, want, rtol=1e-6, atol=1e-9)
-
-    def dead_shard_degrades_gracefully(case):
-        dead = len(case.vectors) % num_shards
-        index = ShardedIndex(
-            case.dim,
-            num_shards,
-            factory=FlatIndex,
-            fault_hook=testing.FaultPlan.parse(f"s{dead}:c0:drop"),
-        )
-        try:
-            index.add(case.vectors)
-            result = index.search(case.queries, k)
-        finally:
-            index.close()
-        assert result.partial and result.failed_shards == (dead,)
-        testing.assert_topk_agrees(
-            result, survivor_fanin(case, dead), rtol=1e-6, atol=1e-9
-        )
-
-    def corruption_is_detected(case):
-        index = ShardedIndex(
-            case.dim,
-            num_shards,
-            factory=FlatIndex,
-            fault_hook=testing.FaultPlan.parse("s0:*:corrupt"),
-        )
-        try:
-            index.add(case.vectors)
-            got = index.search(case.queries, k)
-        finally:
-            index.close()
-        if len(case.vectors) < 2 or k < 2:
-            return  # single candidate: mirror-rank mispairing is a no-op
-        want = testing.brute_force_topk(case.vectors, case.queries, k)
-        try:
-            testing.assert_topk_agrees(got, want, rtol=1e-6, atol=1e-9)
-        except AssertionError:
-            return  # corruption flagged, as required
-        # Degenerate stores (all ties) can survive mispairing; accept
-        # only when the honest and corrupted scans truly coincide.
-        np.testing.assert_allclose(
-            got.distances, want[1], rtol=1e-6, atol=1e-9
-        )
-
-    properties = [
-        flat_matches_oracle,
-        dead_shard_degrades_gracefully,
-        corruption_is_detected,
-    ]
-    for prop in properties:
-        started = time.monotonic()
-        try:
-            executed = testing.run_cases(
-                prop, strategy, cases=args.cases, seed=args.seed
-            )
-        except testing.PropertyFailure as failure:
-            print(f"selftest FAILED: {failure}", file=sys.stderr)
-            return 1
-        elapsed = time.monotonic() - started
-        print(f"{prop.__name__}: {executed} cases OK ({elapsed:.2f}s)")
-    print(f"selftest OK ({len(properties)} properties)")
-    return 0
-
-
 def _read_stdin_queries() -> list[str]:
     if sys.stdin.isatty():
         return []
@@ -266,24 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser(
-        "selftest",
-        help="run seeded property diagnostics over the lookup stack",
-    )
-    p.add_argument(
-        "--cases",
-        type=int,
-        default=25,
-        help="generated cases per property (default 25)",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="base seed (the REPRO_SEED environment variable wins)",
-    )
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

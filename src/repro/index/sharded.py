@@ -44,7 +44,7 @@ the worker: removes need no re-export; appends close the pool and the
 next search re-exports.  :meth:`ShardedIndex.compact` rebuilds the shard
 set off-lock and swaps it in all-or-nothing.
 
-Fault injection: tests (see :mod:`repro.testing.faults`) pass a
+Fault injection: tests (see ``tests/support/faults.py``) pass a
 ``fault_hook`` — any object with optional methods ``before(shard)``
 (called on the shard's coordinator before its search; may raise or
 sleep), ``transform(shard, ids, distances) -> (ids, distances)`` (applied
@@ -53,8 +53,8 @@ to the shard's result before fan-in), ``should_kill(shard) -> bool``
 exercise crash detection → respawn → retry) and ``on_compaction(phase)``
 (``"build"`` when a compaction starts rebuilding, ``"swap"`` immediately
 before the swap; raising aborts it with the old shard set untouched).
-Production code leaves it ``None``; the index never imports the testing
-layer.
+Production code leaves it ``None``; the package never imports the test
+harness.
 """
 
 from __future__ import annotations
@@ -453,7 +453,8 @@ class ShardedIndex(VectorIndex):
     # -- executors -------------------------------------------------------------
 
     def resolved_executor(self) -> str:
-        """The executor ``search`` uses (kept for callers that log it)."""
+        """The executor ``search`` uses (the e2e benchmark's host record
+        reads it: ``benchmarks/e2e/run.py``)."""
         return self.executor
 
     def _pool(self) -> ThreadPoolExecutor:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 
-import networkx as nx
-
 from repro.kg.schema import Entity, EntityType, Fact, Property
 from repro.text.tokenize import normalize
 
@@ -227,23 +225,11 @@ class KnowledgeGraph:
         """True when some fact directly connects entities ``a`` and ``b``."""
         return b in self.neighbors(a)
 
-    # -- statistics & export -------------------------------------------------------------
+    # -- statistics ----------------------------------------------------------------------
 
     def alias_counts(self) -> dict[str, int]:
         """Number of aliases per entity id."""
         return {e.entity_id: len(e.aliases) for e in self._entities.values()}
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Entity-to-entity multigraph (literals omitted) for graph analytics."""
-        graph = nx.MultiDiGraph()
-        for entity in self._entities.values():
-            graph.add_node(entity.entity_id, label=entity.label)
-        for fact in self._facts:
-            if fact.object_id is not None:
-                graph.add_edge(
-                    fact.subject_id, fact.object_id, property=fact.property_id
-                )
-        return graph
 
     def summary(self) -> dict[str, int]:
         """Size counters: entities, types, properties, facts, mentions."""

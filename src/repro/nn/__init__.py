@@ -26,7 +26,6 @@ from repro.nn.loss import (
 )
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.serialization import load_state_dict, save_state_dict
-from repro.nn.gradcheck import gradcheck
 
 __all__ = [
     "Adam",
@@ -45,7 +44,6 @@ __all__ = [
     "concatenate",
     "cross_entropy_loss",
     "functional",
-    "gradcheck",
     "load_state_dict",
     "mse_loss",
     "no_grad",

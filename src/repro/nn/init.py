@@ -2,7 +2,7 @@
 
 All initialisers return :data:`repro.nn.tensor.DEFAULT_DTYPE` (float32)
 arrays by default; pass ``dtype=np.float64`` explicitly for gradient
-checking (see :mod:`repro.nn.gradcheck`).
+checking (see ``tests/support/gradcheck.py``).
 """
 
 from __future__ import annotations

@@ -238,9 +238,9 @@ class LookupEngine(LookupService):
         query gets its own fresh budget.
     fault_hook:
         Test-only callable invoked with every serve attempt's normalized
-        query list (see :class:`repro.testing.faults.QueryPoison`); the
-        production value is ``None``.  Duck-typed so this layer never
-        imports ``repro.testing``.
+        query list (see ``QueryPoison`` in ``tests/support/faults.py``);
+        the production value is ``None``.  Duck-typed: the package never
+        imports the test harness.
     router:
         Optional :class:`~repro.lookup.router.LookupRouter` whose exact
         and fuzzy tiers short-circuit queries *before* the embed stage —

@@ -6,7 +6,6 @@ from tests.analysis.fixtures import fixture_source
 
 HOT_PATH = "src/repro/index/fake.py"
 COLD_PATH = "src/repro/lookup/fake.py"
-GRADCHECK_PATH = "src/repro/nn/gradcheck.py"
 
 PERF = ["REP5"]
 
@@ -54,13 +53,6 @@ class TestScoping:
     def test_cold_paths_are_exempt(self):
         findings = lint_source(
             fixture_source("perf_violations.py"), COLD_PATH, select=PERF
-        )
-        assert findings == []
-
-    def test_gradcheck_is_allowlisted(self):
-        """Numerical differentiation is elementwise by design."""
-        findings = lint_source(
-            fixture_source("perf_violations.py"), GRADCHECK_PATH, select=PERF
         )
         assert findings == []
 

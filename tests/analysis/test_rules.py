@@ -73,14 +73,6 @@ class TestDtypeRules:
         )
         assert findings == []
 
-    def test_gradcheck_is_float64_allowlisted(self):
-        findings = lint_source(
-            fixture_source("dtype_violations.py"),
-            "src/repro/nn/gradcheck.py",
-            select=["REP102"],
-        )
-        assert findings == []
-
 
 class TestHygieneRules:
     def test_hygiene_violations_flagged(self):

@@ -10,7 +10,7 @@ test — the owner was not closed.  (Fixtures of wider scope are set up
 before the check starts, so what they own is not charged to a test.)
 
 When ``REPRO_SANITIZER=1`` the runtime lock-order sanitizer
-(:mod:`repro.testing.sanitizer`) is installed for the whole session:
+(:mod:`tests.support.sanitizer`) is installed for the whole session:
 every ``threading.Lock`` created in repro or test code is tracked and
 each test fails if it introduced a lock-order inversion.
 
@@ -35,7 +35,7 @@ from repro.tables import BenchmarkConfig, TabularDataset, generate_benchmark
 SANITIZE = os.environ.get("REPRO_SANITIZER") == "1"
 
 if SANITIZE:
-    from repro.testing import sanitizer as _sanitizer
+    from tests.support import sanitizer as _sanitizer
 
     _sanitizer.install()
 

@@ -1,5 +1,7 @@
 """Tests for the experiment harness."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.annotation.bbw import BbwAnnotator
@@ -13,6 +15,7 @@ from repro.evaluation.harness import (
     run_repair,
 )
 from repro.evaluation.metrics import PRF
+from repro.lookup import base as lookup_base
 from repro.lookup.elastic import ElasticLookup
 
 
@@ -48,11 +51,29 @@ class TestRuns:
         assert run.task == "DR"
         assert 0.0 <= run.f_score <= 1.0
 
-    def test_timers_reset_between_runs(self, elastic, small_dataset, small_kg):
+    def test_timers_reset_between_runs(
+        self, elastic, small_dataset, small_kg, monkeypatch
+    ):
+        """Each run re-measures from zero: over an injected clock that
+        moves only inside lookups, the second run's lookup time is the
+        clock's advance during that run, exactly (not cumulative)."""
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(
+            lookup_base, "time", SimpleNamespace(perf_counter=lambda: clock.now)
+        )
+        serve = elastic._lookup_batch
+
+        def timed_serve(queries, k):
+            clock.now += 0.25  # a binary fraction: the sums stay exact
+            return serve(queries, k)
+
+        monkeypatch.setattr(elastic, "_lookup_batch", timed_serve)
         first = run_cea_system(BbwAnnotator(elastic), small_dataset, small_kg)
+        assert first.lookup_seconds == clock.now > 0
+        started = clock.now
         second = run_cea_system(BbwAnnotator(elastic), small_dataset, small_kg)
-        # Each run re-measures from zero (not cumulative).
-        assert second.lookup_seconds < first.lookup_seconds * 3
+        assert second.lookup_seconds == clock.now - started
+        assert second.lookup_seconds == 0.25 * second.queries
 
 
 class TestSpeedup:

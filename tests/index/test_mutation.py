@@ -29,7 +29,7 @@ from repro.index.mutation import (
 from repro.index.pq import PQIndex
 from repro.index.sharded import ShardedIndex
 from repro.index.shm import owned_segment_names
-from repro.testing import assert_topk_equal, brute_force_topk, case_rng
+from tests.support import assert_topk_equal, brute_force_topk, case_rng
 
 DIM = 16
 

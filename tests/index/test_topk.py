@@ -91,7 +91,7 @@ class TestStreamingMemory:
 
 
 class TestPadRankingRegression:
-    """Regressions for two selection bugs found by the repro.testing
+    """Regressions for two selection bugs found by the tests.support
     differential harness (PR 5)."""
 
     def test_padding_never_evicts_nonfinite_real_candidates(self):

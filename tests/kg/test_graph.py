@@ -151,11 +151,6 @@ class TestAdjacency:
 
 
 class TestExport:
-    def test_to_networkx(self, kg):
-        graph = kg.to_networkx()
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 1  # literal fact excluded
-
     def test_summary(self, kg):
         summary = kg.summary()
         assert summary["entities"] == 3

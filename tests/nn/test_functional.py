@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.gradcheck import gradcheck
+from tests.support.gradcheck import gradcheck
 from repro.nn.tensor import Tensor
 
 

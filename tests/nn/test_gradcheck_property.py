@@ -1,6 +1,6 @@
 """Gradient property tests at the autograd layer's edge configurations.
 
-Seeded through :func:`repro.testing.strategies.case_rng` so every case is
+Seeded through :func:`tests.support.strategies.case_rng` so every case is
 replayable; the targets are the configurations the plain gradcheck suite
 skips: conv1d with the kernel spanning the whole input and stride/padding
 extremes, embedding bags containing *empty* bags, and the triplet margin
@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.gradcheck import gradcheck
+from tests.support.gradcheck import gradcheck
 from repro.nn.layers import EmbeddingBag
 from repro.nn.loss import triplet_margin_loss
 from repro.nn.tensor import Tensor
-from repro.testing.strategies import case_rng
+from tests.support.strategies import case_rng
 
 
 def leaf(rng, shape, scale=0.5):

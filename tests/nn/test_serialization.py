@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import gradcheck, numerical_gradient
+from tests.support.gradcheck import gradcheck, numerical_gradient
 from repro.nn.layers import Linear
 from repro.nn.serialization import load_state_dict, save_state_dict
 from repro.nn.tensor import Tensor

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import gradcheck
+from tests.support.gradcheck import gradcheck
 from repro.nn.tensor import Tensor, concatenate, no_grad, stack
 
 

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import gradcheck
+from tests.support.gradcheck import gradcheck
 from repro.nn.tensor import Tensor, no_grad
 
 

@@ -15,7 +15,7 @@ from repro.index.flat import FlatIndex
 from repro.index.sharded import ShardedIndex
 from repro.lookup.cache import QueryCache
 from repro.serving.engine import LookupEngine
-from repro.testing import FaultInjected, FaultPlan, QueryPoison, case_rng
+from tests.support import FaultInjected, FaultPlan, QueryPoison, case_rng
 from repro.text.tokenize import normalize
 
 THREADS = 8

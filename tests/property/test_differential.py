@@ -29,7 +29,7 @@ from repro.index.sharded import ShardedIndex
 from repro.lookup.cache import QueryCache
 from repro.lookup.emblookup_service import EmbLookupService
 from repro.serving.engine import LookupEngine
-from repro.testing import (
+from tests.support import (
     GridStrategy,
     LabelStrategy,
     TupleStrategy,
@@ -69,7 +69,7 @@ class TestFlatDifferential:
     def test_flat_agrees_with_oracle_on_adversarial_stores(self):
         """Blocked flat scan == float64 oracle, over duplicate/near-tie/
         zero/huge/inf stores and degenerate (k, block) corners."""
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         strategy = TupleStrategy(
             VectorStoreStrategy(conditioned=False), GridStrategy()
@@ -93,7 +93,7 @@ class TestFlatDifferential:
     def test_sharded_flat_agrees_with_oracle(self):
         """Sharded fan-in (including empty shards when n < num_shards)
         retrieves the oracle's neighbours for any grid corner."""
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         strategy = TupleStrategy(
             VectorStoreStrategy(conditioned=False), GridStrategy()
@@ -121,7 +121,7 @@ class TestFlatDifferential:
 
     def test_flat_search_is_deterministic(self):
         """Same index, same queries: repeated searches are bit-identical."""
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         strategy = VectorStoreStrategy(conditioned=False)
 
@@ -139,7 +139,7 @@ class TestFlatDifferential:
         """A flat distance is a function of its (query, row) pair alone:
         ids *and* distances are bit-identical across block sizes, shard
         counts, batch composition and compaction."""
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         strategy = TupleStrategy(
             VectorStoreStrategy(conditioned=False), GridStrategy()
@@ -203,7 +203,7 @@ class TestFlatTwoStageScan:
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_cut_keeps_every_oracle_neighbour(self, metric):
         from repro.index.flat import _survivors
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         strategy = TupleStrategy(
             VectorStoreStrategy(conditioned=False), GridStrategy()
@@ -297,7 +297,7 @@ class TestPQDifferential:
     nothing — the strongest differential guarantee in the index family."""
 
     def test_pq_partition_invariance_is_bit_exact(self):
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         strategy = TupleStrategy(VectorStoreStrategy(), GridStrategy())
 
@@ -445,7 +445,7 @@ class TestPQTwoStageScan:
 
     def test_cut_keeps_every_adc_neighbour_on_generated_stores(self):
         from repro.index.pq import ProductQuantizer
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         strategy = TupleStrategy(
             VectorStoreStrategy(dims=(2, 8, 16)), GridStrategy()
@@ -511,7 +511,7 @@ class TestPQTwoStageScan:
     def test_search_equals_ranked_adc_across_block_sizes(self):
         """Ids *and* distances are those of the float64 reference, bit for
         bit, whatever the block size, with tombstones in every block."""
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         strategy = TupleStrategy(
             VectorStoreStrategy(dims=(2, 8, 16)), GridStrategy()
@@ -693,7 +693,7 @@ class TestInferenceForwardDifferential:
     def test_embed_matches_autograd_forward(
         self, normalize_output, finetune_fasttext
     ):
-        from repro.testing import run_cases
+        from tests.support import run_cases
 
         model = self._model(normalize_output, finetune_fasttext)
 

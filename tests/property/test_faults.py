@@ -16,7 +16,7 @@ from repro.index.flat import FlatIndex
 from repro.index.sharded import AllShardsFailedError, ShardedIndex
 from repro.index.topk import merge_topk
 from repro.serving.engine import LookupDeadlineExceeded
-from repro.testing import (
+from tests.support import (
     FaultInjected,
     FaultPlan,
     VectorStoreStrategy,
@@ -221,18 +221,43 @@ class TestFaultKinds:
             index.close()
 
     def test_corrupt_result_is_caught_by_differential(self):
-        """The corrupt fault mispairs ids and distances; the corrupted
-        fan-in must diverge from the honest reference fan-in."""
-        vectors, queries = self._store()
-        plan = FaultPlan.parse("s0:*:corrupt")
-        index = build_sharded(8, vectors, fault_hook=plan)
-        try:
-            got = index.search(queries, 5)
+        """The corrupt fault mispairs shard 0's ids and distances; over
+        100 seeded stores the corrupted fan-in must diverge from the
+        honest reference fan-in wherever the mispairing can show."""
+        k = 5
+        checked = []
+
+        def prop(store):
+            plan = FaultPlan.parse("s0:*:corrupt")
+            index = build_sharded(store.dim, store.vectors, fault_hook=plan)
+            try:
+                got = index.search(store.queries, k)
+            finally:
+                index.close()
             assert plan.fired >= 1
-            with pytest.raises(AssertionError):
-                assert_topk_equal(got, manual_fanin(vectors, queries, 5))
-        finally:
-            index.close()
+            want = manual_fanin(store.vectors, store.queries, k)
+            shard0 = FlatIndex(store.dim)
+            shard0.add(store.vectors[0::NUM_SHARDS])
+            own = shard0.search(store.queries, k).distances
+            # Reversing shard 0's distances is a no-op on a query whose
+            # shard-0 distances all tie, and invisible on one whose top k
+            # holds no shard-0 row: nothing could catch it there.
+            from_shard0 = (want[0] >= 0) & (want[0] % NUM_SHARDS == 0)
+            visible = from_shard0.any(axis=1) & np.any(own != own[:, ::-1], axis=1)
+            if not visible.any():
+                return
+            checked.append(store.note)
+            try:
+                assert_topk_equal(got, want)
+            except AssertionError:
+                return  # the differential flags the corruption
+            raise AssertionError(f"corrupted shard 0 went undetected ({store.note})")
+
+        executed = run_cases(
+            prop, VectorStoreStrategy(conditioned=True), name="corruption_detected"
+        )
+        assert executed == 100
+        assert len(checked) > executed // 2, f"only {len(checked)} stores could show it"
 
     def test_all_shards_dead_raises(self):
         vectors, queries = self._store()
@@ -332,7 +357,7 @@ class TestEngineFaults:
             engine.close()
 
     def test_poisoned_query_fails_alone(self, engine_factory, tiny_kg):
-        from repro.testing import QueryPoison, held_flush
+        from tests.support import QueryPoison, held_flush
         from repro.text.tokenize import normalize
 
         labels = [e.label for e in tiny_kg.entities()][:6]
@@ -357,7 +382,7 @@ class TestEngineFaults:
     def test_batch_of_one_is_served_once(self, engine_factory, tiny_kg):
         """A lone query is already isolated: it fails with what it raised,
         without the retry that would run a poisoned (or slow) serve twice."""
-        from repro.testing import QueryPoison
+        from tests.support import QueryPoison
         from repro.text.tokenize import normalize
 
         label = next(iter(tiny_kg.entities())).label
@@ -372,7 +397,7 @@ class TestEngineFaults:
         assert stats["isolation_retries"] == 0
 
     def test_batch_deadline_bounds_slow_serves(self, engine_factory, tiny_kg):
-        from repro.testing import QueryPoison, held_flush
+        from tests.support import QueryPoison, held_flush
         from repro.text.tokenize import normalize
 
         labels = [e.label for e in tiny_kg.entities()][:3]

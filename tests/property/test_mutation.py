@@ -35,7 +35,7 @@ from repro.lookup.levenshtein import LevenshteinLookup
 from repro.lookup.qgram import QGramLookup
 from repro.lookup.router import TAU, LabelHashTable, LookupRouter
 from repro.serving import IndexMutation, LookupEngine
-from repro.testing import (
+from tests.support import (
     FaultInjected,
     FaultPlan,
     assert_topk_equal,

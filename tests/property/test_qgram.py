@@ -16,7 +16,7 @@ import numpy as np
 from repro.lookup import normalize
 from repro.lookup.base import Candidate
 from repro.lookup.qgram import QGramLookup
-from repro.testing import LabelStrategy, case_rng, run_cases
+from tests.support import LabelStrategy, case_rng, run_cases
 from repro.text.distance import jaccard_qgram_similarity
 from repro.utils.ranking import BestRows, best_rows, resolve_rows
 

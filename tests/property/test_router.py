@@ -26,7 +26,7 @@ import numpy as np
 from repro.index.flat import FlatIndex
 from repro.lookup import LabelHashTable, LookupRouter, normalize
 from repro.lookup.base import Candidate, LookupService
-from repro.testing import LabelStrategy, run_cases
+from tests.support import LabelStrategy, run_cases
 
 DIM = 12
 CASES = 40

@@ -28,7 +28,7 @@ from repro.lookup import normalize
 from repro.lookup.base import Candidate
 from repro.lookup.router import LabelHashTable, LookupRouter, TypeFilterMap
 from repro.serving import IndexMutation, LookupEngine
-from repro.testing import run_cases
+from tests.support import run_cases
 
 #: Entities removed before any lookup: their rows stay as tombstones.
 REMOVED = 12

@@ -12,7 +12,7 @@ from repro.index.sharded import ShardedIndex
 from repro.lookup.cache import QueryCache
 from repro.lookup.router import LookupRouter
 from repro.serving.engine import LookupEngine
-from repro.testing import QueryPoison, held_flush
+from tests.support import QueryPoison, held_flush
 
 
 @pytest.fixture(scope="module")

@@ -1,42 +1,43 @@
-"""Property-based correctness and fault-injection toolkit.
+"""Property-based correctness and fault-injection toolkit of the test suite.
 
-Three pieces, all dependency-free (numpy only):
+Dependency-free (numpy only), and not part of the installed package:
 
-- :mod:`repro.testing.oracle` — reference brute-force k-NN plus the
+- :mod:`tests.support.oracle` — reference brute-force k-NN plus the
   comparators (`assert_topk_equal`, `assert_valid_topk`, `recall_at_k`)
   the differential properties assert with;
-- :mod:`repro.testing.strategies` — seeded adversarial generators
+- :mod:`tests.support.strategies` — seeded adversarial generators
   (vector stores, entity labels, serving grids) with shrinking and
   ``REPRO_SEED``/``REPRO_CASE`` replay;
-- :mod:`repro.testing.faults` — the :class:`FaultPlan` / `QueryPoison`
+- :mod:`tests.support.faults` — the :class:`FaultPlan` / `QueryPoison`
   injectors the hardened ``ShardedIndex`` / ``LookupEngine`` hook points
   accept, and ``held_flush``, which holds an engine mid-flush so a test
   can queue a batch behind it;
-- :mod:`repro.testing.sanitizer` — the runtime lock-order tracker
+- :mod:`tests.support.sanitizer` — the runtime lock-order tracker
   (``REPRO_SANITIZER=1``) that records the dynamic lock-acquisition
-  graph during the property suites and fails tests on inversions.
+  graph during the property suites and fails tests on inversions;
+- :mod:`tests.support.gradcheck` — the float64 central-difference
+  gradient checker the ``tests/nn`` suites pin the autograd with.
 
-Layering: this package may import the production layers it tests
-(index, lookup, serving); no production layer may import it — enforced
-by ``tools/arch_contract.toml``.  The one sanctioned consumer outside
-the test suite is the ``repro selftest`` CLI diagnostics command.
+This package may import the production layers it tests (index, lookup,
+serving); nothing under ``src/repro`` imports it
+(``tests/test_package_boundary.py``).
 """
 
-from repro.testing.faults import (
+from tests.support.faults import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
     QueryPoison,
     held_flush,
 )
-from repro.testing.sanitizer import (
+from tests.support.sanitizer import (
     LockOrderTracker,
     LockOrderViolation,
     TrackedLock,
     current_tracker,
     tracked_factory,
 )
-from repro.testing.oracle import (
+from tests.support.oracle import (
     assert_topk_agrees,
     assert_topk_equal,
     assert_valid_topk,
@@ -44,7 +45,7 @@ from repro.testing.oracle import (
     exact_topk,
     recall_at_k,
 )
-from repro.testing.strategies import (
+from tests.support.strategies import (
     DEFAULT_CASES,
     GridCase,
     GridStrategy,

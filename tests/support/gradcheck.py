@@ -4,9 +4,9 @@ The library computes in float32 by default (see
 :data:`repro.nn.tensor.DEFAULT_DTYPE`), but central differences with
 ``eps ~ 1e-5`` are meaningless at float32 precision — so :func:`gradcheck`
 explicitly opts the checked parameters into float64 for the duration of
-the check and restores their original dtype afterwards.  This is the one
-sanctioned float64 usage in ``repro.nn`` (allowlisted by the ``REP102``
-lint rule).
+the check and restores their original dtype afterwards.  It lives with
+the test suite, outside the linted package, so no lint rule has to make
+an exception for it.
 """
 
 from __future__ import annotations

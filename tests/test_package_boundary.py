@@ -1,7 +1,8 @@
-"""``src/repro`` holds the lookup system and its test harness, not its linter.
+"""``src/repro`` holds the lookup system, not its linter or its test harness.
 
 The linter (``tools/lint``, run by ``tools/run_lint.py``) is a development
-tool no lookup imports; these tests keep it from drifting back in.
+tool no lookup imports, and the property / fault-injection harness lives
+in ``tests/support``; these tests keep both from drifting back in.
 """
 
 import os
@@ -17,15 +18,18 @@ def test_the_package_has_no_analysis_subpackage():
     names = {
         info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
     }
-    assert not [n for n in names if n.split(".")[1] in ("analysis", "lint")]
+    assert not [
+        n for n in names if n.split(".")[1] in ("analysis", "lint", "testing")
+    ]
 
 
 def test_importing_the_cli_and_the_engine_loads_no_linter_module():
-    # A fresh interpreter: this process has ``lint`` loaded for its own tests.
+    # A fresh interpreter: this process has ``lint`` and ``tests.support``
+    # loaded for its own tests.
     probe = (
         "import sys, repro.cli, repro.serving\n"
         "loaded = [m for m in sys.modules\n"
-        "          if m.split('.')[0] in ('lint', 'run_lint')\n"
+        "          if m.split('.')[0] in ('lint', 'run_lint', 'tests')\n"
         "          or m.startswith('repro.analysis')]\n"
         "assert not loaded, loaded\n"
     )

@@ -1,1 +1,1 @@
-"""Unit tests for the repro.testing toolkit (oracle, strategies, faults)."""
+"""Unit tests for the tests.support toolkit (oracle, strategies, faults)."""

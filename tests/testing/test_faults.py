@@ -1,11 +1,11 @@
-"""Tests for repro.testing.faults (FaultPlan grammar and hooks)."""
+"""Tests for tests.support.faults (FaultPlan grammar and hooks)."""
 
 import time
 
 import numpy as np
 import pytest
 
-from repro.testing.faults import FaultInjected, FaultPlan, FaultSpec, QueryPoison
+from tests.support.faults import FaultInjected, FaultPlan, FaultSpec, QueryPoison
 
 
 class TestFaultSpec:

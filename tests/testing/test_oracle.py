@@ -1,9 +1,9 @@
-"""Tests for repro.testing.oracle (reference k-NN and comparators)."""
+"""Tests for tests.support.oracle (reference k-NN and comparators)."""
 
 import numpy as np
 import pytest
 
-from repro.testing.oracle import (
+from tests.support.oracle import (
     assert_topk_agrees,
     assert_topk_equal,
     assert_valid_topk,

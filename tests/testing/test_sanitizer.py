@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.testing.sanitizer import (
+from tests.support.sanitizer import (
     LockOrderTracker,
     LockOrderViolation,
     TrackedLock,

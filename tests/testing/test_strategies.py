@@ -1,9 +1,9 @@
-"""Tests for repro.testing.strategies (generators, shrinking, replay)."""
+"""Tests for tests.support.strategies (generators, shrinking, replay)."""
 
 import numpy as np
 import pytest
 
-from repro.testing.strategies import (
+from tests.support.strategies import (
     CASE_ENV,
     SEED_ENV,
     GridCase,

@@ -23,8 +23,7 @@ packages (``repro.nn`` / ``repro.index`` / ``repro.embedding``):
 
 All four are warnings (perf hygiene, not correctness); deliberate
 exceptions are suppressed inline with ``# repro: noqa[REP50x]`` plus a
-justification.  ``repro.nn.gradcheck`` is exempt wholesale — numerical
-differentiation is elementwise by design.
+justification.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .rules import (
     HOT_PACKAGES,
     LintContext,
     LintRule,
-    _in_modules,
     _in_packages,
     register,
 )
@@ -49,11 +47,7 @@ __all__ = [
     "Float32UpcastRule",
     "ItemwiseInnerLoopRule",
     "NdarrayIterationRule",
-    "PERF_ALLOWLIST",
 ]
-
-#: Modules exempt from perf rules (elementwise by design, not hot paths).
-PERF_ALLOWLIST: tuple[str, ...] = ("repro/nn/gradcheck.py",)
 
 #: numpy calls flagged when they execute once per loop iteration.
 _LOOP_ALLOC_CALLS: frozenset[str] = frozenset(
@@ -87,10 +81,8 @@ class _PerfRule(LintRule):
     severity = Severity.WARNING
 
     def applies_to(self, path: str) -> bool:
-        """Hot-path packages, minus the elementwise-by-design allowlist."""
-        return _in_packages(path, HOT_PACKAGES) and not _in_modules(
-            path, PERF_ALLOWLIST
-        )
+        """Hot-path packages."""
+        return _in_packages(path, HOT_PACKAGES)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         """Analyse each code unit independently and delegate to the hook."""

@@ -29,9 +29,6 @@ __all__ = ["LintContext", "LintRule", "RULES", "register"]
 #: Packages where dtype discipline is enforced (embedding hot paths).
 HOT_PACKAGES: tuple[str, ...] = ("repro/nn", "repro/index", "repro/embedding")
 
-#: Modules allowed to use float64 explicitly (numerical gradient checking).
-FLOAT64_ALLOWLIST: tuple[str, ...] = ("repro/nn/gradcheck.py",)
-
 #: Entry-point modules where ``print`` is the intended output channel.
 PRINT_ALLOWLIST: tuple[str, ...] = ("repro/cli.py", "repro/__main__.py")
 
@@ -172,9 +169,9 @@ class Float64LeakRule(LintRule):
     """REP102: explicit float64 in a hot path.
 
     The PQ compression story (64-d float32 = 256 B → 8 B codes) and the
-    index memory model assume float32 end-to-end; float64 is reserved for
-    ``gradcheck`` numerics.  Deliberate float64 accumulation sites (e.g.
-    k-means distance kernels) carry an inline ``noqa`` with the reason.
+    index memory model assume float32 end-to-end.  Deliberate float64
+    accumulation sites (e.g. k-means distance kernels) carry an inline
+    ``noqa`` with the reason.
     """
 
     rule_id = "REP102"
@@ -183,10 +180,8 @@ class Float64LeakRule(LintRule):
     description = "explicit float64 dtype in a hot path"
 
     def applies_to(self, path: str) -> bool:
-        """Hot-path packages, minus the gradcheck allowlist."""
-        return _in_packages(path, HOT_PACKAGES) and not _in_modules(
-            path, FLOAT64_ALLOWLIST
-        )
+        """Hot-path packages."""
+        return _in_packages(path, HOT_PACKAGES)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         """Flag ``np.float64`` attributes and ``dtype="float64"`` strings."""
