@@ -71,13 +71,6 @@ class VectorIndex:
         """Learn index parameters (codebooks, coarse centroids) from data."""
         # Default: training-free index.
 
-    def train_like(self, trained: "VectorIndex", vectors: np.ndarray) -> None:
-        """Learn what :meth:`train` on ``vectors`` would, given ``trained``:
-        an identically built index already trained on them.  A family that
-        can copy ``trained``'s parameters instead of fitting them again
-        overrides this; the default trains."""
-        self.train(vectors)
-
     def add(self, vectors: np.ndarray) -> None:
         """Append vectors; their ids are assigned sequentially."""
         raise NotImplementedError

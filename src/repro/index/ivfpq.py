@@ -56,7 +56,9 @@ class IVFPQIndex(VectorIndex):
         self._quantizer = KMeans(self.nlist, seed=self.rng).fit(vectors)
         cells = self._quantizer.predict(vectors)
         residuals = vectors - self._quantizer.centroids[cells]
-        self.pq.train(residuals)
+        pq = self.pq.fresh()
+        pq.train(residuals)
+        self.pq = pq
 
     def add(self, vectors: np.ndarray) -> None:
         if not self.is_trained:

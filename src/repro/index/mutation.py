@@ -206,10 +206,10 @@ class RowStore(VectorIndex):
 
     Holds a :class:`~repro.index.buffer.GrowBuffer`, the write lock
     mutators serialize on, and the current :class:`IndexSnapshot`.
-    ``codec`` (``None`` or an object with ``encode`` / ``decode``) turns
-    the float32 vectors callers hand in into the stored rows; encoding
-    runs under the write lock, so always with the codec the rows are
-    published with.
+    ``codec`` (``None`` or an object with ``encode`` / ``decode`` and
+    its own ``nbytes``) turns the float32 vectors callers hand in into
+    the stored rows; encoding runs under the write lock, so always with
+    the codec the rows are published with.
 
     **One scan skeleton, two kernels per family.**  :meth:`search` is the
     only block loop: pin a snapshot, then per block — tombstoned columns,
@@ -271,12 +271,28 @@ class RowStore(VectorIndex):
         """Published mutation count; changes iff the visible set changed."""
         return self._snap.epoch
 
-    def memory_bytes(self) -> int:
-        """Logical payload bytes plus the tombstone bitmap."""
+    def row_bytes(self) -> int:
+        """Logical payload bytes plus the tombstone bitmap: the store's
+        own bytes, without its codec."""
         tombstones = self._snap.tombstones
         return self._buf.nbytes() + (
             tombstones.nbytes if tombstones is not None else 0
         )
+
+    def memory_bytes(self) -> int:
+        """:meth:`row_bytes` plus the codec's ``nbytes`` (its codebooks)."""
+        codec = self._snap.codec
+        return self.row_bytes() + (codec.nbytes if codec is not None else 0)
+
+    def use_codec(self, codec: object | None) -> None:
+        """Publish ``codec`` as what encodes (and decodes) the store's
+        rows from now on: the codec itself, not a copy, so stores that
+        are handed one trained quantizer hold it once.  Rows already
+        stored are not re-encoded."""
+        with self._write_lock:
+            snap = self._snap
+            if codec is not snap.codec:
+                self._publish(snap.tombstones, codec)
 
     def _publish(
         self, tombstones: np.ndarray | None, codec: object | None

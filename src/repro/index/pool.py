@@ -130,8 +130,10 @@ class ProcessShardPool:
 
     ``start()`` exports every shard (its class plus its ``to_shared``
     state: constructor arguments and the bulk arrays, which go into one
-    :class:`ShmRegistry`) and spawns ``num_workers`` processes, shards
-    assigned round-robin.
+    :class:`ShmRegistry` — an array several shards hold, such as the
+    codebooks of their one quantizer, into one segment every worker
+    maps) and spawns ``num_workers`` processes, shards assigned
+    round-robin.
     ``request()`` runs one shard search on its worker with an optional
     deadline; a dead worker is respawned transparently (counted through
     ``on_respawn``) and the caller retries per the index's budget.
@@ -175,7 +177,8 @@ class ProcessShardPool:
             return self._respawns
 
     def shared_bytes(self) -> int:
-        """Bytes of shard payload exported to shared memory."""
+        """Bytes of shard payload exported to shared memory (an array
+        the shards share counted once)."""
         return self._registry.total_bytes() if self._registry else 0
 
     def worker_pids(self) -> list[int | None]:

@@ -14,7 +14,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.index.base import VectorIndex
 from repro.index.kmeans import KMeans
 from repro.index.mutation import IndexSnapshot, RowStore
 from repro.utils.rng import as_rng
@@ -73,8 +72,32 @@ class ProductQuantizer:
         """Bytes per encoded vector (one byte per sub-code)."""
         return self.m
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the codebooks (0 before :meth:`train`)."""
+        return self.codebooks.nbytes if self.codebooks is not None else 0
+
+    def fresh(self) -> "ProductQuantizer":
+        """An untrained quantizer of this shape, drawing from the same
+        generator: what a re-fit trains, since trained codebooks never
+        change (several stores, and pinned snapshots, may hold them)."""
+        return ProductQuantizer(
+            self.dim,
+            m=self.m,
+            nbits=self.nbits,
+            seed=self.rng,
+            kmeans_iters=self.kmeans_iters,
+        )
+
     def train(self, vectors: np.ndarray) -> None:
-        """Learn one k-means codebook per sub-space."""
+        """Learn one k-means codebook per sub-space, once: training a
+        trained quantizer is a ``RuntimeError`` (train a :meth:`fresh`
+        one)."""
+        if self.codebooks is not None:
+            raise RuntimeError(
+                "ProductQuantizer is already trained; its codebooks may be "
+                "shared, so train a fresh() quantizer instead"
+            )
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (n, {self.dim}) training matrix")
@@ -299,9 +322,7 @@ def _retrain(
     """Compaction hook: fit a fresh quantizer on the decoded live
     ``codes`` and re-encode with it."""
     vectors = pq.decode(codes)
-    fresh = ProductQuantizer(
-        pq.dim, m=pq.m, nbits=pq.nbits, seed=pq.rng, kmeans_iters=pq.kmeans_iters
-    )
+    fresh = pq.fresh()
     fresh.train(vectors)
     return fresh.encode(vectors), fresh
 
@@ -368,17 +389,13 @@ class PQIndex(RowStore):
         return self._snap.data
 
     def train(self, vectors: np.ndarray) -> None:
-        self.pq.train(self._check_vectors(vectors, "training vectors"))
-
-    def train_like(self, trained: VectorIndex, vectors: np.ndarray) -> None:
-        """Copy ``trained``'s codebooks instead of fitting k-means again,
-        when they have this quantizer's shape (otherwise :meth:`train`)."""
-        codebooks = trained.pq.codebooks if isinstance(trained, PQIndex) else None
-        shape = (self.pq.m, self.pq.ksub, self.pq.dsub)
-        if codebooks is None or codebooks.shape != shape:
-            self.train(vectors)
-        else:
-            self.pq.codebooks = codebooks.copy()
+        """Fit a :meth:`~ProductQuantizer.fresh` quantizer on ``vectors``
+        and publish it (:meth:`~repro.index.mutation.RowStore.use_codec`).
+        The one it replaces is never re-fit in place: other shards of a
+        sharded index, or a pinned snapshot, may still hold it."""
+        fresh = self.pq.fresh()
+        fresh.train(self._check_vectors(vectors, "training vectors"))
+        self.use_codec(fresh)
 
     def to_shared(self, share: Callable) -> dict:
         """Constructor arguments plus codes and codebooks passed through
@@ -428,12 +445,6 @@ class PQIndex(RowStore):
         """Approximate stored vector for row ``idx`` (decoded from codes)."""
         snap = self._snap
         return snap.codec.decode(snap.data[idx : idx + 1])[0]
-
-    def memory_bytes(self) -> int:
-        codebooks = self.pq.codebooks
-        return super().memory_bytes() + (
-            codebooks.nbytes if codebooks is not None else 0
-        )
 
 
 def _nearest_codes(sub_vectors: np.ndarray, codebook: np.ndarray) -> np.ndarray:

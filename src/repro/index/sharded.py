@@ -96,12 +96,14 @@ class AllShardsFailedError(RuntimeError):
 
 def _train_shards(shards: list[VectorIndex], vectors: np.ndarray) -> None:
     """One fit per fan-out: the first shard trains on ``vectors``, every
-    other shard takes its trained quantizer (``VectorIndex.train_like``),
-    so all shards encode against the same codebooks."""
+    other shard is handed the quantizer it trained — that object, not a
+    copy (``RowStore.use_codec``) — so all shards encode against one set
+    of codebooks, held once."""
     first, *rest = shards
     first.train(vectors)
+    codec = first.snapshot().codec
     for shard in rest:
-        shard.train_like(first, vectors)
+        shard.use_codec(codec)
 
 
 class _IndexView(NamedTuple):
@@ -183,7 +185,8 @@ class ShardedIndex(VectorIndex):
         ``to_shared`` / ``live`` the process executor and :meth:`compact`
         use.  Every shard must be built alike: ``train`` and
         :meth:`compact` fit the first shard's quantizer on the full
-        matrix and hand it to the others, seeded factory or not.
+        matrix and hand that one object to the others, seeded factory or
+        not; it is held, exported and counted once.
     executor:
         ``"inline"`` (default) | ``"process"`` — the fan-out execution
         model (module docstring).
@@ -725,7 +728,17 @@ class ShardedIndex(VectorIndex):
             }
 
     def memory_bytes(self) -> int:
-        return sum(shard.memory_bytes() for shard in self._view.shards)
+        """Every shard's rows plus each distinct codec once: the shards
+        of a coded index share one quantizer (:func:`_train_shards`)."""
+        view = self._view
+        codecs = {
+            id(snap.codec): snap.codec
+            for snap in view.snaps
+            if snap.codec is not None
+        }
+        return sum(shard.row_bytes() for shard in view.shards) + sum(
+            codec.nbytes for codec in codecs.values()
+        )
 
     def close(self) -> None:
         """Stop the worker processes and coordinator threads and unlink

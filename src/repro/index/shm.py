@@ -11,7 +11,10 @@ Ownership model — exactly one :class:`ShmRegistry` *owns* a family of
 segments:
 
 - :meth:`ShmRegistry.share` copies an array into a fresh segment and
-  returns a picklable :class:`ShmArraySpec` handle.
+  returns a picklable :class:`ShmArraySpec` handle; sharing the same
+  array object again returns the same handle, so a payload several
+  shards hold (a sharded PQ index's one set of codebooks) is exported
+  once.
 - Workers call :func:`attach` with the spec and get a read-only ndarray
   view plus an :class:`AttachedSegments` holder they close on exit
   (attaching never takes ownership; a worker exit cannot unlink data
@@ -80,6 +83,9 @@ class ShmRegistry:
 
     def __init__(self) -> None:
         self._segments: dict[str, shared_memory.SharedMemory] = {}
+        #: id(array) -> (array, spec) of every array shared so far; the
+        #: reference keeps the id from being reused while it is a key.
+        self._shared: dict[int, tuple[np.ndarray, ShmArraySpec]] = {}
         self._counter = 0
         self._closed = False
 
@@ -95,11 +101,20 @@ class ShmRegistry:
         return sum(seg.size for seg in self._segments.values())
 
     def share(self, array: np.ndarray) -> ShmArraySpec:
-        """Copy ``array`` into a fresh owned segment; return its spec."""
+        """Copy ``array`` into a fresh owned segment; return its spec.
+
+        An array object this registry has already shared is not copied
+        again: its existing spec comes back.  Shared arrays are payloads
+        nothing writes to (published rows, trained codebooks).
+        """
         if self._closed:
             raise RuntimeError("ShmRegistry is closed")
+        known = self._shared.get(id(array))
+        if known is not None and known[0] is array:
+            return known[1]
+        source = array
         # The segment stores whatever the index stores (f32 vectors, u8
-        # codes, f64 codebooks) — the caller's dtype is the contract.
+        # codes, f32 codebooks) — the caller's dtype is the contract.
         array = np.ascontiguousarray(array, dtype=array.dtype)
         name = (
             f"{SEGMENT_PREFIX}-{os.getpid()}-{self._counter}-"
@@ -114,9 +129,11 @@ class ShmRegistry:
             dst = np.ndarray(array.shape, dtype=array.dtype, buffer=seg.buf)
             dst[...] = array
         self._segments[name] = seg
-        return ShmArraySpec(
+        spec = ShmArraySpec(
             name=name, shape=tuple(array.shape), dtype=array.dtype.str
         )
+        self._shared[id(source)] = (source, spec)
+        return spec
 
     def view(self, spec: ShmArraySpec) -> np.ndarray:
         """Owner-side read-only view of a segment this registry created."""
@@ -127,6 +144,7 @@ class ShmRegistry:
         """Detach and unlink every owned segment (idempotent)."""
         self._closed = True
         segments, self._segments = self._segments, {}
+        self._shared = {}
         for seg in segments.values():
             try:
                 seg.close()
@@ -158,9 +176,12 @@ class AttachedSegments:
 
     def __init__(self) -> None:
         self._segments: list[shared_memory.SharedMemory] = []
+        #: segment name -> its view, so a segment is mapped once.
+        self._views: dict[str, np.ndarray] = {}
 
     def attach(self, spec: ShmArraySpec) -> np.ndarray:
-        """Map ``spec``'s segment and return a read-only ndarray view.
+        """Map ``spec``'s segment and return a read-only ndarray view
+        (the same view again for a segment already mapped here).
 
         No ``resource_tracker`` bookkeeping happens here on purpose: a
         ``multiprocessing`` worker shares the *parent's* tracker process,
@@ -170,13 +191,17 @@ class AttachedSegments:
         entry from that shared set and make the later ``unlink`` crash
         the tracker with a ``KeyError``.
         """
-        seg = shared_memory.SharedMemory(name=spec.name)
-        self._segments.append(seg)
-        return _as_array(seg, spec)
+        view = self._views.get(spec.name)
+        if view is None:
+            seg = shared_memory.SharedMemory(name=spec.name)
+            self._segments.append(seg)
+            view = self._views[spec.name] = _as_array(seg, spec)
+        return view
 
     def close(self) -> None:
         """Detach every mapping (idempotent; never unlinks)."""
         segments, self._segments = self._segments, []
+        self._views = {}
         for seg in segments:
             try:
                 seg.close()

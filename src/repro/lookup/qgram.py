@@ -7,7 +7,7 @@ approximate string matcher.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class QGramLookup(RowTableLookup):
         queries: Sequence[frozenset[str]], labels: Sequence[frozenset[str]]
     ) -> list[float]:
         """Per query gram set, the best score any of ``labels`` (gram
-        sets of rows) reaches against it — each the value :meth:`_ranked`
+        sets of rows) reaches against it — each the value :meth:`_ranker`
         gives that (query, row) pair, from the same integer arithmetic.
         0.0 where no label shares a gram: such a row is never offered."""
         out = []
@@ -98,19 +98,21 @@ class QGramLookup(RowTableLookup):
             out.append(best)
         return out
 
-    def _ranked(self, query: str, k: int) -> list[tuple[float, int]]:
+    def _ranker(self, query: str) -> Callable[[int], list[tuple[float, int]]]:
+        """Scores every candidate row of ``query`` once; each call ranks
+        the best ``fetch`` of them."""
         grams = self.grams(query)
         postings = self._postings
         hit = [rows for rows in map(postings.get, grams) if rows is not None]
         if not hit:
-            return []
+            return lambda fetch: []
         gram_count, live = self._columns
         shared = np.bincount(np.concatenate(hit))
         rows = np.flatnonzero((shared > 0) & live[: len(shared)])
         shared = shared[rows]
         # Small ints divide exactly like Python's ``int / int``.
         scores = shared / (len(grams) + gram_count[rows] - shared)
-        return best_rows(scores, rows, k)
+        return lambda fetch: best_rows(scores, rows, fetch)
 
     def index_bytes(self) -> int:
         """Gram keys, 4 B per posting entry, and the two per-row columns."""

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Set as AbstractSet
 
 from repro.kg.graph import KnowledgeGraph
 from repro.lookup.base import Candidate, LookupService
@@ -56,7 +57,13 @@ from repro.lookup.normalize import normalize
 from repro.lookup.qgram import QGramLookup
 from repro.utils.timing import Stopwatch
 
-__all__ = ["TAU", "LabelHashTable", "LookupRouter", "TypeFilterMap"]
+__all__ = [
+    "TAU",
+    "LabelHashTable",
+    "LookupRouter",
+    "TypeFilterMap",
+    "TypeMembers",
+]
 
 #: τ: the fuzzy tier's answer is kept when its best score is at least
 #: this (a tie is kept), else the query falls through to the ANN tier.
@@ -155,23 +162,85 @@ class LabelHashTable:
         return self._bytes
 
 
+class TypeMembers(AbstractSet[str]):
+    """One published membership of a type: an immutable set of entity ids.
+
+    Held as one byte per entity ordinal (``members[o]`` is 1 when the
+    entity with ordinal ``o`` is a member) over the map's shared,
+    append-only ordinal table, so ``entity_id in members`` is a dict
+    probe and a byte read, and a one-entity write copies bytes instead of
+    re-hashing every member.
+    """
+
+    __slots__ = ("_flags", "_count", "_ordinal", "_entities")
+
+    def __init__(
+        self,
+        flags: bytes,
+        count: int,
+        ordinal: dict[str, int],
+        entities: list[str],
+    ) -> None:
+        self._flags = flags
+        self._count = count
+        self._ordinal = ordinal
+        self._entities = entities
+
+    def __contains__(self, entity_id: object) -> bool:
+        o = self._ordinal.get(entity_id, -1)  # type: ignore[call-overload]
+        flags = self._flags
+        return 0 <= o < len(flags) and flags[o] == 1
+
+    def __iter__(self):
+        entities = self._entities
+        return (entities[o] for o, flag in enumerate(self._flags) if flag)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _with(self, o: int, flag: int) -> "TypeMembers":
+        """A copy with ordinal ``o``'s flag set to ``flag``."""
+        flags = bytearray(self._flags)
+        if o >= len(flags):
+            flags.extend(bytes(o + 1 - len(flags)))
+        count = self._count + flag - flags[o]
+        flags[o] = flag
+        return TypeMembers(bytes(flags), count, self._ordinal, self._entities)
+
+
 class TypeFilterMap:
-    """Per-type membership sets for ``type_filter``.
+    """Per-type membership for ``type_filter``.
 
     For every type id the map precomputes the *allowed* entity-id set —
     entities declaring the type or any of its subtypes, matching
-    :meth:`KnowledgeGraph.entities_of_type` with ``transitive=True``.
+    :meth:`KnowledgeGraph.entities_of_type` with ``transitive=True`` — as
+    a :class:`TypeMembers` over one shared entity-ordinal table.
 
-    The sets follow the single-writer copy-on-write discipline of the
-    online-mutation path: values are immutable frozensets and
-    :meth:`add_entity` / :meth:`remove_entity` — serialized by the
-    serving engine's mutation lock — install *new* values with GIL-atomic
-    dict assignments, so lock-free concurrent readers see either the old
-    membership or the new one.
+    The memberships follow the single-writer copy-on-write discipline of
+    the online-mutation path: a published :class:`TypeMembers` is never
+    edited, and :meth:`add_entity` / :meth:`remove_entity` — serialized
+    by the serving engine's mutation lock — install *new* ones with
+    GIL-atomic dict assignments, so a lock-free reader sees either the
+    old membership of a type or the new one.  The mutation thread alone
+    reads ``_types_of``, the reverse map that lets a write visit only the
+    entity's own types; ordinals are only ever appended, so an older
+    membership never misreads a newer entity.
     """
 
-    def __init__(self, allowed: dict[str, frozenset[str]]) -> None:
-        self._allowed = dict(allowed)
+    def __init__(self, allowed: dict[str, AbstractSet[str]]) -> None:
+        self._entities: list[str] = sorted(set().union(*allowed.values()))
+        self._ordinal = {e: o for o, e in enumerate(self._entities)}
+        #: entity id -> the type ids whose membership holds it.
+        self._types_of: dict[str, list[str]] = {}
+        self._allowed: dict[str, TypeMembers] = {}
+        for tid, members in allowed.items():
+            flags = bytearray(len(self._entities))
+            for entity_id in members:
+                flags[self._ordinal[entity_id]] = 1
+                self._types_of.setdefault(entity_id, []).append(tid)
+            self._allowed[tid] = TypeMembers(
+                bytes(flags), len(members), self._ordinal, self._entities
+            )
 
     @classmethod
     def from_kg(cls, kg: KnowledgeGraph) -> "TypeFilterMap":
@@ -185,6 +254,15 @@ class TypeFilterMap:
             }
         )
 
+    def _ordinal_of(self, entity_id: str) -> int:
+        o = self._ordinal.get(entity_id)
+        if o is None:
+            # The entity list first: a reader that finds the ordinal can
+            # already name it.
+            self._entities.append(entity_id)
+            o = self._ordinal[entity_id] = len(self._entities) - 1
+        return o
+
     def add_entity(
         self, entity_id: str, type_ids: tuple[str, ...] | list[str]
     ) -> None:
@@ -194,20 +272,27 @@ class TypeFilterMap:
         type set — change-feed mutations carry explicit types rather
         than re-deriving the hierarchy.  Unknown type ids create a new
         filter entry, so a type introduced by the feed is immediately
-        filterable.
+        filterable.  Touches only those types.
         """
+        o = self._ordinal_of(entity_id)
+        types = self._types_of.setdefault(entity_id, [])
         for tid in type_ids:
-            self._allowed[tid] = self._allowed.get(tid, frozenset()) | {
-                entity_id
-            }
+            if tid in types:
+                continue
+            members = self._allowed.get(tid)
+            if members is None:
+                members = TypeMembers(b"", 0, self._ordinal, self._entities)
+            self._allowed[tid] = members._with(o, 1)
+            types.append(tid)
 
     def remove_entity(self, entity_id: str) -> None:
-        """Retract ``entity_id`` from every type membership set."""
-        for tid, members in list(self._allowed.items()):
-            if entity_id in members:
-                self._allowed[tid] = members - {entity_id}
+        """Retract ``entity_id`` from every type membership it is in,
+        touching only those types."""
+        o = self._ordinal.get(entity_id)
+        for tid in self._types_of.pop(entity_id, ()):
+            self._allowed[tid] = self._allowed[tid]._with(o, 0)
 
-    def allowed(self, type_id: str) -> frozenset[str]:
+    def allowed(self, type_id: str) -> TypeMembers:
         """Entity ids admissible under ``type_filter=type_id``."""
         try:
             return self._allowed[type_id]
@@ -392,7 +477,7 @@ class LookupRouter(LookupService):
 
     # -- local tiers (shared by standalone and engine-embedded use) --------------
 
-    def _allowed(self, type_filter: str | None) -> frozenset[str] | None:
+    def _allowed(self, type_filter: str | None) -> TypeMembers | None:
         """The entity ids ``type_filter`` admits (``None``: no filter)."""
         if type_filter is None:
             return None

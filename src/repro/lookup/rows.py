@@ -13,10 +13,12 @@ table finds an entity's rows through a reverse map, never by scanning.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.kg.graph import KnowledgeGraph
 from repro.lookup.base import Candidate, LookupService
 from repro.lookup.normalize import normalize
-from repro.utils.ranking import BestRows, resolve_rows
+from repro.utils.ranking import BestRows, fetch_size, resolve_rows
 
 __all__ = ["LabelRows", "RowTableLookup"]
 
@@ -70,7 +72,7 @@ class RowTableLookup(LookupService):
     own (posting lists, LSH buckets).  A scorer must not offer a row
     whose entity id is ``None``: it would take a live row's place among
     the best ``k`` before resolution discards it.  A scorer that has all
-    its ``(score, row)`` pairs at once overrides :meth:`_ranked` instead
+    its ``(score, row)`` pairs at once overrides :meth:`_ranker` instead
     of :meth:`_score`, and one that indexes a run of rows cheaper than
     row by row overrides :meth:`_index_rows` instead of
     :meth:`_index_row`.
@@ -108,10 +110,23 @@ class RowTableLookup(LookupService):
         return len(rows)
 
     def _lookup_batch(self, queries: list[str], k: int) -> list[list[Candidate]]:
+        """The first ``k`` distinct live entities of each query's ranked
+        rows.  Alias rows crowd one entity into several of the best rows,
+        so the ranking starts at :func:`fetch_size` rows and doubles while
+        the answer is short of ``k`` and the scorer had more rows to give."""
+        entity_of = self.rows.entity_ids
+        first = fetch_size(k, self.include_aliases, len(entity_of))
         out: list[list[Candidate]] = []
         for query in queries:
-            ranked = self._ranked(normalize(query), k)
-            out.append(resolve_rows(ranked, self.rows.entity_ids, k, Candidate))
+            ranker = self._ranker(normalize(query))
+            fetch = first
+            while True:
+                ranked = ranker(fetch)
+                answer = resolve_rows(ranked, entity_of, k, Candidate)
+                if len(answer) == k or len(ranked) < fetch:
+                    break
+                fetch *= 2
+            out.append(answer)
         return out
 
     def index_bytes(self) -> int:
@@ -120,11 +135,16 @@ class RowTableLookup(LookupService):
 
     # -- subclass hooks ----------------------------------------------------------
 
-    def _ranked(self, query: str, k: int) -> list[tuple[float, int]]:
-        """The best ``k`` ``(score, row)`` pairs of ``query``, best first."""
-        best = BestRows(k)
-        self._score(query, best)
-        return best.ranked()
+    def _ranker(self, query: str) -> Callable[[int], list[tuple[float, int]]]:
+        """``fetch -> the best fetch (score, row) pairs of query``, best
+        first.  The default scores ``query`` anew per call."""
+
+        def ranked(fetch: int) -> list[tuple[float, int]]:
+            best = BestRows(fetch)
+            self._score(query, best)
+            return best.ranked()
+
+        return ranked
 
     def _score(self, query: str, best: BestRows) -> None:
         """Offer ``(score, row)`` for every candidate row of ``query``."""

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -998,7 +998,7 @@ class LookupEngine(LookupService):
         vectors: np.ndarray,
         k: int,
         type_filter: str | None,
-        allowed: frozenset[str] | None,
+        allowed: Collection[str] | None,
         snap: EngineSnapshot,
     ) -> SearchResult:
         """One full index scan under ``snap``; a type-constrained one is
@@ -1016,7 +1016,7 @@ class LookupEngine(LookupService):
         return self._index.search(vectors, fetch, snapshot=snap.index)
 
     def _impure_row_count(
-        self, type_filter: str, allowed: frozenset[str], snap: EngineSnapshot
+        self, type_filter: str, allowed: Collection[str], snap: EngineSnapshot
     ) -> int:
         """Rows of ``snap``'s index resolving to entities ``type_filter``
         does not admit.

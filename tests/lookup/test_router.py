@@ -396,6 +396,58 @@ class TestTypeFilter:
         with pytest.raises(KeyError, match="unknown type"):
             type_map.allowed("no-such-type")
 
+    def test_a_write_touches_only_the_entitys_own_types(self, tiny_kg):
+        """``remove_entity`` / ``add_entity`` read and replace the
+        memberships of the entity's own types and no other; what a reader
+        took before the write is unchanged (old-or-new per type)."""
+
+        class Recording(dict):
+            def __init__(self, items):
+                super().__init__(items)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+            def items(self):
+                self.read.update(self.keys())
+                return super().items()
+
+            def values(self):
+                self.read.update(self.keys())
+                return super().values()
+
+        type_map = TypeFilterMap.from_kg(tiny_kg)
+        types = [t.type_id for t in tiny_kg.types()]
+        truth = {
+            tid: set(tiny_kg.entities_of_type(tid, transitive=True))
+            for tid in types
+        }
+        victim = next(e for e in tiny_kg.entities() if e.type_ids)
+        own = {tid for tid in types if victim.entity_id in truth[tid]}
+        assert own and len(own) < len(types)
+        before = {tid: type_map.allowed(tid) for tid in types}
+        type_map._allowed = spy = Recording(type_map._allowed)
+        type_map.remove_entity(victim.entity_id)
+        assert spy.read == own
+        assert {
+            tid for tid in types if type_map.allowed(tid) is not before[tid]
+        } == own
+        for tid in types:
+            assert before[tid] == truth[tid]
+            assert type_map.allowed(tid) == truth[tid] - {victim.entity_id}
+        spy.read.clear()
+        type_map.add_entity(victim.entity_id, sorted(own))
+        assert spy.read == own
+        for tid in types:
+            assert type_map.allowed(tid) == truth[tid]
+            assert len(type_map.allowed(tid)) == len(truth[tid])
+
     def test_exact_hit_filtered_by_type(self, router_parts):
         kg, table, type_map = router_parts
         ann = StubService()

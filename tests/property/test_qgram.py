@@ -3,8 +3,8 @@
 ``QGramLookup`` answers from int32 posting arrays, a ``bincount`` and an
 array top-k; the definition it must reproduce — entity ids, bit-equal
 scores, order — is a brute force over the live rows of
-``jaccard_qgram_similarity``, ranked ``(score desc, row asc)``, cut to
-``k`` rows and resolved to distinct entities.  The table is driven by
+``jaccard_qgram_similarity``, ranked ``(score desc, row asc)`` and
+resolved to the first ``k`` distinct entities.  The table is driven by
 seeded scripts of interleaved ``add`` / ``drop_entity`` (drops, and
 re-adds of a dropped entity, leave dead rows in the postings).  The
 array top-k itself is equated with the streaming ``BestRows`` ranker the
@@ -65,7 +65,7 @@ def by_definition(service: QGramLookup, query: str, k: int) -> list[Candidate]:
         (pair for pair in scored if pair[0] > 0),
         key=lambda pair: (-pair[0], pair[1]),
     )
-    return resolve_rows(ranked[:k], rows.entity_ids, k, Candidate)
+    return resolve_rows(ranked, rows.entity_ids, k, Candidate)
 
 
 def unshared_query(service: QGramLookup) -> str:

@@ -20,18 +20,22 @@ Design:
   born at one source line is one graph node, so sibling instances share
   ordering constraints.
 - :func:`install` monkeypatches ``threading.Lock`` with a factory that
-  returns a :class:`TrackedLock` for locks created *in repro or test
-  code* and a real lock otherwise (stdlib internals such as
-  ``threading.Barrier`` would only add noise).  The conftest enables it
-  when ``REPRO_SANITIZER=1`` and asserts no violations after each test,
-  alongside a leaked-shm check via
-  :func:`repro.index.shm.owned_segment_names`.
+  returns a :class:`TrackedLock` for locks created by a file under the
+  ``repro`` package directory or under ``tests/`` (matched on the
+  creating frame's full path) and a real lock otherwise (stdlib and
+  ``_pytest`` internals such as ``threading.Barrier`` would only add
+  noise).  The conftest enables it when ``REPRO_SANITIZER=1`` and
+  asserts no violations after each test, alongside a leaked-shm check
+  via :func:`repro.index.shm.owned_segment_names`.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
+
+import repro
 
 __all__ = [
     "LockOrderTracker",
@@ -192,24 +196,31 @@ class TrackedLock:
         return f"<TrackedLock {self.name} ({state})>"
 
 
-def _creation_site() -> str:
-    """``file-tail.py:lineno`` of the frame that created the lock.
+def _creating_frame() -> tuple[str, int]:
+    """``(filename, lineno)`` of the frame that created the lock.
 
     Walks outward past this module's own frames (the factory functions
-    below live here), so two call sites creating locks get two distinct
-    graph nodes while every lock born at one line shares a node.
+    below live here).
     """
     depth = 1
     while True:
         try:
             frame = sys._getframe(depth)
         except ValueError:  # pragma: no cover - interpreter startup only
-            return "<unknown>:0"
+            return "<unknown>", 0
         filename = frame.f_code.co_filename
         if filename != __file__:
-            tail = filename.replace("\\", "/").rsplit("/", 1)[-1]
-            return f"{tail}:{frame.f_lineno}"
+            return filename, frame.f_lineno
         depth += 1
+
+
+def _creation_site(frame: tuple[str, int] | None = None) -> str:
+    """``file-tail.py:lineno`` of the creating frame: two call sites
+    creating locks get two distinct graph nodes while every lock born at
+    one line shares a node."""
+    filename, lineno = frame if frame is not None else _creating_frame()
+    tail = filename.replace("\\", "/").rsplit("/", 1)[-1]
+    return f"{tail}:{lineno}"
 
 
 def tracked_factory(tracker: LockOrderTracker):
@@ -237,18 +248,30 @@ def current_tracker() -> LockOrderTracker | None:
     return _INSTALLED
 
 
+#: Directories whose files' locks are tracked: the ``repro`` package
+#: and the test tree (this file's grandparent).
+_TRACKED_ROOTS = tuple(
+    os.path.join(os.path.dirname(os.path.abspath(path)), "")
+    for path in (repro.__file__, os.path.dirname(__file__))
+)
+
+
 def _global_factory(*args, **kwargs):
     """Replacement ``threading.Lock`` used while the sanitizer is installed.
 
-    Only creation sites inside repro or test code are tracked; stdlib
-    machinery (``threading.Barrier``, queues, executors) gets a real
-    lock so its internal ordering never pollutes the recorded graph.
+    Only locks created by a file under :data:`_TRACKED_ROOTS` are
+    tracked — the creating frame's full path, not its basename, decides;
+    stdlib machinery (``threading.Barrier``, queues, executors) and
+    ``_pytest`` get a real lock so their internal ordering never
+    pollutes the recorded graph.
     """
     tracker = _INSTALLED
-    site = _creation_site()
-    if tracker is None or not ("repro" in site or "test" in site):
+    frame = _creating_frame()
+    if tracker is None or not os.path.abspath(frame[0]).startswith(
+        _TRACKED_ROOTS
+    ):
         return _REAL_LOCK(*args, **kwargs)
-    return TrackedLock(tracker, site)
+    return TrackedLock(tracker, _creation_site(frame))
 
 
 def install() -> LockOrderTracker:

@@ -181,3 +181,23 @@ class TestFactoryAndInstall:
             uninstall()
         assert current_tracker() is None
         assert not isinstance(threading.Lock(), TrackedLock)
+
+    def test_install_tracks_locks_created_in_src(self):
+        """The creating frame's full path decides: a lock a ``repro``
+        object builds is tracked under its own file's name, one that
+        stdlib machinery builds is not."""
+        import queue
+
+        from repro.utils.timing import Stopwatch
+
+        installed = current_tracker()
+        tracker = installed or install()
+        try:
+            lock = Stopwatch()._lock
+            assert isinstance(lock, TrackedLock)
+            assert lock.name.startswith("timing.py:")
+            assert not isinstance(queue.Queue().mutex, TrackedLock)
+        finally:
+            if installed is None:
+                uninstall()
+        assert tracker is not None
